@@ -20,13 +20,11 @@ from .alignment import (
     population_alignment_target,
     prompt_embedding,
     subgroup_accuracy,
-    zero_shot_predict,
     zero_shot_predict_batch,
 )
 from .discrete import (
     DiscreteConfig,
     DiscreteDataset,
-    DiscreteSample,
     DualHeadClassifier,
     LinearClassifier,
     MethodSummary,
@@ -77,13 +75,10 @@ from .synthetic import (
     Dictionary,
     GenerativeConfig,
     Mode,
-    PairedSample,
     SyntheticDataset,
-    make_dictionary,
     ood_config,
     ood_dataset,
     sample_dataset,
-    sample_ood_batches,
 )
 from .theory import (
     TheoryBounds,

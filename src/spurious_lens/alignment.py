@@ -8,7 +8,6 @@ an independent route to the same matrix.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,29 +33,6 @@ class AlignmentMatrix:
     @property
     def shape(self):
         return self.entries.shape
-
-    def to_csv(self, path) -> None:
-        """Row-major dump with a leading dims header."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d_I", "d_T"])
-            writer.writerow(list(self.entries.shape))
-            for row in self.entries:
-                writer.writerow([repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path) -> "AlignmentMatrix":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if len(rows) < 2 or rows[0] != ["d_I", "d_T"]:
-            raise ShapeError("alignment CSV must start with a d_I,d_T header")
-        d_i, d_t = int(rows[1][0]), int(rows[1][1])
-        data = np.array([[float(v) for v in row] for row in rows[2:]])
-        if data.shape != (d_i, d_t):
-            raise ShapeError(
-                f"alignment CSV body {data.shape} does not match header ({d_i}, {d_t})"
-            )
-        return cls(data)
 
 
 @dataclass(frozen=True)
@@ -174,22 +150,17 @@ def asymptotic_minimizer(config: GenerativeConfig, dict_image: Dictionary,
 
 
 def alignment_gap(M: AlignmentMatrix, config: GenerativeConfig,
-                  dict_image: Dictionary, dict_text: Dictionary) -> float:
-    """Relative Frobenius distance of rho*M from its asymptotic target."""
-    core = latent_alignment_target(config)
-    target = dict_image.entries @ core @ dict_text.entries.T
-    return float(
-        np.linalg.norm(config.rho * M.entries - target) / np.linalg.norm(core)
-    )
+                  dict_image: Dictionary, dict_text: Dictionary,
+                  target=latent_alignment_target) -> float:
+    """Relative Frobenius distance of rho*M from D_I A D_T^T, A = target(config).
 
-
-def population_alignment_gap(M: AlignmentMatrix, config: GenerativeConfig,
-                             dict_image: Dictionary, dict_text: Dictionary) -> float:
-    """Like :func:`alignment_gap` but against the general-means target."""
-    core = population_alignment_target(config)
-    target = dict_image.entries @ core @ dict_text.entries.T
+    The default target is the asymptotic one; pass
+    :func:`population_alignment_target` for the general-means reading.
+    """
+    core = target(config)
+    ambient = dict_image.entries @ core @ dict_text.entries.T
     return float(
-        np.linalg.norm(config.rho * M.entries - target) / np.linalg.norm(core)
+        np.linalg.norm(config.rho * M.entries - ambient) / np.linalg.norm(core)
     )
 
 
@@ -266,13 +237,6 @@ def zero_shot_predict_batch(M: AlignmentMatrix, x_image: np.ndarray, prompts) ->
     """Vectorized label prediction; exact ties resolve to +1."""
     scores = zero_shot_scores(M, x_image, prompts)
     return np.where(scores[:, 0] >= scores[:, 1], 1, -1)
-
-
-def zero_shot_predict(M: AlignmentMatrix, x_image: np.ndarray, prompts) -> int:
-    """Label whose prompt scores highest for one image; ties go to +1."""
-    if np.asarray(x_image).ndim != 1:
-        raise ShapeError("zero_shot_predict expects a single image vector")
-    return int(zero_shot_predict_batch(M, x_image, prompts)[0])
 
 
 def subgroup_accuracy(M: AlignmentMatrix, testset: SyntheticDataset, prompts) -> SubgroupReport:

@@ -6,6 +6,10 @@ the seed, the toolkit version and the produced paths.  The manifest is the
 only place a timestamp appears, so report files from identical invocations
 are byte-identical.  Human-readable notes go to stderr only.
 
+Each ``cmd_*`` computes and returns its outputs; :func:`_run` serializes all
+of them as strict JSON (or text) before it opens any file, so a failing run
+leaves no output behind.
+
 Exit codes: 0 success, 1 completed-but-failed verification, 2 input error,
 3 numerical failure.
 """
@@ -16,17 +20,20 @@ import argparse
 import csv
 import datetime
 import hashlib
+import io
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .alignment import (
     alignment_gap,
     empirical_minimizer,
     latent_alignment_target,
-    population_alignment_gap,
     population_alignment_target,
     prompt_embedding,
     subgroup_accuracy,
@@ -51,72 +58,100 @@ from .evaluation import (
     load_predictions,
     load_similarities,
 )
+from .inputs import load_config, read_text
 from .svgplot import render_fit_svg
 from .synthetic import GenerativeConfig, ood_dataset, sample_dataset
 from .theory import format_report_table, verify_theorem
 
 _INPUT_ERRORS = (ParseError, ConfigError, InsufficientDataError, ShapeError, OSError)
 _NUMERIC_ERRORS = (NonconvergenceError, DomainError, DegenerateFitError,
-                   FloatingPointError, ZeroDivisionError)
+                   ArithmeticError, np.linalg.LinAlgError)
+
+# Arguments naming input files, digested by content as <name>_sha256.
+_INPUT_FILES = ("predictions", "similarities", "points")
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+class _Outcome(NamedTuple):
+    """What a subcommand produced: (path, JSON payload or text) pairs."""
+
+    outputs: list[tuple[str, object]]
+    seed: int = 0
+    exit_code: int = 0
 
 
-def _canonical(payload) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _serialize(path: str, payload) -> bytes:
+    if isinstance(payload, str):
+        return payload.encode("utf-8")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"{path}: not writable as strict JSON ({exc})") from None
+    return (text + "\n").encode("utf-8")
 
 
-def _digest(payload) -> str:
-    return hashlib.sha256(_canonical(payload)).hexdigest()
+def _digest(params: dict) -> str:
+    canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _file_digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _run(args) -> int:
+    """Decode inputs, run the subcommand, then write its outputs and manifest.
 
+    The digest covers every argument but the output paths, with the config
+    as decoded and each input file by its SHA-256.
+    """
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("func", "config_type", "out", "svg")}
+    inputs = [params[k] for k in ("config", *_INPUT_FILES) if k in params]
+    if "config" in params:
+        args.config = load_config(args.config_type, read_text(params["config"]))
+        params["config"] = args.config.to_json_dict()
+    for name in _INPUT_FILES:
+        if name in params:
+            digest = hashlib.sha256(Path(params.pop(name)).read_bytes()).hexdigest()
+            params[f"{name}_sha256"] = digest
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_manifest(out: str, subcommand: str, digest: str, seed: int,
-                    outputs: list[str]) -> str:
-    manifest_path = str(Path(out).with_suffix(".manifest.json"))
-    _write_json(manifest_path, {
-        "subcommand": subcommand,
-        "config_digest": digest,
-        "seed": seed,
+    outcome = args.func(args)
+    manifest_path = str(Path(args.out).with_suffix(".manifest.json"))
+    files = [(path, _serialize(path, payload)) for path, payload in outcome.outputs]
+    files.append((manifest_path, _serialize(manifest_path, {
+        "subcommand": args.subcommand,
+        "config_digest": _digest(params),
+        "seed": outcome.seed,
         "version": __version__,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [path for path, _ in outcome.outputs],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    })
-    return manifest_path
+    })))
+    seen = {Path(p).resolve(): f"input {p}" for p in inputs}
+    for path, _ in files:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"output {path} would overwrite {seen[resolved]}")
+        seen[resolved] = f"output {path}"
+    written = []
+    try:
+        for path, data in files:
+            Path(path).write_bytes(data)
+            written.append(path)
+    except OSError:
+        for path in written:
+            Path(path).unlink()
+        raise
+    return outcome.exit_code
 
 
-def cmd_verify_theorem(args) -> int:
-    config = GenerativeConfig.from_json(_read_text(args.config))
-    report = verify_theorem(config, args.mc, args.seed, args.tol)
-    _write_json(args.out, {
-        "config": config.to_json_dict(),
+def cmd_verify_theorem(args) -> _Outcome:
+    report = verify_theorem(args.config, args.mc, args.seed, args.tol)
+    print(format_report_table(args.config, report), file=sys.stderr)
+    return _Outcome([(args.out, {
+        "config": args.config.to_json_dict(),
         "seed": args.seed,
         **report.to_json_dict(),
-    })
-    _write_manifest(args.out, "verify-theorem", _digest({
-        "subcommand": "verify-theorem",
-        "config": config.to_json_dict(),
-        "mc": args.mc,
-        "seed": args.seed,
-        "tol": args.tol,
-    }), args.seed, [args.out])
-    print(format_report_table(config, report), file=sys.stderr)
-    return 0 if report.passed else 1
+    })], args.seed, 0 if report.passed else 1)
 
 
-def cmd_simulate_gaussian(args) -> int:
-    config = GenerativeConfig.from_json(_read_text(args.config))
+def cmd_simulate_gaussian(args) -> _Outcome:
+    config = args.config
     trainset = sample_dataset(config, args.seed)
     matrix = empirical_minimizer(trainset, config.rho)
     testset = ood_dataset(config, trainset.dict_image, trainset.dict_text,
@@ -124,13 +159,14 @@ def cmd_simulate_gaussian(args) -> int:
     prompts = (prompt_embedding(trainset.dict_text, 1),
                prompt_embedding(trainset.dict_text, -1))
     report = subgroup_accuracy(matrix, testset, prompts)
-    _write_json(args.out, {
+    dicts = (trainset.dict_image, trainset.dict_text)
+    print(f"acc_overall {fmt_pct(report.acc_overall)}%", file=sys.stderr)
+    return _Outcome([(args.out, {
         **report.to_json_dict(),
         "alignment": {
-            "target_gap": alignment_gap(
-                matrix, config, trainset.dict_image, trainset.dict_text),
-            "population_gap": population_alignment_gap(
-                matrix, config, trainset.dict_image, trainset.dict_text),
+            "target_gap": alignment_gap(matrix, config, *dicts),
+            "population_gap": alignment_gap(
+                matrix, config, *dicts, target=population_alignment_target),
             "latent_target": latent_alignment_target(config).tolist(),
             "population_target": population_alignment_target(config).tolist(),
         },
@@ -138,132 +174,95 @@ def cmd_simulate_gaussian(args) -> int:
         "n_test": len(testset),
         "config": config.to_json_dict(),
         "seed": args.seed,
-    })
-    _write_manifest(args.out, "simulate-gaussian", _digest({
-        "subcommand": "simulate-gaussian",
-        "config": config.to_json_dict(),
-        "seed": args.seed,
-    }), args.seed, [args.out])
-    print(f"acc_overall {fmt_pct(report.acc_overall)}%", file=sys.stderr)
-    return 0
+    })], args.seed)
 
 
 def _pct_cell(mean: float, std: float) -> str:
     return f"{fmt_pct(mean)} ± {fmt_pct(std)}"
 
 
-def cmd_simulate_discrete(args) -> int:
-    config = DiscreteConfig.from_json(_read_text(args.config))
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+def cmd_simulate_discrete(args) -> _Outcome:
+    config = args.config
     summaries, per_seed = run_discrete_experiment(config, args.seeds)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "n", "p_inv", "p_spu", "method", "rand", "rev", "rest"])
-        for s in summaries:
-            rest = ("n/a" if s.rest_mean is None
-                    else _pct_cell(s.rest_mean, s.rest_std))
-            writer.writerow([
-                config.num_classes, config.n_train, config.p_inv, config.p_spu,
-                s.method,
-                _pct_cell(s.rand_mean, s.rand_std),
-                _pct_cell(s.rev_mean, s.rev_std),
-                rest,
-            ])
-    json_path = str(Path(args.out).with_suffix(".json"))
-    _write_json(json_path, {
-        "config": config.to_json_dict(),
-        "n_seeds": args.seeds,
-        "summaries": [s.to_json_dict() for s in summaries],
-        "per_seed": [asdict(r) for r in per_seed],
-    })
-    _write_manifest(args.out, "simulate-discrete", _digest({
-        "subcommand": "simulate-discrete",
-        "config": config.to_json_dict(),
-        "seeds": args.seeds,
-    }), config.seed, [args.out, json_path])
-    return 0
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["k", "n", "p_inv", "p_spu", "method", "rand", "rev", "rest"])
+    for s in summaries:
+        rest = ("n/a" if s.rest_mean is None
+                else _pct_cell(s.rest_mean, s.rest_std))
+        writer.writerow([
+            config.num_classes, config.n_train, config.p_inv, config.p_spu,
+            s.method,
+            _pct_cell(s.rand_mean, s.rand_std),
+            _pct_cell(s.rev_mean, s.rev_std),
+            rest,
+        ])
+    return _Outcome([
+        (args.out, table.getvalue()),
+        (str(Path(args.out).with_suffix(".json")), {
+            "config": config.to_json_dict(),
+            "n_seeds": args.seeds,
+            "summaries": [s.to_json_dict() for s in summaries],
+            "per_seed": [asdict(r) for r in per_seed],
+        }),
+    ], config.seed)
 
 
-def cmd_eval(args) -> int:
-    records = load_predictions(args.predictions)
-    report = group_report(records, args.topk)
-    _write_json(args.out, report.to_json_dict())
-    _write_manifest(args.out, "eval", _digest({
-        "subcommand": "eval",
-        "predictions_sha256": _file_digest(args.predictions),
-        "topk": args.topk,
-    }), 0, [args.out])
+def cmd_eval(args) -> _Outcome:
+    report = group_report(load_predictions(args.predictions), args.topk)
     print(
         f"balanced easy {fmt_pct(report.balanced_easy)}%  "
         f"hard {fmt_pct(report.balanced_hard)}%  "
         f"drop {fmt_pct(report.balanced_drop)} pp",
         file=sys.stderr,
     )
-    return 0
+    return _Outcome([(args.out, report.to_json_dict())])
 
 
-def cmd_discover(args) -> int:
-    records = load_predictions(args.predictions)
-    split = discover_spurious(records, args.threshold, args.min_count)
-    _write_json(args.out, split.to_json_dict())
-    _write_manifest(args.out, "discover", _digest({
-        "subcommand": "discover",
-        "predictions_sha256": _file_digest(args.predictions),
-        "threshold": args.threshold,
-        "min_count": args.min_count,
-    }), 0, [args.out])
+def cmd_discover(args) -> _Outcome:
+    split = discover_spurious(load_predictions(args.predictions),
+                              args.threshold, args.min_count)
     print(
         f"flagged {len(split.flagged)} classes, "
         f"skipped {len(split.skipped)}",
         file=sys.stderr,
     )
-    return 0
+    return _Outcome([(args.out, split.to_json_dict())])
 
 
-def cmd_confuse(args) -> int:
+def cmd_confuse(args) -> _Outcome:
     table = load_similarities(args.similarities)
     top = confusing_labels(table, args.k)
     means = {name: float(score)
              for name, score in zip(table.candidates, table.scores.mean(axis=0))}
-    _write_json(args.out, {
+    return _Outcome([(args.out, {
         "k": args.k,
         "labels": top,
         "mean_scores": means,
         "n_samples": len(table.sample_ids),
-    })
-    _write_manifest(args.out, "confuse", _digest({
-        "subcommand": "confuse",
-        "similarities_sha256": _file_digest(args.similarities),
-        "k": args.k,
-    }), 0, [args.out])
-    return 0
+    })])
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> _Outcome:
     points = load_points(args.points)
     fit = effective_robustness_fit(points, args.transform)
     svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
-    Path(svg_path).write_text(render_fit_svg(points, fit), encoding="utf-8")
-    _write_json(args.out, {
-        **fit.to_json_dict(),
-        "n_points": len(points),
-        "points": [
-            {"name": p.name, "easy": p.easy, "hard": p.hard} for p in points
-        ],
-        "svg": svg_path,
-    })
-    _write_manifest(args.out, "fit", _digest({
-        "subcommand": "fit",
-        "points_sha256": _file_digest(args.points),
-        "transform": args.transform,
-    }), 0, [args.out, svg_path])
     print(
         f"{fit.transform.value} fit: slope {fit.slope:.4f} "
         f"intercept {fit.intercept:.4f}",
         file=sys.stderr,
     )
-    return 0
+    return _Outcome([
+        (args.out, {
+            **fit.to_json_dict(),
+            "n_points": len(points),
+            "points": [
+                {"name": p.name, "easy": p.easy, "hard": p.hard} for p in points
+            ],
+            "svg": svg_path,
+        }),
+        (svg_path, render_fit_svg(points, fit)),
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=0.01)
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_verify_theorem)
+    p.set_defaults(func=cmd_verify_theorem, config_type=GenerativeConfig)
 
     p = sub.add_parser("simulate-gaussian",
                        help="train the closed-form alignment and report "
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="GenerativeConfig JSON")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_simulate_gaussian)
+    p.set_defaults(func=cmd_simulate_gaussian, config_type=GenerativeConfig)
 
     p = sub.add_parser("simulate-discrete",
                        help="run the discrete shortcut experiment for both "
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="DiscreteConfig JSON")
     p.add_argument("--seeds", type=int, default=5, help="number of seeds")
     p.add_argument("--out", required=True, help="summary CSV path")
-    p.set_defaults(func=cmd_simulate_discrete)
+    p.set_defaults(func=cmd_simulate_discrete, config_type=DiscreteConfig)
 
     p = sub.add_parser("eval", help="easy/hard metrics from a prediction log")
     p.add_argument("--predictions", required=True, help="prediction CSV")
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

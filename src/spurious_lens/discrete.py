@@ -11,12 +11,11 @@ Zero-shot prediction always reads the object head alone.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, NonconvergenceError, ParseError
+from .errors import ConfigError, NonconvergenceError
 from .synthetic import substream
 
 # Bias strength of the reversed test split toward the swapped color.
@@ -101,41 +100,10 @@ class DiscreteConfig:
         d["biased_colors"] = list(self.biased_colors)
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DiscreteConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ParseError(f"unknown config fields: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("biased_classes", "biased_colors"):
-            if key in d:
-                d[key] = tuple(d[key])
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ParseError(f"bad config object: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteConfig":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ParseError("config JSON must be an object")
-        return cls.from_json_dict(d)
-
-
-@dataclass(frozen=True)
-class DiscreteSample:
-    features: np.ndarray
-    object_label: int
-    color_label: int
-
 
 @dataclass(frozen=True)
 class DiscreteDataset:
-    """Column-batched discrete samples; indexes like a list of DiscreteSample."""
+    """Column-batched discrete samples, one row each."""
 
     config: DiscreteConfig
     split: Split
@@ -146,17 +114,6 @@ class DiscreteDataset:
 
     def __len__(self) -> int:
         return self.object_labels.shape[0]
-
-    def __getitem__(self, i: int) -> DiscreteSample:
-        return DiscreteSample(
-            features=self.features[i],
-            object_label=int(self.object_labels[i]),
-            color_label=int(self.color_labels[i]),
-        )
-
-    @property
-    def samples(self) -> list[DiscreteSample]:
-        return [self[i] for i in range(len(self))]
 
 
 def _uniform_excluding(rng: np.random.Generator, high: int, excluded: np.ndarray) -> np.ndarray:
@@ -271,18 +228,6 @@ class DualHeadClassifier:
         return self.zero_shot_logits(features).argmax(axis=1)
 
 
-def _as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(data, DiscreteDataset):
-        return data.features, data.object_labels, data.color_labels
-    samples = list(data)
-    if not samples:
-        raise InsufficientDataError("training data is empty")
-    features = np.stack([s.features for s in samples])
-    objects = np.array([s.object_label for s in samples])
-    colors = np.array([s.color_label for s in samples])
-    return features, objects, colors
-
-
 def ce_loss(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean multinomial cross-entropy of linear logits."""
     return _ce_loss_grad(np.asarray(weights, dtype=float),
@@ -340,20 +285,18 @@ def _init(shape: tuple[int, int], rng: np.random.Generator | None) -> np.ndarray
     return 0.01 * rng.standard_normal(shape)
 
 
-def train_supervised(data, epochs: int = 400, step_size: float = 2.0,
+def train_supervised(data: DiscreteDataset, epochs: int = 400, step_size: float = 2.0,
                      rng: np.random.Generator | None = None) -> LinearClassifier:
     """k-way logistic regression over the full feature vector, full-batch GD."""
-    features, objects, _ = _as_arrays(data)
-    k = int(objects.max()) + 1
-    if isinstance(data, DiscreteDataset):
-        k = data.config.num_classes
-    w0 = _init((k, features.shape[1]), rng)
+    features, objects = data.features, data.object_labels
+    w0 = _init((data.config.num_classes, features.shape[1]), rng)
     weights = _descend(lambda w: _ce_loss_grad(w, features, objects),
                        w0, epochs, step_size)
     return LinearClassifier(weights)
 
 
-def train_contrastive_perfect(data, epochs: int = 400, step_size: float = 2.0,
+def train_contrastive_perfect(data: DiscreteDataset, epochs: int = 400,
+                              step_size: float = 2.0,
                               rng: np.random.Generator | None = None) -> DualHeadClassifier:
     """Joint object + color classification over shared fixed features.
 
@@ -361,12 +304,8 @@ def train_contrastive_perfect(data, epochs: int = 400, step_size: float = 2.0,
     parameters, so the object head follows exactly the supervised
     trajectory up to the shared step-size schedule.
     """
-    features, objects, colors = _as_arrays(data)
-    k = int(objects.max()) + 1
-    c = int(colors.max()) + 1
-    if isinstance(data, DiscreteDataset):
-        k = data.config.num_classes
-        c = data.config.num_colors
+    features, objects, colors = data.features, data.object_labels, data.color_labels
+    k, c = data.config.num_classes, data.config.num_colors
     d = features.shape[1]
     w0 = np.vstack([_init((k, d), rng), _init((c, d), rng)])
 

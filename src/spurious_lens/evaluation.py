@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .errors import (
     InsufficientDataError,
     ParseError,
 )
+from .inputs import read_text
 from .theory import std_normal_inv_cdf
 
 
@@ -61,6 +63,10 @@ class PredictionRecord:
 _PRED_FIXED = ("sample_id", "true_label", "group", "background")
 
 
+def _read_csv(path) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(read_text(path), newline="")))
+
+
 def load_predictions(path) -> list[PredictionRecord]:
     """Parse a prediction log; malformed rows are rejected by line number.
 
@@ -68,8 +74,7 @@ def load_predictions(path) -> list[PredictionRecord]:
     A row may rank fewer than K labels by leaving trailing cells empty;
     pred_1 itself must never be empty.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if not rows:
         raise ParseError("prediction file is empty")
     header = rows[0]
@@ -398,8 +403,7 @@ class SimilarityTable:
 
 def load_similarities(path) -> SimilarityTable:
     """Parse a similarity CSV: header sample_id,<cand_1>,...,<cand_C>."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if not rows:
         raise ParseError("similarity file is empty")
     header = rows[0]
@@ -470,9 +474,12 @@ class Point:
 
 
 def load_points(path) -> list[Point]:
-    """Parse accuracy pairs: header easy,hard with an optional name column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    """Parse accuracy pairs: header easy,hard with an optional name column.
+
+    Accuracies are fractions; a value that is not finite or lies outside
+    [0, 1] is rejected with its line.
+    """
+    rows = _read_csv(path)
     if not rows:
         raise ParseError("points file is empty")
     header = rows[0]
@@ -496,6 +503,11 @@ def load_points(path) -> list[Point]:
             easy, hard = float(row[-2]), float(row[-1])
         except ValueError:
             raise ParseError(f"line {line}: non-numeric accuracy", lines=(line,)) from None
+        if not (0.0 <= easy <= 1.0 and 0.0 <= hard <= 1.0):
+            raise ParseError(
+                f"line {line}: accuracies must be fractions in [0, 1], got {easy}, {hard}",
+                lines=(line,),
+            )
         points.append(Point(name=name, easy=easy, hard=hard))
     if not points:
         raise ParseError("points file has no data rows")

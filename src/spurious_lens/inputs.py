@@ -1,0 +1,85 @@
+"""Decoding of input files: UTF-8 text and typed config objects.
+
+Text is read as strict UTF-8 and a byte that does not decode is reported
+with its line.  Configs are built from a JSON object whose every value is
+checked against the dataclass field's annotation before the dataclass sees
+it, so a value is never coerced into a field of another type.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import enum
+import json
+import math
+import types
+import typing
+from pathlib import Path
+
+from .errors import ParseError
+
+
+def read_text(path) -> str:
+    """The file's text, decoded without newline translation."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line}: not valid UTF-8 ({exc.reason})",
+                         lines=(line,)) from None
+
+
+def load_config(cls, text: str):
+    """Build the config dataclass ``cls`` from JSON text.
+
+    Unknown and missing fields are rejected, and so is a value whose JSON
+    type does not match its field: an ``int`` field takes only integers, a
+    ``float`` field integers or floats (kept as given), and no numeric field
+    takes ``true`` or ``false`` or a non-finite value.  Every failure is a
+    ParseError.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError("config JSON must be an object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ParseError(f"unknown config fields: {sorted(unknown)}")
+    kwargs = {name: _typed(name, hints[name], value) for name, value in obj.items()}
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ParseError(f"bad config object: {exc}") from exc
+
+
+def _typed(name: str, hint, value):
+    """``value`` checked against the annotation ``hint``; lists become tuples."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _typed(name, hint, value)
+    if origin is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ParseError(f"config field {name} must be a list of {len(args)} "
+                             f"values, got {json.dumps(value)}")
+        return tuple(_typed(f"{name}[{i}]", a, v)
+                     for i, (a, v) in enumerate(zip(args, value)))
+    if issubclass(hint, enum.Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            choices = ", ".join(m.value for m in hint)
+            raise ParseError(f"config field {name} must be one of {choices}, "
+                             f"got {json.dumps(value)}") from None
+    accepted = (int, float) if hint is float else (hint,)
+    if (isinstance(value, bool) or not isinstance(value, accepted)
+            or (hint is float and not math.isfinite(value))):
+        kind = "a finite number" if hint is float else "an integer"
+        raise ParseError(f"config field {name} must be {kind}, got {json.dumps(value)}")
+    return value

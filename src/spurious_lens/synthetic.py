@@ -20,15 +20,13 @@ on worker count.
 
 from __future__ import annotations
 
-import csv
 import enum
-import json
 import math
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 
 LATENT_DIM = 2
 
@@ -99,26 +97,6 @@ class GenerativeConfig:
         d["mode"] = self.mode.value
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GenerativeConfig":
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ParseError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ParseError(f"bad config object: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "GenerativeConfig":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(d, dict):
-            raise ParseError("config JSON must be an object")
-        return cls.from_json_dict(d)
-
 
 @dataclass(frozen=True)
 class Dictionary:
@@ -140,33 +118,12 @@ class Dictionary:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    x_image: np.ndarray
-    x_text: np.ndarray
-    label: int
-    attribute: int
-    z: np.ndarray
-
-
 def _dictionary_from_rng(d: int, rng: np.random.Generator) -> Dictionary:
     raw = rng.standard_normal((d, LATENT_DIM))
     u = raw[:, 0] / np.linalg.norm(raw[:, 0])
     v = raw[:, 1] - (u @ raw[:, 1]) * u
     v = v / np.linalg.norm(v)
     return Dictionary(np.column_stack([u, v]))
-
-
-def make_dictionary(d: int, seed: int) -> Dictionary:
-    """Draw a d x 2 matrix with orthonormal columns, deterministically.
-
-    Two standard-normal vectors are drawn from the seed and Gram-Schmidt
-    orthonormalized.
-    """
-    if d < LATENT_DIM:
-        raise ConfigError(f"dictionary dimension must be >= {LATENT_DIM}, got {d}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    return _dictionary_from_rng(d, rng)
 
 
 def _latent_means(config: GenerativeConfig, y: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -189,12 +146,6 @@ def sample_latents(config: GenerativeConfig, rng: np.random.Generator, size: int
     z[:, 0] += config.sigma_inv * g[:, 0]
     z[:, 1] += config.sigma_spu * g[:, 1]
     return z, y, a
-
-
-def sample_latent(config: GenerativeConfig, rng: np.random.Generator):
-    """Single (z, y, a) draw; see :func:`sample_latents`."""
-    z, y, a = sample_latents(config, rng, 1)
-    return z[0], int(y[0]), int(a[0])
 
 
 def embed(z: np.ndarray, dictionary: Dictionary, sigma_xi: float,
@@ -247,11 +198,7 @@ def dataset_dictionaries(config: GenerativeConfig, seed: int):
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    """An immutable seeded collection of paired samples.
-
-    Arrays are stored column-batched for vectorized math; `PairedSample`
-    views are available through indexing and the `samples` property.
-    """
+    """An immutable seeded collection of paired samples, one row each."""
 
     config: GenerativeConfig
     seed: int
@@ -265,34 +212,6 @@ class SyntheticDataset:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def __getitem__(self, i: int) -> PairedSample:
-        return PairedSample(
-            x_image=self.x_image[i],
-            x_text=self.x_text[i],
-            label=int(self.labels[i]),
-            attribute=int(self.attributes[i]),
-            z=self.latents[i],
-        )
-
-    @property
-    def samples(self) -> list[PairedSample]:
-        return [self[i] for i in range(len(self))]
-
-    def to_csv(self, path) -> None:
-        """Dump rows: sample_index, y, a, z_inv, z_spu, x_I coords, x_T coords."""
-        header = ["sample_index", "y", "a", "z_inv", "z_spu"]
-        header += [f"x_I_{j}" for j in range(self.config.d_I)]
-        header += [f"x_T_{j}" for j in range(self.config.d_T)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = [i, int(self.labels[i]), int(self.attributes[i]),
-                       repr(float(self.latents[i, 0])), repr(float(self.latents[i, 1]))]
-                row += [repr(float(v)) for v in self.x_image[i]]
-                row += [repr(float(v)) for v in self.x_text[i]]
-                writer.writerow(row)
 
 
 def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
@@ -318,15 +237,6 @@ def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     )
 
 
-def sample_ood_batches(config: GenerativeConfig, dict_image: Dictionary,
-                       dict_text: Dictionary, seed: int, total: int):
-    """Draw `total` test samples from the p_spu = 1/2 distribution, using
-    the provided (already-fitted) dictionaries."""
-    return _chunked_batches(
-        ood_config(config), dict_image, dict_text, seed, total, STREAM_TEST
-    )
-
-
 def ood_config(config: GenerativeConfig) -> GenerativeConfig:
     """The test distribution: identical config with p_spu = 1/2."""
     return replace(config, p_spu=0.5)
@@ -334,9 +244,10 @@ def ood_config(config: GenerativeConfig) -> GenerativeConfig:
 
 def ood_dataset(config: GenerativeConfig, dict_image: Dictionary,
                 dict_text: Dictionary, seed: int, total: int) -> SyntheticDataset:
-    """Test dataset view over :func:`sample_ood_batches` draws."""
-    x_image, x_text, y, a, z = sample_ood_batches(
-        config, dict_image, dict_text, seed, total
+    """`total` test samples from the p_spu = 1/2 distribution, embedded with
+    the given (already-fitted) dictionaries."""
+    x_image, x_text, y, a, z = _chunked_batches(
+        ood_config(config), dict_image, dict_text, seed, total, STREAM_TEST
     )
     return SyntheticDataset(
         config=replace(ood_config(config), n=total),

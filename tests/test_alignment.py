@@ -17,15 +17,14 @@ from spurious_lens import (
     empirical_minimizer,
     gradient_descent_minimizer,
     latent_alignment_target,
-    make_dictionary,
     ood_dataset,
     population_alignment_target,
     prompt_embedding,
     sample_dataset,
     subgroup_accuracy,
-    zero_shot_predict,
     zero_shot_predict_batch,
 )
+from spurious_lens.synthetic import dataset_dictionaries
 
 
 def naive_pairwise_loss(M, dataset, rho):
@@ -179,7 +178,7 @@ class TestTargets:
 
     def test_asymptotic_minimizer_shape_and_scale(self):
         cfg = GenerativeConfig(d_I=6, d_T=5, rho=2.0)
-        di, dt = make_dictionary(6, 0), make_dictionary(5, 1)
+        di, dt = dataset_dictionaries(cfg, 0)
         M = asymptotic_minimizer(cfg, di, dt)
         assert M.shape == (6, 5)
         expected = di.entries @ latent_alignment_target(cfg) @ dt.entries.T / 2.0
@@ -187,11 +186,20 @@ class TestTargets:
 
     def test_gap_zero_at_target_and_positive_off_target(self):
         cfg = GenerativeConfig(d_I=6, d_T=5, rho=0.5)
-        di, dt = make_dictionary(6, 0), make_dictionary(5, 1)
+        di, dt = dataset_dictionaries(cfg, 0)
         M = asymptotic_minimizer(cfg, di, dt)
         assert alignment_gap(M, cfg, di, dt) == pytest.approx(0.0, abs=1e-12)
         off = AlignmentMatrix(M.entries + 0.1)
         assert alignment_gap(off, cfg, di, dt) > 0
+
+    def test_gap_takes_population_target(self):
+        cfg = GenerativeConfig(d_I=6, d_T=5, mu_inv=1.5, rho=0.5)
+        di, dt = dataset_dictionaries(cfg, 0)
+        core = population_alignment_target(cfg)
+        M = AlignmentMatrix(di.entries @ core @ dt.entries.T / cfg.rho)
+        assert alignment_gap(M, cfg, di, dt, target=population_alignment_target) \
+            == pytest.approx(0.0, abs=1e-12)
+        assert alignment_gap(M, cfg, di, dt) > 0
 
     def test_empirical_gap_shrinks_with_n(self):
         cfg_small = GenerativeConfig(n=1000, sigma_xi=0.01)
@@ -210,8 +218,7 @@ class TestTargets:
 class TestZeroShot:
     def setup_method(self):
         self.cfg = GenerativeConfig(d_I=6, d_T=6)
-        self.di = make_dictionary(6, 0)
-        self.dt = make_dictionary(6, 1)
+        self.di, self.dt = dataset_dictionaries(self.cfg, 0)
         self.M = asymptotic_minimizer(self.cfg, self.di, self.dt)
         self.prompts = (prompt_embedding(self.dt, 1), prompt_embedding(self.dt, -1))
 
@@ -229,16 +236,11 @@ class TestZeroShot:
     def test_prompts_must_cover_both_labels(self):
         p1 = prompt_embedding(self.dt, 1)
         with pytest.raises(ConfigError):
-            zero_shot_predict(self.M, np.zeros(6), (p1, p1))
+            zero_shot_predict_batch(self.M, np.zeros((1, 6)), (p1, p1))
 
     def test_tie_resolves_to_positive(self):
-        assert zero_shot_predict(self.M, np.zeros(6), self.prompts) == 1
-
-    def test_batch_agrees_with_single(self):
-        x = np.random.default_rng(3).standard_normal((20, 6))
-        batch = zero_shot_predict_batch(self.M, x, self.prompts)
-        singles = [zero_shot_predict(self.M, row, self.prompts) for row in x]
-        assert list(batch) == singles
+        pred = zero_shot_predict_batch(self.M, np.zeros((3, 6)), self.prompts)
+        assert list(pred) == [1, 1, 1]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -246,10 +248,10 @@ class TestZeroShot:
         scale=st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_prediction_invariant_to_matrix_scale(self, seed, scale):
-        x = np.random.default_rng(seed).standard_normal(6)
+        x = np.random.default_rng(seed).standard_normal((20, 6))
         scaled = AlignmentMatrix(scale * self.M.entries)
-        assert (zero_shot_predict(self.M, x, self.prompts)
-                == zero_shot_predict(scaled, x, self.prompts))
+        assert np.array_equal(zero_shot_predict_batch(self.M, x, self.prompts),
+                              zero_shot_predict_batch(scaled, x, self.prompts))
 
     def test_predicts_sign_of_invariant_latent_when_noiseless(self):
         cfg = GenerativeConfig(d_I=6, d_T=6, sigma_xi=0.0, sigma_spu=0.0,
@@ -300,22 +302,3 @@ class TestSubgroups:
         assert set(d) == {"acc_overall", "acc_aligned", "acc_conflicting",
                           "n_aligned", "n_conflicting"}
 
-
-class TestMatrixCsv:
-    def test_round_trip_is_exact(self, tmp_path):
-        M = random_matrix((5, 3), 11)
-        path = tmp_path / "m.csv"
-        M.to_csv(path)
-        assert np.array_equal(AlignmentMatrix.from_csv(path).entries, M.entries)
-
-    def test_rejects_missing_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,2\n3,4\n")
-        with pytest.raises(ShapeError):
-            AlignmentMatrix.from_csv(path)
-
-    def test_rejects_dims_mismatch(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("d_I,d_T\n2,2\n1.0,2.0\n")
-        with pytest.raises(ShapeError):
-            AlignmentMatrix.from_csv(path)

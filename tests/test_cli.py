@@ -7,7 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from spurious_lens import __version__, load_schema
+from spurious_lens import SimilarityTable, __version__, load_schema
+from spurious_lens import cli
 from spurious_lens.cli import main
 
 GAUSS_EXACT = {
@@ -102,7 +103,7 @@ class TestVerifyTheorem:
         assert outputs[0] == outputs[1]
 
     def test_manifest_digest_tracks_inputs(self, tmp_path):
-        cfg = write_json(tmp_path / "c.json", GAUSS_EXACT)
+        cfg = write_json(tmp_path / "config.json", GAUSS_EXACT)
         a, b, c = (str(tmp_path / n) for n in ("a.json", "b.json", "c.json"))
         main(["verify-theorem", "--config", cfg, "--mc", "2000",
               "--tol", "0.5", "--out", a])
@@ -331,6 +332,116 @@ class TestFit:
         rc = main(["fit", "--points", points, "--transform", "probit",
                    "--out", str(tmp_path / "f.json")])
         assert rc == 3
+
+
+CONFIG_OK = json.dumps(DISCRETE)
+POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
+
+
+@pytest.mark.parametrize("files,argv,code,named", [
+    ({"p.csv": "easy,hard\n0.6,0.4\n0.8,nan\n"},
+     ["fit", "--points", "p.csv", "--out", "r.json"], 2, "line 3"),
+    ({"p.csv": "easy,hard\nnan,0.4\n0.8,0.6\n"},
+     ["fit", "--points", "p.csv", "--out", "r.json"], 2, "line 2"),
+    ({"p.csv": "easy,hard\n0.6,0.4\n0.7,0.5\ninf,0.6\n"},
+     ["fit", "--points", "p.csv", "--out", "r.json"], 2, "line 4"),
+    ({"p.csv": "easy,hard\n0.6,0.4\n1.5,0.6\n"},
+     ["fit", "--points", "p.csv", "--transform", "probit", "--out", "r.json"], 2, "line 3"),
+    ({"p.csv": PREDICTIONS.encode("utf-8").replace(b"h0,bear", b"h0,b\xe4r")},
+     ["eval", "--predictions", "p.csv", "--out", "r.json"], 2, "line 12"),
+    ({"s.csv": b"sample_id,c\xe4t,dog\ns1,0.9,0.5\n"},
+     ["confuse", "--similarities", "s.csv", "--k", "1", "--out", "r.json"], 2, "line 1"),
+    ({"c.json": '{"n": 100.0}'},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"], 2, "field n "),
+    ({"c.json": '{"p_spu": true}'},
+     ["verify-theorem", "--config", "c.json", "--out", "r.json"], 2, "field p_spu"),
+    ({"c.json": json.dumps({**DISCRETE, "seed": True})},
+     ["simulate-discrete", "--config", "c.json", "--out", "t.csv"], 2, "field seed"),
+    ({"c.json": b'{"n": 100}\n\xff'},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"], 2, "line 2"),
+    ({"ds.json": CONFIG_OK},
+     ["simulate-discrete", "--config", "ds.json", "--seeds", "1", "--out", "ds.csv"],
+     2, "ds.json"),
+    ({"p.csv": PREDICTIONS},
+     ["eval", "--predictions", "p.csv", "--out", "p.csv"], 2, "p.csv"),
+    ({"p.csv": POINTS_OK},
+     ["fit", "--points", "p.csv", "--svg", "r.json", "--out", "r.json"], 2, "r.json"),
+    ({"p.csv": POINTS_OK},
+     ["fit", "--points", "p.csv", "--svg", "r.manifest.json", "--out", "r.json"],
+     2, "r.manifest.json"),
+    ({"p.csv": POINTS_OK},
+     ["fit", "--points", "p.csv", "--svg", "absent/p.svg", "--out", "r.json"],
+     2, "absent"),
+], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
+        "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
+        "config-bool-for-float", "config-bool-seed", "config-non-utf8",
+        "sidecar-overwrites-config", "out-overwrites-input", "svg-is-out",
+        "svg-is-manifest", "svg-dir-missing"])
+def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
+                                          files, argv, code, named):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        data = content.encode("utf-8") if isinstance(content, str) else content
+        (tmp_path / name).write_bytes(data)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == code
+    assert named in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_non_finite_result_exits_three_without_output(tmp_path, monkeypatch, capsys):
+    sims = write(tmp_path / "s.csv", SIMILARITIES)
+    monkeypatch.setattr(cli, "load_similarities", lambda path: SimilarityTable(
+        candidates=("cat", "dog"), sample_ids=("s1",), scores=[[float("nan"), 0.5]]))
+    rc = main(["confuse", "--similarities", sims, "--k", "1",
+               "--out", str(tmp_path / "c.json")])
+    assert rc == 3
+    assert "strict JSON" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+def test_config_digest_pinned(tmp_path):
+    # the inputs of acceptance criterion 7; the digests predate the shared runner
+    gauss = write_json(tmp_path / "gauss.json", {
+        "sigma_inv": 1.0, "sigma_spu": 0.5, "mu_spu": 2.0, "p_spu": 0.95,
+        "sigma_xi": 0.1, "n": 1500, "d_I": 12, "d_T": 12, "mode": "TheoremExact",
+    })
+    discrete = write_json(tmp_path / "discrete.json",
+                          {"num_classes": 2, "p_inv": 0.75, "p_spu": 0.9, "n_train": 300})
+    preds = write(tmp_path / "preds.csv",
+                  "sample_id,true_label,group,background,pred_1\n" + "".join(
+                      f"e{i},bear,easy,snow,{'bear' if i < 18 else 'wolf'}\n"
+                      for i in range(20)) + "".join(
+                      f"h{i},bear,hard,grass,{'bear' if i < 7 else 'wolf'}\n"
+                      for i in range(20)))
+    disc_preds = write(tmp_path / "disc.csv",
+                       "sample_id,true_label,group,background,pred_1\n" + "".join(
+                           f"s{i},bear,unassigned,snow,{'bear' if i < 19 else 'wolf'}\n"
+                           for i in range(20)) + "".join(
+                           f"g{i},bear,unassigned,grass,{'bear' if i < 8 else 'wolf'}\n"
+                           for i in range(20)))
+    sims = write(tmp_path / "sims.csv", "sample_id,cat,dog\ns1,0.9,0.5\ns2,0.8,0.6\n")
+    points = write(tmp_path / "points.csv", "easy,hard\n0.6,0.4\n0.8,0.6\n0.7,0.52\n")
+    pinned = [
+        (["verify-theorem", "--config", gauss, "--mc", "20000"],
+         "3498cd4351007686a0d5f0c268ddd0816b58d4823fd70d7eb27e09a8e7221468"),
+        (["simulate-gaussian", "--config", gauss],
+         "50cdd5e81f546d751444bec791ee65c8fb45947ec2529743e247f8940b185927"),
+        (["simulate-discrete", "--config", discrete, "--seeds", "2"],
+         "15dc8637a6b24b3c9392a7f8a4d7273faaf3cb8a795464a974eec5caaf794be4"),
+        (["eval", "--predictions", preds],
+         "50c66acd09c113b5138aaa10e99ef600039d7243923d85552c3344419e421042"),
+        (["discover", "--predictions", disc_preds],
+         "276b04c3e7e7fa93dd0740071c8c23a1b15a90f41d6b552fe2276fcd9ac20087"),
+        (["confuse", "--similarities", sims, "--k", "2"],
+         "14158539aaf3ad9a47f192997e219bd60439c500410f8bdf026c9acfd78df8e1"),
+        (["fit", "--points", points],
+         "1fb1230f00ee5bf5643d3c1dfab8d22865505a9334c4159a6fe2b9ac21bd42ea"),
+    ]
+    for argv, digest in pinned:
+        out = str(tmp_path / f"{argv[0]}.out")
+        assert main(argv + ["--out", out]) == 0
+        assert manifest_of(out)["config_digest"] == digest, argv[0]
 
 
 class TestParser:

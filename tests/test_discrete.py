@@ -11,7 +11,6 @@ from spurious_lens import (
     ConfigError,
     DiscreteConfig,
     DualHeadClassifier,
-    InsufficientDataError,
     LinearClassifier,
     NonconvergenceError,
     ParseError,
@@ -26,6 +25,7 @@ from spurious_lens import (
     train_contrastive_perfect,
     train_supervised,
 )
+from spurious_lens.inputs import load_config
 
 BASE = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000)
 
@@ -71,25 +71,47 @@ class TestConfig:
         cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.75, n_train=500,
                              num_colors=4, biased_colors=(2, 3), seed=9)
         text = json.dumps(cfg.to_json_dict())
-        assert DiscreteConfig.from_json(text) == cfg
+        assert load_config(DiscreteConfig, text) == cfg
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ParseError):
-            DiscreteConfig.from_json_dict(
+            load_config(DiscreteConfig, json.dumps(
                 {"num_classes": 2, "p_inv": 0.75, "p_spu": 0.9,
-                 "n_train": 10, "colour": 1})
+                 "n_train": 10, "colour": 1}))
 
     def test_bad_json_rejected(self):
         with pytest.raises(ParseError):
-            DiscreteConfig.from_json("{not json")
+            load_config(DiscreteConfig, "{not json")
 
     def test_non_object_rejected(self):
         with pytest.raises(ParseError):
-            DiscreteConfig.from_json("[1, 2]")
+            load_config(DiscreteConfig, "[1, 2]")
 
     def test_missing_required_field(self):
         with pytest.raises(ParseError):
-            DiscreteConfig.from_json_dict({"num_classes": 2})
+            load_config(DiscreteConfig, '{"num_classes": 2}')
+
+    @pytest.mark.parametrize("field,value", [
+        *((name, True) for name in ("num_classes", "p_inv", "p_spu", "n_train",
+                                    "num_colors", "feature_noise", "seed")),
+        *((name, 3.0) for name in ("num_classes", "n_train", "num_colors", "seed")),
+        ("biased_classes", [0, True]),
+        ("biased_colors", [0, 1.0]),
+        ("biased_colors", [0, 1, 2]),
+        ("biased_colors", "01"),
+    ])
+    def test_loader_rejects_mistyped_field(self, field, value):
+        obj = {"num_classes": 3, "p_inv": 0.75, "p_spu": 0.9, "n_train": 10,
+               field: value}
+        with pytest.raises(ParseError, match=rf"\b{field}\b"):
+            load_config(DiscreteConfig, json.dumps(obj))
+
+    def test_loader_accepts_null_num_colors(self):
+        cfg = load_config(DiscreteConfig, json.dumps(
+            {"num_classes": 3, "p_inv": 1, "p_spu": 0.9, "n_train": 10,
+             "num_colors": None}))
+        assert cfg.num_colors == 3
+        assert type(cfg.p_inv) is int
 
 
 class TestSampling:
@@ -99,10 +121,6 @@ class TestSampling:
         assert data.object_labels.shape == (50,)
         assert data.color_labels.shape == (50,)
         assert len(data) == 50
-        s = data[3]
-        assert np.array_equal(s.features, data.features[3])
-        assert s.object_label == data.object_labels[3]
-        assert len(data.samples) == 50
 
     def test_size_defaults_to_n_train(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0)
@@ -267,16 +285,6 @@ class TestLossAndTraining:
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=50)
         with pytest.raises(ConfigError):
             train_supervised(data, **kwargs)
-
-    def test_empty_training_data(self):
-        with pytest.raises(InsufficientDataError):
-            train_supervised([])
-
-    def test_trains_from_sample_list(self):
-        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=3, size=200)
-        from_list = train_supervised(data.samples, epochs=30)
-        from_dataset = train_supervised(data, epochs=30)
-        assert np.allclose(from_list.weights, from_dataset.weights)
 
 
 class TestEvaluation:

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 
@@ -13,18 +12,23 @@ from spurious_lens import (
     GenerativeConfig,
     Mode,
     ParseError,
-    make_dictionary,
     ood_config,
     ood_dataset,
     sample_dataset,
-    sample_ood_batches,
 )
+from spurious_lens.inputs import load_config
 from spurious_lens.synthetic import (
     CHUNK,
+    STREAM_TEST,
+    dataset_dictionaries,
     sample_batch,
     sample_latents,
     substream,
 )
+
+NUMERIC_FIELDS = ("mu_inv", "mu_spu", "sigma_inv", "sigma_spu", "sigma_xi", "p_spu",
+                  "n", "d_I", "d_T", "latent_dim", "h", "rho")
+INT_FIELDS = ("n", "d_I", "d_T", "latent_dim", "h")
 
 
 class TestConfig:
@@ -61,38 +65,56 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = GenerativeConfig(mu_spu=2.0, p_spu=0.95, mode="TheoremExact")
-        again = GenerativeConfig.from_json(json.dumps(cfg.to_json_dict()))
+        again = load_config(GenerativeConfig, json.dumps(cfg.to_json_dict()))
         assert again == cfg
 
     def test_from_json_rejects_unknown_field(self):
         with pytest.raises(ParseError):
-            GenerativeConfig.from_json('{"p_spu": 0.9, "bogus": 1}')
+            load_config(GenerativeConfig, '{"p_spu": 0.9, "bogus": 1}')
 
     def test_from_json_rejects_invalid_json(self):
         with pytest.raises(ParseError):
-            GenerativeConfig.from_json("{not json")
+            load_config(GenerativeConfig, "{not json")
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ParseError):
-            GenerativeConfig.from_json("[1, 2]")
+            load_config(GenerativeConfig, "[1, 2]")
+
+    @pytest.mark.parametrize("field,value", [
+        *((name, True) for name in NUMERIC_FIELDS),
+        *((name, 100.0) for name in INT_FIELDS),
+        ("p_spu", float("nan")),
+        ("mode", "Def2"),
+    ])
+    def test_loader_rejects_mistyped_field(self, field, value):
+        with pytest.raises(ParseError, match=rf"\b{field}\b"):
+            load_config(GenerativeConfig, json.dumps({field: value}))
+
+    def test_loader_keeps_integer_for_float_field(self):
+        cfg = load_config(GenerativeConfig, '{"sigma_xi": 1, "mode": "TheoremExact"}')
+        assert type(cfg.sigma_xi) is int
+        assert cfg.mode is Mode.THEOREM_EXACT
 
 
 class TestDictionary:
     def test_columns_orthonormal(self):
-        d = make_dictionary(16, seed=0)
-        gram = d.entries.T @ d.entries
-        assert np.allclose(gram, np.eye(2), atol=1e-12)
+        for d in dataset_dictionaries(GenerativeConfig(d_I=16, d_T=5), seed=0):
+            gram = d.entries.T @ d.entries
+            assert np.allclose(gram, np.eye(2), atol=1e-12)
 
     def test_deterministic_in_seed(self):
-        a = make_dictionary(8, seed=5)
-        b = make_dictionary(8, seed=5)
-        c = make_dictionary(8, seed=6)
+        cfg = GenerativeConfig(d_I=8, d_T=8)
+        a, a_text = dataset_dictionaries(cfg, seed=5)
+        b, _ = dataset_dictionaries(cfg, seed=5)
+        c, _ = dataset_dictionaries(cfg, seed=6)
         assert np.array_equal(a.entries, b.entries)
         assert not np.array_equal(a.entries, c.entries)
+        assert not np.array_equal(a.entries, a_text.entries)
 
     def test_rejects_small_dimension(self):
+        # one ambient dimension cannot hold two orthonormal columns
         with pytest.raises(ConfigError):
-            make_dictionary(1, seed=0)
+            Dictionary(np.array([[1.0, 0.0]]))
 
     def test_rejects_non_orthonormal_entries(self):
         with pytest.raises(ConfigError):
@@ -170,27 +192,6 @@ class TestDataset:
         # per-coordinate std is sigma_xi / sqrt(d)
         assert np.std(resid) == pytest.approx(0.5 / 8.0, rel=0.05)
 
-    def test_getitem_views_match_arrays(self):
-        cfg = GenerativeConfig(n=10, d_I=4, d_T=4)
-        ds = sample_dataset(cfg, seed=1)
-        s = ds[3]
-        assert np.array_equal(s.x_image, ds.x_image[3])
-        assert s.label == ds.labels[3]
-        assert s.attribute == ds.attributes[3]
-        assert len(ds.samples) == 10
-
-    def test_csv_round_trip(self, tmp_path):
-        cfg = GenerativeConfig(n=7, d_I=3, d_T=4)
-        ds = sample_dataset(cfg, seed=0)
-        path = tmp_path / "d.csv"
-        ds.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][:5] == ["sample_index", "y", "a", "z_inv", "z_spu"]
-        assert len(rows) == 1 + 7
-        got = np.array([[float(v) for v in row[5:8]] for row in rows[1:]])
-        assert np.array_equal(got, ds.x_image)
-
 
 class TestOOD:
     def test_ood_config_only_changes_p_spu(self):
@@ -202,17 +203,17 @@ class TestOOD:
     def test_ood_batches_deterministic_and_distinct_from_train(self):
         cfg = GenerativeConfig(n=500, d_I=4, d_T=4)
         ds = sample_dataset(cfg, seed=9)
-        a = sample_ood_batches(cfg, ds.dict_image, ds.dict_text, 9, 500)
-        b = sample_ood_batches(cfg, ds.dict_image, ds.dict_text, 9, 500)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        assert not np.array_equal(a[0], ds.x_image)
+        a = ood_dataset(cfg, ds.dict_image, ds.dict_text, 9, 500)
+        b = ood_dataset(cfg, ds.dict_image, ds.dict_text, 9, 500)
+        for name in ("x_image", "x_text", "labels", "attributes", "latents"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert not np.array_equal(a.x_image, ds.x_image)
 
     def test_ood_attribute_rate_is_half(self):
         cfg = GenerativeConfig(p_spu=1.0, n=2)
         ds = sample_dataset(cfg, seed=0)
-        _, _, y, a, _ = sample_ood_batches(cfg, ds.dict_image, ds.dict_text, 0, 50_000)
-        assert abs((a == y).mean() - 0.5) < 0.01
+        test = ood_dataset(cfg, ds.dict_image, ds.dict_text, 0, 50_000)
+        assert abs((test.attributes == test.labels).mean() - 0.5) < 0.01
 
     def test_ood_dataset_wraps_batches(self):
         cfg = GenerativeConfig(n=100, d_I=4, d_T=4)
@@ -220,7 +221,8 @@ class TestOOD:
         test = ood_dataset(cfg, ds.dict_image, ds.dict_text, 1, 64)
         assert len(test) == 64
         assert test.config.p_spu == 0.5
-        raw = sample_ood_batches(cfg, ds.dict_image, ds.dict_text, 1, 64)
+        raw = sample_batch(ood_config(cfg), ds.dict_image, ds.dict_text,
+                           substream(1, STREAM_TEST, 0), 64)
         assert np.array_equal(test.x_image, raw[0])
 
 
@@ -231,8 +233,7 @@ class TestOOD:
 )
 def test_sample_batch_deterministic_for_any_seed(seed, size):
     cfg = GenerativeConfig(n=2, d_I=4, d_T=3)
-    dict_image = make_dictionary(4, seed=1)
-    dict_text = make_dictionary(3, seed=2)
+    dict_image, dict_text = dataset_dictionaries(cfg, seed=1)
     a = sample_batch(cfg, dict_image, dict_text, substream(seed, 2), size)
     b = sample_batch(cfg, dict_image, dict_text, substream(seed, 2), size)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
