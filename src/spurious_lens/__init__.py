@@ -56,6 +56,7 @@ from .evaluation import (
     Group,
     Point,
     PredictionRecord,
+    PredictionTable,
     SimilarityTable,
     Transform,
     balanced_accuracy,

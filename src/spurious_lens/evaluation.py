@@ -60,6 +60,69 @@ class PredictionRecord:
             raise ConfigError("ranked_predictions must be duplicate-free")
 
 
+# The rank of a true label missing from the ranking.  Hit tests clamp k
+# below it, so no k, however large, counts a missing label as a hit.
+_NO_RANK = np.iinfo(np.int64).max
+_GROUP_CODE = {g.value: code for code, g in enumerate(Group)}
+
+
+def _rank(label: str, ranked) -> int:
+    return ranked.index(label) + 1 if label in ranked else _NO_RANK
+
+
+def _codes(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values, and each value's index among them."""
+    names = sorted(set(values))
+    index = {name: code for code, name in enumerate(names)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+    return tuple(names), codes
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionTable:
+    """A prediction log as columns, one entry per row.
+
+    ``label`` and ``background`` index the sorted names in ``labels`` and
+    ``backgrounds``; ``group`` indexes ``tuple(Group)``; ``rank`` is the
+    1-based position of the true label in the row's ranked predictions, and
+    larger than any k when the label is absent.  A row is a top-k hit iff
+    ``rank <= k``.
+    """
+
+    labels: tuple[str, ...]
+    label: np.ndarray
+    group: np.ndarray
+    backgrounds: tuple[str, ...]
+    background: np.ndarray
+    rank: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rank)
+
+    @classmethod
+    def from_records(cls, records) -> PredictionTable:
+        """The table of an iterable of PredictionRecord, one row each."""
+        records = list(records)
+        return _encode(
+            [r.true_label for r in records],
+            [_GROUP_CODE[r.group.value] for r in records],
+            [r.background for r in records],
+            [_rank(r.true_label, r.ranked_predictions) for r in records],
+        )
+
+
+def _encode(labels: list[str], groups: list[int], backgrounds: list[str],
+            ranks: list[int]) -> PredictionTable:
+    """The table of per-row true labels, group codes, backgrounds and ranks."""
+    label_names, label_codes = _codes(labels)
+    background_names, background_codes = _codes(backgrounds)
+    return PredictionTable(
+        labels=label_names, label=label_codes, group=np.array(groups, dtype=np.int8),
+        backgrounds=background_names, background=background_codes,
+        rank=np.array(ranks, dtype=np.int64),
+    )
+
+
 _PRED_FIXED = ("sample_id", "true_label", "group", "background")
 
 
@@ -67,7 +130,7 @@ def _read_csv(path) -> list[list[str]]:
     return list(csv.reader(io.StringIO(read_text(path), newline="")))
 
 
-def load_predictions(path) -> list[PredictionRecord]:
+def load_predictions(path) -> PredictionTable:
     """Parse a prediction log; malformed rows are rejected by line number.
 
     Expected header: sample_id,true_label,group,background,pred_1,...,pred_K.
@@ -90,12 +153,16 @@ def load_predictions(path) -> list[PredictionRecord]:
             f"prediction columns must be pred_1..pred_K in order, got {pred_cols}",
             lines=(1,),
         )
-    records = []
+    width = len(header)
+    labels: list[str] = []
+    groups: list[int] = []
+    backgrounds: list[str] = []
+    ranks: list[int] = []
     seen: dict[str, int] = {}
     for line, row in enumerate(rows[1:], start=2):
-        if len(row) > len(header):
+        if len(row) > width:
             raise ParseError(f"line {line}: more cells than header columns", lines=(line,))
-        row = row + [""] * (len(header) - len(row))
+        row = row + [""] * (width - len(row))
         sample_id, true_label, group, background = row[:4]
         if not sample_id:
             raise ParseError(f"line {line}: empty sample_id", lines=(line,))
@@ -107,74 +174,90 @@ def load_predictions(path) -> list[PredictionRecord]:
         seen[sample_id] = line
         if not true_label:
             raise ParseError(f"line {line}: empty true_label", lines=(line,))
-        try:
-            group_value = Group(group)
-        except ValueError:
+        group_code = _GROUP_CODE.get(group)
+        if group_code is None:
             raise ParseError(
                 f"line {line}: group must be easy/hard/unassigned, got {group!r}",
                 lines=(line,),
-            ) from None
-        preds = row[4:]
-        if not preds[0]:
+            )
+        ranked = row[4:]
+        if not ranked[0]:
             raise ParseError(f"line {line}: empty pred_1", lines=(line,))
-        ranked: list[str] = []
-        blank_seen = False
-        for cell in preds:
-            if cell == "":
-                blank_seen = True
-            elif blank_seen:
-                raise ParseError(
-                    f"line {line}: ranked predictions have a gap", lines=(line,)
-                )
-            else:
-                ranked.append(cell)
+        while not ranked[-1]:
+            ranked.pop()
+        if "" in ranked:
+            raise ParseError(
+                f"line {line}: ranked predictions have a gap", lines=(line,)
+            )
         if len(set(ranked)) != len(ranked):
             raise ParseError(
                 f"line {line}: duplicate labels in ranked predictions", lines=(line,)
             )
-        records.append(PredictionRecord(
-            sample_id=sample_id,
-            true_label=true_label,
-            group=group_value,
-            background=background,
-            ranked_predictions=tuple(ranked),
-        ))
-    return records
+        labels.append(true_label)
+        groups.append(group_code)
+        backgrounds.append(background)
+        ranks.append(_rank(true_label, ranked))
+    return _encode(labels, groups, backgrounds, ranks)
 
 
-def _hit(record: PredictionRecord, k: int) -> bool:
-    return record.true_label in record.ranked_predictions[:k]
+def _as_table(predictions) -> PredictionTable:
+    if isinstance(predictions, PredictionTable):
+        return predictions
+    return PredictionTable.from_records(predictions)
 
 
-def class_accuracy(records, label: str, k: int) -> float | None:
+def _top_k(table: PredictionTable, k: int) -> np.ndarray:
+    return table.rank <= min(k, _NO_RANK - 1)
+
+
+def _class_counts(table: PredictionTable, k: int,
+                  group: Group | None = None) -> tuple[list[int], list[int]]:
+    """Top-k hits and rows per label code, over one group's rows or all."""
+    label, hit = table.label, _top_k(table, k)
+    if group is not None:
+        mine = table.group == _GROUP_CODE[group.value]
+        label, hit = label[mine], hit[mine]
+    n = len(table.labels)
+    return (np.bincount(label[hit], minlength=n).tolist(),
+            np.bincount(label, minlength=n).tolist())
+
+
+def _balanced(hits: list[int], totals: list[int]) -> float:
+    """Mean accuracy of the classes present, summed in label order."""
+    accuracies = [h / n for h, n in zip(hits, totals) if n]
+    return sum(accuracies) / len(accuracies)
+
+
+def class_accuracy(predictions, label: str, k: int) -> float | None:
     """Top-k accuracy among records of one class; None if the class is absent."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    mine = [r for r in records if r.true_label == label]
-    if not mine:
+    table = _as_table(predictions)
+    if label not in table.labels:
         return None
-    return sum(_hit(r, k) for r in mine) / len(mine)
+    hits, totals = _class_counts(table, k)
+    code = table.labels.index(label)
+    return hits[code] / totals[code]
 
 
-def plain_accuracy(records, k: int) -> float:
+def plain_accuracy(predictions, k: int) -> float:
     """Top-k hit rate over all records regardless of class."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    records = list(records)
-    if not records:
+    table = _as_table(predictions)
+    if not len(table):
         raise InsufficientDataError("no records to score")
-    return sum(_hit(r, k) for r in records) / len(records)
+    return int(np.count_nonzero(_top_k(table, k))) / len(table)
 
 
-def balanced_accuracy(records, k: int) -> float:
+def balanced_accuracy(predictions, k: int) -> float:
     """Unweighted mean of per-class top-k accuracies."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    records = list(records)
-    if not records:
+    table = _as_table(predictions)
+    if not len(table):
         raise InsufficientDataError("no records to score")
-    labels = sorted({r.true_label for r in records})
-    return sum(class_accuracy(records, label, k) for label in labels) / len(labels)
+    return _balanced(*_class_counts(table, k))
 
 
 @dataclass(frozen=True)
@@ -226,25 +309,25 @@ class EvalReport:
         }
 
 
-def group_report(records, k: int) -> EvalReport:
+def group_report(predictions, k: int) -> EvalReport:
     """Easy-vs-hard metrics; every record must already carry a group."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    records = list(records)
-    if not records:
+    table = _as_table(predictions)
+    if not len(table):
         raise InsufficientDataError("no records to score")
-    if any(r.group is Group.UNASSIGNED for r in records):
+    if (table.group == _GROUP_CODE[Group.UNASSIGNED.value]).any():
         raise ConfigError("group_report needs every record assigned easy or hard")
-    easy = [r for r in records if r.group is Group.EASY]
-    hard = [r for r in records if r.group is Group.HARD]
-    if not easy or not hard:
+    easy_hits, n_easy = _class_counts(table, k, Group.EASY)
+    hard_hits, n_hard = _class_counts(table, k, Group.HARD)
+    if not sum(n_easy) or not sum(n_hard):
         raise InsufficientDataError("both easy and hard groups must be nonempty")
-    labels = sorted({r.true_label for r in records})
     per_class = []
     common_drops = []
-    for label in labels:
-        e = class_accuracy(easy, label, k)
-        h = class_accuracy(hard, label, k)
+    for label, e_hits, e_rows, h_hits, h_rows in zip(
+            table.labels, easy_hits, n_easy, hard_hits, n_hard):
+        e = e_hits / e_rows if e_rows else None
+        h = h_hits / h_rows if h_rows else None
         drop = e - h if e is not None and h is not None else None
         if drop is not None:
             common_drops.append(drop)
@@ -253,19 +336,19 @@ def group_report(records, k: int) -> EvalReport:
             easy_accuracy=e,
             hard_accuracy=h,
             drop=drop,
-            n_easy=sum(r.true_label == label for r in easy),
-            n_hard=sum(r.true_label == label for r in hard),
+            n_easy=e_rows,
+            n_hard=h_rows,
         ))
     if not common_drops:
         raise InsufficientDataError("no class appears in both groups")
     return EvalReport(
         k=k,
         per_class=tuple(per_class),
-        balanced_easy=balanced_accuracy(easy, k),
-        balanced_hard=balanced_accuracy(hard, k),
+        balanced_easy=_balanced(easy_hits, n_easy),
+        balanced_hard=_balanced(hard_hits, n_hard),
         balanced_drop=sum(common_drops) / len(common_drops),
-        plain_easy=plain_accuracy(easy, k),
-        plain_hard=plain_accuracy(hard, k),
+        plain_easy=sum(easy_hits) / sum(n_easy),
+        plain_hard=sum(hard_hits) / sum(n_hard),
     )
 
 
@@ -319,7 +402,7 @@ class GroupSplit:
         }
 
 
-def discover_spurious(records, threshold_pp: float, min_count: int = 20,
+def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
                       k: int = 1) -> GroupSplit:
     """Flag classes whose accuracy varies across backgrounds by more than
     threshold_pp percentage points (strictly), assigning easy and hard.
@@ -328,35 +411,37 @@ def discover_spurious(records, threshold_pp: float, min_count: int = 20,
     a class with fewer than two qualifying backgrounds is skipped with a
     notice.  Ties break toward the lexicographically smaller name.
     """
-    if threshold_pp <= 0:
-        raise ConfigError(f"threshold_pp must be > 0, got {threshold_pp}")
+    if not (math.isfinite(threshold_pp) and threshold_pp > 0):
+        raise ConfigError(f"threshold_pp must be finite and > 0, got {threshold_pp}")
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    by_class: dict[str, dict[str, list[PredictionRecord]]] = {}
-    for r in records:
-        by_class.setdefault(r.true_label, {}).setdefault(r.background, []).append(r)
+    table = _as_table(predictions)
+    n_bg = len(table.backgrounds)
+    # Count only the (class, background) cells that occur: a log with a
+    # background per row would otherwise need rows x rows counters.
+    cells, cell = np.unique(table.label * n_bg + table.background, return_inverse=True)
+    totals = np.bincount(cell, minlength=len(cells)).tolist()
+    hit_counts = np.bincount(cell[_top_k(table, k)], minlength=len(cells)).tolist()
+    qualifying: list[list[tuple[str, int, int]]] = [[] for _ in table.labels]
+    for code, hit, count in zip(cells.tolist(), hit_counts, totals):
+        if count >= min_count:
+            label, background = divmod(code, n_bg)
+            qualifying[label].append((table.backgrounds[background], hit, count))
     flagged = []
     unflagged = []
     skipped = []
-    for label in sorted(by_class):
-        stats = []
-        hits: dict[str, int] = {}
-        for name in sorted(by_class[label]):
-            group = by_class[label][name]
-            if len(group) < min_count:
-                continue
-            hits[name] = sum(_hit(r, k) for r in group)
-            stats.append(BackgroundStat(
-                name=name, accuracy=hits[name] / len(group), count=len(group)
-            ))
-        if len(stats) < 2:
+    for label, cells_of_label in zip(table.labels, qualifying):
+        if len(cells_of_label) < 2:
             skipped.append((
                 label,
                 f"fewer than 2 backgrounds with >= {min_count} records",
             ))
             continue
+        hits = {name: hit for name, hit, _ in cells_of_label}
+        stats = [BackgroundStat(name=name, accuracy=hit / count, count=count)
+                 for name, hit, count in cells_of_label]
         easy = min(stats, key=lambda b: (-b.accuracy, b.name))
         hard = min(stats, key=lambda b: (b.accuracy, b.name))
         # integer cross-multiplication keeps representable gaps exact, so a

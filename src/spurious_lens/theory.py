@@ -215,8 +215,8 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         raise InsufficientDataError(
             f"mc_samples must be >= 1000 for a meaningful check, got {mc_samples}"
         )
-    if tol <= 0:
-        raise ConfigError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be finite and > 0, got {tol}")
 
     bounds = theorem_bounds(params_from_config(config))
     dict_image, dict_text = dataset_dictionaries(config, seed)

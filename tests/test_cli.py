@@ -372,11 +372,18 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"p.csv": POINTS_OK},
      ["fit", "--points", "p.csv", "--svg", "absent/p.svg", "--out", "r.json"],
      2, "absent"),
+    ({"p.csv": DISCOVER_PREDICTIONS},
+     ["discover", "--predictions", "p.csv", "--threshold", "nan", "--out", "r.json"],
+     2, "got nan"),
+    ({"c.json": json.dumps(GAUSS_EXACT)},
+     ["verify-theorem", "--config", "c.json", "--tol", "inf", "--out", "r.json"],
+     2, "got inf"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
         "sidecar-overwrites-config", "out-overwrites-input", "svg-is-out",
-        "svg-is-manifest", "svg-dir-missing"])
+        "svg-is-manifest", "svg-dir-missing", "discover-threshold-nan",
+        "verify-tol-inf"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)

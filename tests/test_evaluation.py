@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from spurious_lens import (
     ParseError,
     Point,
     PredictionRecord,
+    PredictionTable,
     SimilarityTable,
     Transform,
     balanced_accuracy,
@@ -69,12 +72,12 @@ class TestFmtPct:
 
 class TestLoadPredictions:
     def test_valid_file(self, tmp_path):
-        recs = load_predictions(write_csv(tmp_path / "p.csv", VALID_PREDICTIONS))
-        assert len(recs) == 3
-        assert recs[0].group is Group.EASY
-        assert recs[1].ranked_predictions == ("wolf", "bear")
+        table = load_predictions(write_csv(tmp_path / "p.csv", VALID_PREDICTIONS))
+        assert len(table) == 3
+        assert list(Group)[table.group[0]] is Group.EASY
+        assert table.labels[table.label[1]] == "bear" and table.rank[1] == 2
         # short rows pad out; trailing blanks shrink the ranking
-        assert recs[2].ranked_predictions == ("fox",)
+        assert table.labels[table.label[2]] == "fox" and table.rank[2] == 1
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -340,6 +343,7 @@ class TestDiscoverSpurious:
 
     @pytest.mark.parametrize("kwargs", [
         dict(threshold_pp=0.0), dict(min_count=0), dict(k=0),
+        dict(threshold_pp=float("nan")), dict(threshold_pp=float("inf")),
     ])
     def test_bad_parameters(self, kwargs):
         base = dict(threshold_pp=5.0, min_count=20, k=1)
@@ -379,6 +383,146 @@ class TestDiscoverSpurious:
         assert set(d) == {"threshold_pp", "min_count", "k",
                           "flagged", "unflagged", "skipped"}
         assert d["flagged"][0]["easy_background"] == "snow"
+
+
+def naive_report(recs, k):
+    """Reference group_report: one scan of the records per class and group."""
+    def hits(rs):
+        return sum(r.true_label in r.ranked_predictions[:k] for r in rs)
+    groups = {g: [r for r in recs if r.group is g] for g in (Group.EASY, Group.HARD)}
+    labels = sorted({r.true_label for r in recs})
+    mine = {(g, label): [r for r in rs if r.true_label == label]
+            for g, rs in groups.items() for label in labels}
+    acc = {g: {label: hits(mine[g, label]) / len(mine[g, label])
+               for label in labels if mine[g, label]} for g in groups}
+    easy, hard = acc[Group.EASY], acc[Group.HARD]
+    per_class = [{"label": label, "easy_accuracy": easy.get(label),
+                  "hard_accuracy": hard.get(label),
+                  "drop": easy[label] - hard[label] if label in easy and label in hard
+                  else None,
+                  "n_easy": len(mine[Group.EASY, label]),
+                  "n_hard": len(mine[Group.HARD, label])} for label in labels]
+    drops = [c["drop"] for c in per_class if c["drop"] is not None]
+    return {"k": k, "per_class": per_class,
+            "balanced_easy": sum(easy.values()) / len(easy),
+            "balanced_hard": sum(hard.values()) / len(hard),
+            "balanced_drop": sum(drops) / len(drops),
+            "plain_easy": hits(groups[Group.EASY]) / len(groups[Group.EASY]),
+            "plain_hard": hits(groups[Group.HARD]) / len(groups[Group.HARD])}
+
+
+def naive_discover(recs, threshold_pp, min_count, k):
+    """Reference discover_spurious: one scan per class and background."""
+    out = {"threshold_pp": threshold_pp, "min_count": min_count, "k": k,
+           "flagged": [], "unflagged": [], "skipped": []}
+    for label in sorted({r.true_label for r in recs}):
+        cells = []
+        for name in sorted({r.background for r in recs if r.true_label == label}):
+            rs = [r for r in recs if r.true_label == label and r.background == name]
+            if len(rs) >= min_count:
+                cells.append((name, sum(label in r.ranked_predictions[:k] for r in rs),
+                              len(rs)))
+        if len(cells) < 2:
+            out["skipped"].append({"label": label, "notice":
+                                   f"fewer than 2 backgrounds with >= {min_count} records"})
+            continue
+        easy = min(cells, key=lambda c: (-c[1] / c[2], c[0]))
+        hard = min(cells, key=lambda c: (c[1] / c[2], c[0]))
+        gap = 100.0 * (easy[1] * hard[2] - hard[1] * easy[2]) / (easy[2] * hard[2])
+        if gap > threshold_pp:
+            out["flagged"].append({
+                "label": label, "easy_background": easy[0], "hard_background": hard[0],
+                "backgrounds": [{"name": n, "accuracy": h / c, "count": c}
+                                for n, h, c in cells],
+                "gap_pp": gap})
+        else:
+            out["unflagged"].append(label)
+    return out
+
+
+RANDOM_LOG_RANKS = 4
+
+
+def random_log(seed, rows=1200, classes=30):
+    """Records with short rankings, absent true labels, a class seen only
+    easy (c00) and one only hard (c01), and per-(class, background) hit
+    rates of 0, 1/2 or 1, so accuracies tie across backgrounds.  Enough
+    classes that a pairwise-summed mean would differ from the sorted sum."""
+    rng = np.random.default_rng(seed)
+    names = [f"c{i:02d}" for i in range(classes)]
+    hit_rate = rng.choice([0.0, 0.5, 1.0], size=(classes, 3))
+    out = []
+    for i in range(rows):
+        c, b = int(rng.integers(classes)), int(rng.integers(3))
+        group = "easy" if c == 0 else "hard" if c == 1 else ("easy", "hard")[b % 2]
+        others = [n for n in names + ["x", "y"] if n != names[c]]
+        width = int(rng.integers(1, RANDOM_LOG_RANKS + 1))
+        ranked = [str(n) for n in rng.permutation(others)[:width]]
+        if rng.random() < hit_rate[c, b]:
+            ranked[int(rng.integers(width))] = names[c]
+        out.append(PredictionRecord(f"s{i}", names[c], group, f"b{b}", tuple(ranked)))
+    return out
+
+
+def log_csv(path, recs):
+    lines = ["sample_id,true_label,group,background,"
+             + ",".join(f"pred_{i}" for i in range(1, RANDOM_LOG_RANKS + 1))]
+    for r in recs:
+        blanks = [""] * (RANDOM_LOG_RANKS - len(r.ranked_predictions))
+        lines.append(",".join([r.sample_id, r.true_label, r.group.value,
+                               r.background, *r.ranked_predictions, *blanks]))
+    return write_csv(path, "\n".join(lines) + "\n")
+
+
+def canonical(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+# every k up to past the widest ranking, and one no int64 rank reaches
+ORACLE_KS = [*range(1, RANDOM_LOG_RANKS + 3), 2 ** 64]
+
+
+class TestColumnarMetricsOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_group_report_matches_per_record_scan(self, seed):
+        recs = random_log(seed)
+        table = PredictionTable.from_records(recs)
+        for k in ORACLE_KS:
+            assert canonical(group_report(table, k).to_json_dict()) == \
+                canonical(naive_report(recs, k)), k
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_discover_matches_per_record_scan(self, seed):
+        recs = random_log(seed)
+        table = PredictionTable.from_records(recs)
+        rng = np.random.default_rng(100 + seed)
+        for k in ORACLE_KS:
+            for min_count in (1, 5, 20):
+                threshold = float(rng.choice([25.0, 50.0, rng.uniform(1.0, 60.0)]))
+                assert canonical(discover_spurious(table, threshold, min_count, k)
+                                 .to_json_dict()) == canonical(
+                    naive_discover(recs, threshold, min_count, k)), (k, min_count)
+
+    def test_random_logs_have_ties_and_one_sided_classes(self):
+        recs = random_log(0)
+        report = naive_report(recs, 1)
+        one_sided = [c["label"] for c in report["per_class"] if c["drop"] is None]
+        assert one_sided == ["c00", "c01"]
+        # at k = K every listed true label hits: hit rates 0 and 1 are exact
+        split = naive_discover(recs, 1.0, 1, RANDOM_LOG_RANKS)
+        accuracies = [[b["accuracy"] for b in c["backgrounds"]] for c in split["flagged"]]
+        assert any(a.count(max(a)) > 1 or a.count(min(a)) > 1 for a in accuracies)
+
+    def test_csv_and_records_give_identical_reports(self, tmp_path):
+        recs = random_log(7)
+        loaded = load_predictions(log_csv(tmp_path / "p.csv", recs))
+        assert len(loaded) == len(recs)
+        converted = PredictionTable.from_records(recs)
+        for k in ORACLE_KS:
+            assert canonical(group_report(loaded, k).to_json_dict()) == \
+                canonical(group_report(converted, k).to_json_dict())
+            assert canonical(discover_spurious(loaded, 10.0, 5, k).to_json_dict()) == \
+                canonical(discover_spurious(converted, 10.0, 5, k).to_json_dict())
 
 
 VALID_SIMILARITIES = """\

@@ -190,8 +190,9 @@ class TestVerifyTheorem:
             verify_theorem(EXACT_CFG, mc_samples=999, seed=0)
 
     def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ConfigError):
-            verify_theorem(EXACT_CFG, mc_samples=2000, seed=0, tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                verify_theorem(EXACT_CFG, mc_samples=2000, seed=0, tol=tol)
 
     def test_reproducible(self):
         a = verify_theorem(EXACT_CFG, mc_samples=5000, seed=42)
