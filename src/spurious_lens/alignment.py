@@ -239,21 +239,27 @@ def zero_shot_predict_batch(M: AlignmentMatrix, x_image: np.ndarray, prompts) ->
     return np.where(scores[:, 0] >= scores[:, 1], 1, -1)
 
 
+def subgroup_counts(M: AlignmentMatrix, x_image: np.ndarray, labels: np.ndarray,
+                    attributes: np.ndarray, prompts) -> tuple[int, int, int, int]:
+    """(correct_aligned, n_aligned, correct_conflicting, n_conflicting)."""
+    correct = zero_shot_predict_batch(M, x_image, prompts) == labels
+    aligned = attributes == labels
+    n_aligned = int(np.count_nonzero(aligned))
+    correct_aligned = int(np.count_nonzero(correct & aligned))
+    return (correct_aligned, n_aligned,
+            int(np.count_nonzero(correct)) - correct_aligned, len(labels) - n_aligned)
+
+
 def subgroup_accuracy(M: AlignmentMatrix, testset: SyntheticDataset, prompts) -> SubgroupReport:
     """Accuracy overall and split over the a == y and a != y subgroups."""
     if len(testset) == 0:
         raise InsufficientDataError("testset is empty")
-    pred = zero_shot_predict_batch(M, testset.x_image, prompts)
-    correct = pred == testset.labels
-    aligned = testset.attributes == testset.labels
-    n_aligned = int(aligned.sum())
-    n_conflicting = int((~aligned).sum())
-    acc_aligned = float(correct[aligned].mean()) if n_aligned else None
-    acc_conflicting = float(correct[~aligned].mean()) if n_conflicting else None
+    correct_aligned, n_aligned, correct_conflicting, n_conflicting = subgroup_counts(
+        M, testset.x_image, testset.labels, testset.attributes, prompts)
     return SubgroupReport(
-        acc_overall=float(correct.mean()),
-        acc_aligned=acc_aligned,
-        acc_conflicting=acc_conflicting,
+        acc_overall=(correct_aligned + correct_conflicting) / len(testset),
+        acc_aligned=correct_aligned / n_aligned if n_aligned else None,
+        acc_conflicting=correct_conflicting / n_conflicting if n_conflicting else None,
         n_aligned=n_aligned,
         n_conflicting=n_conflicting,
     )

@@ -259,7 +259,6 @@ def cmd_fit(args) -> _Outcome:
             "points": [
                 {"name": p.name, "easy": p.easy, "hard": p.hard} for p in points
             ],
-            "svg": svg_path,
         }),
         (svg_path, render_fit_svg(points, fit)),
     ])

@@ -337,13 +337,11 @@ class SplitReport:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
 
 
-def evaluate_splits(model, config: DiscreteConfig, n_test: int, seed: int,
-                    method: str | None = None) -> SplitReport:
+def evaluate_splits(model, config: DiscreteConfig, n_test: int, seed: int) -> SplitReport:
     """Biased-class accuracy on Rand and Rev, remaining-class accuracy on Rand."""
     if n_test < 1:
         raise ConfigError(f"n_test must be positive, got {n_test}")
-    if method is None:
-        method = "contrastive" if isinstance(model, DualHeadClassifier) else "supervised"
+    method = "contrastive" if isinstance(model, DualHeadClassifier) else "supervised"
     rand = sample_discrete_dataset(config, Split.RAND, seed, size=n_test)
     rev = sample_discrete_dataset(config, Split.REV, seed, size=n_test)
     biased = np.array(config.biased_classes)
@@ -413,7 +411,6 @@ def run_discrete_experiment(config: DiscreteConfig, n_seeds: int,
     """
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
-    per_seed: list[SplitReport] = []
     sup_reports: list[SplitReport] = []
     con_reports: list[SplitReport] = []
     for index in range(n_seeds):
@@ -425,8 +422,8 @@ def run_discrete_experiment(config: DiscreteConfig, n_seeds: int,
         con = train_contrastive_perfect(
             train_data, epochs, step_size, rng=substream(seed, _TAG_INIT_CON)
         )
-        sup_reports.append(evaluate_splits(sup, config, n_test, seed, "supervised"))
-        con_reports.append(evaluate_splits(con, config, n_test, seed, "contrastive"))
+        sup_reports.append(evaluate_splits(sup, config, n_test, seed))
+        con_reports.append(evaluate_splits(con, config, n_test, seed))
     per_seed = sup_reports + con_reports
     summaries = [
         _summarize("supervised", sup_reports),

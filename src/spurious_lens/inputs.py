@@ -33,11 +33,11 @@ def read_text(path) -> str:
 def load_config(cls, text: str):
     """Build the config dataclass ``cls`` from JSON text.
 
-    Unknown and missing fields are rejected, and so is a value whose JSON
-    type does not match its field: an ``int`` field takes only integers, a
-    ``float`` field integers or floats (kept as given), and no numeric field
-    takes ``true`` or ``false`` or a non-finite value.  Every failure is a
-    ParseError.
+    A missing field takes its default; unknown fields, a missing field with
+    no default, and a value whose JSON type does not match its field are
+    rejected: an ``int`` field takes only integers, a ``float`` field
+    integers or floats (kept as given), and no numeric field takes ``true``
+    or ``false`` or a non-finite value.  Every failure is a ParseError.
     """
     try:
         obj = json.loads(text)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace, asdict
 
 import numpy as np
@@ -48,6 +50,40 @@ def substream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Deterministic generator for sub-stream (tag, index) of a root seed."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
     return np.random.default_rng(ss)
+
+
+def worker_count() -> int:
+    """Worker cap from SPURIOUS_LENS_THREADS; 0 or unset means auto."""
+    raw = os.environ.get("SPURIOUS_LENS_THREADS", "0")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"SPURIOUS_LENS_THREADS must be an integer, got {raw!r}")
+    if value < 0:
+        raise ConfigError(f"SPURIOUS_LENS_THREADS must be >= 0, got {value}")
+    if value == 0:
+        return min(8, os.cpu_count() or 1)
+    return value
+
+
+def _map_chunks(seed: int, tag: int, total: int, fn) -> list:
+    """``fn(substream(seed, tag, i), start, stop)`` for each CHUNK-row slice
+    ``i`` of ``range(total)``, in chunk order.
+
+    The calls run on up to :func:`worker_count` threads.  Each draws only
+    from its own sub-stream, so the results do not depend on the worker count.
+    """
+    starts = range(0, total, CHUNK)
+
+    def run(index):
+        start = starts[index]
+        return fn(substream(seed, tag, index), start, min(start + CHUNK, total))
+
+    workers = worker_count()
+    if workers == 1 or len(starts) <= 1:
+        return [run(index) for index in range(len(starts))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(len(starts))))
 
 
 @dataclass(frozen=True)
@@ -171,22 +207,6 @@ def sample_batch(config: GenerativeConfig, dict_image: Dictionary,
     return x_image, x_text, y, a, z
 
 
-def _chunked_batches(config: GenerativeConfig, dict_image: Dictionary,
-                     dict_text: Dictionary, seed: int, total: int, tag: int):
-    """Generate `total` samples in fixed chunks with per-chunk sub-seeds."""
-    parts = []
-    for chunk_index, start in enumerate(range(0, total, CHUNK)):
-        size = min(CHUNK, total - start)
-        rng = substream(seed, tag, chunk_index)
-        parts.append(sample_batch(config, dict_image, dict_text, rng, size))
-    x_image = np.concatenate([p[0] for p in parts])
-    x_text = np.concatenate([p[1] for p in parts])
-    y = np.concatenate([p[2] for p in parts])
-    a = np.concatenate([p[3] for p in parts])
-    z = np.concatenate([p[4] for p in parts])
-    return x_image, x_text, y, a, z
-
-
 def dataset_dictionaries(config: GenerativeConfig, seed: int):
     """The pair of dictionaries a dataset with this (config, seed) uses."""
     rng_i = substream(seed, STREAM_DICT_IMAGE)
@@ -214,27 +234,32 @@ class SyntheticDataset:
         return self.labels.shape[0]
 
 
+def _draw(config: GenerativeConfig, dict_image: Dictionary, dict_text: Dictionary,
+          seed: int, total: int, tag: int) -> SyntheticDataset:
+    """`total` samples of sub-stream `tag`, each chunk written into its own rows."""
+    columns = (np.empty((total, dict_image.d)), np.empty((total, dict_text.d)),
+               np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64),
+               np.empty((total, LATENT_DIM)))
+
+    def fill(rng, start, stop):
+        batch = sample_batch(config, dict_image, dict_text, rng, stop - start)
+        for column, part in zip(columns, batch):
+            column[start:stop] = part
+
+    _map_chunks(seed, tag, total, fill)
+    x_image, x_text, labels, attributes, latents = columns
+    return SyntheticDataset(config, seed, x_image, x_text, labels, attributes,
+                            latents, dict_image, dict_text)
+
+
 def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     """Draw a full dataset: fresh dictionaries plus config.n embedded samples.
 
     Deterministic in (config, seed); chunk sub-seeds make the output
     independent of how generation work is scheduled.
     """
-    dict_image, dict_text = dataset_dictionaries(config, seed)
-    x_image, x_text, y, a, z = _chunked_batches(
-        config, dict_image, dict_text, seed, config.n, STREAM_SAMPLES
-    )
-    return SyntheticDataset(
-        config=config,
-        seed=seed,
-        x_image=x_image,
-        x_text=x_text,
-        labels=y,
-        attributes=a,
-        latents=z,
-        dict_image=dict_image,
-        dict_text=dict_text,
-    )
+    return _draw(config, *dataset_dictionaries(config, seed), seed, config.n,
+                 STREAM_SAMPLES)
 
 
 def ood_config(config: GenerativeConfig) -> GenerativeConfig:
@@ -246,17 +271,5 @@ def ood_dataset(config: GenerativeConfig, dict_image: Dictionary,
                 dict_text: Dictionary, seed: int, total: int) -> SyntheticDataset:
     """`total` test samples from the p_spu = 1/2 distribution, embedded with
     the given (already-fitted) dictionaries."""
-    x_image, x_text, y, a, z = _chunked_batches(
-        ood_config(config), dict_image, dict_text, seed, total, STREAM_TEST
-    )
-    return SyntheticDataset(
-        config=replace(ood_config(config), n=total),
-        seed=seed,
-        x_image=x_image,
-        x_text=x_text,
-        labels=y,
-        attributes=a,
-        latents=z,
-        dict_image=dict_image,
-        dict_text=dict_text,
-    )
+    return _draw(replace(ood_config(config), n=total), dict_image, dict_text,
+                 seed, total, STREAM_TEST)

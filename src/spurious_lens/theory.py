@@ -9,50 +9,30 @@ verifier re-estimates both rates by simulation and compares.
 from __future__ import annotations
 
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .alignment import (
-    AlignmentMatrix,
     alignment_gap,
     asymptotic_minimizer,
     empirical_minimizer,
     prompt_embedding,
-    zero_shot_predict_batch,
+    subgroup_counts,
 )
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .synthetic import (
-    CHUNK,
     STREAM_TEST,
     GenerativeConfig,
     Mode,
+    _map_chunks,
     dataset_dictionaries,
     ood_config,
     sample_batch,
     sample_dataset,
-    substream,
 )
 
 _SQRT2 = math.sqrt(2.0)
 _NORMAL = statistics.NormalDist()
-
-
-def worker_count() -> int:
-    """Worker cap from SPURIOUS_LENS_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("SPURIOUS_LENS_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"SPURIOUS_LENS_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigError(f"SPURIOUS_LENS_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return min(8, os.cpu_count() or 1)
-    return value
 
 
 def std_normal_cdf(x: float) -> float:
@@ -181,25 +161,6 @@ class VerificationReport:
         }
 
 
-def _mc_chunk_counts(config: GenerativeConfig, dict_image, dict_text,
-                     matrix: AlignmentMatrix, prompts, seed: int,
-                     chunk_index: int, size: int) -> tuple[int, int, int, int]:
-    """(correct_aligned, n_aligned, correct_conflicting, n_conflicting)."""
-    rng = substream(seed, STREAM_TEST, chunk_index)
-    x_image, _, y, a, _ = sample_batch(
-        ood_config(config), dict_image, dict_text, rng, size
-    )
-    pred = zero_shot_predict_batch(matrix, x_image, prompts)
-    correct = pred == y
-    aligned = a == y
-    return (
-        int(correct[aligned].sum()),
-        int(aligned.sum()),
-        int(correct[~aligned].sum()),
-        int((~aligned).sum()),
-    )
-
-
 def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
                    tol: float = 0.01) -> VerificationReport:
     """Estimate both subgroup rates by simulation and compare to the bounds.
@@ -229,28 +190,16 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         gap = alignment_gap(matrix, config, dict_image, dict_text)
     prompts = (prompt_embedding(dict_text, 1), prompt_embedding(dict_text, -1))
 
-    chunks = [
-        (index, min(CHUNK, mc_samples - start))
-        for index, start in enumerate(range(0, mc_samples, CHUNK))
-    ]
+    test_config = ood_config(config)
 
-    def run(chunk):
-        index, size = chunk
-        return _mc_chunk_counts(
-            config, dict_image, dict_text, matrix, prompts, seed, index, size
-        )
+    def counts(rng, start, stop):
+        x_image, _, y, a, _ = sample_batch(test_config, dict_image, dict_text,
+                                           rng, stop - start)
+        return subgroup_counts(matrix, x_image, y, a, prompts)
 
-    workers = worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(c) for c in chunks]
-
-    correct_aligned = sum(p[0] for p in parts)
-    n_aligned = sum(p[1] for p in parts)
-    correct_conflicting = sum(p[2] for p in parts)
-    n_conflicting = sum(p[3] for p in parts)
+    correct_aligned, n_aligned, correct_conflicting, n_conflicting = (
+        sum(column) for column in zip(*_map_chunks(seed, STREAM_TEST, mc_samples, counts))
+    )
     if n_aligned == 0 or n_conflicting == 0:
         raise InsufficientDataError("a Monte-Carlo subgroup came out empty")
 

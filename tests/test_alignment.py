@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from spurious_lens import (
     subgroup_accuracy,
     zero_shot_predict_batch,
 )
+from spurious_lens.alignment import subgroup_counts
 from spurious_lens.synthetic import dataset_dictionaries
 
 
@@ -302,3 +305,59 @@ class TestSubgroups:
         assert set(d) == {"acc_overall", "acc_aligned", "acc_conflicting",
                           "n_aligned", "n_conflicting"}
 
+
+
+def mean_of_masks_report(M, testset, prompts) -> dict:
+    """subgroup_accuracy as it was computed before the counts: bool means."""
+    correct = zero_shot_predict_batch(M, testset.x_image, prompts) == testset.labels
+    aligned = testset.attributes == testset.labels
+    return {
+        "acc_overall": float(correct.mean()),
+        "acc_aligned": float(correct[aligned].mean()) if aligned.any() else None,
+        "acc_conflicting": float(correct[~aligned].mean()) if (~aligned).any() else None,
+        "n_aligned": int(aligned.sum()),
+        "n_conflicting": int((~aligned).sum()),
+    }
+
+
+class TestSubgroupCounts:
+    def test_accuracy_equals_mean_of_masks_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for trial in range(200):
+            n = int(rng.integers(2, 3000))
+            p_spu = float(rng.choice([0.5, 0.8, 0.97, 1.0]))
+            cfg = GenerativeConfig(n=n, d_I=4, d_T=3, p_spu=p_spu)
+            ds = sample_dataset(cfg, seed=trial)
+            M = random_matrix((4, 3), seed=trial)
+            prompts = (prompt_embedding(ds.dict_text, 1),
+                       prompt_embedding(ds.dict_text, -1))
+            got = subgroup_accuracy(M, ds, prompts).to_json_dict()
+            assert got == mean_of_masks_report(M, ds, prompts)
+
+    @pytest.mark.parametrize("flip,empty", [(False, "acc_conflicting"),
+                                            (True, "acc_aligned")])
+    def test_empty_subgroup_is_none(self, flip, empty):
+        ds = sample_dataset(GenerativeConfig(n=501, d_I=4, d_T=3, p_spu=1.0), seed=2)
+        if flip:
+            ds = dataclasses.replace(ds, attributes=-ds.labels)
+        M = random_matrix((4, 3), seed=5)
+        prompts = (prompt_embedding(ds.dict_text, 1),
+                   prompt_embedding(ds.dict_text, -1))
+        got = subgroup_accuracy(M, ds, prompts).to_json_dict()
+        assert got[empty] is None
+        assert got == mean_of_masks_report(M, ds, prompts)
+
+    def test_counts_partition_the_rows(self):
+        ds = sample_dataset(GenerativeConfig(n=777, d_I=4, d_T=3), seed=4)
+        M = random_matrix((4, 3), seed=1)
+        prompts = (prompt_embedding(ds.dict_text, 1),
+                   prompt_embedding(ds.dict_text, -1))
+        correct_aligned, n_aligned, correct_conflicting, n_conflicting = subgroup_counts(
+            M, ds.x_image, ds.labels, ds.attributes, prompts)
+        assert all(type(c) is int for c in (correct_aligned, n_aligned,
+                                             correct_conflicting, n_conflicting))
+        assert n_aligned + n_conflicting == len(ds)
+        assert 0 <= correct_aligned <= n_aligned
+        assert 0 <= correct_conflicting <= n_conflicting
+        pred = zero_shot_predict_batch(M, ds.x_image, prompts)
+        assert correct_aligned + correct_conflicting == int((pred == ds.labels).sum())

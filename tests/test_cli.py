@@ -294,7 +294,6 @@ class TestFit:
         assert payload["transform"] == "linear"
         assert payload["n_points"] == 3
         svg_path = Path(out).with_suffix(".svg")
-        assert payload["svg"] == str(svg_path)
         root = ET.fromstring(svg_path.read_text(encoding="utf-8"))
         assert root.tag.endswith("svg")
         tags = {elem.tag.rsplit("}", 1)[-1] for elem in root.iter()}
@@ -310,7 +309,17 @@ class TestFit:
         out = str(tmp_path / "fit.json")
         main(["fit", "--points", points, "--svg", svg, "--out", out])
         assert Path(svg).exists()
-        assert read_json(out)["svg"] == svg
+        assert svg in manifest_of(out)["outputs"]
+
+    def test_report_bytes_independent_of_out_dir(self, tmp_path):
+        points = write(tmp_path / "pts.csv", POINTS)
+        reports = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            out = tmp_path / name / "fit.json"
+            assert main(["fit", "--points", points, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_probit_transform(self, tmp_path):
         points = write(tmp_path / "pts.csv", POINTS)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from spurious_lens import (
     ood_dataset,
     sample_dataset,
 )
+from spurious_lens import synthetic
 from spurious_lens.inputs import load_config
 from spurious_lens.synthetic import (
     CHUNK,
+    STREAM_SAMPLES,
     STREAM_TEST,
     dataset_dictionaries,
     sample_batch,
@@ -224,6 +228,72 @@ class TestOOD:
         raw = sample_batch(ood_config(cfg), ds.dict_image, ds.dict_text,
                            substream(1, STREAM_TEST, 0), 64)
         assert np.array_equal(test.x_image, raw[0])
+
+
+COLUMNS = ("x_image", "x_text", "labels", "attributes", "latents")
+
+
+def chunk_by_chunk(config, dict_image, dict_text, seed, total, tag):
+    """The columns drawn one chunk at a time and concatenated."""
+    parts = [
+        sample_batch(config, dict_image, dict_text, substream(seed, tag, index),
+                     min(CHUNK, total - start))
+        for index, start in enumerate(range(0, total, CHUNK))
+    ]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+class TestThreadedSampling:
+    """Several chunks on several workers give the serial columns, bit for bit."""
+
+    def draw(self, monkeypatch, threads: str):
+        threads_seen = set()
+        sample = synthetic.sample_batch
+
+        def recording(*args, **kwargs):
+            threads_seen.add(threading.get_ident())
+            return sample(*args, **kwargs)
+
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+        monkeypatch.setattr(synthetic, "sample_batch", recording)
+        cfg = GenerativeConfig(n=5 * CHUNK + 3, d_I=4, d_T=3)
+        train = sample_dataset(cfg, seed=11)
+        test = ood_dataset(cfg, train.dict_image, train.dict_text, 11, 3 * CHUNK + 1)
+        monkeypatch.undo()
+        return train, test, threads_seen
+
+    def test_one_and_eight_workers_agree(self, monkeypatch):
+        serial = self.draw(monkeypatch, "1")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self.draw(monkeypatch, "8")
+        finally:
+            sys.setswitchinterval(interval)
+        main = threading.get_ident()
+        assert serial[2] == {main}
+        assert main not in threaded[2]
+        for one, eight in zip(serial[:2], threaded[:2]):
+            assert len(one) == len(eight)
+            for name in COLUMNS:
+                assert np.array_equal(getattr(one, name), getattr(eight, name)), name
+
+    def test_rows_are_the_chunks_in_order(self, monkeypatch):
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "8")
+        cfg = GenerativeConfig(n=2 * CHUNK + 5, d_I=4, d_T=3)
+        train = sample_dataset(cfg, seed=3)
+        test = ood_dataset(cfg, train.dict_image, train.dict_text, 3, CHUNK + 1)
+        expected = (
+            (train, chunk_by_chunk(cfg, train.dict_image, train.dict_text, 3,
+                                   cfg.n, STREAM_SAMPLES)),
+            (test, chunk_by_chunk(ood_config(cfg), train.dict_image, train.dict_text,
+                                  3, CHUNK + 1, STREAM_TEST)),
+        )
+        for dataset, columns in expected:
+            for name, column in zip(COLUMNS, columns):
+                got = getattr(dataset, name)
+                assert got.dtype == column.dtype
+                assert np.array_equal(got, column), name
 
 
 @settings(max_examples=25, deadline=None)

@@ -280,7 +280,7 @@ class TestVerifyTheorem:
 
 class TestWorkerCount:
     def test_env_values(self, monkeypatch):
-        from spurious_lens.theory import worker_count
+        from spurious_lens.synthetic import worker_count
         monkeypatch.setenv("SPURIOUS_LENS_THREADS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("SPURIOUS_LENS_THREADS", "0")
@@ -290,7 +290,7 @@ class TestWorkerCount:
 
     @pytest.mark.parametrize("bad", ["-1", "two"])
     def test_rejects_bad_env(self, monkeypatch, bad):
-        from spurious_lens.theory import worker_count
+        from spurious_lens.synthetic import worker_count
         monkeypatch.setenv("SPURIOUS_LENS_THREADS", bad)
         with pytest.raises(ConfigError):
             worker_count()
