@@ -33,7 +33,6 @@ from .discrete import (
     ce_gradient,
     ce_loss,
     evaluate_splits,
-    experiment_grid,
     run_discrete_experiment,
     sample_discrete_dataset,
     train_contrastive_perfect,
@@ -60,7 +59,6 @@ from .evaluation import (
     SimilarityTable,
     Transform,
     balanced_accuracy,
-    class_accuracy,
     confusing_labels,
     discover_spurious,
     effective_robustness_fit,

@@ -54,15 +54,6 @@ class SubgroupReport:
     n_aligned: int
     n_conflicting: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "acc_overall": self.acc_overall,
-            "acc_aligned": self.acc_aligned,
-            "acc_conflicting": self.acc_conflicting,
-            "n_aligned": self.n_aligned,
-            "n_conflicting": self.n_conflicting,
-        }
-
 
 def _check_dims(M: AlignmentMatrix, dataset: SyntheticDataset) -> None:
     want = (dataset.config.d_I, dataset.config.d_T)

@@ -11,19 +11,19 @@ of them as strict JSON (or text) before it opens any file, so a failing run
 leaves no output behind.
 
 Exit codes: 0 success, 1 completed-but-failed verification, 2 input error,
-3 numerical failure.
+3 numerical failure, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import io
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,18 +79,34 @@ class _Outcome(NamedTuple):
     exit_code: int = 0
 
 
+def _json_data(value):
+    """``value`` as JSON data: a dataclass becomes an object of its fields,
+    a named tuple an object, any other tuple or list an array, recursively."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_data(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: _json_data(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, dict):
+        return {key: _json_data(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json_data(item) for item in value]
+    return value
+
+
 def _serialize(path: str, payload) -> bytes:
     if isinstance(payload, str):
         return payload.encode("utf-8")
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(_json_data(payload), indent=2, sort_keys=True,
+                          allow_nan=False)
     except ValueError as exc:
         raise DomainError(f"{path}: not writable as strict JSON ({exc})") from None
     return (text + "\n").encode("utf-8")
 
 
 def _digest(params: dict) -> str:
-    canonical = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(_json_data(params), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -105,7 +121,7 @@ def _run(args) -> int:
     inputs = [params[k] for k in ("config", *_INPUT_FILES) if k in params]
     if "config" in params:
         args.config = load_config(args.config_type, read_text(params["config"]))
-        params["config"] = args.config.to_json_dict()
+        params["config"] = args.config
     for name in _INPUT_FILES:
         if name in params:
             digest = hashlib.sha256(Path(params.pop(name)).read_bytes()).hexdigest()
@@ -144,9 +160,9 @@ def cmd_verify_theorem(args) -> _Outcome:
     report = verify_theorem(args.config, args.mc, args.seed, args.tol)
     print(format_report_table(args.config, report), file=sys.stderr)
     return _Outcome([(args.out, {
-        "config": args.config.to_json_dict(),
+        "config": args.config,
         "seed": args.seed,
-        **report.to_json_dict(),
+        **_json_data(report),
     })], args.seed, 0 if report.passed else 1)
 
 
@@ -162,7 +178,7 @@ def cmd_simulate_gaussian(args) -> _Outcome:
     dicts = (trainset.dict_image, trainset.dict_text)
     print(f"acc_overall {fmt_pct(report.acc_overall)}%", file=sys.stderr)
     return _Outcome([(args.out, {
-        **report.to_json_dict(),
+        **_json_data(report),
         "alignment": {
             "target_gap": alignment_gap(matrix, config, *dicts),
             "population_gap": alignment_gap(
@@ -172,7 +188,7 @@ def cmd_simulate_gaussian(args) -> _Outcome:
         },
         "n_train": config.n,
         "n_test": len(testset),
-        "config": config.to_json_dict(),
+        "config": config,
         "seed": args.seed,
     })], args.seed)
 
@@ -200,10 +216,10 @@ def cmd_simulate_discrete(args) -> _Outcome:
     return _Outcome([
         (args.out, table.getvalue()),
         (str(Path(args.out).with_suffix(".json")), {
-            "config": config.to_json_dict(),
+            "config": config,
             "n_seeds": args.seeds,
-            "summaries": [s.to_json_dict() for s in summaries],
-            "per_seed": [asdict(r) for r in per_seed],
+            "summaries": summaries,
+            "per_seed": per_seed,
         }),
     ], config.seed)
 
@@ -216,7 +232,7 @@ def cmd_eval(args) -> _Outcome:
         f"drop {fmt_pct(report.balanced_drop)} pp",
         file=sys.stderr,
     )
-    return _Outcome([(args.out, report.to_json_dict())])
+    return _Outcome([(args.out, report)])
 
 
 def cmd_discover(args) -> _Outcome:
@@ -227,7 +243,7 @@ def cmd_discover(args) -> _Outcome:
         f"skipped {len(split.skipped)}",
         file=sys.stderr,
     )
-    return _Outcome([(args.out, split.to_json_dict())])
+    return _Outcome([(args.out, split)])
 
 
 def cmd_confuse(args) -> _Outcome:
@@ -254,11 +270,9 @@ def cmd_fit(args) -> _Outcome:
     )
     return _Outcome([
         (args.out, {
-            **fit.to_json_dict(),
+            **_json_data(fit),
             "n_points": len(points),
-            "points": [
-                {"name": p.name, "easy": p.easy, "hard": p.hard} for p in points
-            ],
+            "points": points,
         }),
         (svg_path, render_fit_svg(points, fit)),
     ])
@@ -343,6 +357,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

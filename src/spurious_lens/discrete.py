@@ -11,7 +11,7 @@ Zero-shot prediction always reads the object head alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,12 +93,6 @@ class DiscreteConfig:
     @property
     def feature_dim(self) -> int:
         return self.num_classes + self.num_colors
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["biased_classes"] = list(self.biased_classes)
-        d["biased_colors"] = list(self.biased_colors)
-        return d
 
 
 @dataclass(frozen=True)
@@ -378,9 +372,6 @@ class MethodSummary:
     rest_mean: float | None
     rest_std: float | None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def _summarize(method: str, reports: list[SplitReport]) -> MethodSummary:
     rand = np.array([r.acc_rand_biased for r in reports])
@@ -431,16 +422,3 @@ def run_discrete_experiment(config: DiscreteConfig, n_seeds: int,
     ]
     return summaries, per_seed
 
-
-def experiment_grid(base: DiscreteConfig, num_classes: tuple[int, ...],
-                    p_invs: tuple[float, ...], p_spus: tuple[float, ...]) -> list[DiscreteConfig]:
-    """Cartesian sweep of (k, p_inv, p_spu) around a base config."""
-    configs = []
-    for k in num_classes:
-        for p_inv in p_invs:
-            for p_spu in p_spus:
-                configs.append(replace(
-                    base, num_classes=k, num_colors=max(base.num_colors or k, k),
-                    p_inv=p_inv, p_spu=p_spu,
-                ))
-    return configs

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import math
+import re
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -124,10 +125,32 @@ def _encode(labels: list[str], groups: list[int], backgrounds: list[str],
 
 
 _PRED_FIXED = ("sample_id", "true_label", "group", "background")
+# One line as io.StringIO(newline="") splits text: ended by \r\n, \r or \n.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _read_csv(path) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(read_text(path), newline="")))
+def _read_csv(path) -> tuple[list[str] | None, Iterator[tuple[int, list[str]]]]:
+    """The header row, None for an empty file, and the data rows, read
+    lazily as (line, row) pairs.  A row the csv module rejects (a cell
+    over its field size limit) is a ParseError naming the line.
+
+    Lines are cut from the text one at a time: io.StringIO would hold a
+    copy at four bytes per character."""
+    text = read_text(path)
+    reader = csv.reader(match.group() for match in _LINE.finditer(text))
+
+    def numbered():
+        line = 0
+        try:
+            for line, row in enumerate(reader, start=1):
+                yield line, row
+        except csv.Error as exc:
+            line += 1
+            raise ParseError(f"line {line}: {exc}", lines=(line,)) from None
+
+    rows = numbered()
+    first = next(rows, None)
+    return (None if first is None else first[1]), rows
 
 
 def load_predictions(path) -> PredictionTable:
@@ -137,10 +160,9 @@ def load_predictions(path) -> PredictionTable:
     A row may rank fewer than K labels by leaving trailing cells empty;
     pred_1 itself must never be empty.
     """
-    rows = _read_csv(path)
-    if not rows:
+    header, rows = _read_csv(path)
+    if header is None:
         raise ParseError("prediction file is empty")
-    header = rows[0]
     if tuple(header[: len(_PRED_FIXED)]) != _PRED_FIXED:
         raise ParseError(
             f"header must start with {','.join(_PRED_FIXED)}, got {','.join(header)}",
@@ -159,7 +181,7 @@ def load_predictions(path) -> PredictionTable:
     backgrounds: list[str] = []
     ranks: list[int] = []
     seen: dict[str, int] = {}
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in rows:
         if len(row) > width:
             raise ParseError(f"line {line}: more cells than header columns", lines=(line,))
         row = row + [""] * (width - len(row))
@@ -200,7 +222,10 @@ def load_predictions(path) -> PredictionTable:
     return _encode(labels, groups, backgrounds, ranks)
 
 
-def _as_table(predictions) -> PredictionTable:
+def _as_table(predictions, k: int) -> PredictionTable:
+    """The predictions as a table, once ``k`` is known to be a valid top-k."""
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     if isinstance(predictions, PredictionTable):
         return predictions
     return PredictionTable.from_records(predictions)
@@ -228,23 +253,9 @@ def _balanced(hits: list[int], totals: list[int]) -> float:
     return sum(accuracies) / len(accuracies)
 
 
-def class_accuracy(predictions, label: str, k: int) -> float | None:
-    """Top-k accuracy among records of one class; None if the class is absent."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    table = _as_table(predictions)
-    if label not in table.labels:
-        return None
-    hits, totals = _class_counts(table, k)
-    code = table.labels.index(label)
-    return hits[code] / totals[code]
-
-
 def plain_accuracy(predictions, k: int) -> float:
     """Top-k hit rate over all records regardless of class."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    table = _as_table(predictions)
+    table = _as_table(predictions, k)
     if not len(table):
         raise InsufficientDataError("no records to score")
     return int(np.count_nonzero(_top_k(table, k))) / len(table)
@@ -252,9 +263,7 @@ def plain_accuracy(predictions, k: int) -> float:
 
 def balanced_accuracy(predictions, k: int) -> float:
     """Unweighted mean of per-class top-k accuracies."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    table = _as_table(predictions)
+    table = _as_table(predictions, k)
     if not len(table):
         raise InsufficientDataError("no records to score")
     return _balanced(*_class_counts(table, k))
@@ -268,16 +277,6 @@ class ClassMetrics:
     drop: float | None
     n_easy: int
     n_hard: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "easy_accuracy": self.easy_accuracy,
-            "hard_accuracy": self.hard_accuracy,
-            "drop": self.drop,
-            "n_easy": self.n_easy,
-            "n_hard": self.n_hard,
-        }
 
 
 @dataclass(frozen=True)
@@ -297,23 +296,10 @@ class EvalReport:
     plain_easy: float
     plain_hard: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "per_class": [m.to_json_dict() for m in self.per_class],
-            "balanced_easy": self.balanced_easy,
-            "balanced_hard": self.balanced_hard,
-            "balanced_drop": self.balanced_drop,
-            "plain_easy": self.plain_easy,
-            "plain_hard": self.plain_hard,
-        }
-
 
 def group_report(predictions, k: int) -> EvalReport:
     """Easy-vs-hard metrics; every record must already carry a group."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    table = _as_table(predictions)
+    table = _as_table(predictions, k)
     if not len(table):
         raise InsufficientDataError("no records to score")
     if (table.group == _GROUP_CODE[Group.UNASSIGNED.value]).any():
@@ -367,17 +353,10 @@ class ClassSplit:
     backgrounds: tuple[BackgroundStat, ...]
     gap_pp: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "easy_background": self.easy_background,
-            "hard_background": self.hard_background,
-            "backgrounds": [
-                {"name": b.name, "accuracy": b.accuracy, "count": b.count}
-                for b in self.backgrounds
-            ],
-            "gap_pp": self.gap_pp,
-        }
+
+class Skipped(NamedTuple):
+    label: str
+    notice: str
 
 
 @dataclass(frozen=True)
@@ -389,17 +368,7 @@ class GroupSplit:
     k: int
     flagged: tuple[ClassSplit, ...]
     unflagged: tuple[str, ...]
-    skipped: tuple[tuple[str, str], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold_pp": self.threshold_pp,
-            "min_count": self.min_count,
-            "k": self.k,
-            "flagged": [c.to_json_dict() for c in self.flagged],
-            "unflagged": list(self.unflagged),
-            "skipped": [{"label": label, "notice": notice} for label, notice in self.skipped],
-        }
+    skipped: tuple[Skipped, ...]
 
 
 def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
@@ -415,9 +384,7 @@ def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
         raise ConfigError(f"threshold_pp must be finite and > 0, got {threshold_pp}")
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    table = _as_table(predictions)
+    table = _as_table(predictions, k)
     n_bg = len(table.backgrounds)
     # Count only the (class, background) cells that occur: a log with a
     # background per row would otherwise need rows x rows counters.
@@ -434,10 +401,8 @@ def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
     skipped = []
     for label, cells_of_label in zip(table.labels, qualifying):
         if len(cells_of_label) < 2:
-            skipped.append((
-                label,
-                f"fewer than 2 backgrounds with >= {min_count} records",
-            ))
+            skipped.append(Skipped(
+                label, f"fewer than 2 backgrounds with >= {min_count} records"))
             continue
         hits = {name: hit for name, hit, _ in cells_of_label}
         stats = [BackgroundStat(name=name, accuracy=hit / count, count=count)
@@ -488,10 +453,9 @@ class SimilarityTable:
 
 def load_similarities(path) -> SimilarityTable:
     """Parse a similarity CSV: header sample_id,<cand_1>,...,<cand_C>."""
-    rows = _read_csv(path)
-    if not rows:
+    header, rows = _read_csv(path)
+    if header is None:
         raise ParseError("similarity file is empty")
-    header = rows[0]
     if len(header) < 2 or header[0] != "sample_id":
         raise ParseError(
             "header must be sample_id,<candidate_1>,...,<candidate_C>", lines=(1,)
@@ -502,7 +466,7 @@ def load_similarities(path) -> SimilarityTable:
     ids = []
     seen: dict[str, int] = {}
     scores = []
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in rows:
         if len(row) != len(header):
             raise ParseError(
                 f"line {line}: expected {len(header)} cells, got {len(row)}",
@@ -518,10 +482,10 @@ def load_similarities(path) -> SimilarityTable:
             )
         seen[sample_id] = line
         try:
-            values = [float(v) for v in row[1:]]
+            values = np.fromiter(map(float, row[1:]), dtype=float, count=len(row) - 1)
         except ValueError:
             raise ParseError(f"line {line}: non-numeric score", lines=(line,)) from None
-        if not all(math.isfinite(v) for v in values):
+        if not np.isfinite(values).all():
             raise ParseError(f"line {line}: non-finite score", lines=(line,))
         scores.append(values)
         ids.append(sample_id)
@@ -564,10 +528,9 @@ def load_points(path) -> list[Point]:
     Accuracies are fractions; a value that is not finite or lies outside
     [0, 1] is rejected with its line.
     """
-    rows = _read_csv(path)
-    if not rows:
+    header, rows = _read_csv(path)
+    if header is None:
         raise ParseError("points file is empty")
-    header = rows[0]
     if header == ["easy", "hard"]:
         named = False
     elif header == ["name", "easy", "hard"]:
@@ -577,7 +540,7 @@ def load_points(path) -> list[Point]:
             "header must be easy,hard or name,easy,hard", lines=(1,)
         )
     points = []
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in rows:
         if len(row) != len(header):
             raise ParseError(
                 f"line {line}: expected {len(header)} cells, got {len(row)}",
@@ -605,14 +568,6 @@ class FitLine:
     intercept: float
     transform: Transform
     residual_rms: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "transform": self.transform.value,
-            "residual_rms": self.residual_rms,
-        }
 
 
 def transform_coordinates(points, transform: Transform | str):

@@ -24,7 +24,7 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class Mode(str, enum.Enum):
 
 def substream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Deterministic generator for sub-stream (tag, index) of a root seed."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
     return np.random.default_rng(ss)
 
@@ -127,11 +129,6 @@ class GenerativeConfig:
             raise ConfigError(
                 f"TheoremExact mode requires mu_inv = 1, got {self.mu_inv}"
             )
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["mode"] = self.mode.value
-        return d
 
 
 @dataclass(frozen=True)

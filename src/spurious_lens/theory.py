@@ -104,14 +104,6 @@ class TheoryBounds:
     err_lower_conflicting: float
     acc_lower_aligned: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "err_lower_conflicting": self.err_lower_conflicting,
-            "acc_lower_aligned": self.acc_lower_aligned,
-        }
-
 
 def theorem_bounds(params: TheoryParams) -> TheoryBounds:
     """Error lower bound on a != y and accuracy lower bound on a == y."""
@@ -145,20 +137,6 @@ class VerificationReport:
     low_power_subgroups: tuple[str, ...]
     tol: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "bounds": self.bounds.to_json_dict(),
-            "mc_err_conflicting": self.mc_err_conflicting,
-            "mc_acc_aligned": self.mc_acc_aligned,
-            "mc_samples": self.mc_samples,
-            "mc_stderr": list(self.mc_stderr),
-            "alignment_gap": self.alignment_gap,
-            "low_power_subgroups": list(self.low_power_subgroups),
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,

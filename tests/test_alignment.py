@@ -27,6 +27,7 @@ from spurious_lens import (
     zero_shot_predict_batch,
 )
 from spurious_lens.alignment import subgroup_counts
+from spurious_lens.cli import _json_data
 from spurious_lens.synthetic import dataset_dictionaries
 
 
@@ -301,7 +302,7 @@ class TestSubgroups:
         M = empirical_minimizer(ds, cfg.rho)
         prompts = (prompt_embedding(ds.dict_text, 1),
                    prompt_embedding(ds.dict_text, -1))
-        d = subgroup_accuracy(M, ds, prompts).to_json_dict()
+        d = _json_data(subgroup_accuracy(M, ds, prompts))
         assert set(d) == {"acc_overall", "acc_aligned", "acc_conflicting",
                           "n_aligned", "n_conflicting"}
 
@@ -331,7 +332,7 @@ class TestSubgroupCounts:
             M = random_matrix((4, 3), seed=trial)
             prompts = (prompt_embedding(ds.dict_text, 1),
                        prompt_embedding(ds.dict_text, -1))
-            got = subgroup_accuracy(M, ds, prompts).to_json_dict()
+            got = _json_data(subgroup_accuracy(M, ds, prompts))
             assert got == mean_of_masks_report(M, ds, prompts)
 
     @pytest.mark.parametrize("flip,empty", [(False, "acc_conflicting"),
@@ -343,7 +344,7 @@ class TestSubgroupCounts:
         M = random_matrix((4, 3), seed=5)
         prompts = (prompt_embedding(ds.dict_text, 1),
                    prompt_embedding(ds.dict_text, -1))
-        got = subgroup_accuracy(M, ds, prompts).to_json_dict()
+        got = _json_data(subgroup_accuracy(M, ds, prompts))
         assert got[empty] is None
         assert got == mean_of_masks_report(M, ds, prompts)
 

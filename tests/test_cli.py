@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spurious_lens import SimilarityTable, __version__, load_schema
 from spurious_lens import cli
@@ -387,12 +390,21 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": json.dumps(GAUSS_EXACT)},
      ["verify-theorem", "--config", "c.json", "--tol", "inf", "--out", "r.json"],
      2, "got inf"),
+    ({"p.csv": PREDICTIONS.replace("e0,bear,", "e0," + "b" * 200_000 + ",", 1)},
+     ["eval", "--predictions", "p.csv", "--out", "r.json"], 2, "line 2"),
+    ({"c.json": '{"n": 100000000000000000000}'},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
+     4, "error: internal: ValueError: "),
+    ({"c.json": json.dumps(GAUSS_DEF1)},
+     ["simulate-gaussian", "--config", "c.json", "--seed", "-1", "--out", "r.json"],
+     2, "seed must be >= 0"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
         "sidecar-overwrites-config", "out-overwrites-input", "svg-is-out",
         "svg-is-manifest", "svg-dir-missing", "discover-threshold-nan",
-        "verify-tol-inf"])
+        "verify-tol-inf", "eval-oversized-cell", "gaussian-impossible-size",
+        "gaussian-negative-seed"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)
@@ -458,6 +470,68 @@ def test_config_digest_pinned(tmp_path):
         out = str(tmp_path / f"{argv[0]}.out")
         assert main(argv + ["--out", out]) == 0
         assert manifest_of(out)["config_digest"] == digest, argv[0]
+
+
+# Per subcommand: the input option, a valid input, the other arguments,
+# the output name and the schema of the report JSON it writes.
+FUZZ_CASES = {
+    "eval": ("predictions", PREDICTIONS, [], "out.json", "eval_report"),
+    "discover": ("predictions", DISCOVER_PREDICTIONS, [], "out.json", "discovery_report"),
+    "confuse": ("similarities", SIMILARITIES, ["--k", "1"], "out.json", "confusing_labels"),
+    "fit": ("points", POINTS, [], "out.json", "fit_report"),
+    "simulate-gaussian": ("config", json.dumps({**GAUSS_DEF1, "n": 40, "d_I": 4, "d_T": 4}),
+                          [], "out.json", "subgroup_report"),
+    "simulate-discrete": ("config", json.dumps({**DISCRETE, "n_train": 40}),
+                          ["--seeds", "1"], "out.csv", "discrete_summary"),
+}
+FUZZ_ALPHABET = ",\n\r\" .-+0123456789eEnaNfIbrswolgyhdpu_:{}[]\u00e4\u2028"
+FUZZ_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
+                        st.floats(), st.text(FUZZ_ALPHABET, max_size=4),
+                        st.lists(st.integers(-1, 4), max_size=3))
+
+
+@st.composite
+def malformed_input(draw):
+    """A subcommand and its input file's bytes: a valid input with cells
+    spliced, deleted or replaced, invalid UTF-8 inserted, or (configs only)
+    one field set to an arbitrary JSON value."""
+    subcommand = draw(st.sampled_from(sorted(FUZZ_CASES)))
+    text = FUZZ_CASES[subcommand][1]
+    if text.startswith("{") and draw(st.booleans()):
+        fields = sorted(json.loads(text)) + ["seed", "unknown"]
+        config = {**json.loads(text), draw(st.sampled_from(fields)): draw(FUZZ_VALUES)}
+        return subcommand, json.dumps(config).encode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 12)))
+        text = text[:start] + draw(st.text(FUZZ_ALPHABET, max_size=8)) + text[stop:]
+    data = text.encode("utf-8")
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xe4", b"\x00"])) + data[cut:]
+    return subcommand, data
+
+
+def strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=malformed_input())
+def test_fuzzed_input_keeps_cli_contract(case):
+    subcommand, data = case
+    role, _, extra, out_name, schema = FUZZ_CASES[subcommand]
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "input"
+        source.write_bytes(data)
+        out = Path(tmp) / out_name
+        assert main([subcommand, f"--{role}", str(source), *extra,
+                     "--out", str(out)]) in (0, 2, 3)
+        for path in Path(tmp).glob("*.json"):
+            name = "run_manifest" if path.name.endswith(".manifest.json") else schema
+            check_schema(strict_json(path.read_text(encoding="utf-8")), name)
 
 
 class TestParser:

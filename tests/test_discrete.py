@@ -19,12 +19,12 @@ from spurious_lens import (
     ce_gradient,
     ce_loss,
     evaluate_splits,
-    experiment_grid,
     run_discrete_experiment,
     sample_discrete_dataset,
     train_contrastive_perfect,
     train_supervised,
 )
+from spurious_lens.cli import _json_data
 from spurious_lens.inputs import load_config
 
 BASE = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000)
@@ -70,7 +70,7 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.75, n_train=500,
                              num_colors=4, biased_colors=(2, 3), seed=9)
-        text = json.dumps(cfg.to_json_dict())
+        text = json.dumps(_json_data(cfg))
         assert load_config(DiscreteConfig, text) == cfg
 
     def test_unknown_field_rejected(self):
@@ -373,16 +373,7 @@ class TestExperiment:
     def test_summary_json_dict(self):
         summaries, _ = run_discrete_experiment(BASE, n_seeds=1,
                                                n_test=500, epochs=40)
-        d = summaries[0].to_json_dict()
+        d = _json_data(summaries[0])
         assert d["method"] == "supervised"
         assert set(d) == {"method", "n_seeds", "rand_mean", "rand_std",
                           "rev_mean", "rev_std", "rest_mean", "rest_std"}
-
-    def test_grid_sweeps_cartesian_product(self):
-        configs = experiment_grid(BASE, num_classes=(2, 3, 5),
-                                  p_invs=(0.75, 0.9), p_spus=(0.75, 0.9))
-        assert len(configs) == 12
-        assert {c.num_classes for c in configs} == {2, 3, 5}
-        for c in configs:
-            assert c.num_colors >= c.num_classes
-            assert c.n_train == BASE.n_train

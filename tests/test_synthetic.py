@@ -19,6 +19,7 @@ from spurious_lens import (
     sample_dataset,
 )
 from spurious_lens import synthetic
+from spurious_lens.cli import _json_data
 from spurious_lens.inputs import load_config
 from spurious_lens.synthetic import (
     CHUNK,
@@ -69,7 +70,7 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = GenerativeConfig(mu_spu=2.0, p_spu=0.95, mode="TheoremExact")
-        again = load_config(GenerativeConfig, json.dumps(cfg.to_json_dict()))
+        again = load_config(GenerativeConfig, json.dumps(_json_data(cfg)))
         assert again == cfg
 
     def test_from_json_rejects_unknown_field(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import mpmath
@@ -20,6 +21,7 @@ from spurious_lens import (
     theorem_bounds,
     verify_theorem,
 )
+from spurious_lens.cli import _serialize
 from spurious_lens.theory import format_report_table, params_from_config
 
 # Frozen from a 50-digit mpmath evaluation of 0.5*erfc(-x/sqrt(2)).
@@ -261,7 +263,7 @@ class TestVerifyTheorem:
 
     def test_json_dict_round_trips_through_schema_fields(self):
         rep = verify_theorem(EXACT_CFG, mc_samples=2000, seed=0)
-        d = rep.to_json_dict()
+        d = json.loads(_serialize("report.json", rep))
         assert d["mode"] == "TheoremExact"
         assert d["alignment_gap"] is None
         assert isinstance(d["mc_stderr"], list) and len(d["mc_stderr"]) == 2
