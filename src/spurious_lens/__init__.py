@@ -76,7 +76,6 @@ from .synthetic import (
     Mode,
     SyntheticDataset,
     ood_config,
-    ood_dataset,
     sample_dataset,
 )
 from .theory import (

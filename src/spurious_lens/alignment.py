@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NonconvergenceError, ShapeError
-from .synthetic import Dictionary, GenerativeConfig, SyntheticDataset
+from .synthetic import (STREAM_TEST, Dictionary, GenerativeConfig, SyntheticDataset,
+                        _map_chunks, ood_config, sample_batch)
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,9 @@ def _prompt_pair(prompts) -> tuple[PromptEmbedding, PromptEmbedding]:
     return by_label[1], by_label[-1]
 
 
-def zero_shot_scores(M: AlignmentMatrix, x_image: np.ndarray, prompts) -> np.ndarray:
-    """Alignment scores of image rows against the (+1, -1) prompts."""
+def zero_shot_predict_batch(M: AlignmentMatrix, x_image: np.ndarray, prompts) -> np.ndarray:
+    """Label of each image row by its alignment scores against the (+1, -1)
+    prompts; exact ties resolve to +1."""
     pos, neg = _prompt_pair(prompts)
     x = np.atleast_2d(np.asarray(x_image, dtype=float))
     if x.shape[1] != M.shape[0] or pos.vector.shape[0] != M.shape[1]:
@@ -220,13 +222,7 @@ def zero_shot_scores(M: AlignmentMatrix, x_image: np.ndarray, prompts) -> np.nda
             f"image dim {x.shape[1]} / prompt dim {pos.vector.shape[0]} "
             f"do not match alignment shape {M.shape}"
         )
-    p = np.column_stack([pos.vector, neg.vector])
-    return x @ (M.entries @ p)
-
-
-def zero_shot_predict_batch(M: AlignmentMatrix, x_image: np.ndarray, prompts) -> np.ndarray:
-    """Vectorized label prediction; exact ties resolve to +1."""
-    scores = zero_shot_scores(M, x_image, prompts)
+    scores = x @ (M.entries @ np.column_stack([pos.vector, neg.vector]))
     return np.where(scores[:, 0] >= scores[:, 1], 1, -1)
 
 
@@ -241,14 +237,28 @@ def subgroup_counts(M: AlignmentMatrix, x_image: np.ndarray, labels: np.ndarray,
             int(np.count_nonzero(correct)) - correct_aligned, len(labels) - n_aligned)
 
 
-def subgroup_accuracy(M: AlignmentMatrix, testset: SyntheticDataset, prompts) -> SubgroupReport:
-    """Accuracy overall and split over the a == y and a != y subgroups."""
-    if len(testset) == 0:
-        raise InsufficientDataError("testset is empty")
-    correct_aligned, n_aligned, correct_conflicting, n_conflicting = subgroup_counts(
-        M, testset.x_image, testset.labels, testset.attributes, prompts)
+def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
+                      dict_image: Dictionary, prompts, seed: int,
+                      total: int) -> SubgroupReport:
+    """Accuracy overall and split over the a == y and a != y subgroups on
+    ``total`` samples of the p_spu = 1/2 test distribution.
+
+    Each STREAM_TEST chunk is drawn, scored and counted on its own and only
+    the counts are kept, so the report is the same for any worker count.
+    """
+    if total < 1:
+        raise InsufficientDataError(f"the test set needs at least 1 sample, got {total}")
+    test_config = ood_config(config)
+
+    def counts(rng, start, stop):
+        x_image, y, a, _ = sample_batch(test_config, dict_image, rng, stop - start)
+        return subgroup_counts(M, x_image, y, a, prompts)
+
+    correct_aligned, n_aligned, correct_conflicting, n_conflicting = (
+        sum(column) for column in zip(*_map_chunks(seed, STREAM_TEST, total, counts))
+    )
     return SubgroupReport(
-        acc_overall=(correct_aligned + correct_conflicting) / len(testset),
+        acc_overall=(correct_aligned + correct_conflicting) / total,
         acc_aligned=correct_aligned / n_aligned if n_aligned else None,
         acc_conflicting=correct_conflicting / n_conflicting if n_conflicting else None,
         n_aligned=n_aligned,

@@ -60,7 +60,7 @@ from .evaluation import (
 )
 from .inputs import load_config, read_text
 from .svgplot import render_fit_svg
-from .synthetic import GenerativeConfig, ood_dataset, sample_dataset
+from .synthetic import GenerativeConfig, sample_dataset
 from .theory import format_report_table, verify_theorem
 
 _INPUT_ERRORS = (ParseError, ConfigError, InsufficientDataError, ShapeError, OSError)
@@ -170,11 +170,10 @@ def cmd_simulate_gaussian(args) -> _Outcome:
     config = args.config
     trainset = sample_dataset(config, args.seed)
     matrix = empirical_minimizer(trainset, config.rho)
-    testset = ood_dataset(config, trainset.dict_image, trainset.dict_text,
-                          args.seed, config.n)
     prompts = (prompt_embedding(trainset.dict_text, 1),
                prompt_embedding(trainset.dict_text, -1))
-    report = subgroup_accuracy(matrix, testset, prompts)
+    report = subgroup_accuracy(matrix, config, trainset.dict_image, prompts,
+                               args.seed, config.n)
     dicts = (trainset.dict_image, trainset.dict_text)
     print(f"acc_overall {fmt_pct(report.acc_overall)}%", file=sys.stderr)
     return _Outcome([(args.out, {
@@ -187,7 +186,7 @@ def cmd_simulate_gaussian(args) -> _Outcome:
             "population_target": population_alignment_target(config).tolist(),
         },
         "n_train": config.n,
-        "n_test": len(testset),
+        "n_test": config.n,
         "config": config,
         "seed": args.seed,
     })], args.seed)

@@ -33,14 +33,14 @@ def read_text(path) -> str:
 def load_config(cls, text: str):
     """Build the config dataclass ``cls`` from JSON text.
 
-    A missing field takes its default; unknown fields, a missing field with
-    no default, and a value whose JSON type does not match its field are
-    rejected: an ``int`` field takes only integers, a ``float`` field
+    A missing field takes its default; unknown or repeated fields, a missing
+    field with no default, and a value whose JSON type does not match its
+    field are rejected: an ``int`` field takes only integers, a ``float`` field
     integers or floats (kept as given), and no numeric field takes ``true``
     or ``false`` or a non-finite value.  Every failure is a ParseError.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -54,6 +54,16 @@ def load_config(cls, text: str):
         return cls(**kwargs)
     except TypeError as exc:
         raise ParseError(f"bad config object: {exc}") from exc
+
+
+def _unique_keys(pairs) -> dict:
+    """The JSON object of ``pairs``; a key given twice is a ParseError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"config field {key} is given more than once")
+        obj[key] = value
+    return obj
 
 
 def _typed(name: str, hint, value):

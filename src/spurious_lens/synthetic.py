@@ -192,16 +192,14 @@ def embed(z: np.ndarray, dictionary: Dictionary, sigma_xi: float,
 
 
 def sample_batch(config: GenerativeConfig, dict_image: Dictionary,
-                 dict_text: Dictionary, rng: np.random.Generator, size: int):
-    """One chunk of paired samples embedded with the given dictionaries.
+                 rng: np.random.Generator, size: int):
+    """One chunk of samples embedded into the image space.
 
-    Returns (x_image, x_text, y, a, z). Draw order is fixed so results are
+    Returns (x_image, y, a, z). Draw order is fixed so results are
     reproducible from the generator state alone.
     """
     z, y, a = sample_latents(config, rng, size)
-    x_image = embed(z, dict_image, config.sigma_xi, rng)
-    x_text = embed(z, dict_text, config.sigma_xi, rng)
-    return x_image, x_text, y, a, z
+    return embed(z, dict_image, config.sigma_xi, rng), y, a, z
 
 
 def dataset_dictionaries(config: GenerativeConfig, seed: int):
@@ -231,42 +229,30 @@ class SyntheticDataset:
         return self.labels.shape[0]
 
 
-def _draw(config: GenerativeConfig, dict_image: Dictionary, dict_text: Dictionary,
-          seed: int, total: int, tag: int) -> SyntheticDataset:
-    """`total` samples of sub-stream `tag`, each chunk written into its own rows."""
-    columns = (np.empty((total, dict_image.d)), np.empty((total, dict_text.d)),
-               np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64),
-               np.empty((total, LATENT_DIM)))
-
-    def fill(rng, start, stop):
-        batch = sample_batch(config, dict_image, dict_text, rng, stop - start)
-        for column, part in zip(columns, batch):
-            column[start:stop] = part
-
-    _map_chunks(seed, tag, total, fill)
-    x_image, x_text, labels, attributes, latents = columns
-    return SyntheticDataset(config, seed, x_image, x_text, labels, attributes,
-                            latents, dict_image, dict_text)
-
-
 def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     """Draw a full dataset: fresh dictionaries plus config.n embedded samples.
 
-    Deterministic in (config, seed); chunk sub-seeds make the output
-    independent of how generation work is scheduled.
+    Deterministic in (config, seed): each chunk draws from its own sub-stream,
+    the text embedding last, so the output does not depend on scheduling.
     """
-    return _draw(config, *dataset_dictionaries(config, seed), seed, config.n,
-                 STREAM_SAMPLES)
+    dict_image, dict_text = dataset_dictionaries(config, seed)
+    total = config.n
+    x_image, x_text = np.empty((total, dict_image.d)), np.empty((total, dict_text.d))
+    labels, attributes = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
+    latents = np.empty((total, LATENT_DIM))
+
+    def fill(rng, start, stop):
+        rows = slice(start, stop)
+        x_image[rows], labels[rows], attributes[rows], z = sample_batch(
+            config, dict_image, rng, stop - start)
+        latents[rows] = z
+        x_text[rows] = embed(z, dict_text, config.sigma_xi, rng)
+
+    _map_chunks(seed, STREAM_SAMPLES, total, fill)
+    return SyntheticDataset(config, seed, x_image, x_text, labels, attributes,
+                            latents, dict_image, dict_text)
 
 
 def ood_config(config: GenerativeConfig) -> GenerativeConfig:
     """The test distribution: identical config with p_spu = 1/2."""
     return replace(config, p_spu=0.5)
-
-
-def ood_dataset(config: GenerativeConfig, dict_image: Dictionary,
-                dict_text: Dictionary, seed: int, total: int) -> SyntheticDataset:
-    """`total` test samples from the p_spu = 1/2 distribution, embedded with
-    the given (already-fitted) dictionaries."""
-    return _draw(replace(ood_config(config), n=total), dict_image, dict_text,
-                 seed, total, STREAM_TEST)

@@ -17,19 +17,10 @@ from .alignment import (
     asymptotic_minimizer,
     empirical_minimizer,
     prompt_embedding,
-    subgroup_counts,
+    subgroup_accuracy,
 )
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .synthetic import (
-    STREAM_TEST,
-    GenerativeConfig,
-    Mode,
-    _map_chunks,
-    dataset_dictionaries,
-    ood_config,
-    sample_batch,
-    sample_dataset,
-)
+from .synthetic import GenerativeConfig, Mode, dataset_dictionaries, sample_dataset
 
 _SQRT2 = math.sqrt(2.0)
 _NORMAL = statistics.NormalDist()
@@ -167,22 +158,13 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         matrix = empirical_minimizer(trainset, config.rho)
         gap = alignment_gap(matrix, config, dict_image, dict_text)
     prompts = (prompt_embedding(dict_text, 1), prompt_embedding(dict_text, -1))
-
-    test_config = ood_config(config)
-
-    def counts(rng, start, stop):
-        x_image, _, y, a, _ = sample_batch(test_config, dict_image, dict_text,
-                                           rng, stop - start)
-        return subgroup_counts(matrix, x_image, y, a, prompts)
-
-    correct_aligned, n_aligned, correct_conflicting, n_conflicting = (
-        sum(column) for column in zip(*_map_chunks(seed, STREAM_TEST, mc_samples, counts))
-    )
+    report = subgroup_accuracy(matrix, config, dict_image, prompts, seed, mc_samples)
+    n_aligned, n_conflicting = report.n_aligned, report.n_conflicting
     if n_aligned == 0 or n_conflicting == 0:
         raise InsufficientDataError("a Monte-Carlo subgroup came out empty")
 
-    mc_err = 1.0 - correct_conflicting / n_conflicting
-    mc_acc = correct_aligned / n_aligned
+    mc_err = 1.0 - report.acc_conflicting
+    mc_acc = report.acc_aligned
     stderr = (
         math.sqrt(mc_err * (1.0 - mc_err) / n_conflicting),
         math.sqrt(mc_acc * (1.0 - mc_acc) / n_aligned),

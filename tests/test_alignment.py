@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from spurious_lens import (
     empirical_minimizer,
     gradient_descent_minimizer,
     latent_alignment_target,
-    ood_dataset,
+    ood_config,
     population_alignment_target,
     prompt_embedding,
     sample_dataset,
@@ -28,7 +28,13 @@ from spurious_lens import (
 )
 from spurious_lens.alignment import subgroup_counts
 from spurious_lens.cli import _json_data
-from spurious_lens.synthetic import dataset_dictionaries
+from spurious_lens.synthetic import (
+    CHUNK,
+    STREAM_TEST,
+    dataset_dictionaries,
+    sample_batch,
+    substream,
+)
 
 
 def naive_pairwise_loss(M, dataset, rho):
@@ -271,47 +277,63 @@ class TestZeroShot:
         assert acc == 1.0
 
 
+def label_prompts(dict_text):
+    return (prompt_embedding(dict_text, 1), prompt_embedding(dict_text, -1))
+
+
+def chunked_test_set(config, dict_image, seed, total):
+    """(x_image, labels, attributes) of the p_spu = 1/2 test set, drawn one
+    STREAM_TEST chunk at a time with sample_batch and concatenated."""
+    parts = [
+        sample_batch(ood_config(config), dict_image, substream(seed, STREAM_TEST, index),
+                     min(CHUNK, total - start))[:3]
+        for index, start in enumerate(range(0, total, CHUNK))
+    ]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
 class TestSubgroups:
     def test_counts_and_weighted_mean_identity(self):
         cfg = GenerativeConfig(n=4000)
         ds = sample_dataset(cfg, seed=0)
-        test = ood_dataset(cfg, ds.dict_image, ds.dict_text, 0, 4000)
         M = empirical_minimizer(ds, cfg.rho)
-        prompts = (prompt_embedding(ds.dict_text, 1),
-                   prompt_embedding(ds.dict_text, -1))
-        rep = subgroup_accuracy(M, test, prompts)
-        assert rep.n_aligned + rep.n_conflicting == len(test)
+        rep = subgroup_accuracy(M, cfg, ds.dict_image, label_prompts(ds.dict_text), 0, 4000)
+        assert rep.n_aligned + rep.n_conflicting == 4000
         recombined = (rep.acc_aligned * rep.n_aligned
-                      + rep.acc_conflicting * rep.n_conflicting) / len(test)
+                      + rep.acc_conflicting * rep.n_conflicting) / 4000
         assert rep.acc_overall == pytest.approx(recombined, abs=1e-12)
 
     def test_empty_subgroup_reports_none(self):
-        cfg = GenerativeConfig(n=300, p_spu=1.0)
+        cfg = GenerativeConfig(n=300)
         ds = sample_dataset(cfg, seed=1)
         M = empirical_minimizer(ds, cfg.rho)
-        prompts = (prompt_embedding(ds.dict_text, 1),
-                   prompt_embedding(ds.dict_text, -1))
-        rep = subgroup_accuracy(M, ds, prompts)
-        assert rep.n_conflicting == 0
-        assert rep.acc_conflicting is None
-        assert rep.acc_overall == rep.acc_aligned
+        rep = subgroup_accuracy(M, cfg, ds.dict_image, label_prompts(ds.dict_text), 1, 1)
+        assert rep.n_aligned + rep.n_conflicting == 1
+        rates = (rep.acc_aligned, rep.acc_conflicting)
+        assert rates.count(None) == 1
+        assert rep.acc_overall in rates
+
+    def test_rejects_an_empty_test_set(self):
+        cfg = GenerativeConfig(n=300)
+        ds = sample_dataset(cfg, seed=1)
+        M = empirical_minimizer(ds, cfg.rho)
+        with pytest.raises(InsufficientDataError):
+            subgroup_accuracy(M, cfg, ds.dict_image, label_prompts(ds.dict_text), 1, 0)
 
     def test_json_dict_field_names(self):
         cfg = GenerativeConfig(n=500)
         ds = sample_dataset(cfg, seed=3)
         M = empirical_minimizer(ds, cfg.rho)
-        prompts = (prompt_embedding(ds.dict_text, 1),
-                   prompt_embedding(ds.dict_text, -1))
-        d = _json_data(subgroup_accuracy(M, ds, prompts))
+        d = _json_data(subgroup_accuracy(M, cfg, ds.dict_image,
+                                         label_prompts(ds.dict_text), 3, 500))
         assert set(d) == {"acc_overall", "acc_aligned", "acc_conflicting",
                           "n_aligned", "n_conflicting"}
 
 
-
-def mean_of_masks_report(M, testset, prompts) -> dict:
+def mean_of_masks_report(M, x_image, labels, attributes, prompts) -> dict:
     """subgroup_accuracy as it was computed before the counts: bool means."""
-    correct = zero_shot_predict_batch(M, testset.x_image, prompts) == testset.labels
-    aligned = testset.attributes == testset.labels
+    correct = zero_shot_predict_batch(M, x_image, prompts) == labels
+    aligned = attributes == labels
     return {
         "acc_overall": float(correct.mean()),
         "acc_aligned": float(correct[aligned].mean()) if aligned.any() else None,
@@ -322,31 +344,40 @@ def mean_of_masks_report(M, testset, prompts) -> dict:
 
 
 class TestSubgroupCounts:
-    def test_accuracy_equals_mean_of_masks_bit_for_bit(self):
+    def test_accuracy_equals_mean_of_masks_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(0)
         for trial in range(200):
-            n = int(rng.integers(2, 3000))
+            # every tenth test set spans several chunks
+            total = int(rng.integers(CHUNK, 3 * CHUNK) if trial % 10 == 0
+                        else rng.integers(1, 3000))
             p_spu = float(rng.choice([0.5, 0.8, 0.97, 1.0]))
-            cfg = GenerativeConfig(n=n, d_I=4, d_T=3, p_spu=p_spu)
-            ds = sample_dataset(cfg, seed=trial)
+            cfg = GenerativeConfig(n=2, d_I=4, d_T=3, p_spu=p_spu)
+            dict_image, dict_text = dataset_dictionaries(cfg, seed=trial)
             M = random_matrix((4, 3), seed=trial)
-            prompts = (prompt_embedding(ds.dict_text, 1),
-                       prompt_embedding(ds.dict_text, -1))
-            got = _json_data(subgroup_accuracy(M, ds, prompts))
-            assert got == mean_of_masks_report(M, ds, prompts)
+            prompts = label_prompts(dict_text)
+            want = mean_of_masks_report(M, *chunked_test_set(cfg, dict_image, trial, total),
+                                        prompts)
+            for threads in ("1", "8"):
+                monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+                got = subgroup_accuracy(M, cfg, dict_image, prompts, trial, total)
+                assert _json_data(got) == want, (trial, threads)
 
-    @pytest.mark.parametrize("flip,empty", [(False, "acc_conflicting"),
-                                            (True, "acc_aligned")])
-    def test_empty_subgroup_is_none(self, flip, empty):
-        ds = sample_dataset(GenerativeConfig(n=501, d_I=4, d_T=3, p_spu=1.0), seed=2)
-        if flip:
-            ds = dataclasses.replace(ds, attributes=-ds.labels)
+    @pytest.mark.parametrize("conflicting,empty", [(False, "acc_conflicting"),
+                                                   (True, "acc_aligned")])
+    def test_empty_subgroup_is_none(self, conflicting, empty):
+        cfg = GenerativeConfig(n=2, d_I=4, d_T=3)
+        dict_image, dict_text = dataset_dictionaries(cfg, seed=2)
         M = random_matrix((4, 3), seed=5)
-        prompts = (prompt_embedding(ds.dict_text, 1),
-                   prompt_embedding(ds.dict_text, -1))
-        got = _json_data(subgroup_accuracy(M, ds, prompts))
+        # the first seed whose one test sample falls in the wanted subgroup
+        for seed in itertools.count():
+            x_image, labels, attributes = chunked_test_set(cfg, dict_image, seed, 1)
+            if (attributes[0] != labels[0]) == conflicting:
+                break
+        got = _json_data(subgroup_accuracy(M, cfg, dict_image, label_prompts(dict_text),
+                                           seed, 1))
         assert got[empty] is None
-        assert got == mean_of_masks_report(M, ds, prompts)
+        assert got == mean_of_masks_report(M, x_image, labels, attributes,
+                                           label_prompts(dict_text))
 
     def test_counts_partition_the_rows(self):
         ds = sample_dataset(GenerativeConfig(n=777, d_I=4, d_T=3), seed=4)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -175,6 +176,50 @@ class TestSimulateGaussian:
         for out in (a, b):
             main(["simulate-gaussian", "--config", cfg, "--out", out])
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+class TestPinnedSubgroupOutcomes:
+    """Subgroup counts of the p_spu = 1/2 test pass, recorded before it was
+    streamed: (correct, size) of the aligned and the conflicting subgroup.
+    Integer ratios, so BLAS rounding cannot move them."""
+
+    @pytest.mark.parametrize("name,aligned,conflicting", [
+        ("theorem_exact", (9754, 10021), (3745, 9979)),
+        ("def1_lemma", (9119, 10021), (7178, 9979)),
+    ])
+    def test_verify_theorem(self, tmp_path, monkeypatch, threads, name,
+                            aligned, conflicting):
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+        out = str(tmp_path / "r.json")
+        assert main(["verify-theorem", "--config", str(CONFIGS / f"{name}.json"),
+                     "--mc", "20000", "--seed", "0", "--out", out]) == 0
+        report = read_json(out)
+        err = 1.0 - conflicting[0] / conflicting[1]
+        acc = aligned[0] / aligned[1]
+        assert report["mc_err_conflicting"] == err
+        assert report["mc_acc_aligned"] == acc
+        # the binomial standard errors pin the subgroup sizes
+        assert report["mc_stderr"] == [math.sqrt(err * (1.0 - err) / conflicting[1]),
+                                       math.sqrt(acc * (1.0 - acc) / aligned[1])]
+
+    def test_simulate_gaussian(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+        cfg = write_json(tmp_path / "c.json", {**GAUSS_DEF1, "n": 40000, "d_I": 8, "d_T": 8})
+        out = str(tmp_path / "sim.json")
+        assert main(["simulate-gaussian", "--config", cfg, "--seed", "1",
+                     "--out", out]) == 0
+        report = read_json(out)
+        assert {key: report[key] for key in ("acc_overall", "acc_aligned",
+                                             "acc_conflicting", "n_aligned",
+                                             "n_conflicting", "n_test")} == {
+            "acc_overall": 32628 / 40000, "acc_aligned": 18251 / 20015,
+            "acc_conflicting": 14377 / 19985, "n_aligned": 20015,
+            "n_conflicting": 19985, "n_test": 40000,
+        }
 
 
 class TestSimulateDiscrete:
@@ -398,13 +443,19 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": json.dumps(GAUSS_DEF1)},
      ["simulate-gaussian", "--config", "c.json", "--seed", "-1", "--out", "r.json"],
      2, "seed must be >= 0"),
+    ({"c.json": '{"n": 100, "n": 5}'},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
+     2, "config field n is given more than once"),
+    ({"c.json": '{"num_classes": 2, "p_inv": 0.75, "num_classes": 3}'},
+     ["simulate-discrete", "--config", "c.json", "--out", "r.csv"],
+     2, "config field num_classes is given more than once"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
         "sidecar-overwrites-config", "out-overwrites-input", "svg-is-out",
         "svg-is-manifest", "svg-dir-missing", "discover-threshold-nan",
         "verify-tol-inf", "eval-oversized-cell", "gaussian-impossible-size",
-        "gaussian-negative-seed"])
+        "gaussian-negative-seed", "gaussian-repeated-field", "discrete-repeated-field"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)

@@ -14,11 +14,13 @@ from spurious_lens import (
     GenerativeConfig,
     Mode,
     ParseError,
+    asymptotic_minimizer,
     ood_config,
-    ood_dataset,
+    prompt_embedding,
     sample_dataset,
+    subgroup_accuracy,
 )
-from spurious_lens import synthetic
+from spurious_lens import alignment, synthetic
 from spurious_lens.cli import _json_data
 from spurious_lens.inputs import load_config
 from spurious_lens.synthetic import (
@@ -26,6 +28,7 @@ from spurious_lens.synthetic import (
     STREAM_SAMPLES,
     STREAM_TEST,
     dataset_dictionaries,
+    embed,
     sample_batch,
     sample_latents,
     substream,
@@ -198,6 +201,12 @@ class TestDataset:
         assert np.std(resid) == pytest.approx(0.5 / 8.0, rel=0.05)
 
 
+def scorer(config, dataset):
+    """The asymptotic alignment matrix and the label prompts of a dataset."""
+    return (asymptotic_minimizer(config, dataset.dict_image, dataset.dict_text),
+            (prompt_embedding(dataset.dict_text, 1), prompt_embedding(dataset.dict_text, -1)))
+
+
 class TestOOD:
     def test_ood_config_only_changes_p_spu(self):
         cfg = GenerativeConfig(p_spu=0.95, mu_spu=2.0, mode="TheoremExact")
@@ -208,60 +217,47 @@ class TestOOD:
     def test_ood_batches_deterministic_and_distinct_from_train(self):
         cfg = GenerativeConfig(n=500, d_I=4, d_T=4)
         ds = sample_dataset(cfg, seed=9)
-        a = ood_dataset(cfg, ds.dict_image, ds.dict_text, 9, 500)
-        b = ood_dataset(cfg, ds.dict_image, ds.dict_text, 9, 500)
-        for name in ("x_image", "x_text", "labels", "attributes", "latents"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert not np.array_equal(a.x_image, ds.x_image)
+        a, b = (sample_batch(ood_config(cfg), ds.dict_image, substream(9, STREAM_TEST), 500)
+                for _ in range(2))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], ds.x_image)
+        M, prompts = scorer(cfg, ds)
+        assert (subgroup_accuracy(M, cfg, ds.dict_image, prompts, 9, 500)
+                == subgroup_accuracy(M, cfg, ds.dict_image, prompts, 9, 500))
 
     def test_ood_attribute_rate_is_half(self):
         cfg = GenerativeConfig(p_spu=1.0, n=2)
         ds = sample_dataset(cfg, seed=0)
-        test = ood_dataset(cfg, ds.dict_image, ds.dict_text, 0, 50_000)
-        assert abs((test.attributes == test.labels).mean() - 0.5) < 0.01
-
-    def test_ood_dataset_wraps_batches(self):
-        cfg = GenerativeConfig(n=100, d_I=4, d_T=4)
-        ds = sample_dataset(cfg, seed=1)
-        test = ood_dataset(cfg, ds.dict_image, ds.dict_text, 1, 64)
-        assert len(test) == 64
-        assert test.config.p_spu == 0.5
-        raw = sample_batch(ood_config(cfg), ds.dict_image, ds.dict_text,
-                           substream(1, STREAM_TEST, 0), 64)
-        assert np.array_equal(test.x_image, raw[0])
+        M, prompts = scorer(cfg, ds)
+        report = subgroup_accuracy(M, cfg, ds.dict_image, prompts, 0, 50_000)
+        assert abs(report.n_aligned / 50_000 - 0.5) < 0.01
 
 
 COLUMNS = ("x_image", "x_text", "labels", "attributes", "latents")
 
 
-def chunk_by_chunk(config, dict_image, dict_text, seed, total, tag):
-    """The columns drawn one chunk at a time and concatenated."""
-    parts = [
-        sample_batch(config, dict_image, dict_text, substream(seed, tag, index),
-                     min(CHUNK, total - start))
-        for index, start in enumerate(range(0, total, CHUNK))
-    ]
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
 class TestThreadedSampling:
-    """Several chunks on several workers give the serial columns, bit for bit."""
+    """Several chunks on several workers give the serial results, bit for bit."""
 
     def draw(self, monkeypatch, threads: str):
-        threads_seen = set()
+        calls = []
         sample = synthetic.sample_batch
 
         def recording(*args, **kwargs):
-            threads_seen.add(threading.get_ident())
+            calls.append(threading.get_ident())
             return sample(*args, **kwargs)
 
         monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
         monkeypatch.setattr(synthetic, "sample_batch", recording)
+        monkeypatch.setattr(alignment, "sample_batch", recording)
         cfg = GenerativeConfig(n=5 * CHUNK + 3, d_I=4, d_T=3)
         train = sample_dataset(cfg, seed=11)
-        test = ood_dataset(cfg, train.dict_image, train.dict_text, 11, 3 * CHUNK + 1)
+        M, prompts = scorer(cfg, train)
+        report = subgroup_accuracy(M, cfg, train.dict_image, prompts, 11, 3 * CHUNK + 1)
         monkeypatch.undo()
-        return train, test, threads_seen
+        # six training chunks, then four test chunks
+        assert len(calls) == 10
+        return train, report, set(calls)
 
     def test_one_and_eight_workers_agree(self, monkeypatch):
         serial = self.draw(monkeypatch, "1")
@@ -274,27 +270,27 @@ class TestThreadedSampling:
         main = threading.get_ident()
         assert serial[2] == {main}
         assert main not in threaded[2]
-        for one, eight in zip(serial[:2], threaded[:2]):
-            assert len(one) == len(eight)
-            for name in COLUMNS:
-                assert np.array_equal(getattr(one, name), getattr(eight, name)), name
+        for name in COLUMNS:
+            assert np.array_equal(getattr(serial[0], name), getattr(threaded[0], name)), name
+        assert serial[1] == threaded[1]
 
     def test_rows_are_the_chunks_in_order(self, monkeypatch):
         monkeypatch.setenv("SPURIOUS_LENS_THREADS", "8")
         cfg = GenerativeConfig(n=2 * CHUNK + 5, d_I=4, d_T=3)
         train = sample_dataset(cfg, seed=3)
-        test = ood_dataset(cfg, train.dict_image, train.dict_text, 3, CHUNK + 1)
-        expected = (
-            (train, chunk_by_chunk(cfg, train.dict_image, train.dict_text, 3,
-                                   cfg.n, STREAM_SAMPLES)),
-            (test, chunk_by_chunk(ood_config(cfg), train.dict_image, train.dict_text,
-                                  3, CHUNK + 1, STREAM_TEST)),
-        )
-        for dataset, columns in expected:
-            for name, column in zip(COLUMNS, columns):
-                got = getattr(dataset, name)
-                assert got.dtype == column.dtype
-                assert np.array_equal(got, column), name
+        parts = []
+        for index, start in enumerate(range(0, cfg.n, CHUNK)):
+            # one generator per chunk: latents, then the image, then the text noise
+            rng = substream(3, STREAM_SAMPLES, index)
+            z, y, a = sample_latents(cfg, rng, min(CHUNK, cfg.n - start))
+            x_image = embed(z, train.dict_image, cfg.sigma_xi, rng)
+            x_text = embed(z, train.dict_text, cfg.sigma_xi, rng)
+            parts.append((x_image, x_text, y, a, z))
+        for name, column in zip(COLUMNS, zip(*parts)):
+            want = np.concatenate(column)
+            got = getattr(train, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), name
 
 
 @settings(max_examples=25, deadline=None)
@@ -304,8 +300,8 @@ class TestThreadedSampling:
 )
 def test_sample_batch_deterministic_for_any_seed(seed, size):
     cfg = GenerativeConfig(n=2, d_I=4, d_T=3)
-    dict_image, dict_text = dataset_dictionaries(cfg, seed=1)
-    a = sample_batch(cfg, dict_image, dict_text, substream(seed, 2), size)
-    b = sample_batch(cfg, dict_image, dict_text, substream(seed, 2), size)
+    dict_image, _ = dataset_dictionaries(cfg, seed=1)
+    a = sample_batch(cfg, dict_image, substream(seed, 2), size)
+    b = sample_batch(cfg, dict_image, substream(seed, 2), size)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert a[0].shape == (size, 4)
