@@ -69,6 +69,8 @@ def _data_term(dataset: SyntheticDataset) -> np.ndarray:
     ordered pairs collapses to C = (sum_I sum_T^T - n * X_I^T X_T) / (n(n-1)).
     """
     n = len(dataset)
+    if n < 2:
+        raise InsufficientDataError("contrastive loss needs at least 2 pairs")
     sum_i = dataset.x_image.sum(axis=0)
     sum_t = dataset.x_text.sum(axis=0)
     matched = dataset.x_image.T @ dataset.x_text
@@ -77,8 +79,6 @@ def _data_term(dataset: SyntheticDataset) -> np.ndarray:
 
 def clip_loss(M: AlignmentMatrix, dataset: SyntheticDataset, rho: float) -> float:
     """Average mismatched-minus-matched similarity plus (rho/2) ||M||_F^2."""
-    if len(dataset) < 2:
-        raise InsufficientDataError("contrastive loss needs at least 2 pairs")
     _check_dims(M, dataset)
     data = float(np.vdot(_data_term(dataset), M.entries))
     return data + 0.5 * rho * float(np.sum(M.entries ** 2))
@@ -86,8 +86,6 @@ def clip_loss(M: AlignmentMatrix, dataset: SyntheticDataset, rho: float) -> floa
 
 def clip_loss_gradient(M: AlignmentMatrix, dataset: SyntheticDataset, rho: float) -> np.ndarray:
     """Exact gradient of :func:`clip_loss` with respect to M."""
-    if len(dataset) < 2:
-        raise InsufficientDataError("contrastive loss needs at least 2 pairs")
     _check_dims(M, dataset)
     return _data_term(dataset) + rho * M.entries
 
@@ -100,8 +98,6 @@ def empirical_minimizer(dataset: SyntheticDataset, rho: float) -> AlignmentMatri
     """
     if rho <= 0:
         raise ConfigError(f"rho must be > 0, got {rho}")
-    if len(dataset) < 2:
-        raise InsufficientDataError("minimizer needs at least 2 pairs")
     return AlignmentMatrix(-_data_term(dataset) / rho)
 
 
@@ -238,10 +234,11 @@ def subgroup_counts(M: AlignmentMatrix, x_image: np.ndarray, labels: np.ndarray,
 
 
 def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
-                      dict_image: Dictionary, prompts, seed: int,
+                      dict_image: Dictionary, dict_text: Dictionary, seed: int,
                       total: int) -> SubgroupReport:
-    """Accuracy overall and split over the a == y and a != y subgroups on
-    ``total`` samples of the p_spu = 1/2 test distribution.
+    """Zero-shot accuracy against the (+1, -1) label prompts of ``dict_text``,
+    overall and split over the a == y and a != y subgroups, on ``total``
+    samples of the p_spu = 1/2 test distribution.
 
     Each STREAM_TEST chunk is drawn, scored and counted on its own and only
     the counts are kept, so the report is the same for any worker count.
@@ -249,6 +246,7 @@ def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
     if total < 1:
         raise InsufficientDataError(f"the test set needs at least 1 sample, got {total}")
     test_config = ood_config(config)
+    prompts = (prompt_embedding(dict_text, 1), prompt_embedding(dict_text, -1))
 
     def counts(rng, start, stop):
         x_image, y, a, _ = sample_batch(test_config, dict_image, rng, stop - start)

@@ -35,7 +35,6 @@ from .alignment import (
     empirical_minimizer,
     latent_alignment_target,
     population_alignment_target,
-    prompt_embedding,
     subgroup_accuracy,
 )
 from .discrete import DiscreteConfig, run_discrete_experiment
@@ -170,11 +169,8 @@ def cmd_simulate_gaussian(args) -> _Outcome:
     config = args.config
     trainset = sample_dataset(config, args.seed)
     matrix = empirical_minimizer(trainset, config.rho)
-    prompts = (prompt_embedding(trainset.dict_text, 1),
-               prompt_embedding(trainset.dict_text, -1))
-    report = subgroup_accuracy(matrix, config, trainset.dict_image, prompts,
-                               args.seed, config.n)
     dicts = (trainset.dict_image, trainset.dict_text)
+    report = subgroup_accuracy(matrix, config, *dicts, args.seed, config.n)
     print(f"acc_overall {fmt_pct(report.acc_overall)}%", file=sys.stderr)
     return _Outcome([(args.out, {
         **_json_data(report),
@@ -361,9 +357,5 @@ def main(argv=None) -> int:
         return 4
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

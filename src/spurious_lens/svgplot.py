@@ -10,11 +10,13 @@ import xml.etree.ElementTree as ET
 
 from .evaluation import FitLine, Transform, transform_coordinates
 
+_WIDTH = 480
+_HEIGHT = 480
 _MARGIN = 56
 _TICKS = 5
 
 
-def render_fit_svg(points, fit: FitLine, width: int = 480, height: int = 480) -> str:
+def render_fit_svg(points, fit: FitLine) -> str:
     """Scatter of the points with the fitted line and a dashed y=x reference.
 
     Coordinates are drawn in the fit's own space, so a probit fit plots the
@@ -29,39 +31,39 @@ def render_fit_svg(points, fit: FitLine, width: int = 480, height: int = 480) ->
     span = hi - lo
 
     def sx(v: float) -> float:
-        return _MARGIN + (v - lo) / span * (width - 2 * _MARGIN)
+        return _MARGIN + (v - lo) / span * (_WIDTH - 2 * _MARGIN)
 
     def sy(v: float) -> float:
-        return height - _MARGIN - (v - lo) / span * (height - 2 * _MARGIN)
+        return _HEIGHT - _MARGIN - (v - lo) / span * (_HEIGHT - 2 * _MARGIN)
 
     def fmt(v: float) -> str:
         return f"{v:.6g}"
 
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
-        "width": str(width),
-        "height": str(height),
-        "viewBox": f"0 0 {width} {height}",
+        "width": str(_WIDTH),
+        "height": str(_HEIGHT),
+        "viewBox": f"0 0 {_WIDTH} {_HEIGHT}",
     })
     ET.SubElement(svg, "rect", {
-        "x": "0", "y": "0", "width": str(width), "height": str(height),
+        "x": "0", "y": "0", "width": str(_WIDTH), "height": str(_HEIGHT),
         "fill": "white",
     })
     ET.SubElement(svg, "rect", {
         "x": fmt(_MARGIN), "y": fmt(_MARGIN),
-        "width": fmt(width - 2 * _MARGIN), "height": fmt(height - 2 * _MARGIN),
+        "width": fmt(_WIDTH - 2 * _MARGIN), "height": fmt(_HEIGHT - 2 * _MARGIN),
         "fill": "none", "stroke": "black", "stroke-width": "1",
     })
     for i in range(_TICKS):
         v = lo + span * i / (_TICKS - 1)
         px, py = sx(v), sy(v)
         ET.SubElement(svg, "line", {
-            "x1": fmt(px), "y1": fmt(height - _MARGIN),
-            "x2": fmt(px), "y2": fmt(height - _MARGIN + 5),
+            "x1": fmt(px), "y1": fmt(_HEIGHT - _MARGIN),
+            "x2": fmt(px), "y2": fmt(_HEIGHT - _MARGIN + 5),
             "stroke": "black", "stroke-width": "1",
         })
         tick_x = ET.SubElement(svg, "text", {
-            "x": fmt(px), "y": fmt(height - _MARGIN + 18),
+            "x": fmt(px), "y": fmt(_HEIGHT - _MARGIN + 18),
             "font-size": "10", "text-anchor": "middle",
             "font-family": "sans-serif",
         })
@@ -80,14 +82,14 @@ def render_fit_svg(points, fit: FitLine, width: int = 480, height: int = 480) ->
 
     space = "accuracy" if fit.transform is Transform.LINEAR else "probit(accuracy)"
     x_label = ET.SubElement(svg, "text", {
-        "x": fmt(width / 2), "y": fmt(height - 12),
+        "x": fmt(_WIDTH / 2), "y": fmt(_HEIGHT - 12),
         "font-size": "12", "text-anchor": "middle", "font-family": "sans-serif",
     })
     x_label.text = f"easy {space}"
     y_label = ET.SubElement(svg, "text", {
-        "x": "14", "y": fmt(height / 2),
+        "x": "14", "y": fmt(_HEIGHT / 2),
         "font-size": "12", "text-anchor": "middle", "font-family": "sans-serif",
-        "transform": f"rotate(-90 14 {fmt(height / 2)})",
+        "transform": f"rotate(-90 14 {fmt(_HEIGHT / 2)})",
     })
     y_label.text = f"hard {space}"
 

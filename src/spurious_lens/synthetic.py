@@ -101,15 +101,11 @@ class GenerativeConfig:
     n: int = 10_000
     d_I: int = 64
     d_T: int = 64
-    latent_dim: int = LATENT_DIM
-    h: int = 2
     rho: float = 1.0
     mode: Mode = Mode.DEF1
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
-        if self.latent_dim != LATENT_DIM:
-            raise ConfigError(f"latent_dim is fixed to {LATENT_DIM}, got {self.latent_dim}")
         if not 0.5 <= self.p_spu <= 1.0:
             raise ConfigError(f"p_spu must lie in [0.5, 1.0], got {self.p_spu}")
         for name in ("sigma_inv", "sigma_spu", "sigma_xi"):
@@ -121,8 +117,6 @@ class GenerativeConfig:
             raise ConfigError(
                 f"ambient dims must be >= {LATENT_DIM}, got d_I={self.d_I}, d_T={self.d_T}"
             )
-        if self.h < LATENT_DIM:
-            raise ConfigError(f"h must be >= {LATENT_DIM}, got {self.h}")
         if self.rho <= 0:
             raise ConfigError(f"rho must be > 0, got {self.rho}")
         if self.mode is Mode.THEOREM_EXACT and self.mu_inv != 1.0:

@@ -16,7 +16,6 @@ from .alignment import (
     alignment_gap,
     asymptotic_minimizer,
     empirical_minimizer,
-    prompt_embedding,
     subgroup_accuracy,
 )
 from .errors import ConfigError, DomainError, InsufficientDataError
@@ -149,16 +148,16 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
 
     bounds = theorem_bounds(params_from_config(config))
-    dict_image, dict_text = dataset_dictionaries(config, seed)
     gap = None
     if config.mode is Mode.THEOREM_EXACT:
+        dict_image, dict_text = dataset_dictionaries(config, seed)
         matrix = asymptotic_minimizer(config, dict_image, dict_text)
     else:
         trainset = sample_dataset(config, seed)
+        dict_image, dict_text = trainset.dict_image, trainset.dict_text
         matrix = empirical_minimizer(trainset, config.rho)
         gap = alignment_gap(matrix, config, dict_image, dict_text)
-    prompts = (prompt_embedding(dict_text, 1), prompt_embedding(dict_text, -1))
-    report = subgroup_accuracy(matrix, config, dict_image, prompts, seed, mc_samples)
+    report = subgroup_accuracy(matrix, config, dict_image, dict_text, seed, mc_samples)
     n_aligned, n_conflicting = report.n_aligned, report.n_conflicting
     if n_aligned == 0 or n_conflicting == 0:
         raise InsufficientDataError("a Monte-Carlo subgroup came out empty")

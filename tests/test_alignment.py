@@ -84,8 +84,13 @@ class TestLoss:
             latents=ds.latents[:1],
             dict_image=ds.dict_image, dict_text=ds.dict_text,
         )
-        with pytest.raises(InsufficientDataError):
-            clip_loss(random_matrix((4, 3), 0), one, 1.0)
+        M = random_matrix((4, 3), 0)
+        for fit in (lambda: clip_loss(M, one, 1.0),
+                    lambda: clip_loss_gradient(M, one, 1.0),
+                    lambda: empirical_minimizer(one, 1.0),
+                    lambda: gradient_descent_minimizer(one, 1.0, steps=5, step_size=0.1)):
+            with pytest.raises(InsufficientDataError):
+                fit()
 
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(ShapeError):
@@ -230,7 +235,7 @@ class TestZeroShot:
         self.cfg = GenerativeConfig(d_I=6, d_T=6)
         self.di, self.dt = dataset_dictionaries(self.cfg, 0)
         self.M = asymptotic_minimizer(self.cfg, self.di, self.dt)
-        self.prompts = (prompt_embedding(self.dt, 1), prompt_embedding(self.dt, -1))
+        self.prompts = label_prompts(self.dt)
 
     def test_prompt_vector_is_label_scaled_first_atom(self):
         pos = prompt_embedding(self.dt, 1)
@@ -271,7 +276,7 @@ class TestZeroShot:
         pred = zero_shot_predict_batch(
             asymptotic_minimizer(cfg, ds.dict_image, ds.dict_text),
             ds.x_image,
-            (prompt_embedding(ds.dict_text, 1), prompt_embedding(ds.dict_text, -1)),
+            label_prompts(ds.dict_text),
         )
         acc = (pred == ds.labels).mean()
         assert acc == 1.0
@@ -297,7 +302,7 @@ class TestSubgroups:
         cfg = GenerativeConfig(n=4000)
         ds = sample_dataset(cfg, seed=0)
         M = empirical_minimizer(ds, cfg.rho)
-        rep = subgroup_accuracy(M, cfg, ds.dict_image, label_prompts(ds.dict_text), 0, 4000)
+        rep = subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 0, 4000)
         assert rep.n_aligned + rep.n_conflicting == 4000
         recombined = (rep.acc_aligned * rep.n_aligned
                       + rep.acc_conflicting * rep.n_conflicting) / 4000
@@ -307,7 +312,7 @@ class TestSubgroups:
         cfg = GenerativeConfig(n=300)
         ds = sample_dataset(cfg, seed=1)
         M = empirical_minimizer(ds, cfg.rho)
-        rep = subgroup_accuracy(M, cfg, ds.dict_image, label_prompts(ds.dict_text), 1, 1)
+        rep = subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 1, 1)
         assert rep.n_aligned + rep.n_conflicting == 1
         rates = (rep.acc_aligned, rep.acc_conflicting)
         assert rates.count(None) == 1
@@ -318,14 +323,13 @@ class TestSubgroups:
         ds = sample_dataset(cfg, seed=1)
         M = empirical_minimizer(ds, cfg.rho)
         with pytest.raises(InsufficientDataError):
-            subgroup_accuracy(M, cfg, ds.dict_image, label_prompts(ds.dict_text), 1, 0)
+            subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 1, 0)
 
     def test_json_dict_field_names(self):
         cfg = GenerativeConfig(n=500)
         ds = sample_dataset(cfg, seed=3)
         M = empirical_minimizer(ds, cfg.rho)
-        d = _json_data(subgroup_accuracy(M, cfg, ds.dict_image,
-                                         label_prompts(ds.dict_text), 3, 500))
+        d = _json_data(subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 3, 500))
         assert set(d) == {"acc_overall", "acc_aligned", "acc_conflicting",
                           "n_aligned", "n_conflicting"}
 
@@ -354,12 +358,11 @@ class TestSubgroupCounts:
             cfg = GenerativeConfig(n=2, d_I=4, d_T=3, p_spu=p_spu)
             dict_image, dict_text = dataset_dictionaries(cfg, seed=trial)
             M = random_matrix((4, 3), seed=trial)
-            prompts = label_prompts(dict_text)
             want = mean_of_masks_report(M, *chunked_test_set(cfg, dict_image, trial, total),
-                                        prompts)
+                                        label_prompts(dict_text))
             for threads in ("1", "8"):
                 monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
-                got = subgroup_accuracy(M, cfg, dict_image, prompts, trial, total)
+                got = subgroup_accuracy(M, cfg, dict_image, dict_text, trial, total)
                 assert _json_data(got) == want, (trial, threads)
 
     @pytest.mark.parametrize("conflicting,empty", [(False, "acc_conflicting"),
@@ -373,8 +376,7 @@ class TestSubgroupCounts:
             x_image, labels, attributes = chunked_test_set(cfg, dict_image, seed, 1)
             if (attributes[0] != labels[0]) == conflicting:
                 break
-        got = _json_data(subgroup_accuracy(M, cfg, dict_image, label_prompts(dict_text),
-                                           seed, 1))
+        got = _json_data(subgroup_accuracy(M, cfg, dict_image, dict_text, seed, 1))
         assert got[empty] is None
         assert got == mean_of_masks_report(M, x_image, labels, attributes,
                                            label_prompts(dict_text))
@@ -382,8 +384,7 @@ class TestSubgroupCounts:
     def test_counts_partition_the_rows(self):
         ds = sample_dataset(GenerativeConfig(n=777, d_I=4, d_T=3), seed=4)
         M = random_matrix((4, 3), seed=1)
-        prompts = (prompt_embedding(ds.dict_text, 1),
-                   prompt_embedding(ds.dict_text, -1))
+        prompts = label_prompts(ds.dict_text)
         correct_aligned, n_aligned, correct_conflicting, n_conflicting = subgroup_counts(
             M, ds.x_image, ds.labels, ds.attributes, prompts)
         assert all(type(c) is int for c in (correct_aligned, n_aligned,

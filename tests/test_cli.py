@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spurious_lens import SimilarityTable, __version__, load_schema
+from spurious_lens import (DiscreteConfig, GenerativeConfig, SimilarityTable, __version__,
+                           load_schema)
 from spurious_lens import cli
 from spurious_lens.cli import main
 
@@ -449,13 +451,17 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": '{"num_classes": 2, "p_inv": 0.75, "num_classes": 3}'},
      ["simulate-discrete", "--config", "c.json", "--out", "r.csv"],
      2, "config field num_classes is given more than once"),
+    ({"c.json": '{"h": 2}'},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
+     2, "unknown config fields: ['h']"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
         "sidecar-overwrites-config", "out-overwrites-input", "svg-is-out",
         "svg-is-manifest", "svg-dir-missing", "discover-threshold-nan",
         "verify-tol-inf", "eval-oversized-cell", "gaussian-impossible-size",
-        "gaussian-negative-seed", "gaussian-repeated-field", "discrete-repeated-field"])
+        "gaussian-negative-seed", "gaussian-repeated-field", "discrete-repeated-field",
+        "gaussian-removed-field"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)
@@ -480,7 +486,8 @@ def test_non_finite_result_exits_three_without_output(tmp_path, monkeypatch, cap
 
 
 def test_config_digest_pinned(tmp_path):
-    # the inputs of acceptance criterion 7; the digests predate the shared runner
+    # the inputs of acceptance criterion 7; the digests predate the shared runner,
+    # the two Gaussian ones date from the removal of the config fields h and latent_dim
     gauss = write_json(tmp_path / "gauss.json", {
         "sigma_inv": 1.0, "sigma_spu": 0.5, "mu_spu": 2.0, "p_spu": 0.95,
         "sigma_xi": 0.1, "n": 1500, "d_I": 12, "d_T": 12, "mode": "TheoremExact",
@@ -503,9 +510,9 @@ def test_config_digest_pinned(tmp_path):
     points = write(tmp_path / "points.csv", "easy,hard\n0.6,0.4\n0.8,0.6\n0.7,0.52\n")
     pinned = [
         (["verify-theorem", "--config", gauss, "--mc", "20000"],
-         "3498cd4351007686a0d5f0c268ddd0816b58d4823fd70d7eb27e09a8e7221468"),
+         "9f31c804f57dba1aaa3cb87e80ddd8ff618ebd08fa9728480325db9791ba1f74"),
         (["simulate-gaussian", "--config", gauss],
-         "50cdd5e81f546d751444bec791ee65c8fb45947ec2529743e247f8940b185927"),
+         "270bd6fe0796a54e8eb891314e0fef3efcb0763348692632b64640701c8382cf"),
         (["simulate-discrete", "--config", discrete, "--seeds", "2"],
          "15dc8637a6b24b3c9392a7f8a4d7273faaf3cb8a795464a974eec5caaf794be4"),
         (["eval", "--predictions", preds],
@@ -521,6 +528,41 @@ def test_config_digest_pinned(tmp_path):
         out = str(tmp_path / f"{argv[0]}.out")
         assert main(argv + ["--out", out]) == 0
         assert manifest_of(out)["config_digest"] == digest, argv[0]
+
+
+# The schema each shipped config is written against.
+SHIPPED_CONFIGS = {"def1_lemma.json": "generative_config",
+                   "theorem_exact.json": "generative_config",
+                   "discrete_k2.json": "discrete_config"}
+
+
+class TestConfigSchemas:
+    """The config schemas list exactly the dataclass fields, and every config
+    the project ships or echoes into a report validates against them."""
+
+    @pytest.mark.parametrize("cls,name", [(GenerativeConfig, "generative_config"),
+                                          (DiscreteConfig, "discrete_config")])
+    def test_properties_are_the_fields(self, cls, name):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert set(load_schema(name)["properties"]) == fields
+
+    def test_shipped_configs_validate(self):
+        assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(SHIPPED_CONFIGS)
+        for file, name in SHIPPED_CONFIGS.items():
+            check_schema(read_json(CONFIGS / file), name)
+
+    @pytest.mark.parametrize("argv,config,name", [
+        (["verify-theorem", "--mc", "20000", "--out", "r.json"], GAUSS_EXACT,
+         "generative_config"),
+        (["simulate-gaussian", "--out", "r.json"], GAUSS_DEF1, "generative_config"),
+        # the CSV table goes to --out, the JSON report next to it
+        (["simulate-discrete", "--seeds", "1", "--out", "r.csv"], DISCRETE,
+         "discrete_config"),
+    ], ids=["verify-theorem", "simulate-gaussian", "simulate-discrete"])
+    def test_echoed_config_validates(self, tmp_path, monkeypatch, argv, config, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--config", write_json(tmp_path / "c.json", config)]) == 0
+        check_schema(read_json(tmp_path / "r.json")["config"], name)
 
 
 # Per subcommand: the input option, a valid input, the other arguments,

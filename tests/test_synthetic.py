@@ -16,7 +16,6 @@ from spurious_lens import (
     ParseError,
     asymptotic_minimizer,
     ood_config,
-    prompt_embedding,
     sample_dataset,
     subgroup_accuracy,
 )
@@ -35,15 +34,14 @@ from spurious_lens.synthetic import (
 )
 
 NUMERIC_FIELDS = ("mu_inv", "mu_spu", "sigma_inv", "sigma_spu", "sigma_xi", "p_spu",
-                  "n", "d_I", "d_T", "latent_dim", "h", "rho")
-INT_FIELDS = ("n", "d_I", "d_T", "latent_dim", "h")
+                  "n", "d_I", "d_T", "rho")
+INT_FIELDS = ("n", "d_I", "d_T")
 
 
 class TestConfig:
     def test_defaults_valid(self):
         cfg = GenerativeConfig()
         assert cfg.mode is Mode.DEF1
-        assert cfg.latent_dim == 2
 
     @pytest.mark.parametrize("field,value", [
         ("p_spu", 0.4),
@@ -54,10 +52,8 @@ class TestConfig:
         ("n", 1),
         ("d_I", 1),
         ("d_T", 1),
-        ("h", 1),
         ("rho", 0.0),
         ("rho", -1.0),
-        ("latent_dim", 3),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError):
@@ -201,12 +197,6 @@ class TestDataset:
         assert np.std(resid) == pytest.approx(0.5 / 8.0, rel=0.05)
 
 
-def scorer(config, dataset):
-    """The asymptotic alignment matrix and the label prompts of a dataset."""
-    return (asymptotic_minimizer(config, dataset.dict_image, dataset.dict_text),
-            (prompt_embedding(dataset.dict_text, 1), prompt_embedding(dataset.dict_text, -1)))
-
-
 class TestOOD:
     def test_ood_config_only_changes_p_spu(self):
         cfg = GenerativeConfig(p_spu=0.95, mu_spu=2.0, mode="TheoremExact")
@@ -221,15 +211,15 @@ class TestOOD:
                 for _ in range(2))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not np.array_equal(a[0], ds.x_image)
-        M, prompts = scorer(cfg, ds)
-        assert (subgroup_accuracy(M, cfg, ds.dict_image, prompts, 9, 500)
-                == subgroup_accuracy(M, cfg, ds.dict_image, prompts, 9, 500))
+        M = asymptotic_minimizer(cfg, ds.dict_image, ds.dict_text)
+        assert (subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 9, 500)
+                == subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 9, 500))
 
     def test_ood_attribute_rate_is_half(self):
         cfg = GenerativeConfig(p_spu=1.0, n=2)
         ds = sample_dataset(cfg, seed=0)
-        M, prompts = scorer(cfg, ds)
-        report = subgroup_accuracy(M, cfg, ds.dict_image, prompts, 0, 50_000)
+        M = asymptotic_minimizer(cfg, ds.dict_image, ds.dict_text)
+        report = subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 0, 50_000)
         assert abs(report.n_aligned / 50_000 - 0.5) < 0.01
 
 
@@ -252,8 +242,8 @@ class TestThreadedSampling:
         monkeypatch.setattr(alignment, "sample_batch", recording)
         cfg = GenerativeConfig(n=5 * CHUNK + 3, d_I=4, d_T=3)
         train = sample_dataset(cfg, seed=11)
-        M, prompts = scorer(cfg, train)
-        report = subgroup_accuracy(M, cfg, train.dict_image, prompts, 11, 3 * CHUNK + 1)
+        M = asymptotic_minimizer(cfg, train.dict_image, train.dict_text)
+        report = subgroup_accuracy(M, cfg, train.dict_image, train.dict_text, 11, 3 * CHUNK + 1)
         monkeypatch.undo()
         # six training chunks, then four test chunks
         assert len(calls) == 10
