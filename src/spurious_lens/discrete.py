@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonconvergenceError
+from .errors import ConfigError, InsufficientDataError, NonconvergenceError
 from .synthetic import substream
 
 # Bias strength of the reversed test split toward the swapped color.
@@ -224,26 +224,41 @@ class DualHeadClassifier:
 
 def ce_loss(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
     """Mean multinomial cross-entropy of linear logits."""
-    return _ce_loss_grad(np.asarray(weights, dtype=float),
-                         np.atleast_2d(features), np.asarray(labels))[0]
+    return _ce_loss_grad(*_ce_args(weights, features, labels))[0]
 
 
 def ce_gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Gradient of :func:`ce_loss` with respect to the weight matrix."""
-    return _ce_loss_grad(np.asarray(weights, dtype=float),
-                         np.atleast_2d(features), np.asarray(labels))[1]
+    return _ce_loss_grad(*_ce_args(weights, features, labels))[1]
+
+
+def _ce_args(weights, features, labels):
+    # the kernel's flat index would read another row's cell for an out-of-range label
+    weights, labels = np.asarray(weights, dtype=float), np.asarray(labels)
+    if not np.all((labels >= 0) & (labels < weights.shape[0])):
+        raise ConfigError(f"labels must lie in [0, {weights.shape[0]})")
+    return weights, np.atleast_2d(features), labels
 
 
 def _ce_loss_grad(weights: np.ndarray, x: np.ndarray, labels: np.ndarray):
-    n = x.shape[0]
+    n, k = x.shape[0], weights.shape[0]
     logits = x @ weights.T
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    z = exp.sum(axis=1, keepdims=True)
-    idx = np.arange(n)
-    loss = float(np.mean(np.log(z[:, 0]) - logits[idx, labels]))
-    p = exp / z
-    p[idx, labels] -= 1.0
+    # numpy reduces along a short row axis slowly, so max and sum go column by
+    # column.  A max is exact in any order; numpy's pairwise sum adds a row
+    # shorter than 8 left to right, as sum() over the columns does, but not a
+    # longer one (the reference-kernel test fails on a numpy that differs).
+    cols = logits.T
+    top = cols[0].copy()
+    for j in range(1, k):
+        np.maximum(top, cols[j], out=top)
+    logits -= top[:, None]
+    flat = np.arange(n) * k + labels
+    true = logits.ravel()[flat]
+    exp = np.exp(logits, out=logits)
+    z = sum(cols[1:], cols[0]) if k < 8 else exp.sum(axis=1)
+    loss = float(np.mean(np.log(z) - true))
+    p = np.divide(exp, z[:, None], out=exp)
+    p.ravel()[flat] -= 1.0
     return loss, p.T @ x / n
 
 
@@ -327,7 +342,7 @@ class SplitReport:
     def __post_init__(self):
         for name in ("acc_rand_biased", "acc_rev_biased", "acc_rest"):
             v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
+            if not (name == "acc_rest" if v is None else 0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
 
 
@@ -348,6 +363,10 @@ def evaluate_splits(model, config: DiscreteConfig, n_test: int, seed: int) -> Sp
 
     rand_biased = np.isin(rand.object_labels, biased)
     rev_biased = np.isin(rev.object_labels, biased)
+    for split, mask in ((rand, rand_biased), (rev, rev_biased)):
+        if not mask.any():
+            raise InsufficientDataError(f"the {split.split.value} test split has no row of "
+                                        f"the biased classes {list(config.biased_classes)}")
     acc_rest = None
     if config.num_classes > 2:
         acc_rest = masked_acc(rand, ~rand_biased)

@@ -11,6 +11,7 @@ from spurious_lens import (
     ConfigError,
     DiscreteConfig,
     DualHeadClassifier,
+    InsufficientDataError,
     LinearClassifier,
     NonconvergenceError,
     ParseError,
@@ -24,6 +25,7 @@ from spurious_lens import (
     train_contrastive_perfect,
     train_supervised,
 )
+from spurious_lens import discrete
 from spurious_lens.cli import _json_data
 from spurious_lens.inputs import load_config
 
@@ -32,6 +34,20 @@ BASE = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000)
 
 def chi2_pvalue(chi2: float, dof: int) -> float:
     return float(mpmath.gammainc(dof / 2, chi2 / 2, mpmath.inf, regularized=True))
+
+
+def reference_ce_loss_grad(weights, x, labels):
+    """The plain row-wise kernel that discrete._ce_loss_grad must match bit for bit."""
+    n = x.shape[0]
+    logits = x @ weights.T
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    z = exp.sum(axis=1, keepdims=True)
+    idx = np.arange(n)
+    loss = float(np.mean(np.log(z[:, 0]) - logits[idx, labels]))
+    p = exp / z
+    p[idx, labels] -= 1.0
+    return loss, p.T @ x / n
 
 
 class TestConfig:
@@ -274,6 +290,14 @@ class TestLossAndTraining:
         con_acc = (con.predict(data.features) == data.object_labels).mean()
         assert abs(sup_acc - con_acc) <= 0.05
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_label_out_of_range_rejected(self, bad):
+        x = np.eye(3, BASE.feature_dim)
+        w = np.zeros((2, BASE.feature_dim))
+        for fn in (ce_loss, ce_gradient):
+            with pytest.raises(ConfigError):
+                fn(w, x, np.array([0, bad, 1]))
+
     def test_huge_step_raises_nonconvergence(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=100)
         with pytest.raises(NonconvergenceError) as err:
@@ -287,11 +311,63 @@ class TestLossAndTraining:
             train_supervised(data, **kwargs)
 
 
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_loss_and_gradient_bit_equal(self, k):
+        rng = np.random.default_rng(100 + k)
+        for n in (2, *rng.integers(3, 4000, size=5)):
+            d = int(rng.integers(1, 40))
+            x = rng.standard_normal((n, d))
+            for scale in (0.01, 1.0, 30.0):
+                w = scale * rng.standard_normal((k, d))
+                for labels in (rng.integers(0, k, size=n),
+                               np.full(n, int(rng.integers(0, k)))):
+                    loss, grad = discrete._ce_loss_grad(w, x, labels)
+                    ref_loss, ref_grad = reference_ce_loss_grad(w, x, labels)
+                    assert loss == ref_loss
+                    assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("num_classes, num_colors",
+                             [(2, None), (5, None), (8, None), (12, None), (5, 9)])
+    def test_trained_weights_bit_equal(self, monkeypatch, num_classes, num_colors):
+        # (5, 9): the object head sums by column and the color head with
+        # sum(axis=1) inside one contrastive loss_grad
+        cfg = DiscreteConfig(num_classes=num_classes, num_colors=num_colors,
+                             p_inv=0.75, p_spu=0.9, n_train=600)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=3)
+
+        def train():
+            sup = train_supervised(data, epochs=80, rng=np.random.default_rng(1))
+            con = train_contrastive_perfect(data, epochs=80,
+                                            rng=np.random.default_rng(2))
+            return sup.weights, con.object_head, con.color_head
+
+        fast = train()
+        monkeypatch.setattr(discrete, "_ce_loss_grad", reference_ce_loss_grad)
+        for got, want in zip(fast, train()):
+            assert np.array_equal(got, want)
+
+
 class TestEvaluation:
     def test_split_report_rejects_out_of_range(self):
         with pytest.raises(ConfigError):
             SplitReport(method="supervised", acc_rand_biased=1.2,
                         acc_rev_biased=0.5, acc_rest=None)
+
+    @pytest.mark.parametrize("column", ["acc_rand_biased", "acc_rev_biased"])
+    def test_split_report_rejects_missing_biased_accuracy(self, column):
+        values = dict(acc_rand_biased=0.5, acc_rev_biased=0.5, acc_rest=None)
+        values[column] = None
+        with pytest.raises(ConfigError):
+            SplitReport(method="supervised", **values)
+
+    def test_empty_biased_subset_is_insufficient_data(self):
+        # with 50 classes, 10 test rows per split miss both biased classes
+        # on the Rev split of seed 2
+        cfg = DiscreteConfig(num_classes=50, p_inv=0.75, p_spu=0.9, n_train=20)
+        model = LinearClassifier(np.zeros((50, cfg.feature_dim)))
+        with pytest.raises(InsufficientDataError, match=r"Rev test split .*\[0, 1\]"):
+            evaluate_splits(model, cfg, n_test=10, seed=2)
 
     def test_rest_is_none_for_two_classes(self):
         model = LinearClassifier(np.zeros((2, BASE.feature_dim)))
