@@ -25,7 +25,6 @@ from .alignment import (
 from .discrete import (
     DiscreteConfig,
     DiscreteDataset,
-    DualHeadClassifier,
     LinearClassifier,
     MethodSummary,
     Split,

@@ -77,11 +77,14 @@ def _data_term(dataset: SyntheticDataset) -> np.ndarray:
     return (np.outer(sum_i, sum_t) - n * matched) / (n * (n - 1))
 
 
+def _loss(data: np.ndarray, m: np.ndarray, rho: float) -> float:
+    return float(np.vdot(data, m)) + 0.5 * rho * float(np.sum(m ** 2))
+
+
 def clip_loss(M: AlignmentMatrix, dataset: SyntheticDataset, rho: float) -> float:
     """Average mismatched-minus-matched similarity plus (rho/2) ||M||_F^2."""
     _check_dims(M, dataset)
-    data = float(np.vdot(_data_term(dataset), M.entries))
-    return data + 0.5 * rho * float(np.sum(M.entries ** 2))
+    return _loss(_data_term(dataset), M.entries, rho)
 
 
 def clip_loss_gradient(M: AlignmentMatrix, dataset: SyntheticDataset, rho: float) -> np.ndarray:
@@ -167,15 +170,11 @@ def gradient_descent_minimizer(dataset: SyntheticDataset, rho: float,
         raise ConfigError(f"rho must be > 0, got {rho}")
     data = _data_term(dataset)
     m = np.zeros_like(data)
-
-    def loss(mat):
-        return float(np.vdot(data, mat)) + 0.5 * rho * float(np.sum(mat ** 2))
-
-    prev = loss(m)
+    prev = _loss(data, m, rho)
     rising = 0
     for step in range(1, steps + 1):
         m = m - step_size * (data + rho * m)
-        cur = loss(m)
+        cur = _loss(data, m, rho)
         if cur > prev:
             rising += 1
             if rising >= 10:

@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,7 +65,7 @@ from .theory import format_report_table, verify_theorem
 
 _INPUT_ERRORS = (ParseError, ConfigError, InsufficientDataError, ShapeError, OSError)
 _NUMERIC_ERRORS = (NonconvergenceError, DomainError, DegenerateFitError,
-                   ArithmeticError, np.linalg.LinAlgError)
+                   ArithmeticError, np.linalg.LinAlgError, RuntimeWarning)
 
 # Arguments naming input files, digested by content as <name>_sha256.
 _INPUT_FILES = ("predictions", "similarities", "points")
@@ -126,7 +127,12 @@ def _run(args) -> int:
             digest = hashlib.sha256(Path(params.pop(name)).read_bytes()).hexdigest()
             params[f"{name}_sha256"] = digest
 
-    outcome = args.func(args)
+    # numpy reports an overflow or invalid value as a RuntimeWarning and goes
+    # on with inf or nan; the filter is process-wide, so it also covers the
+    # chunk map's worker threads
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outcome = args.func(args)
     manifest_path = str(Path(args.out).with_suffix(".manifest.json"))
     files = [(path, _serialize(path, payload)) for path, payload in outcome.outputs]
     files.append((manifest_path, _serialize(manifest_path, {

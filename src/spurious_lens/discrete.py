@@ -81,11 +81,11 @@ class DiscreteConfig:
             raise ConfigError(f"n_train must be positive, got {self.n_train}")
         if self.feature_noise < 0:
             raise ConfigError(f"feature_noise must be >= 0, got {self.feature_noise}")
-        if len(set(self.biased_classes)) != 2 or not all(
+        if len(self.biased_classes) != 2 or len(set(self.biased_classes)) != 2 or not all(
             0 <= i < k for i in self.biased_classes
         ):
             raise ConfigError(f"biased_classes must be two distinct classes, got {self.biased_classes}")
-        if len(set(self.biased_colors)) != 2 or not all(
+        if len(self.biased_colors) != 2 or len(set(self.biased_colors)) != 2 or not all(
             0 <= i < c for i in self.biased_colors
         ):
             raise ConfigError(f"biased_colors must be two distinct colors, got {self.biased_colors}")
@@ -101,7 +101,6 @@ class DiscreteDataset:
 
     config: DiscreteConfig
     split: Split
-    seed: int
     features: np.ndarray
     object_labels: np.ndarray
     color_labels: np.ndarray
@@ -124,15 +123,12 @@ def _sample_colors(config: DiscreteConfig, split: Split, y: np.ndarray,
     if split is Split.RAND:
         return colors
     if split is Split.TRAIN:
-        bias_target = {cls: col for cls, col in zip(config.biased_classes, config.biased_colors)}
-        strength = config.p_spu
+        targets, strength = config.biased_colors, config.p_spu
     else:
-        swapped = (config.biased_colors[1], config.biased_colors[0])
-        bias_target = {cls: col for cls, col in zip(config.biased_classes, swapped)}
-        strength = REV_BIAS
+        targets, strength = config.biased_colors[::-1], REV_BIAS
     coins = rng.random(n)
     alt = rng.integers(0, c - 1, size=n)
-    for cls, col in bias_target.items():
+    for cls, col in zip(config.biased_classes, targets):
         mask = y == cls
         hit = mask & (coins < strength)
         colors[hit] = col
@@ -168,14 +164,7 @@ def sample_discrete_dataset(config: DiscreteConfig, split: Split | str,
     if config.feature_noise > 0:
         features[:, :k] += config.feature_noise * rng.standard_normal((n, k))
     features[np.arange(n), k + colors] = 1.0
-    return DiscreteDataset(
-        config=config,
-        split=split,
-        seed=seed,
-        features=features,
-        object_labels=y,
-        color_labels=colors,
-    )
+    return DiscreteDataset(config, split, features, object_labels=y, color_labels=colors)
 
 
 @dataclass(frozen=True)
@@ -188,38 +177,9 @@ class LinearClassifier:
         if w.ndim != 2 or not np.all(np.isfinite(w)):
             raise ConfigError("classifier weights must be a finite 2-D matrix")
 
-    def zero_shot_logits(self, features: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(features) @ self.weights.T
-
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.zero_shot_logits(features).argmax(axis=1)
-
-
-@dataclass(frozen=True)
-class DualHeadClassifier:
-    """Separate linear heads for the object task and the color task."""
-
-    object_head: np.ndarray
-    color_head: np.ndarray
-
-    def __post_init__(self):
-        for name in ("object_head", "color_head"):
-            w = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, w)
-            if w.ndim != 2 or not np.all(np.isfinite(w)):
-                raise ConfigError(f"{name} must be a finite 2-D matrix")
-        if self.object_head.shape[1] != self.color_head.shape[1]:
-            raise ConfigError("heads must share the feature dimension")
-
-    def zero_shot_logits(self, features: np.ndarray) -> np.ndarray:
-        """Label scores; only the object head participates."""
-        return np.atleast_2d(features) @ self.object_head.T
-
-    def color_logits(self, features: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(features) @ self.color_head.T
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.zero_shot_logits(features).argmax(axis=1)
+        """Index of the highest-scoring row of weights, per feature row."""
+        return (np.atleast_2d(features) @ self.weights.T).argmax(axis=1)
 
 
 def ce_loss(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -306,12 +266,14 @@ def train_supervised(data: DiscreteDataset, epochs: int = 400, step_size: float 
 
 def train_contrastive_perfect(data: DiscreteDataset, epochs: int = 400,
                               step_size: float = 2.0,
-                              rng: np.random.Generator | None = None) -> DualHeadClassifier:
+                              rng: np.random.Generator | None = None
+                              ) -> tuple[LinearClassifier, LinearClassifier]:
     """Joint object + color classification over shared fixed features.
 
-    The two cross-entropies add with equal weight and the heads share no
-    parameters, so the object head follows exactly the supervised
-    trajectory up to the shared step-size schedule.
+    Returns ``(object_head, color_head)``; zero-shot prediction reads the
+    object head alone.  The two cross-entropies add with equal weight and
+    the heads share no parameters, so the object head follows exactly the
+    supervised trajectory up to the shared step-size schedule.
     """
     features, objects, colors = data.features, data.object_labels, data.color_labels
     k, c = data.config.num_classes, data.config.num_colors
@@ -324,7 +286,7 @@ def train_contrastive_perfect(data: DiscreteDataset, epochs: int = 400,
         return lo + lc, np.vstack([go, gc])
 
     weights = _descend(loss_grad, w0, epochs, step_size)
-    return DualHeadClassifier(object_head=weights[:k], color_head=weights[k:])
+    return LinearClassifier(weights[:k]), LinearClassifier(weights[k:])
 
 
 @dataclass(frozen=True)
@@ -346,13 +308,13 @@ class SplitReport:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
 
 
-def evaluate_splits(model, config: DiscreteConfig, n_test: int, seed: int) -> SplitReport:
+def evaluate_splits(method: str, model: LinearClassifier, rand: DiscreteDataset,
+                    rev: DiscreteDataset) -> SplitReport:
     """Biased-class accuracy on Rand and Rev, remaining-class accuracy on Rand."""
-    if n_test < 1:
-        raise ConfigError(f"n_test must be positive, got {n_test}")
-    method = "contrastive" if isinstance(model, DualHeadClassifier) else "supervised"
-    rand = sample_discrete_dataset(config, Split.RAND, seed, size=n_test)
-    rev = sample_discrete_dataset(config, Split.REV, seed, size=n_test)
+    if (rand.split, rev.split) != (Split.RAND, Split.REV):
+        raise ConfigError(f"evaluate_splits takes the Rand and Rev splits, "
+                          f"got {rand.split.value} and {rev.split.value}")
+    config = rand.config
     biased = np.array(config.biased_classes)
 
     def masked_acc(split: DiscreteDataset, mask: np.ndarray) -> float | None:
@@ -415,29 +377,25 @@ def run_discrete_experiment(config: DiscreteConfig, n_seeds: int,
                             ) -> tuple[list[MethodSummary], list[SplitReport]]:
     """Train both methods over n_seeds seeds and aggregate per column.
 
-    Seeds run at config.seed + index.  Both methods are evaluated on the
-    same test draws per seed; initializations use separate sub-streams so
-    the two otherwise-identical object problems do not start bit-equal.
+    Seeds run at config.seed + index.  Each seed draws its Train, Rand and
+    Rev splits once and both methods are scored on those draws;
+    initializations use separate sub-streams so the two otherwise-identical
+    object problems do not start bit-equal.  The per-seed reports list every
+    supervised seed, then every contrastive one.
     """
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
-    sup_reports: list[SplitReport] = []
-    con_reports: list[SplitReport] = []
+    reports: dict[str, list[SplitReport]] = {"supervised": [], "contrastive": []}
     for index in range(n_seeds):
         seed = config.seed + index
-        train_data = sample_discrete_dataset(config, Split.TRAIN, seed)
-        sup = train_supervised(
-            train_data, epochs, step_size, rng=substream(seed, _TAG_INIT_SUP)
-        )
-        con = train_contrastive_perfect(
-            train_data, epochs, step_size, rng=substream(seed, _TAG_INIT_CON)
-        )
-        sup_reports.append(evaluate_splits(sup, config, n_test, seed))
-        con_reports.append(evaluate_splits(con, config, n_test, seed))
-    per_seed = sup_reports + con_reports
-    summaries = [
-        _summarize("supervised", sup_reports),
-        _summarize("contrastive", con_reports),
-    ]
-    return summaries, per_seed
+        train = sample_discrete_dataset(config, Split.TRAIN, seed)
+        rand = sample_discrete_dataset(config, Split.RAND, seed, size=n_test)
+        rev = sample_discrete_dataset(config, Split.REV, seed, size=n_test)
+        sup = train_supervised(train, epochs, step_size, rng=substream(seed, _TAG_INIT_SUP))
+        con, _ = train_contrastive_perfect(train, epochs, step_size,
+                                           rng=substream(seed, _TAG_INIT_CON))
+        reports["supervised"].append(evaluate_splits("supervised", sup, rand, rev))
+        reports["contrastive"].append(evaluate_splits("contrastive", con, rand, rev))
+    summaries = [_summarize(method, runs) for method, runs in reports.items()]
+    return summaries, reports["supervised"] + reports["contrastive"]
 

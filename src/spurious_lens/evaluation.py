@@ -153,6 +153,11 @@ def _read_csv(path) -> tuple[list[str] | None, Iterator[tuple[int, list[str]]]]:
     return (None if first is None else first[1]), rows
 
 
+def _duplicate_id(sample_id: str, first: int, line: int) -> ParseError:
+    return ParseError(f"duplicate sample_id {sample_id!r} at lines {first} and {line}",
+                      lines=(first, line))
+
+
 def load_predictions(path) -> PredictionTable:
     """Parse a prediction log; malformed rows are rejected by line number.
 
@@ -188,12 +193,9 @@ def load_predictions(path) -> PredictionTable:
         sample_id, true_label, group, background = row[:4]
         if not sample_id:
             raise ParseError(f"line {line}: empty sample_id", lines=(line,))
-        if sample_id in seen:
-            raise ParseError(
-                f"duplicate sample_id {sample_id!r} at lines {seen[sample_id]} and {line}",
-                lines=(seen[sample_id], line),
-            )
-        seen[sample_id] = line
+        first = seen.setdefault(sample_id, line)
+        if first != line:
+            raise _duplicate_id(sample_id, first, line)
         if not true_label:
             raise ParseError(f"line {line}: empty true_label", lines=(line,))
         group_code = _GROUP_CODE.get(group)
@@ -475,12 +477,9 @@ def load_similarities(path) -> SimilarityTable:
         sample_id = row[0]
         if not sample_id:
             raise ParseError(f"line {line}: empty sample_id", lines=(line,))
-        if sample_id in seen:
-            raise ParseError(
-                f"duplicate sample_id {sample_id!r} at lines {seen[sample_id]} and {line}",
-                lines=(seen[sample_id], line),
-            )
-        seen[sample_id] = line
+        first = seen.setdefault(sample_id, line)
+        if first != line:
+            raise _duplicate_id(sample_id, first, line)
         try:
             values = np.fromiter(map(float, row[1:]), dtype=float, count=len(row) - 1)
         except ValueError:
@@ -573,9 +572,8 @@ class FitLine:
 def transform_coordinates(points, transform: Transform | str):
     """(x, y) arrays of easy/hard values, probit-mapped when requested."""
     transform = Transform(transform)
-    pairs = [(p.easy, p.hard) if isinstance(p, Point) else (p[0], p[1]) for p in points]
-    x = np.array([p[0] for p in pairs], dtype=float)
-    y = np.array([p[1] for p in pairs], dtype=float)
+    x = np.array([p.easy for p in points], dtype=float)
+    y = np.array([p.hard for p in points], dtype=float)
     if transform is Transform.PROBIT:
         for v in np.concatenate([x, y]):
             if not 0.0 < v < 1.0:

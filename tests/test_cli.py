@@ -9,7 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spurious_lens import (DiscreteConfig, GenerativeConfig, SimilarityTable, __version__,
@@ -26,6 +26,8 @@ GAUSS_DEF1 = {
     "sigma_xi": 0.01, "n": 2000, "d_I": 16, "d_T": 16, "mode": "Def1",
 }
 DISCRETE = {"num_classes": 2, "p_inv": 0.75, "p_spu": 0.9, "n_train": 400}
+# A fuzz-found Def1 config whose alignment gap overflows in np.linalg.norm.
+GAUSS_OVERFLOW = {**GAUSS_DEF1, "mu_spu": 1.157920892373162e+77, "n": 40, "d_I": 4, "d_T": 4}
 
 PREDICTIONS = "sample_id,true_label,group,background,pred_1\n" + "".join(
     f"e{i},bear,easy,snow,{'bear' if i < 9 else 'wolf'}\n" for i in range(10)
@@ -454,6 +456,9 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": '{"h": 2}'},
      ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
      2, "unknown config fields: ['h']"),
+    ({"c.json": json.dumps(GAUSS_OVERFLOW)},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
+     3, "error: overflow encountered"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
@@ -461,7 +466,7 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
         "svg-is-manifest", "svg-dir-missing", "discover-threshold-nan",
         "verify-tol-inf", "eval-oversized-cell", "gaussian-impossible-size",
         "gaussian-negative-seed", "gaussian-repeated-field", "discrete-repeated-field",
-        "gaussian-removed-field"])
+        "gaussian-removed-field", "gaussian-overflow"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)
@@ -613,6 +618,7 @@ def strict_json(text: str):
 
 @settings(max_examples=150, deadline=None)
 @given(case=malformed_input())
+@example(case=("simulate-gaussian", json.dumps(GAUSS_OVERFLOW).encode("utf-8")))
 def test_fuzzed_input_keeps_cli_contract(case):
     subcommand, data = case
     role, _, extra, out_name, schema = FUZZ_CASES[subcommand]

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from spurious_lens import (
     ConfigError,
     DiscreteConfig,
-    DualHeadClassifier,
     InsufficientDataError,
     LinearClassifier,
     NonconvergenceError,
@@ -27,13 +27,19 @@ from spurious_lens import (
 )
 from spurious_lens import discrete
 from spurious_lens.cli import _json_data
-from spurious_lens.inputs import load_config
+from spurious_lens.inputs import load_config, read_text
 
 BASE = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def chi2_pvalue(chi2: float, dof: int) -> float:
     return float(mpmath.gammainc(dof / 2, chi2 / 2, mpmath.inf, regularized=True))
+
+
+def draw_test_splits(config, n_test, seed):
+    return (sample_discrete_dataset(config, Split.RAND, seed, size=n_test),
+            sample_discrete_dataset(config, Split.REV, seed, size=n_test))
 
 
 def reference_ce_loss_grad(weights, x, labels):
@@ -76,6 +82,9 @@ class TestConfig:
         dict(biased_classes=(0, 2)),             # out of class range
         dict(biased_colors=(1, 1)),
         dict(biased_colors=(0, 2)),
+        dict(num_classes=3, biased_classes=(0, 1, 1), biased_colors=(0, 1, 1)),
+        dict(num_classes=3, biased_classes=(0, 1, 2)),
+        dict(num_classes=3, biased_colors=(0, 1, 2)),
     ])
     def test_rejections(self, kwargs):
         base = dict(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=100)
@@ -268,8 +277,8 @@ class TestLossAndTraining:
         cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9,
                              n_train=600, feature_noise=0.0)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=5)
-        model = train_contrastive_perfect(data, epochs=400)
-        pred = model.color_logits(data.features).argmax(axis=1)
+        _, color_head = train_contrastive_perfect(data, epochs=400)
+        pred = color_head.predict(data.features)
         assert (pred == data.color_labels).mean() >= 0.99
 
     def test_object_head_follows_supervised_trajectory(self):
@@ -277,15 +286,15 @@ class TestLossAndTraining:
         # object problem is the supervised one
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=7, size=400)
         sup = train_supervised(data, epochs=60, step_size=0.5)
-        con = train_contrastive_perfect(data, epochs=60, step_size=0.5)
-        assert np.abs(con.object_head - sup.weights).max() <= 1e-12
+        con, _ = train_contrastive_perfect(data, epochs=60, step_size=0.5)
+        assert np.abs(con.weights - sup.weights).max() <= 1e-12
 
     def test_randomized_inits_differ_but_stay_close(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=7, size=400)
         sup = train_supervised(data, epochs=100, rng=np.random.default_rng(1))
-        con = train_contrastive_perfect(data, epochs=100,
-                                        rng=np.random.default_rng(2))
-        assert not np.array_equal(con.object_head, sup.weights)
+        con, _ = train_contrastive_perfect(data, epochs=100,
+                                           rng=np.random.default_rng(2))
+        assert not np.array_equal(con.weights, sup.weights)
         sup_acc = (sup.predict(data.features) == data.object_labels).mean()
         con_acc = (con.predict(data.features) == data.object_labels).mean()
         assert abs(sup_acc - con_acc) <= 0.05
@@ -338,9 +347,9 @@ class TestKernelMatchesReference:
 
         def train():
             sup = train_supervised(data, epochs=80, rng=np.random.default_rng(1))
-            con = train_contrastive_perfect(data, epochs=80,
-                                            rng=np.random.default_rng(2))
-            return sup.weights, con.object_head, con.color_head
+            heads = train_contrastive_perfect(data, epochs=80,
+                                              rng=np.random.default_rng(2))
+            return sup.weights, *(head.weights for head in heads)
 
         fast = train()
         monkeypatch.setattr(discrete, "_ce_loss_grad", reference_ce_loss_grad)
@@ -367,19 +376,18 @@ class TestEvaluation:
         cfg = DiscreteConfig(num_classes=50, p_inv=0.75, p_spu=0.9, n_train=20)
         model = LinearClassifier(np.zeros((50, cfg.feature_dim)))
         with pytest.raises(InsufficientDataError, match=r"Rev test split .*\[0, 1\]"):
-            evaluate_splits(model, cfg, n_test=10, seed=2)
+            evaluate_splits("supervised", model, *draw_test_splits(cfg, n_test=10, seed=2))
 
     def test_rest_is_none_for_two_classes(self):
         model = LinearClassifier(np.zeros((2, BASE.feature_dim)))
-        report = evaluate_splits(model, BASE, n_test=500, seed=0)
+        report = evaluate_splits("supervised", model, *draw_test_splits(BASE, 500, seed=0))
         assert report.acc_rest is None
         assert report.method == "supervised"
 
     def test_rest_present_beyond_biased_pair(self):
         cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.9, n_train=100)
-        model = DualHeadClassifier(object_head=np.zeros((3, cfg.feature_dim)),
-                                   color_head=np.zeros((3, cfg.feature_dim)))
-        report = evaluate_splits(model, cfg, n_test=500, seed=0)
+        model = LinearClassifier(np.zeros((3, cfg.feature_dim)))
+        report = evaluate_splits("contrastive", model, *draw_test_splits(cfg, 500, seed=0))
         assert report.acc_rest is not None
         assert report.method == "contrastive"
 
@@ -388,21 +396,28 @@ class TestEvaluation:
                              n_train=100, feature_noise=0.0)
         oracle = LinearClassifier(
             np.hstack([np.eye(3), np.zeros((3, 3))]))
-        report = evaluate_splits(oracle, cfg, n_test=2000, seed=1)
+        report = evaluate_splits("supervised", oracle, *draw_test_splits(cfg, 2000, seed=1))
         assert report.acc_rand_biased == 1.0
         assert report.acc_rev_biased == 1.0
         assert report.acc_rest == 1.0
 
     def test_same_seed_shares_test_draws(self):
         model = LinearClassifier(np.eye(2, BASE.feature_dim))
-        a = evaluate_splits(model, BASE, n_test=800, seed=9)
-        b = evaluate_splits(model, BASE, n_test=800, seed=9)
+        a = evaluate_splits("supervised", model, *draw_test_splits(BASE, 800, seed=9))
+        b = evaluate_splits("supervised", model, *draw_test_splits(BASE, 800, seed=9))
         assert a == b
 
     def test_rejects_empty_test(self):
+        with pytest.raises(ConfigError, match="dataset size must be positive, got 0"):
+            run_discrete_experiment(BASE, n_seeds=1, n_test=0)
+
+    def test_rejects_swapped_splits(self):
         model = LinearClassifier(np.zeros((2, BASE.feature_dim)))
-        with pytest.raises(ConfigError):
-            evaluate_splits(model, BASE, n_test=0, seed=0)
+        rand, rev = draw_test_splits(BASE, 100, seed=0)
+        train = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=100)
+        for splits in ((rev, rand), (train, rev), (rand, rand)):
+            with pytest.raises(ConfigError, match="Rand and Rev"):
+                evaluate_splits("supervised", model, *splits)
 
 
 class TestExperiment:
@@ -426,6 +441,43 @@ class TestExperiment:
             summaries, _ = run_discrete_experiment(cfg, n_seeds=3, n_test=4000)
             means.append(summaries[0].rand_mean)
         assert means[0] < means[1]
+
+    def test_per_seed_reports_pinned(self):
+        # the reports given when each method drew its own test splits; one
+        # shared draw per seed must not move them
+        config = load_config(DiscreteConfig, read_text(CONFIGS / "discrete_k2.json"))
+        _, per_seed = run_discrete_experiment(config, n_seeds=2)
+        assert per_seed == [
+            SplitReport("supervised", 0.49375, 0.09775, None),
+            SplitReport("supervised", 0.50225, 0.10025, None),
+            SplitReport("contrastive", 0.49375, 0.09775, None),
+            SplitReport("contrastive", 0.50225, 0.10025, None),
+        ]
+
+    def test_draws_each_split_once_per_seed(self, monkeypatch):
+        draws, scored = [], []
+
+        def counting_sample(config, split, seed, size=None):
+            data = sample_discrete_dataset(config, split, seed, size)
+            draws.append((seed, data))
+            return data
+
+        def recording_evaluate(method, model, rand, rev):
+            scored.append((method, rand, rev))
+            return evaluate_splits(method, model, rand, rev)
+
+        monkeypatch.setattr(discrete, "sample_discrete_dataset", counting_sample)
+        monkeypatch.setattr(discrete, "evaluate_splits", recording_evaluate)
+        cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.9, n_train=200, seed=4)
+        run_discrete_experiment(cfg, n_seeds=2, n_test=300, epochs=5)
+        assert [(seed, d.split, len(d)) for seed, d in draws] == [
+            (seed, split, size) for seed in (4, 5)
+            for split, size in ((Split.TRAIN, 200), (Split.RAND, 300), (Split.REV, 300))]
+        for index in range(2):
+            rand, rev = draws[3 * index + 1][1], draws[3 * index + 2][1]
+            runs = scored[2 * index:2 * index + 2]
+            assert [method for method, _, _ in runs] == ["supervised", "contrastive"]
+            assert all(r is rand and v is rev for _, r, v in runs)
 
     def test_deterministic(self):
         a = run_discrete_experiment(BASE, n_seeds=2, n_test=1000, epochs=60)
