@@ -8,6 +8,7 @@ an independent route to the same matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,9 @@ import numpy as np
 from .errors import ConfigError, InsufficientDataError, NonconvergenceError, ShapeError
 from .synthetic import (STREAM_TEST, Dictionary, GenerativeConfig, SyntheticDataset,
                         _map_chunks, ood_config, sample_batch)
+
+# Version of the test pass's random stream; both Gaussian reports echo it.
+MC_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -221,10 +225,10 @@ def zero_shot_predict_batch(M: AlignmentMatrix, x_image: np.ndarray, prompts) ->
     return np.where(scores[:, 0] >= scores[:, 1], 1, -1)
 
 
-def subgroup_counts(M: AlignmentMatrix, x_image: np.ndarray, labels: np.ndarray,
-                    attributes: np.ndarray, prompts) -> tuple[int, int, int, int]:
+def subgroup_counts(predictions: np.ndarray, labels: np.ndarray,
+                    attributes: np.ndarray) -> tuple[int, int, int, int]:
     """(correct_aligned, n_aligned, correct_conflicting, n_conflicting)."""
-    correct = zero_shot_predict_batch(M, x_image, prompts) == labels
+    correct = predictions == labels
     aligned = attributes == labels
     n_aligned = int(np.count_nonzero(aligned))
     correct_aligned = int(np.count_nonzero(correct & aligned))
@@ -239,17 +243,30 @@ def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
     overall and split over the a == y and a != y subgroups, on ``total``
     samples of the p_spu = 1/2 test distribution.
 
-    Each STREAM_TEST chunk is drawn, scored and counted on its own and only
-    the counts are kept, so the report is the same for any worker count.
+    An image x = D_I z + xi is predicted +1 when x . w >= 0, w = M (t+ - t-).
+    Its noise enters only through xi . w ~ N(0, sigma_xi^2 |w|^2 / d_I), so
+    stream MC_STREAM scores each sample exactly from its latents and one
+    standard normal drawn after them.  Each STREAM_TEST chunk is drawn,
+    scored and counted on its own and only the counts are kept, so the
+    report is the same for any worker count.
     """
     if total < 1:
         raise InsufficientDataError(f"the test set needs at least 1 sample, got {total}")
+    if M.shape != (dict_image.d, dict_text.d):
+        raise ShapeError(f"image dim {dict_image.d} / prompt dim {dict_text.d} "
+                         f"do not match alignment shape {M.shape}")
     test_config = ood_config(config)
-    prompts = (prompt_embedding(dict_text, 1), prompt_embedding(dict_text, -1))
+    w = M.entries @ (prompt_embedding(dict_text, 1).vector
+                     - prompt_embedding(dict_text, -1).vector)
+    u = dict_image.entries.T @ w
+    noise = config.sigma_xi * np.linalg.norm(w) / math.sqrt(dict_image.d)
 
     def counts(rng, start, stop):
-        x_image, y, a, _ = sample_batch(test_config, dict_image, rng, stop - start)
-        return subgroup_counts(M, x_image, y, a, prompts)
+        z, y, a = sample_batch(test_config, rng, stop - start)
+        score = z @ u
+        if config.sigma_xi > 0:
+            score += noise * rng.standard_normal(stop - start)
+        return subgroup_counts(np.where(score >= 0, 1, -1), y, a)
 
     correct_aligned, n_aligned, correct_conflicting, n_conflicting = (
         sum(column) for column in zip(*_map_chunks(seed, STREAM_TEST, total, counts))

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .alignment import (
+    MC_STREAM,
     alignment_gap,
     empirical_minimizer,
     latent_alignment_target,
@@ -167,6 +168,7 @@ def cmd_verify_theorem(args) -> _Outcome:
     return _Outcome([(args.out, {
         "config": args.config,
         "seed": args.seed,
+        "mc_stream": MC_STREAM,
         **_json_data(report),
     })], args.seed, 0 if report.passed else 1)
 
@@ -176,17 +178,19 @@ def cmd_simulate_gaussian(args) -> _Outcome:
     trainset = sample_dataset(config, args.seed)
     matrix = empirical_minimizer(trainset, config.rho)
     dicts = (trainset.dict_image, trainset.dict_text)
+    alignment = {
+        "target_gap": alignment_gap(matrix, config, *dicts),
+        "population_gap": alignment_gap(
+            matrix, config, *dicts, target=population_alignment_target),
+        "latent_target": latent_alignment_target(config).tolist(),
+        "population_target": population_alignment_target(config).tolist(),
+    }
     report = subgroup_accuracy(matrix, config, *dicts, args.seed, config.n)
     print(f"acc_overall {fmt_pct(report.acc_overall)}%", file=sys.stderr)
     return _Outcome([(args.out, {
         **_json_data(report),
-        "alignment": {
-            "target_gap": alignment_gap(matrix, config, *dicts),
-            "population_gap": alignment_gap(
-                matrix, config, *dicts, target=population_alignment_target),
-            "latent_target": latent_alignment_target(config).tolist(),
-            "population_target": population_alignment_target(config).tolist(),
-        },
+        "alignment": alignment,
+        "mc_stream": MC_STREAM,
         "n_train": config.n,
         "n_test": config.n,
         "config": config,

@@ -159,8 +159,8 @@ def _latent_means(config: GenerativeConfig, y: np.ndarray, a: np.ndarray) -> np.
     return np.column_stack([config.mu_inv * y, config.mu_spu * a])
 
 
-def sample_latents(config: GenerativeConfig, rng: np.random.Generator, size: int):
-    """Vectorized draw of (z, y, a) triples.
+def sample_batch(config: GenerativeConfig, rng: np.random.Generator, size: int):
+    """One chunk of (z, y, a) triples, drawn in a fixed order from ``rng``.
 
     y is uniform on {-1, +1}; a equals y with probability p_spu and -y
     otherwise; z is Gaussian around the mode-dependent means.
@@ -183,17 +183,6 @@ def embed(z: np.ndarray, dictionary: Dictionary, sigma_xi: float,
         d = dictionary.d
         x = x + rng.standard_normal(x.shape) * (sigma_xi / math.sqrt(d))
     return x
-
-
-def sample_batch(config: GenerativeConfig, dict_image: Dictionary,
-                 rng: np.random.Generator, size: int):
-    """One chunk of samples embedded into the image space.
-
-    Returns (x_image, y, a, z). Draw order is fixed so results are
-    reproducible from the generator state alone.
-    """
-    z, y, a = sample_latents(config, rng, size)
-    return embed(z, dict_image, config.sigma_xi, rng), y, a, z
 
 
 def dataset_dictionaries(config: GenerativeConfig, seed: int):
@@ -227,7 +216,8 @@ def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     """Draw a full dataset: fresh dictionaries plus config.n embedded samples.
 
     Deterministic in (config, seed): each chunk draws from its own sub-stream,
-    the text embedding last, so the output does not depend on scheduling.
+    the latents first and the text embedding last, so the output does not
+    depend on scheduling.
     """
     dict_image, dict_text = dataset_dictionaries(config, seed)
     total = config.n
@@ -237,9 +227,9 @@ def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
 
     def fill(rng, start, stop):
         rows = slice(start, stop)
-        x_image[rows], labels[rows], attributes[rows], z = sample_batch(
-            config, dict_image, rng, stop - start)
+        z, labels[rows], attributes[rows] = sample_batch(config, rng, stop - start)
         latents[rows] = z
+        x_image[rows] = embed(z, dict_image, config.sigma_xi, rng)
         x_text[rows] = embed(z, dict_text, config.sigma_xi, rng)
 
     _map_chunks(seed, STREAM_SAMPLES, total, fill)

@@ -114,7 +114,8 @@ class VerificationReport:
     alignment_gap is the relative Frobenius distance of the trained matrix
     from its asymptotic target; it is only defined when a matrix is actually
     trained (Def1 mode) and is None otherwise.  mc_stderr holds the binomial
-    standard errors of (mc_err_conflicting, mc_acc_aligned).
+    standard errors of (mc_err_conflicting, mc_acc_aligned), and mc_z how
+    many of them each estimate lies above its bound (None for a zero stderr).
     """
 
     mode: Mode
@@ -123,6 +124,7 @@ class VerificationReport:
     mc_acc_aligned: float
     mc_samples: int
     mc_stderr: tuple[float, float]
+    mc_z: tuple[float | None, float | None]
     alignment_gap: float | None
     low_power_subgroups: tuple[str, ...]
     tol: float
@@ -168,6 +170,8 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         math.sqrt(mc_err * (1.0 - mc_err) / n_conflicting),
         math.sqrt(mc_acc * (1.0 - mc_acc) / n_aligned),
     )
+    mc_z = tuple((mc - bound) / se if se > 0 else None for mc, bound, se in zip(
+        (mc_err, mc_acc), (bounds.err_lower_conflicting, bounds.acc_lower_aligned), stderr))
     low_power = tuple(
         name
         for name, count in (("aligned", n_aligned), ("conflicting", n_conflicting))
@@ -190,6 +194,7 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         mc_acc_aligned=mc_acc,
         mc_samples=mc_samples,
         mc_stderr=stderr,
+        mc_z=mc_z,
         alignment_gap=gap,
         low_power_subgroups=low_power,
         tol=tol,
@@ -200,6 +205,7 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
 def format_report_table(config: GenerativeConfig, report: VerificationReport) -> str:
     """Fixed-order human-readable table: parameters, margins, bound vs MC."""
     b = report.bounds
+    z = ["n/a" if value is None else f"{value:+.2f}" for value in report.mc_z]
     lines = [
         "parameters",
         f"  mode        {config.mode.value}",
@@ -213,9 +219,9 @@ def format_report_table(config: GenerativeConfig, report: VerificationReport) ->
         f"  kappa2      {b.kappa2:+.6f}",
         "bound vs monte-carlo",
         f"  err a!=y    bound {b.err_lower_conflicting:.4f}   mc {report.mc_err_conflicting:.4f}"
-        f"   stderr {report.mc_stderr[0]:.4f}",
+        f"   stderr {report.mc_stderr[0]:.4f}   z {z[0]}",
         f"  acc a==y    bound {b.acc_lower_aligned:.4f}   mc {report.mc_acc_aligned:.4f}"
-        f"   stderr {report.mc_stderr[1]:.4f}",
+        f"   stderr {report.mc_stderr[1]:.4f}   z {z[1]}",
     ]
     if report.alignment_gap is not None:
         lines.append(f"  alignment gap {report.alignment_gap:.4f}")

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from spurious_lens import (
     ConfigError,
     GenerativeConfig,
     InsufficientDataError,
+    Mode,
     NonconvergenceError,
     ShapeError,
     alignment_gap,
@@ -27,11 +30,12 @@ from spurious_lens import (
     zero_shot_predict_batch,
 )
 from spurious_lens.alignment import subgroup_counts
-from spurious_lens.cli import _json_data
+from spurious_lens.cli import _json_data, main as cli_main
 from spurious_lens.synthetic import (
     CHUNK,
     STREAM_TEST,
     dataset_dictionaries,
+    embed,
     sample_batch,
     substream,
 )
@@ -286,14 +290,22 @@ def label_prompts(dict_text):
     return (prompt_embedding(dict_text, 1), prompt_embedding(dict_text, -1))
 
 
-def chunked_test_set(config, dict_image, seed, total):
-    """(x_image, labels, attributes) of the p_spu = 1/2 test set, drawn one
-    STREAM_TEST chunk at a time with sample_batch and concatenated."""
-    parts = [
-        sample_batch(ood_config(config), dict_image, substream(seed, STREAM_TEST, index),
-                     min(CHUNK, total - start))[:3]
-        for index, start in enumerate(range(0, total, CHUNK))
-    ]
+def chunked_test_set(M, config, dict_image, dict_text, seed, total):
+    """(predictions, labels, attributes) of the p_spu = 1/2 test set, drawn one
+    STREAM_TEST chunk at a time as stream 2 draws it: the latents, then one
+    standard normal per sample for the image noise projected on
+    w = M (t+ - t-).  The chunks are concatenated."""
+    pos, neg = label_prompts(dict_text)
+    w = M.entries @ (pos.vector - neg.vector)
+    noise = config.sigma_xi * np.linalg.norm(w) / math.sqrt(dict_image.d)
+    parts = []
+    for index, start in enumerate(range(0, total, CHUNK)):
+        rng = substream(seed, STREAM_TEST, index)
+        z, y, a = sample_batch(ood_config(config), rng, min(CHUNK, total - start))
+        score = z @ (dict_image.entries.T @ w)
+        if config.sigma_xi > 0:
+            score += noise * rng.standard_normal(len(y))
+        parts.append((np.where(score >= 0, 1, -1), y, a))
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -334,9 +346,9 @@ class TestSubgroups:
                           "n_aligned", "n_conflicting"}
 
 
-def mean_of_masks_report(M, x_image, labels, attributes, prompts) -> dict:
+def mean_of_masks_report(predictions, labels, attributes) -> dict:
     """subgroup_accuracy as it was computed before the counts: bool means."""
-    correct = zero_shot_predict_batch(M, x_image, prompts) == labels
+    correct = predictions == labels
     aligned = attributes == labels
     return {
         "acc_overall": float(correct.mean()),
@@ -355,11 +367,12 @@ class TestSubgroupCounts:
             total = int(rng.integers(CHUNK, 3 * CHUNK) if trial % 10 == 0
                         else rng.integers(1, 3000))
             p_spu = float(rng.choice([0.5, 0.8, 0.97, 1.0]))
-            cfg = GenerativeConfig(n=2, d_I=4, d_T=3, p_spu=p_spu)
+            sigma_xi = float(rng.choice([0.0, 0.1, 2.0]))
+            cfg = GenerativeConfig(n=2, d_I=4, d_T=3, p_spu=p_spu, sigma_xi=sigma_xi)
             dict_image, dict_text = dataset_dictionaries(cfg, seed=trial)
             M = random_matrix((4, 3), seed=trial)
-            want = mean_of_masks_report(M, *chunked_test_set(cfg, dict_image, trial, total),
-                                        label_prompts(dict_text))
+            want = mean_of_masks_report(
+                *chunked_test_set(M, cfg, dict_image, dict_text, trial, total))
             for threads in ("1", "8"):
                 monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
                 got = subgroup_accuracy(M, cfg, dict_image, dict_text, trial, total)
@@ -373,24 +386,113 @@ class TestSubgroupCounts:
         M = random_matrix((4, 3), seed=5)
         # the first seed whose one test sample falls in the wanted subgroup
         for seed in itertools.count():
-            x_image, labels, attributes = chunked_test_set(cfg, dict_image, seed, 1)
+            test_set = chunked_test_set(M, cfg, dict_image, dict_text, seed, 1)
+            _, labels, attributes = test_set
             if (attributes[0] != labels[0]) == conflicting:
                 break
         got = _json_data(subgroup_accuracy(M, cfg, dict_image, dict_text, seed, 1))
         assert got[empty] is None
-        assert got == mean_of_masks_report(M, x_image, labels, attributes,
-                                           label_prompts(dict_text))
+        assert got == mean_of_masks_report(*test_set)
 
     def test_counts_partition_the_rows(self):
         ds = sample_dataset(GenerativeConfig(n=777, d_I=4, d_T=3), seed=4)
         M = random_matrix((4, 3), seed=1)
-        prompts = label_prompts(ds.dict_text)
+        pred = zero_shot_predict_batch(M, ds.x_image, label_prompts(ds.dict_text))
         correct_aligned, n_aligned, correct_conflicting, n_conflicting = subgroup_counts(
-            M, ds.x_image, ds.labels, ds.attributes, prompts)
+            pred, ds.labels, ds.attributes)
         assert all(type(c) is int for c in (correct_aligned, n_aligned,
                                              correct_conflicting, n_conflicting))
         assert n_aligned + n_conflicting == len(ds)
         assert 0 <= correct_aligned <= n_aligned
         assert 0 <= correct_conflicting <= n_conflicting
-        pred = zero_shot_predict_batch(M, ds.x_image, prompts)
         assert correct_aligned + correct_conflicting == int((pred == ds.labels).sum())
+
+
+def stream_v1_counts(M, config, dict_image, dict_text, seed, total):
+    """The four subgroup counts as stream 1 drew them: each chunk's latents,
+    then a full d_I-dimensional image embedding scored against the prompts."""
+    prompts = label_prompts(dict_text)
+    counts = []
+    for index, start in enumerate(range(0, total, CHUNK)):
+        rng = substream(seed, STREAM_TEST, index)
+        z, y, a = sample_batch(ood_config(config), rng, min(CHUNK, total - start))
+        x_image = embed(z, dict_image, config.sigma_xi, rng)
+        counts.append(subgroup_counts(zero_shot_predict_batch(M, x_image, prompts), y, a))
+    return [sum(column) for column in zip(*counts)]
+
+
+def stream_v2_counts(M, config, dict_image, dict_text, seed, total):
+    report = subgroup_accuracy(M, config, dict_image, dict_text, seed, total)
+    return [round(report.acc_aligned * report.n_aligned), report.n_aligned,
+            round(report.acc_conflicting * report.n_conflicting), report.n_conflicting]
+
+
+def trained_matrix(config, seed):
+    """(M, dict_image, dict_text): the asymptotic matrix in TheoremExact mode,
+    the empirical minimizer of a fresh training set in Def1 mode."""
+    if config.mode is Mode.THEOREM_EXACT:
+        dict_image, dict_text = dataset_dictionaries(config, seed)
+        return asymptotic_minimizer(config, dict_image, dict_text), dict_image, dict_text
+    train = sample_dataset(config, seed)
+    return empirical_minimizer(train, config.rho), train.dict_image, train.dict_text
+
+
+class TestStreamV2MatchesV1:
+    """Stream 2 scores the projection of the image noise that stream 1 drew in
+    full, so it samples the same predictions: the latents are shared, the
+    subgroups are the same, and only the noise draw differs."""
+
+    TOTAL = 2 * CHUNK + 1000
+
+    @pytest.mark.parametrize("config", [
+        GenerativeConfig(sigma_spu=0.5, mu_spu=2.0, p_spu=0.95, sigma_xi=0.0,
+                         d_I=16, d_T=16, mode="TheoremExact"),
+        GenerativeConfig(mu_inv=1.5, sigma_inv=2.0, p_spu=0.8, sigma_xi=0.0,
+                         n=500, d_I=8, d_T=5),
+    ])
+    def test_noiseless_counts_are_equal(self, config):
+        for seed in range(10):
+            M, dict_image, dict_text = trained_matrix(config, seed)
+            assert (stream_v2_counts(M, config, dict_image, dict_text, seed, self.TOTAL)
+                    == stream_v1_counts(M, config, dict_image, dict_text, seed, self.TOTAL))
+
+    @pytest.mark.parametrize("config", [
+        GenerativeConfig(sigma_spu=0.5, mu_spu=2.0, p_spu=0.95, sigma_xi=0.1,
+                         d_I=64, d_T=64, mode="TheoremExact"),
+        GenerativeConfig(sigma_spu=0.5, p_spu=0.9, sigma_xi=0.5, n=2000, d_I=16, d_T=8),
+        # noise as large as the latents, seen through a two-dimensional image
+        GenerativeConfig(sigma_spu=0.5, mu_spu=2.0, p_spu=0.95, sigma_xi=5.0,
+                         d_I=2, d_T=3, mode="TheoremExact"),
+    ])
+    def test_noisy_rates_agree_within_binomial_error(self, config):
+        for seed in range(10):
+            M, dict_image, dict_text = trained_matrix(config, seed)
+            v1 = stream_v1_counts(M, config, dict_image, dict_text, seed, self.TOTAL)
+            v2 = stream_v2_counts(M, config, dict_image, dict_text, seed, self.TOTAL)
+            assert v2[1::2] == v1[1::2]
+            for correct_v1, correct_v2, size in zip(v1[::2], v2[::2], v1[1::2]):
+                r1, r2 = correct_v1 / size, correct_v2 / size
+                stderr = math.sqrt((r1 * (1 - r1) + r2 * (1 - r2)) / size)
+                assert abs(r1 - r2) <= 4 * stderr, (seed, v1, v2)
+
+    def test_one_and_eight_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"sigma_xi": 0.5, "n": 2 * CHUNK + 7,
+                                      "d_I": 8, "d_T": 8}), encoding="utf-8")
+        outputs = {}
+        for threads in ("1", "8"):
+            monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+            for command in (["verify-theorem", "--mc", str(3 * CHUNK + 1)],
+                            ["simulate-gaussian"]):
+                out = tmp_path / f"{command[0]}-{threads}.json"
+                cli_main([*command, "--config", str(config), "--seed", "4",
+                          "--out", str(out)])
+                outputs.setdefault(command[0], set()).add(out.read_bytes())
+        assert all(len(variants) == 1 for variants in outputs.values())
+
+    def test_rejects_a_matrix_of_other_dims(self):
+        config = GenerativeConfig(d_I=4, d_T=3)
+        dict_image, dict_text = dataset_dictionaries(config, seed=0)
+        with pytest.raises(ShapeError):
+            subgroup_accuracy(random_matrix((3, 4), seed=0), config, dict_image,
+                              dict_text, 0, 100)

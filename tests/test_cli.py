@@ -80,6 +80,7 @@ class TestVerifyTheorem:
         assert "pass" in captured.err
         payload = read_json(out)
         assert payload["passed"] is True
+        assert payload["mc_stream"] == 2
         check_schema(payload, "verification_report")
         check_schema(manifest_of(out), "run_manifest")
 
@@ -168,6 +169,7 @@ class TestSimulateGaussian:
         assert rc == 0
         assert capsys.readouterr().out == ""
         payload = read_json(out)
+        assert payload["mc_stream"] == 2
         check_schema(payload, "subgroup_report")
         assert payload["n_train"] == GAUSS_DEF1["n"]
         assert payload["n_test"] == GAUSS_DEF1["n"]
@@ -181,19 +183,31 @@ class TestSimulateGaussian:
             main(["simulate-gaussian", "--config", cfg, "--out", out])
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
+    def test_failed_run_prints_no_result(self, tmp_path, capsys):
+        # the alignment gap overflows: the run exits 3 before it reports
+        # an accuracy that it would then discard
+        cfg = write_json(tmp_path / "c.json", GAUSS_OVERFLOW)
+        out = tmp_path / "sim.json"
+        assert main(["simulate-gaussian", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "acc_overall" not in err
+        assert not out.exists()
+
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 class TestPinnedSubgroupOutcomes:
-    """Subgroup counts of the p_spu = 1/2 test pass, recorded before it was
-    streamed: (correct, size) of the aligned and the conflicting subgroup.
-    Integer ratios, so BLAS rounding cannot move them."""
+    """Subgroup counts of the p_spu = 1/2 test pass: (correct, size) of the
+    aligned and the conflicting subgroup.  The sizes were recorded before the
+    pass was streamed, the correct counts with Monte-Carlo stream 2.  Integer
+    ratios, so BLAS rounding cannot move them."""
 
     @pytest.mark.parametrize("name,aligned,conflicting", [
-        ("theorem_exact", (9754, 10021), (3745, 9979)),
-        ("def1_lemma", (9119, 10021), (7178, 9979)),
+        ("theorem_exact", (9759, 10021), (3746, 9979)),
+        ("def1_lemma", (9118, 10021), (7179, 9979)),
     ])
     def test_verify_theorem(self, tmp_path, monkeypatch, threads, name,
                             aligned, conflicting):
@@ -220,8 +234,8 @@ class TestPinnedSubgroupOutcomes:
         assert {key: report[key] for key in ("acc_overall", "acc_aligned",
                                              "acc_conflicting", "n_aligned",
                                              "n_conflicting", "n_test")} == {
-            "acc_overall": 32628 / 40000, "acc_aligned": 18251 / 20015,
-            "acc_conflicting": 14377 / 19985, "n_aligned": 20015,
+            "acc_overall": 32626 / 40000, "acc_aligned": 18252 / 20015,
+            "acc_conflicting": 14374 / 19985, "n_aligned": 20015,
             "n_conflicting": 19985, "n_test": 40000,
         }
 

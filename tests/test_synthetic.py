@@ -29,7 +29,6 @@ from spurious_lens.synthetic import (
     dataset_dictionaries,
     embed,
     sample_batch,
-    sample_latents,
     substream,
 )
 
@@ -129,7 +128,7 @@ class TestLatents:
     def test_attribute_matches_label_at_rate_p_spu(self):
         cfg = GenerativeConfig(p_spu=0.9)
         rng = substream(0, 99)
-        _, y, a = sample_latents(cfg, rng, 100_000)
+        _, y, a = sample_batch(cfg, rng, 100_000)
         rate = (a == y).mean()
         # binomial 3 sigma around 0.9 at n = 1e5
         assert 0.894 <= rate <= 0.906
@@ -137,20 +136,20 @@ class TestLatents:
     def test_def1_latent_means(self):
         cfg = GenerativeConfig(mu_inv=3.0, mu_spu=2.0, sigma_inv=0.0,
                                sigma_spu=0.0, p_spu=0.8)
-        z, y, a = sample_latents(cfg, substream(1, 99), 500)
+        z, y, a = sample_batch(cfg, substream(1, 99), 500)
         assert np.allclose(z[:, 0], 3.0 * y)
         assert np.allclose(z[:, 1], 2.0 * a)
 
     def test_theorem_exact_latent_means_ignore_mu_spu(self):
         cfg = GenerativeConfig(mu_spu=2.0, sigma_inv=0.0, sigma_spu=0.0,
                                mode="TheoremExact")
-        z, y, a = sample_latents(cfg, substream(1, 99), 500)
+        z, y, a = sample_batch(cfg, substream(1, 99), 500)
         assert np.allclose(z[:, 0], y)
         assert np.allclose(z[:, 1], a)
 
     def test_labels_roughly_balanced(self):
         cfg = GenerativeConfig()
-        _, y, _ = sample_latents(cfg, substream(3, 99), 100_000)
+        _, y, _ = sample_batch(cfg, substream(3, 99), 100_000)
         assert abs(y.mean()) < 0.02
 
 
@@ -207,10 +206,10 @@ class TestOOD:
     def test_ood_batches_deterministic_and_distinct_from_train(self):
         cfg = GenerativeConfig(n=500, d_I=4, d_T=4)
         ds = sample_dataset(cfg, seed=9)
-        a, b = (sample_batch(ood_config(cfg), ds.dict_image, substream(9, STREAM_TEST), 500)
+        a, b = (sample_batch(ood_config(cfg), substream(9, STREAM_TEST), 500)
                 for _ in range(2))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert not np.array_equal(a[0], ds.x_image)
+        assert not np.array_equal(a[0], ds.latents)
         M = asymptotic_minimizer(cfg, ds.dict_image, ds.dict_text)
         assert (subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 9, 500)
                 == subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 9, 500))
@@ -272,7 +271,7 @@ class TestThreadedSampling:
         for index, start in enumerate(range(0, cfg.n, CHUNK)):
             # one generator per chunk: latents, then the image, then the text noise
             rng = substream(3, STREAM_SAMPLES, index)
-            z, y, a = sample_latents(cfg, rng, min(CHUNK, cfg.n - start))
+            z, y, a = sample_batch(cfg, rng, min(CHUNK, cfg.n - start))
             x_image = embed(z, train.dict_image, cfg.sigma_xi, rng)
             x_text = embed(z, train.dict_text, cfg.sigma_xi, rng)
             parts.append((x_image, x_text, y, a, z))
@@ -290,8 +289,7 @@ class TestThreadedSampling:
 )
 def test_sample_batch_deterministic_for_any_seed(seed, size):
     cfg = GenerativeConfig(n=2, d_I=4, d_T=3)
-    dict_image, _ = dataset_dictionaries(cfg, seed=1)
-    a = sample_batch(cfg, dict_image, substream(seed, 2), size)
-    b = sample_batch(cfg, dict_image, substream(seed, 2), size)
+    a = sample_batch(cfg, substream(seed, 2), size)
+    b = sample_batch(cfg, substream(seed, 2), size)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert a[0].shape == (size, 4)
+    assert a[0].shape == (size, 2)

@@ -269,6 +269,25 @@ class TestVerifyTheorem:
         assert isinstance(d["mc_stderr"], list) and len(d["mc_stderr"]) == 2
         assert isinstance(d["passed"], bool)
 
+    def test_mc_z_measures_the_estimates_in_standard_errors(self):
+        rep = verify_theorem(EXACT_CFG, mc_samples=20_000, seed=4)
+        b = rep.bounds
+        assert rep.mc_z == ((rep.mc_err_conflicting - b.err_lower_conflicting) / rep.mc_stderr[0],
+                            (rep.mc_acc_aligned - b.acc_lower_aligned) / rep.mc_stderr[1])
+        assert all(abs(z) < 4 for z in rep.mc_z)
+        assert f"z {rep.mc_z[0]:+.2f}" in format_report_table(EXACT_CFG, rep)
+
+    def test_mc_z_is_none_for_a_zero_stderr(self):
+        # no spurious weight and almost no latent noise: every prediction is
+        # right, so both estimates are exact and have no standard error
+        cfg = GenerativeConfig(sigma_inv=1e-3, sigma_spu=0.0, mu_spu=1.0, p_spu=0.5,
+                               sigma_xi=0.0, mode="TheoremExact")
+        rep = verify_theorem(cfg, mc_samples=2000, seed=0)
+        assert rep.mc_stderr == (0.0, 0.0)
+        assert rep.mc_z == (None, None)
+        assert json.loads(_serialize("report.json", rep))["mc_z"] == [None, None]
+        assert format_report_table(cfg, rep).count("z n/a") == 2
+
     def test_report_table_fixed_order(self):
         rep = verify_theorem(EXACT_CFG, mc_samples=2000, seed=0)
         table = format_report_table(EXACT_CFG, rep)
