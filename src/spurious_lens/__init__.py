@@ -29,8 +29,6 @@ from .discrete import (
     MethodSummary,
     Split,
     SplitReport,
-    ce_gradient,
-    ce_loss,
     evaluate_splits,
     run_discrete_experiment,
     sample_discrete_dataset,

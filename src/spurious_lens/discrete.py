@@ -97,13 +97,27 @@ class DiscreteConfig:
 
 @dataclass(frozen=True)
 class DiscreteDataset:
-    """Column-batched discrete samples, one row each."""
+    """Column-batched discrete samples, one row each, with an object label in
+    [0, num_classes) and a color label in [0, num_colors) per row."""
 
     config: DiscreteConfig
     split: Split
     features: np.ndarray
     object_labels: np.ndarray
     color_labels: np.ndarray
+
+    def __post_init__(self):
+        # the trainer's flat index would read another row's cell for a label out of range
+        shape = np.shape(self.features)
+        for name, high in (("object_labels", self.config.num_classes),
+                           ("color_labels", self.config.num_colors)):
+            labels = np.asarray(getattr(self, name))
+            object.__setattr__(self, name, labels)
+            if labels.shape != shape[:1]:
+                raise ConfigError(f"{name} must hold one label per feature row, "
+                                  f"got shape {labels.shape} for features {shape}")
+            if not np.all((labels >= 0) & (labels < high)):
+                raise ConfigError(f"{name} must lie in [0, {high})")
 
     def __len__(self) -> int:
         return self.object_labels.shape[0]
@@ -182,25 +196,8 @@ class LinearClassifier:
         return (np.atleast_2d(features) @ self.weights.T).argmax(axis=1)
 
 
-def ce_loss(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean multinomial cross-entropy of linear logits."""
-    return _ce_loss_grad(*_ce_args(weights, features, labels))[0]
-
-
-def ce_gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`ce_loss` with respect to the weight matrix."""
-    return _ce_loss_grad(*_ce_args(weights, features, labels))[1]
-
-
-def _ce_args(weights, features, labels):
-    # the kernel's flat index would read another row's cell for an out-of-range label
-    weights, labels = np.asarray(weights, dtype=float), np.asarray(labels)
-    if not np.all((labels >= 0) & (labels < weights.shape[0])):
-        raise ConfigError(f"labels must lie in [0, {weights.shape[0]})")
-    return weights, np.atleast_2d(features), labels
-
-
 def _ce_loss_grad(weights: np.ndarray, x: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of linear logits, and its gradient in the weights."""
     n, k = x.shape[0], weights.shape[0]
     logits = x @ weights.T
     # numpy reduces along a short row axis slowly, so max and sum go column by

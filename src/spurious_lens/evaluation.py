@@ -129,10 +129,10 @@ _PRED_FIXED = ("sample_id", "true_label", "group", "background")
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _read_csv(path) -> tuple[list[str] | None, Iterator[tuple[int, list[str]]]]:
-    """The header row, None for an empty file, and the data rows, read
-    lazily as (line, row) pairs.  A row the csv module rejects (a cell
-    over its field size limit) is a ParseError naming the line.
+def _read_csv(path, what: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header row and the data rows, read lazily as (line, row) pairs.
+    An empty file, and a row the csv module rejects (a cell over its field
+    size limit), are ParseErrors; ``what`` names the file in the first.
 
     Lines are cut from the text one at a time: io.StringIO would hold a
     copy at four bytes per character."""
@@ -150,12 +150,31 @@ def _read_csv(path) -> tuple[list[str] | None, Iterator[tuple[int, list[str]]]]:
 
     rows = numbered()
     first = next(rows, None)
-    return (None if first is None else first[1]), rows
+    if first is None:
+        raise ParseError(f"{what} file is empty")
+    return first[1], rows
 
 
-def _duplicate_id(sample_id: str, first: int, line: int) -> ParseError:
-    return ParseError(f"duplicate sample_id {sample_id!r} at lines {first} and {line}",
-                      lines=(first, line))
+def _full_rows(header: list[str], rows, what: str) -> Iterator[tuple[int, list[str]]]:
+    """The data rows, each as wide as the header; a file with none is a ParseError."""
+    line = 1
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"line {line}: expected {len(header)} cells, got {len(row)}",
+                             lines=(line,))
+        yield line, row
+    if line == 1:
+        raise ParseError(f"{what} file has no data rows")
+
+
+def _check_id(seen: dict[str, int], sample_id: str, line: int) -> None:
+    """Record a row's sample_id, which must be nonempty and unique."""
+    if not sample_id:
+        raise ParseError(f"line {line}: empty sample_id", lines=(line,))
+    first = seen.setdefault(sample_id, line)
+    if first != line:
+        raise ParseError(f"duplicate sample_id {sample_id!r} at lines {first} and {line}",
+                         lines=(first, line))
 
 
 def load_predictions(path) -> PredictionTable:
@@ -165,9 +184,7 @@ def load_predictions(path) -> PredictionTable:
     A row may rank fewer than K labels by leaving trailing cells empty;
     pred_1 itself must never be empty.
     """
-    header, rows = _read_csv(path)
-    if header is None:
-        raise ParseError("prediction file is empty")
+    header, rows = _read_csv(path, "prediction")
     if tuple(header[: len(_PRED_FIXED)]) != _PRED_FIXED:
         raise ParseError(
             f"header must start with {','.join(_PRED_FIXED)}, got {','.join(header)}",
@@ -191,11 +208,7 @@ def load_predictions(path) -> PredictionTable:
             raise ParseError(f"line {line}: more cells than header columns", lines=(line,))
         row = row + [""] * (width - len(row))
         sample_id, true_label, group, background = row[:4]
-        if not sample_id:
-            raise ParseError(f"line {line}: empty sample_id", lines=(line,))
-        first = seen.setdefault(sample_id, line)
-        if first != line:
-            raise _duplicate_id(sample_id, first, line)
+        _check_id(seen, sample_id, line)
         if not true_label:
             raise ParseError(f"line {line}: empty true_label", lines=(line,))
         group_code = _GROUP_CODE.get(group)
@@ -455,9 +468,7 @@ class SimilarityTable:
 
 def load_similarities(path) -> SimilarityTable:
     """Parse a similarity CSV: header sample_id,<cand_1>,...,<cand_C>."""
-    header, rows = _read_csv(path)
-    if header is None:
-        raise ParseError("similarity file is empty")
+    header, rows = _read_csv(path, "similarity")
     if len(header) < 2 or header[0] != "sample_id":
         raise ParseError(
             "header must be sample_id,<candidate_1>,...,<candidate_C>", lines=(1,)
@@ -465,21 +476,10 @@ def load_similarities(path) -> SimilarityTable:
     candidates = tuple(header[1:])
     if len(set(candidates)) != len(candidates):
         raise ParseError("duplicate candidate labels in header", lines=(1,))
-    ids = []
-    seen: dict[str, int] = {}
+    seen: dict[str, int] = {}  # the sample ids, in row order
     scores = []
-    for line, row in rows:
-        if len(row) != len(header):
-            raise ParseError(
-                f"line {line}: expected {len(header)} cells, got {len(row)}",
-                lines=(line,),
-            )
-        sample_id = row[0]
-        if not sample_id:
-            raise ParseError(f"line {line}: empty sample_id", lines=(line,))
-        first = seen.setdefault(sample_id, line)
-        if first != line:
-            raise _duplicate_id(sample_id, first, line)
+    for line, row in _full_rows(header, rows, "similarity"):
+        _check_id(seen, row[0], line)
         try:
             values = np.fromiter(map(float, row[1:]), dtype=float, count=len(row) - 1)
         except ValueError:
@@ -487,11 +487,8 @@ def load_similarities(path) -> SimilarityTable:
         if not np.isfinite(values).all():
             raise ParseError(f"line {line}: non-finite score", lines=(line,))
         scores.append(values)
-        ids.append(sample_id)
-    if not ids:
-        raise ParseError("similarity file has no data rows")
     return SimilarityTable(
-        candidates=candidates, sample_ids=tuple(ids), scores=np.array(scores)
+        candidates=candidates, sample_ids=tuple(seen), scores=np.array(scores)
     )
 
 
@@ -527,9 +524,7 @@ def load_points(path) -> list[Point]:
     Accuracies are fractions; a value that is not finite or lies outside
     [0, 1] is rejected with its line.
     """
-    header, rows = _read_csv(path)
-    if header is None:
-        raise ParseError("points file is empty")
+    header, rows = _read_csv(path, "points")
     if header == ["easy", "hard"]:
         named = False
     elif header == ["name", "easy", "hard"]:
@@ -539,12 +534,7 @@ def load_points(path) -> list[Point]:
             "header must be easy,hard or name,easy,hard", lines=(1,)
         )
     points = []
-    for line, row in rows:
-        if len(row) != len(header):
-            raise ParseError(
-                f"line {line}: expected {len(header)} cells, got {len(row)}",
-                lines=(line,),
-            )
+    for line, row in _full_rows(header, rows, "points"):
         name = row[0] if named else None
         try:
             easy, hard = float(row[-2]), float(row[-1])
@@ -556,8 +546,6 @@ def load_points(path) -> list[Point]:
                 lines=(line,),
             )
         points.append(Point(name=name, easy=easy, hard=hard))
-    if not points:
-        raise ParseError("points file has no data rows")
     return points
 
 

@@ -473,6 +473,9 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": json.dumps(GAUSS_OVERFLOW)},
      ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
      3, "error: overflow encountered"),
+    ({"c.json": json.dumps(GAUSS_OVERFLOW)},
+     ["verify-theorem", "--config", "c.json", "--mc", "2000", "--out", "r.json"],
+     2, "mu_spu"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
@@ -480,7 +483,7 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
         "svg-is-manifest", "svg-dir-missing", "discover-threshold-nan",
         "verify-tol-inf", "eval-oversized-cell", "gaussian-impossible-size",
         "gaussian-negative-seed", "gaussian-repeated-field", "discrete-repeated-field",
-        "gaussian-removed-field", "gaussian-overflow"])
+        "gaussian-removed-field", "gaussian-overflow", "verify-def1-off-regime"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)

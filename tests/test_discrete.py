@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from spurious_lens import (
     ConfigError,
     DiscreteConfig,
+    DiscreteDataset,
     InsufficientDataError,
     LinearClassifier,
     NonconvergenceError,
     ParseError,
     Split,
     SplitReport,
-    ce_gradient,
-    ce_loss,
     evaluate_splits,
     run_discrete_experiment,
     sample_discrete_dataset,
@@ -40,6 +39,10 @@ def chi2_pvalue(chi2: float, dof: int) -> float:
 def draw_test_splits(config, n_test, seed):
     return (sample_discrete_dataset(config, Split.RAND, seed, size=n_test),
             sample_discrete_dataset(config, Split.REV, seed, size=n_test))
+
+
+def ce_loss(weights, x, labels):
+    return discrete._ce_loss_grad(weights, x, labels)[0]
 
 
 def reference_ce_loss_grad(weights, x, labels):
@@ -248,7 +251,7 @@ class TestLossAndTraining:
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=1, size=20)
         x, y = data.features, data.object_labels
         w = rng.normal(size=(2, BASE.feature_dim))
-        grad = ce_gradient(w, x, y)
+        grad = discrete._ce_loss_grad(w, x, y)[1]
         eps = 1e-6
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
@@ -302,10 +305,11 @@ class TestLossAndTraining:
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_label_out_of_range_rejected(self, bad):
         x = np.eye(3, BASE.feature_dim)
-        w = np.zeros((2, BASE.feature_dim))
-        for fn in (ce_loss, ce_gradient):
+        good, wrong = np.array([0, 1, 1]), np.array([0, bad, 1])
+        for objects, colors in ((wrong, good), (good, wrong), (good, good[:2])):
             with pytest.raises(ConfigError):
-                fn(w, x, np.array([0, bad, 1]))
+                DiscreteDataset(BASE, Split.TRAIN, x, object_labels=objects,
+                                color_labels=colors)
 
     def test_huge_step_raises_nonconvergence(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=100)

@@ -80,8 +80,10 @@ class TestLoadPredictions:
         assert table.labels[table.label[2]] == "fox" and table.rank[2] == 1
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             load_predictions(write_csv(tmp_path / "p.csv", ""))
+        assert str(err.value) == "prediction file is empty"
+        assert err.value.lines == ()
 
     @pytest.mark.parametrize("ending", ["\r\n", "\r"])
     def test_crlf_and_cr_line_endings(self, tmp_path, ending):
@@ -122,6 +124,7 @@ class TestLoadPredictions:
         text = VALID_PREDICTIONS + ",fox,easy,snow,fox\n"
         with pytest.raises(ParseError) as err:
             load_predictions(write_csv(tmp_path / "p.csv", text))
+        assert str(err.value) == "line 5: empty sample_id"
         assert err.value.lines == (5,)
 
     def test_empty_true_label(self, tmp_path):
@@ -135,7 +138,7 @@ class TestLoadPredictions:
         with pytest.raises(ParseError) as err:
             load_predictions(write_csv(tmp_path / "p.csv", text))
         assert err.value.lines == (3, 5)
-        assert "a2" in str(err.value)
+        assert str(err.value) == "duplicate sample_id 'a2' at lines 3 and 5"
 
     def test_bad_group(self, tmp_path):
         text = VALID_PREDICTIONS + "a4,fox,medium,snow,fox\n"
@@ -543,6 +546,12 @@ class TestSimilarities:
         assert table.sample_ids == ("s1", "s2", "s3")
         assert table.scores.shape == (3, 3)
 
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            load_similarities(write_csv(tmp_path / "s.csv", ""))
+        assert str(err.value) == "similarity file is empty"
+        assert err.value.lines == ()
+
     def test_bad_header(self, tmp_path):
         with pytest.raises(ParseError) as err:
             load_similarities(write_csv(tmp_path / "s.csv", "id,cat\nx,1\n"))
@@ -558,6 +567,14 @@ class TestSimilarities:
         text = VALID_SIMILARITIES + "s4,0.1\n"
         with pytest.raises(ParseError) as err:
             load_similarities(write_csv(tmp_path / "s.csv", text))
+        assert str(err.value) == "line 5: expected 4 cells, got 2"
+        assert err.value.lines == (5,)
+
+    def test_empty_sample_id(self, tmp_path):
+        text = VALID_SIMILARITIES + ",0.1,0.2,0.3\n"
+        with pytest.raises(ParseError) as err:
+            load_similarities(write_csv(tmp_path / "s.csv", text))
+        assert str(err.value) == "line 5: empty sample_id"
         assert err.value.lines == (5,)
 
     def test_duplicate_sample(self, tmp_path):
@@ -565,6 +582,7 @@ class TestSimilarities:
         with pytest.raises(ParseError) as err:
             load_similarities(write_csv(tmp_path / "s.csv", text))
         assert err.value.lines == (3, 5)
+        assert str(err.value) == "duplicate sample_id 's2' at lines 3 and 5"
 
     def test_non_numeric_score(self, tmp_path):
         text = VALID_SIMILARITIES + "s4,high,0.2,0.3\n"
@@ -579,8 +597,10 @@ class TestSimilarities:
         assert err.value.lines == (5,)
 
     def test_no_data_rows(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             load_similarities(write_csv(tmp_path / "s.csv", "sample_id,cat\n"))
+        assert str(err.value) == "similarity file has no data rows"
+        assert err.value.lines == ()
 
     def test_table_shape_validation(self):
         with pytest.raises(ConfigError):
@@ -632,6 +652,12 @@ class TestLoadPoints:
                                     "name,easy,hard\nm1,0.6,0.4\n"))
         assert pts == [Point("m1", 0.6, 0.4)]
 
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ParseError) as err:
+            load_points(write_csv(tmp_path / "p.csv", ""))
+        assert str(err.value) == "points file is empty"
+        assert err.value.lines == ()
+
     def test_bad_header(self, tmp_path):
         with pytest.raises(ParseError) as err:
             load_points(write_csv(tmp_path / "p.csv", "x,y\n1,2\n"))
@@ -640,6 +666,7 @@ class TestLoadPoints:
     def test_ragged_row(self, tmp_path):
         with pytest.raises(ParseError) as err:
             load_points(write_csv(tmp_path / "p.csv", "easy,hard\n0.5\n"))
+        assert str(err.value) == "line 2: expected 2 cells, got 1"
         assert err.value.lines == (2,)
 
     def test_non_numeric(self, tmp_path):
@@ -648,8 +675,10 @@ class TestLoadPoints:
         assert err.value.lines == (2,)
 
     def test_no_rows(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             load_points(write_csv(tmp_path / "p.csv", "easy,hard\n"))
+        assert str(err.value) == "points file has no data rows"
+        assert err.value.lines == ()
 
 
 class TestEffectiveRobustnessFit:

@@ -1,0 +1,52 @@
+"""Every public function and class of the package has a user.
+
+A public top-level definition in ``src/spurious_lens/<module>.py`` must be
+read somewhere: by the package itself, by the acceptance gate
+(``tests/test_acceptance.py``) or by the benchmark (``benchmarks/*.py``).
+A re-export in ``__init__.py`` is not a use, and neither is a unit test
+of the definition itself: code that only its own tests call is surface
+to delete.  Uses are found in the syntax tree as names, attributes and
+imported names.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "spurious_lens").glob("*.py")
+                 if p.name != "__init__.py")
+USERS = [*MODULES, ROOT / "tests" / "test_acceptance.py",
+         *sorted((ROOT / "benchmarks").glob("*.py"))]
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def public_definitions() -> dict[str, str]:
+    """Each public top-level function or class, mapped to its module."""
+    return {node.name: path.stem for path in MODULES for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def referenced_names(paths) -> set[str]:
+    names = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_definition_has_a_user():
+    defined = public_definitions()
+    assert defined.get("verify_theorem") == "theory"
+    used = referenced_names(USERS)
+    unused = sorted(f"{module}.{name}" for name, module in defined.items()
+                    if name not in used)
+    assert not unused, f"public but read only by their own tests: {unused}"

@@ -215,7 +215,6 @@ class TestVerifyTheorem:
         assert rep.alignment_gap is None
         assert rep.mc_err_conflicting == pytest.approx(ERR_BOUND_ACCEPT, abs=0.01)
         assert rep.mc_acc_aligned == pytest.approx(ACC_BOUND_ACCEPT, abs=0.005)
-        assert rep.low_power_subgroups == ()
 
     def test_symmetric_case_error_complements_accuracy(self):
         # 2 mu_spu p_spu = 1 zeroes the spurious weight, so the subgroups
