@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NonconvergenceError, ShapeError
-from .synthetic import (STREAM_TEST, Dictionary, GenerativeConfig, SyntheticDataset,
-                        _map_chunks, ood_config, sample_batch)
+from .synthetic import (CHUNK, STREAM_TEST, Dictionary, GenerativeConfig, SyntheticDataset,
+                        TrainingMoments, _add_in_order, _chunk_sums, _map_chunks,
+                        ood_config, sample_batch)
 
 # Version of the test pass's random stream; both Gaussian reports echo it.
 MC_STREAM = 2
@@ -66,19 +67,22 @@ def _check_dims(M: AlignmentMatrix, dataset: SyntheticDataset) -> None:
         raise ShapeError(f"alignment matrix shape {M.shape} does not match data dims {want}")
 
 
-def _data_term(dataset: SyntheticDataset) -> np.ndarray:
+def _data_term(train: TrainingMoments | SyntheticDataset) -> np.ndarray:
     """Constant matrix C with contrastive data loss <C, M>_F.
 
     Averaging the pairwise (mismatched minus matched) similarities over all
     ordered pairs collapses to C = (sum_I sum_T^T - n * X_I^T X_T) / (n(n-1)).
+    A dataset's sums are added CHUNK rows at a time, as training_moments adds
+    its chunks, so both give the same bits.
     """
-    n = len(dataset)
+    n = len(train) if isinstance(train, SyntheticDataset) else train.n
     if n < 2:
         raise InsufficientDataError("contrastive loss needs at least 2 pairs")
-    sum_i = dataset.x_image.sum(axis=0)
-    sum_t = dataset.x_text.sum(axis=0)
-    matched = dataset.x_image.T @ dataset.x_text
-    return (np.outer(sum_i, sum_t) - n * matched) / (n * (n - 1))
+    if isinstance(train, SyntheticDataset):
+        train = TrainingMoments(n, *_add_in_order(
+            _chunk_sums(train.x_image[i:i + CHUNK], train.x_text[i:i + CHUNK])
+            for i in range(0, n, CHUNK)), train.dict_image, train.dict_text)
+    return (np.outer(train.sum_image, train.sum_text) - n * train.matched) / (n * (n - 1))
 
 
 def _loss(data: np.ndarray, m: np.ndarray, rho: float) -> float:
@@ -97,7 +101,8 @@ def clip_loss_gradient(M: AlignmentMatrix, dataset: SyntheticDataset, rho: float
     return _data_term(dataset) + rho * M.entries
 
 
-def empirical_minimizer(dataset: SyntheticDataset, rho: float) -> AlignmentMatrix:
+def empirical_minimizer(train: TrainingMoments | SyntheticDataset,
+                        rho: float) -> AlignmentMatrix:
     """Closed-form unique minimizer of the regularized contrastive loss.
 
     Equals (1/rho) * [(n-1) * sum_i x_I^i x_T^i^T - sum_{i != j} x_I^i x_T^j^T]
@@ -105,7 +110,7 @@ def empirical_minimizer(dataset: SyntheticDataset, rho: float) -> AlignmentMatri
     """
     if rho <= 0:
         raise ConfigError(f"rho must be > 0, got {rho}")
-    return AlignmentMatrix(-_data_term(dataset) / rho)
+    return AlignmentMatrix(-_data_term(train) / rho)
 
 
 def latent_alignment_target(config: GenerativeConfig) -> np.ndarray:
@@ -268,9 +273,8 @@ def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
             score += noise * rng.standard_normal(stop - start)
         return subgroup_counts(np.where(score >= 0, 1, -1), y, a)
 
-    correct_aligned, n_aligned, correct_conflicting, n_conflicting = (
-        sum(column) for column in zip(*_map_chunks(seed, STREAM_TEST, total, counts))
-    )
+    correct_aligned, n_aligned, correct_conflicting, n_conflicting = _add_in_order(
+        _map_chunks(seed, STREAM_TEST, total, counts))
     return SubgroupReport(
         acc_overall=(correct_aligned + correct_conflicting) / total,
         acc_aligned=correct_aligned / n_aligned if n_aligned else None,

@@ -61,7 +61,7 @@ from .evaluation import (
 )
 from .inputs import load_config, read_text
 from .svgplot import render_fit_svg
-from .synthetic import GenerativeConfig, sample_dataset
+from .synthetic import GenerativeConfig, training_moments
 from .theory import format_report_table, verify_theorem
 
 _INPUT_ERRORS = (ParseError, ConfigError, InsufficientDataError, ShapeError, OSError)
@@ -175,9 +175,9 @@ def cmd_verify_theorem(args) -> _Outcome:
 
 def cmd_simulate_gaussian(args) -> _Outcome:
     config = args.config
-    trainset = sample_dataset(config, args.seed)
-    matrix = empirical_minimizer(trainset, config.rho)
-    dicts = (trainset.dict_image, trainset.dict_text)
+    train = training_moments(config, args.seed)
+    matrix = empirical_minimizer(train, config.rho)
+    dicts = (train.dict_image, train.dict_text)
     alignment = {
         "target_gap": alignment_gap(matrix, config, *dicts),
         "population_gap": alignment_gap(

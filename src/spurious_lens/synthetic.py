@@ -21,6 +21,7 @@ on worker count.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,7 @@ STREAM_SAMPLES = 2
 STREAM_TEST = 3
 
 CHUNK = 16384
+MAX_SAMPLES = 2**63 - 1  # numpy's largest array dimension
 
 
 class Mode(str, enum.Enum):
@@ -68,12 +70,14 @@ def worker_count() -> int:
     return value
 
 
-def _map_chunks(seed: int, tag: int, total: int, fn) -> list:
-    """``fn(substream(seed, tag, i), start, stop)`` for each CHUNK-row slice
-    ``i`` of ``range(total)``, in chunk order.
+def _map_chunks(seed: int, tag: int, total: int, fn):
+    """Yield ``fn(substream(seed, tag, i), start, stop)`` for each CHUNK-row
+    slice ``i`` of ``range(total)``, in chunk order.
 
-    The calls run on up to :func:`worker_count` threads.  Each draws only
-    from its own sub-stream, so the results do not depend on the worker count.
+    The calls run on up to :func:`worker_count` threads, with at most two per
+    worker submitted and not yet yielded, so the memory held stays bounded at
+    any ``total``.  Each call draws only from its own sub-stream, so the
+    results do not depend on the worker count.
     """
     starts = range(0, total, CHUNK)
 
@@ -83,9 +87,15 @@ def _map_chunks(seed: int, tag: int, total: int, fn) -> list:
 
     workers = worker_count()
     if workers == 1 or len(starts) <= 1:
-        return [run(index) for index in range(len(starts))]
+        yield from map(run, range(len(starts)))
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(len(starts))))
+        pending = []
+        for index in range(len(starts)):
+            if len(pending) == 2 * workers:
+                yield pending.pop(0).result()
+            pending.append(pool.submit(run, index))
+        yield from (future.result() for future in pending)
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,8 @@ class GenerativeConfig:
         for name in ("sigma_inv", "sigma_spu", "sigma_xi"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_SAMPLES:
+            raise ConfigError(f"n must lie in [2, {MAX_SAMPLES}], got {self.n}")
         if self.d_I < LATENT_DIM or self.d_T < LATENT_DIM:
             raise ConfigError(
                 f"ambient dims must be >= {LATENT_DIM}, got d_I={self.d_I}, d_T={self.d_T}"
@@ -194,17 +204,47 @@ def dataset_dictionaries(config: GenerativeConfig, seed: int):
     return dict_image, dict_text
 
 
+def _draw_chunk(config: GenerativeConfig, dict_image: Dictionary,
+                dict_text: Dictionary, rng: np.random.Generator, size: int):
+    """One STREAM_SAMPLES chunk (x_image, x_text, y, a): the latents, then the
+    image noise, then the text noise, all from ``rng``."""
+    z, y, a = sample_batch(config, rng, size)
+    return (embed(z, dict_image, config.sigma_xi, rng),
+            embed(z, dict_text, config.sigma_xi, rng), y, a)
+
+
+def _chunk_sums(x_image: np.ndarray, x_text: np.ndarray):
+    """sum X_I, sum X_T and X_I^T X_T: all the minimizer reads of some rows."""
+    return x_image.sum(axis=0), x_text.sum(axis=0), x_image.T @ x_text
+
+
+def _add_in_order(parts) -> list:
+    """Element-wise total of a stream of equal-length tuples, added left to right."""
+    return functools.reduce(lambda total, part: [t + p for t, p in zip(total, part)], parts)
+
+
+@dataclass(frozen=True)
+class TrainingMoments:
+    """A training set as the minimizer reads it: n, the three sums of
+    :func:`_chunk_sums` and the dictionaries its rows were embedded with."""
+
+    n: int
+    sum_image: np.ndarray
+    sum_text: np.ndarray
+    matched: np.ndarray
+    dict_image: Dictionary
+    dict_text: Dictionary
+
+
 @dataclass(frozen=True)
 class SyntheticDataset:
     """An immutable seeded collection of paired samples, one row each."""
 
     config: GenerativeConfig
-    seed: int
     x_image: np.ndarray
     x_text: np.ndarray
     labels: np.ndarray
     attributes: np.ndarray
-    latents: np.ndarray
     dict_image: Dictionary
     dict_text: Dictionary
 
@@ -215,26 +255,34 @@ class SyntheticDataset:
 def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     """Draw a full dataset: fresh dictionaries plus config.n embedded samples.
 
-    Deterministic in (config, seed): each chunk draws from its own sub-stream,
-    the latents first and the text embedding last, so the output does not
-    depend on scheduling.
+    Deterministic in (config, seed): each chunk draws from its own sub-stream
+    and fills its own rows, so the output does not depend on scheduling.
     """
     dict_image, dict_text = dataset_dictionaries(config, seed)
     total = config.n
     x_image, x_text = np.empty((total, dict_image.d)), np.empty((total, dict_text.d))
     labels, attributes = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
-    latents = np.empty((total, LATENT_DIM))
 
     def fill(rng, start, stop):
         rows = slice(start, stop)
-        z, labels[rows], attributes[rows] = sample_batch(config, rng, stop - start)
-        latents[rows] = z
-        x_image[rows] = embed(z, dict_image, config.sigma_xi, rng)
-        x_text[rows] = embed(z, dict_text, config.sigma_xi, rng)
+        x_image[rows], x_text[rows], labels[rows], attributes[rows] = _draw_chunk(
+            config, dict_image, dict_text, rng, stop - start)
 
-    _map_chunks(seed, STREAM_SAMPLES, total, fill)
-    return SyntheticDataset(config, seed, x_image, x_text, labels, attributes,
-                            latents, dict_image, dict_text)
+    list(_map_chunks(seed, STREAM_SAMPLES, total, fill))
+    return SyntheticDataset(config, x_image, x_text, labels, attributes, dict_image, dict_text)
+
+
+def training_moments(config: GenerativeConfig, seed: int) -> TrainingMoments:
+    """The training sums of ``sample_dataset(config, seed)``, equal bit for bit:
+    each chunk is drawn as there, reduced to its sums and dropped, and the
+    sums are added in chunk order.  Memory is O(workers * CHUNK * d + d^2)."""
+    dict_image, dict_text = dataset_dictionaries(config, seed)
+
+    def sums(rng, start, stop):
+        return _chunk_sums(*_draw_chunk(config, dict_image, dict_text, rng, stop - start)[:2])
+
+    return TrainingMoments(config.n, *_add_in_order(
+        _map_chunks(seed, STREAM_SAMPLES, config.n, sums)), dict_image, dict_text)
 
 
 def ood_config(config: GenerativeConfig) -> GenerativeConfig:

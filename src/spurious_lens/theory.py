@@ -19,7 +19,7 @@ from .alignment import (
     subgroup_accuracy,
 )
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .synthetic import GenerativeConfig, Mode, dataset_dictionaries, sample_dataset
+from .synthetic import MAX_SAMPLES, GenerativeConfig, Mode, dataset_dictionaries, training_moments
 
 _SQRT2 = math.sqrt(2.0)
 _NORMAL = statistics.NormalDist()
@@ -146,6 +146,8 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         raise InsufficientDataError(
             f"mc_samples must be >= 1000 for a meaningful check, got {mc_samples}"
         )
+    if mc_samples > MAX_SAMPLES:
+        raise ConfigError(f"mc_samples must be <= {MAX_SAMPLES}, got {mc_samples}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
     if config.mode is Mode.DEF1 and (config.mu_inv, config.mu_spu) != (1.0, 1.0):
@@ -154,13 +156,11 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
 
     bounds = theorem_bounds(params_from_config(config))
     gap = None
+    dict_image, dict_text = dataset_dictionaries(config, seed)
     if config.mode is Mode.THEOREM_EXACT:
-        dict_image, dict_text = dataset_dictionaries(config, seed)
         matrix = asymptotic_minimizer(config, dict_image, dict_text)
     else:
-        trainset = sample_dataset(config, seed)
-        dict_image, dict_text = trainset.dict_image, trainset.dict_text
-        matrix = empirical_minimizer(trainset, config.rho)
+        matrix = empirical_minimizer(training_moments(config, seed), config.rho)
         gap = alignment_gap(matrix, config, dict_image, dict_text)
     report = subgroup_accuracy(matrix, config, dict_image, dict_text, seed, mc_samples)
     n_aligned, n_conflicting = report.n_aligned, report.n_conflicting

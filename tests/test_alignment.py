@@ -33,11 +33,13 @@ from spurious_lens.alignment import subgroup_counts
 from spurious_lens.cli import _json_data, main as cli_main
 from spurious_lens.synthetic import (
     CHUNK,
+    STREAM_SAMPLES,
     STREAM_TEST,
     dataset_dictionaries,
     embed,
     sample_batch,
     substream,
+    training_moments,
 )
 
 
@@ -82,10 +84,9 @@ class TestLoss:
     def test_single_pair_rejected(self):
         ds = small_dataset(n=2)
         one = type(ds)(
-            config=ds.config, seed=ds.seed,
+            config=ds.config,
             x_image=ds.x_image[:1], x_text=ds.x_text[:1],
             labels=ds.labels[:1], attributes=ds.attributes[:1],
-            latents=ds.latents[:1],
             dict_image=ds.dict_image, dict_text=ds.dict_text,
         )
         M = random_matrix((4, 3), 0)
@@ -174,6 +175,32 @@ class TestMinimizers:
             gradient_descent_minimizer(ds, 1.0, **kwargs)
 
 
+class TestStreamedTraining:
+    """training_moments reduces each chunk to three sums as it is drawn; the
+    minimizer it gives is the materialised dataset's, bit for bit."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n", [CHUNK, 2 * CHUNK, 5 * CHUNK + 7])
+    def test_streamed_minimizer_is_the_materialised_one(self, monkeypatch, n, threads):
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+        cfg = GenerativeConfig(n=n, d_I=6, d_T=5, rho=0.8)
+        ds = sample_dataset(cfg, seed=3)
+        streamed = empirical_minimizer(training_moments(cfg, seed=3), cfg.rho).entries
+        materialised = empirical_minimizer(ds, cfg.rho).entries
+        assert np.array_equal(streamed, materialised)
+        # the whole-array formula, summed in one pass
+        oracle = -(np.outer(ds.x_image.sum(axis=0), ds.x_text.sum(axis=0))
+                   - n * ds.x_image.T @ ds.x_text) / (n * (n - 1)) / cfg.rho
+        assert np.linalg.norm(streamed - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_moments_carry_the_dataset_dictionaries(self):
+        cfg = GenerativeConfig(n=100, d_I=6, d_T=5)
+        moments, ds = training_moments(cfg, seed=2), sample_dataset(cfg, seed=2)
+        assert moments.n == 100
+        assert np.array_equal(moments.dict_image.entries, ds.dict_image.entries)
+        assert np.array_equal(moments.dict_text.entries, ds.dict_text.entries)
+
+
 class TestTargets:
     def test_latent_target_entries(self):
         cfg = GenerativeConfig(sigma_inv=1.0, sigma_spu=0.5, mu_spu=2.0,
@@ -191,8 +218,11 @@ class TestTargets:
     def test_population_target_is_second_moment(self):
         cfg = GenerativeConfig(mu_inv=1.5, mu_spu=2.0, sigma_inv=0.7,
                                sigma_spu=0.3, p_spu=0.9, n=200_000)
-        ds = sample_dataset(cfg, seed=0)
-        emp = ds.latents.T @ ds.latents / len(ds)
+        # the training latents, replayed: each chunk draws them first
+        z = np.concatenate([
+            sample_batch(cfg, substream(0, STREAM_SAMPLES, index), min(CHUNK, cfg.n - start))[0]
+            for index, start in enumerate(range(0, cfg.n, CHUNK))])
+        emp = z.T @ z / cfg.n
         assert np.allclose(emp, population_alignment_target(cfg), atol=0.02)
 
     def test_asymptotic_minimizer_shape_and_scale(self):

@@ -457,7 +457,7 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
      ["eval", "--predictions", "p.csv", "--out", "r.json"], 2, "line 2"),
     ({"c.json": '{"n": 100000000000000000000}'},
      ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
-     4, "error: internal: ValueError: "),
+     2, "n must lie in [2, 9223372036854775807]"),
     ({"c.json": json.dumps(GAUSS_DEF1)},
      ["simulate-gaussian", "--config", "c.json", "--seed", "-1", "--out", "r.json"],
      2, "seed must be >= 0"),
@@ -476,6 +476,10 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": json.dumps(GAUSS_OVERFLOW)},
      ["verify-theorem", "--config", "c.json", "--mc", "2000", "--out", "r.json"],
      2, "mu_spu"),
+    ({"c.json": json.dumps(GAUSS_EXACT)},
+     ["verify-theorem", "--config", "c.json", "--mc", "100000000000000000000",
+      "--out", "r.json"],
+     2, "mc_samples must be <= 9223372036854775807"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
@@ -483,7 +487,8 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
         "svg-is-manifest", "svg-dir-missing", "discover-threshold-nan",
         "verify-tol-inf", "eval-oversized-cell", "gaussian-impossible-size",
         "gaussian-negative-seed", "gaussian-repeated-field", "discrete-repeated-field",
-        "gaussian-removed-field", "gaussian-overflow", "verify-def1-off-regime"])
+        "gaussian-removed-field", "gaussian-overflow", "verify-def1-off-regime",
+        "verify-mc-impossible"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)

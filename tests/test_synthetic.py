@@ -2,6 +2,8 @@ import dataclasses
 import json
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,17 +26,28 @@ from spurious_lens.cli import _json_data
 from spurious_lens.inputs import load_config
 from spurious_lens.synthetic import (
     CHUNK,
+    MAX_SAMPLES,
     STREAM_SAMPLES,
     STREAM_TEST,
+    _map_chunks,
     dataset_dictionaries,
     embed,
     sample_batch,
     substream,
+    training_moments,
 )
 
 NUMERIC_FIELDS = ("mu_inv", "mu_spu", "sigma_inv", "sigma_spu", "sigma_xi", "p_spu",
                   "n", "d_I", "d_T", "rho")
 INT_FIELDS = ("n", "d_I", "d_T")
+
+
+def training_latents(cfg, seed):
+    """The latents sample_dataset drew, replayed: each STREAM_SAMPLES chunk
+    draws them first from its own generator."""
+    return np.concatenate([
+        sample_batch(cfg, substream(seed, STREAM_SAMPLES, index), min(CHUNK, cfg.n - start))[0]
+        for index, start in enumerate(range(0, cfg.n, CHUNK))])
 
 
 class TestConfig:
@@ -49,6 +62,7 @@ class TestConfig:
         ("sigma_spu", -1.0),
         ("sigma_xi", -0.5),
         ("n", 1),
+        ("n", MAX_SAMPLES + 1),
         ("d_I", 1),
         ("d_T", 1),
         ("rho", 0.0),
@@ -160,7 +174,6 @@ class TestDataset:
         assert len(ds) == 50
         assert ds.x_image.shape == (50, 6)
         assert ds.x_text.shape == (50, 5)
-        assert ds.latents.shape == (50, 2)
         assert set(np.unique(ds.labels)) <= {-1, 1}
 
     def test_deterministic_in_seed(self):
@@ -185,13 +198,14 @@ class TestDataset:
     def test_noiseless_embedding_is_exact_dictionary_image(self):
         cfg = GenerativeConfig(n=20, d_I=6, d_T=4, sigma_xi=0.0)
         ds = sample_dataset(cfg, seed=2)
-        assert np.allclose(ds.x_image, ds.latents @ ds.dict_image.entries.T)
-        assert np.allclose(ds.x_text, ds.latents @ ds.dict_text.entries.T)
+        z = training_latents(cfg, seed=2)
+        assert np.allclose(ds.x_image, z @ ds.dict_image.entries.T)
+        assert np.allclose(ds.x_text, z @ ds.dict_text.entries.T)
 
     def test_observation_noise_scale(self):
         cfg = GenerativeConfig(n=4000, d_I=64, d_T=64, sigma_xi=0.5)
         ds = sample_dataset(cfg, seed=3)
-        resid = ds.x_image - ds.latents @ ds.dict_image.entries.T
+        resid = ds.x_image - training_latents(cfg, seed=3) @ ds.dict_image.entries.T
         # per-coordinate std is sigma_xi / sqrt(d)
         assert np.std(resid) == pytest.approx(0.5 / 8.0, rel=0.05)
 
@@ -209,7 +223,7 @@ class TestOOD:
         a, b = (sample_batch(ood_config(cfg), substream(9, STREAM_TEST), 500)
                 for _ in range(2))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert not np.array_equal(a[0], ds.latents)
+        assert not np.array_equal(a[0], training_latents(cfg, seed=9))
         M = asymptotic_minimizer(cfg, ds.dict_image, ds.dict_text)
         assert (subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 9, 500)
                 == subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 9, 500))
@@ -222,7 +236,7 @@ class TestOOD:
         assert abs(report.n_aligned / 50_000 - 0.5) < 0.01
 
 
-COLUMNS = ("x_image", "x_text", "labels", "attributes", "latents")
+COLUMNS = ("x_image", "x_text", "labels", "attributes")
 
 
 class TestThreadedSampling:
@@ -274,12 +288,50 @@ class TestThreadedSampling:
             z, y, a = sample_batch(cfg, rng, min(CHUNK, cfg.n - start))
             x_image = embed(z, train.dict_image, cfg.sigma_xi, rng)
             x_text = embed(z, train.dict_text, cfg.sigma_xi, rng)
-            parts.append((x_image, x_text, y, a, z))
+            parts.append((x_image, x_text, y, a))
         for name, column in zip(COLUMNS, zip(*parts)):
             want = np.concatenate(column)
             got = getattr(train, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), name
+
+
+class TestBoundedChunkMap:
+    """The chunk map keeps at most two chunks per worker in flight, so the
+    streamed training pass holds O(workers * CHUNK * d + d^2) at any n."""
+
+    def test_window_holds_and_results_come_in_order(self, monkeypatch):
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "2")
+        started = []
+
+        def fn(rng, start, stop):
+            started.append(start)
+            if start == 0:
+                # an unbounded map would start every other chunk meanwhile
+                time.sleep(0.05)
+            return start
+
+        results = []
+        for result in _map_chunks(0, 99, 50 * CHUNK, fn):
+            assert len(started) <= len(results) + 2 * 2
+            results.append(result)
+        assert results == list(range(0, 50 * CHUNK, CHUNK))
+
+    def test_training_peak_memory_does_not_grow_with_n(self, monkeypatch):
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "2")
+
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                training_moments(GenerativeConfig(n=chunks * CHUNK, d_I=8, d_T=8), seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)
+        # the largest of three small runs, in case one ran its chunks one at a time
+        small = max(peak(4) for _ in range(3))
+        assert peak(40) <= 1.25 * small
 
 
 @settings(max_examples=25, deadline=None)
