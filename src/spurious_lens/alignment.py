@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NonconvergenceError, ShapeError
-from .synthetic import (CHUNK, STREAM_TEST, Dictionary, GenerativeConfig, SyntheticDataset,
-                        TrainingMoments, _add_in_order, _chunk_sums, _map_chunks,
-                        ood_config, sample_batch)
+from .synthetic import (STREAM_TEST, Dictionary, GenerativeConfig, TrainingMoments,
+                        _add_in_order, _map_chunks, ood_config, sample_batch)
 
 # Version of the test pass's random stream; both Gaussian reports echo it.
 MC_STREAM = 2
@@ -61,27 +60,21 @@ class SubgroupReport:
     n_conflicting: int
 
 
-def _check_dims(M: AlignmentMatrix, dataset: SyntheticDataset) -> None:
-    want = (dataset.config.d_I, dataset.config.d_T)
+def _check_dims(M: AlignmentMatrix, dict_image: Dictionary, dict_text: Dictionary) -> None:
+    want = (dict_image.d, dict_text.d)
     if M.shape != want:
         raise ShapeError(f"alignment matrix shape {M.shape} does not match data dims {want}")
 
 
-def _data_term(train: TrainingMoments | SyntheticDataset) -> np.ndarray:
+def _data_term(train: TrainingMoments) -> np.ndarray:
     """Constant matrix C with contrastive data loss <C, M>_F.
 
     Averaging the pairwise (mismatched minus matched) similarities over all
     ordered pairs collapses to C = (sum_I sum_T^T - n * X_I^T X_T) / (n(n-1)).
-    A dataset's sums are added CHUNK rows at a time, as training_moments adds
-    its chunks, so both give the same bits.
     """
-    n = len(train) if isinstance(train, SyntheticDataset) else train.n
+    n = train.n
     if n < 2:
         raise InsufficientDataError("contrastive loss needs at least 2 pairs")
-    if isinstance(train, SyntheticDataset):
-        train = TrainingMoments(n, *_add_in_order(
-            _chunk_sums(train.x_image[i:i + CHUNK], train.x_text[i:i + CHUNK])
-            for i in range(0, n, CHUNK)), train.dict_image, train.dict_text)
     return (np.outer(train.sum_image, train.sum_text) - n * train.matched) / (n * (n - 1))
 
 
@@ -89,20 +82,19 @@ def _loss(data: np.ndarray, m: np.ndarray, rho: float) -> float:
     return float(np.vdot(data, m)) + 0.5 * rho * float(np.sum(m ** 2))
 
 
-def clip_loss(M: AlignmentMatrix, dataset: SyntheticDataset, rho: float) -> float:
+def clip_loss(M: AlignmentMatrix, train: TrainingMoments, rho: float) -> float:
     """Average mismatched-minus-matched similarity plus (rho/2) ||M||_F^2."""
-    _check_dims(M, dataset)
-    return _loss(_data_term(dataset), M.entries, rho)
+    _check_dims(M, train.dict_image, train.dict_text)
+    return _loss(_data_term(train), M.entries, rho)
 
 
-def clip_loss_gradient(M: AlignmentMatrix, dataset: SyntheticDataset, rho: float) -> np.ndarray:
+def clip_loss_gradient(M: AlignmentMatrix, train: TrainingMoments, rho: float) -> np.ndarray:
     """Exact gradient of :func:`clip_loss` with respect to M."""
-    _check_dims(M, dataset)
-    return _data_term(dataset) + rho * M.entries
+    _check_dims(M, train.dict_image, train.dict_text)
+    return _data_term(train) + rho * M.entries
 
 
-def empirical_minimizer(train: TrainingMoments | SyntheticDataset,
-                        rho: float) -> AlignmentMatrix:
+def empirical_minimizer(train: TrainingMoments, rho: float) -> AlignmentMatrix:
     """Closed-form unique minimizer of the regularized contrastive loss.
 
     Equals (1/rho) * [(n-1) * sum_i x_I^i x_T^i^T - sum_{i != j} x_I^i x_T^j^T]
@@ -164,7 +156,7 @@ def alignment_gap(M: AlignmentMatrix, config: GenerativeConfig,
     )
 
 
-def gradient_descent_minimizer(dataset: SyntheticDataset, rho: float,
+def gradient_descent_minimizer(train: TrainingMoments, rho: float,
                                steps: int, step_size: float) -> AlignmentMatrix:
     """Full-batch gradient descent on :func:`clip_loss` from M = 0.
 
@@ -177,7 +169,7 @@ def gradient_descent_minimizer(dataset: SyntheticDataset, rho: float,
         raise ConfigError(f"step_size must be > 0, got {step_size}")
     if rho <= 0:
         raise ConfigError(f"rho must be > 0, got {rho}")
-    data = _data_term(dataset)
+    data = _data_term(train)
     m = np.zeros_like(data)
     prev = _loss(data, m, rho)
     rising = 0
@@ -257,9 +249,7 @@ def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
     """
     if total < 1:
         raise InsufficientDataError(f"the test set needs at least 1 sample, got {total}")
-    if M.shape != (dict_image.d, dict_text.d):
-        raise ShapeError(f"image dim {dict_image.d} / prompt dim {dict_text.d} "
-                         f"do not match alignment shape {M.shape}")
+    _check_dims(M, dict_image, dict_text)
     test_config = ood_config(config)
     w = M.entries @ (prompt_embedding(dict_text, 1).vector
                      - prompt_embedding(dict_text, -1).vector)

@@ -166,7 +166,7 @@ def _dictionary_from_rng(d: int, rng: np.random.Generator) -> Dictionary:
 def _latent_means(config: GenerativeConfig, y: np.ndarray, a: np.ndarray) -> np.ndarray:
     if config.mode is Mode.THEOREM_EXACT:
         return np.column_stack([y.astype(float), a.astype(float)])
-    return np.column_stack([config.mu_inv * y, config.mu_spu * a])
+    return np.column_stack([float(config.mu_inv) * y, float(config.mu_spu) * a])
 
 
 def sample_batch(config: GenerativeConfig, rng: np.random.Generator, size: int):
@@ -237,26 +237,24 @@ class TrainingMoments:
 
 
 @dataclass(frozen=True)
-class SyntheticDataset:
-    """An immutable seeded collection of paired samples, one row each."""
+class SyntheticDataset(TrainingMoments):
+    """A training set's moments plus its rows, one paired sample each."""
 
-    config: GenerativeConfig
     x_image: np.ndarray
     x_text: np.ndarray
     labels: np.ndarray
     attributes: np.ndarray
-    dict_image: Dictionary
-    dict_text: Dictionary
 
     def __len__(self) -> int:
-        return self.labels.shape[0]
+        return self.n
 
 
 def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     """Draw a full dataset: fresh dictionaries plus config.n embedded samples.
 
-    Deterministic in (config, seed): each chunk draws from its own sub-stream
-    and fills its own rows, so the output does not depend on scheduling.
+    Deterministic in (config, seed): each chunk draws from its own sub-stream,
+    fills its own rows and returns their sums, which are added in chunk order
+    as :func:`training_moments` adds them, so the two give the same bits.
     """
     dict_image, dict_text = dataset_dictionaries(config, seed)
     total = config.n
@@ -267,9 +265,11 @@ def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
         rows = slice(start, stop)
         x_image[rows], x_text[rows], labels[rows], attributes[rows] = _draw_chunk(
             config, dict_image, dict_text, rng, stop - start)
+        return _chunk_sums(x_image[rows], x_text[rows])
 
-    list(_map_chunks(seed, STREAM_SAMPLES, total, fill))
-    return SyntheticDataset(config, x_image, x_text, labels, attributes, dict_image, dict_text)
+    sums = _add_in_order(_map_chunks(seed, STREAM_SAMPLES, total, fill))
+    return SyntheticDataset(total, *sums, dict_image, dict_text,
+                            x_image, x_text, labels, attributes)
 
 
 def training_moments(config: GenerativeConfig, seed: int) -> TrainingMoments:

@@ -135,9 +135,9 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
     """Estimate both subgroup rates by simulation and compare to the bounds.
 
     TheoremExact mode scores with the idealized asymptotic matrix, where the
-    bounds are exact, so the check is two-sided.  Def1 mode trains the
-    empirical minimizer on a fresh dataset first and checks one-sided
-    (estimate >= bound - tol), reporting the alignment gap alongside; only
+    bounds are exact, so the check is two-sided.  Def1 mode first trains the
+    empirical minimizer on ``training_moments(config, seed)``, checks
+    one-sided (estimate >= bound - tol) and reports the alignment gap; only
     at mu_inv = mu_spu = 1 does training converge to the bounds' target.
 
     Chunked sub-seeds keep the result identical for any worker count.

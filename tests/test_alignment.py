@@ -35,6 +35,7 @@ from spurious_lens.synthetic import (
     CHUNK,
     STREAM_SAMPLES,
     STREAM_TEST,
+    TrainingMoments,
     dataset_dictionaries,
     embed,
     sample_batch,
@@ -83,11 +84,11 @@ class TestLoss:
 
     def test_single_pair_rejected(self):
         ds = small_dataset(n=2)
+        x_image, x_text = ds.x_image[:1], ds.x_text[:1]
         one = type(ds)(
-            config=ds.config,
-            x_image=ds.x_image[:1], x_text=ds.x_text[:1],
-            labels=ds.labels[:1], attributes=ds.attributes[:1],
-            dict_image=ds.dict_image, dict_text=ds.dict_text,
+            n=1, sum_image=x_image.sum(axis=0), sum_text=x_text.sum(axis=0),
+            matched=x_image.T @ x_text, dict_image=ds.dict_image, dict_text=ds.dict_text,
+            x_image=x_image, x_text=x_text, labels=ds.labels[:1], attributes=ds.attributes[:1],
         )
         M = random_matrix((4, 3), 0)
         for fit in (lambda: clip_loss(M, one, 1.0),
@@ -194,11 +195,21 @@ class TestStreamedTraining:
         assert np.linalg.norm(streamed - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_moments_carry_the_dataset_dictionaries(self):
-        cfg = GenerativeConfig(n=100, d_I=6, d_T=5)
+        n = 2 * CHUNK + 7
+        cfg = GenerativeConfig(n=n, d_I=6, d_T=5)
         moments, ds = training_moments(cfg, seed=2), sample_dataset(cfg, seed=2)
-        assert moments.n == 100
+        assert moments.n == len(ds) == n
         assert np.array_equal(moments.dict_image.entries, ds.dict_image.entries)
         assert np.array_equal(moments.dict_text.entries, ds.dict_text.entries)
+        # a dataset is its moments plus its rows, with the same sums
+        assert isinstance(ds, TrainingMoments)
+        for field in ("sum_image", "sum_text", "matched"):
+            assert np.array_equal(getattr(moments, field), getattr(ds, field))
+        M = random_matrix((6, 5), 0)
+        assert clip_loss(M, moments, 0.7) == clip_loss(M, ds, 0.7)
+        assert np.array_equal(
+            gradient_descent_minimizer(moments, 0.7, steps=20, step_size=0.5).entries,
+            gradient_descent_minimizer(ds, 0.7, steps=20, step_size=0.5).entries)
 
 
 class TestTargets:

@@ -28,6 +28,8 @@ GAUSS_DEF1 = {
 DISCRETE = {"num_classes": 2, "p_inv": 0.75, "p_spu": 0.9, "n_train": 400}
 # A fuzz-found Def1 config whose alignment gap overflows in np.linalg.norm.
 GAUSS_OVERFLOW = {**GAUSS_DEF1, "mu_spu": 1.157920892373162e+77, "n": 40, "d_I": 4, "d_T": 4}
+# A Def1 config whose means are JSON integers: the latents must still be float.
+GAUSS_INT_MEANS = {"mu_inv": 1, "mu_spu": 1, "n": 100, "d_I": 4, "d_T": 4}
 
 PREDICTIONS = "sample_id,true_label,group,background,pred_1\n" + "".join(
     f"e{i},bear,easy,snow,{'bear' if i < 9 else 'wolf'}\n" for i in range(10)
@@ -193,6 +195,21 @@ class TestSimulateGaussian:
         assert err.startswith("error: ")
         assert "acc_overall" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["verify-theorem", "--mc", "1000"], ["simulate-gaussian"]],
+                         ids=["verify-theorem", "simulate-gaussian"])
+def test_integer_means_report_as_float_means(tmp_path, argv):
+    reports = []
+    for name, means in (("int", 1), ("float", 1.0)):
+        config = {**GAUSS_INT_MEANS, "mu_inv": means, "mu_spu": means}
+        cfg = write_json(tmp_path / f"{name}.json", config)
+        out = tmp_path / f"{name}.out.json"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) in (0, 1)
+        report = read_json(out)
+        assert report.pop("config")["mu_spu"] == means
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -603,7 +620,11 @@ FUZZ_CASES = {
                           [], "out.json", "subgroup_report"),
     "simulate-discrete": ("config", json.dumps({**DISCRETE, "n_train": 40}),
                           ["--seeds", "1"], "out.csv", "discrete_summary"),
+    "verify-theorem": ("config", json.dumps({**GAUSS_DEF1, "n": 40, "d_I": 4, "d_T": 4}),
+                       ["--mc", "1000"], "out.json", "verification_report"),
 }
+# Exit 1 (bounds not met) is a valid outcome only for verify-theorem.
+FUZZ_EXITS = {"verify-theorem": (0, 1, 2, 3)}
 FUZZ_ALPHABET = ",\n\r\" .-+0123456789eEnaNfIbrswolgyhdpu_:{}[]\u00e4\u2028"
 FUZZ_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
                         st.floats(), st.text(FUZZ_ALPHABET, max_size=4),
@@ -641,6 +662,8 @@ def strict_json(text: str):
 @settings(max_examples=150, deadline=None)
 @given(case=malformed_input())
 @example(case=("simulate-gaussian", json.dumps(GAUSS_OVERFLOW).encode("utf-8")))
+@example(case=("simulate-gaussian", json.dumps(GAUSS_INT_MEANS).encode("utf-8")))
+@example(case=("verify-theorem", json.dumps(GAUSS_INT_MEANS).encode("utf-8")))
 def test_fuzzed_input_keeps_cli_contract(case):
     subcommand, data = case
     role, _, extra, out_name, schema = FUZZ_CASES[subcommand]
@@ -649,7 +672,7 @@ def test_fuzzed_input_keeps_cli_contract(case):
         source.write_bytes(data)
         out = Path(tmp) / out_name
         assert main([subcommand, f"--{role}", str(source), *extra,
-                     "--out", str(out)]) in (0, 2, 3)
+                     "--out", str(out)]) in FUZZ_EXITS.get(subcommand, (0, 2, 3))
         for path in Path(tmp).glob("*.json"):
             name = "run_manifest" if path.name.endswith(".manifest.json") else schema
             check_schema(strict_json(path.read_text(encoding="utf-8")), name)

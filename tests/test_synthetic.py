@@ -154,6 +154,13 @@ class TestLatents:
         assert np.allclose(z[:, 0], 3.0 * y)
         assert np.allclose(z[:, 1], 2.0 * a)
 
+    def test_integer_means_draw_the_float_latents(self):
+        # JSON integers reach the config as int; the latents stay float
+        drawn = [sample_batch(GenerativeConfig(mu_inv=mu_inv, mu_spu=mu_spu),
+                              substream(1, 99), 500)[0]
+                 for mu_inv, mu_spu in ((3, 2), (3.0, 2.0))]
+        assert np.array_equal(*drawn)
+
     def test_theorem_exact_latent_means_ignore_mu_spu(self):
         cfg = GenerativeConfig(mu_spu=2.0, sigma_inv=0.0, sigma_spu=0.0,
                                mode="TheoremExact")
