@@ -119,17 +119,16 @@ def latent_alignment_target(config: GenerativeConfig) -> np.ndarray:
 
 
 def population_alignment_target(config: GenerativeConfig) -> np.ndarray:
-    """Latent second-moment matrix E[z z^T] for general means.
+    """Latent second-moment matrix E[z z^T] in either mode, the latents sitting
+    at (m_inv * y, m_spu * a) with (m_inv, m_spu) = ``config.mean_scales``.
 
     Coincides with :func:`latent_alignment_target` when mu_inv = mu_spu = 1;
     both are reported so the gap between the two readings stays visible.
     """
-    return np.array([
-        [config.mu_inv ** 2 + config.sigma_inv ** 2,
-         config.mu_inv * config.mu_spu * (2.0 * config.p_spu - 1.0)],
-        [config.mu_inv * config.mu_spu * (2.0 * config.p_spu - 1.0),
-         config.mu_spu ** 2 + config.sigma_spu ** 2],
-    ])
+    m_inv, m_spu = config.mean_scales
+    coupling = m_inv * m_spu * (2.0 * config.p_spu - 1.0)
+    return np.array([[m_inv ** 2 + config.sigma_inv ** 2, coupling],
+                     [coupling, m_spu ** 2 + config.sigma_spu ** 2]])
 
 
 def asymptotic_minimizer(config: GenerativeConfig, dict_image: Dictionary,
@@ -209,8 +208,8 @@ def _prompt_pair(prompts) -> tuple[PromptEmbedding, PromptEmbedding]:
 
 
 def zero_shot_predict_batch(M: AlignmentMatrix, x_image: np.ndarray, prompts) -> np.ndarray:
-    """Label of each image row by its alignment scores against the (+1, -1)
-    prompts; exact ties resolve to +1."""
+    """Label of each image row x: +1 exactly when x . M (t+ - t-) >= 0 for the
+    (+1, -1) prompts t+ and t-, else -1."""
     pos, neg = _prompt_pair(prompts)
     x = np.atleast_2d(np.asarray(x_image, dtype=float))
     if x.shape[1] != M.shape[0] or pos.vector.shape[0] != M.shape[1]:
@@ -218,8 +217,7 @@ def zero_shot_predict_batch(M: AlignmentMatrix, x_image: np.ndarray, prompts) ->
             f"image dim {x.shape[1]} / prompt dim {pos.vector.shape[0]} "
             f"do not match alignment shape {M.shape}"
         )
-    scores = x @ (M.entries @ np.column_stack([pos.vector, neg.vector]))
-    return np.where(scores[:, 0] >= scores[:, 1], 1, -1)
+    return np.where(x @ (M.entries @ (pos.vector - neg.vector)) >= 0, 1, -1)
 
 
 def subgroup_counts(predictions: np.ndarray, labels: np.ndarray,

@@ -134,6 +134,14 @@ class GenerativeConfig:
                 f"TheoremExact mode requires mu_inv = 1, got {self.mu_inv}"
             )
 
+    @property
+    def mean_scales(self) -> tuple[float, float]:
+        """(m_inv, m_spu), where the latents sit: z has mean (m_inv * y, m_spu * a).
+        (1.0, 1.0) in TheoremExact, (mu_inv, mu_spu) as floats in Def1."""
+        if self.mode is Mode.THEOREM_EXACT:
+            return 1.0, 1.0
+        return float(self.mu_inv), float(self.mu_spu)
+
 
 @dataclass(frozen=True)
 class Dictionary:
@@ -163,23 +171,17 @@ def _dictionary_from_rng(d: int, rng: np.random.Generator) -> Dictionary:
     return Dictionary(np.column_stack([u, v]))
 
 
-def _latent_means(config: GenerativeConfig, y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if config.mode is Mode.THEOREM_EXACT:
-        return np.column_stack([y.astype(float), a.astype(float)])
-    return np.column_stack([float(config.mu_inv) * y, float(config.mu_spu) * a])
-
-
 def sample_batch(config: GenerativeConfig, rng: np.random.Generator, size: int):
     """One chunk of (z, y, a) triples, drawn in a fixed order from ``rng``.
 
     y is uniform on {-1, +1}; a equals y with probability p_spu and -y
-    otherwise; z is Gaussian around the mode-dependent means.
+    otherwise; z is Gaussian around ``config.mean_scales`` * (y, a) in either mode.
     """
     y = rng.integers(0, 2, size=size) * 2 - 1
     flip = rng.random(size) < config.p_spu
     a = np.where(flip, y, -y)
     g = rng.standard_normal((size, LATENT_DIM))
-    z = _latent_means(config, y, a)
+    z = np.column_stack([y, a]) * config.mean_scales
     z[:, 0] += config.sigma_inv * g[:, 0]
     z[:, 1] += config.sigma_spu * g[:, 1]
     return z, y, a

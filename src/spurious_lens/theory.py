@@ -150,7 +150,7 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         raise ConfigError(f"mc_samples must be <= {MAX_SAMPLES}, got {mc_samples}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be finite and > 0, got {tol}")
-    if config.mode is Mode.DEF1 and (config.mu_inv, config.mu_spu) != (1.0, 1.0):
+    if config.mean_scales != (1.0, 1.0):
         raise ConfigError(f"Def1 verification requires mu_inv = mu_spu = 1, "
                           f"got mu_inv={config.mu_inv}, mu_spu={config.mu_spu}")
 

@@ -226,9 +226,14 @@ class TestTargets:
         assert np.allclose(latent_alignment_target(cfg),
                            population_alignment_target(cfg))
 
-    def test_population_target_is_second_moment(self):
-        cfg = GenerativeConfig(mu_inv=1.5, mu_spu=2.0, sigma_inv=0.7,
-                               sigma_spu=0.3, p_spu=0.9, n=200_000)
+    @pytest.mark.parametrize("cfg", [
+        GenerativeConfig(mu_inv=1.5, mu_spu=2.0, sigma_inv=0.7,
+                         sigma_spu=0.3, p_spu=0.9, n=200_000),
+        # TheoremExact centres the latents at (y, a) whatever mu_spu is
+        GenerativeConfig(mu_spu=2.0, sigma_inv=0.7, sigma_spu=0.3, p_spu=0.95,
+                         n=200_000, mode="TheoremExact"),
+    ], ids=["Def1", "TheoremExact"])
+    def test_population_target_is_second_moment(self, cfg):
         # the training latents, replayed: each chunk draws them first
         z = np.concatenate([
             sample_batch(cfg, substream(0, STREAM_SAMPLES, index), min(CHUNK, cfg.n - start))[0]

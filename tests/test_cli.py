@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -213,6 +214,18 @@ def test_integer_means_report_as_float_means(tmp_path, argv):
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_theorem_exact_population_gap_shrinks(tmp_path):
+    # TheoremExact latents sit at (y, a): the trained matrix converges to
+    # their second moment, not to one built from mu_spu = 2
+    config = {**read_json(CONFIGS / "theorem_exact.json"), "n": 20000, "d_I": 16, "d_T": 16}
+    out = tmp_path / "sim.json"
+    assert main(["simulate-gaussian", "--config", write_json(tmp_path / "c.json", config),
+                 "--out", str(out)]) == 0
+    alignment = read_json(out)["alignment"]
+    assert np.allclose(alignment["population_target"], [[2.0, 0.9], [0.9, 1.25]])
+    assert alignment["population_gap"] < 0.1
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])

@@ -168,6 +168,16 @@ class TestLatents:
         assert np.allclose(z[:, 0], y)
         assert np.allclose(z[:, 1], a)
 
+    @pytest.mark.parametrize("mu_spu", [1.0, 2.0, 3])
+    def test_theorem_exact_mean_scales_are_one(self, mu_spu):
+        cfg = GenerativeConfig(mu_spu=mu_spu, mode="TheoremExact")
+        assert cfg.mean_scales == (1.0, 1.0)
+
+    def test_def1_mean_scales_are_float_means(self):
+        scales = GenerativeConfig(mu_inv=3, mu_spu=2).mean_scales
+        assert scales == (3.0, 2.0)
+        assert all(type(m) is float for m in scales)
+
     def test_labels_roughly_balanced(self):
         cfg = GenerativeConfig()
         _, y, _ = sample_batch(cfg, substream(3, 99), 100_000)
