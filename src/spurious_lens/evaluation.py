@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -127,54 +129,184 @@ def _encode(labels: list[str], groups: list[int], backgrounds: list[str],
 _PRED_FIXED = ("sample_id", "true_label", "group", "background")
 # One line as io.StringIO(newline="") splits text: ended by \r\n, \r or \n.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+# Data rows are read and checked in blocks of whole lines of about this many
+# characters, so a load holds the text, its result and one block's cells.
+_BLOCK_CHARS = 1 << 14
 
 
-def _read_csv(path, what: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The header row and the data rows, read lazily as (line, row) pairs.
-    An empty file, and a row the csv module rejects (a cell over its field
-    size limit), are ParseErrors; ``what`` names the file in the first.
+class _Block(NamedTuple):
+    """Consecutive records of a CSV file: the first one's line number, each
+    one's cell count, and all their cells, record after record."""
+
+    line: int
+    widths: list[int]
+    cells: list[str]
+
+
+def _at(line: int, message: str) -> ParseError:
+    return ParseError(f"line {line}: {message}", lines=(line,))
+
+
+def _read_csv(path, what: str) -> tuple[list[str], int, Iterator[_Block]]:
+    """The header row, at most how many data rows as wide as it follow it,
+    and the data rows in blocks, read lazily.  Lines number the records
+    from 1.
+
+    A text with no quote, carriage return or NUL is cut at its newlines and
+    split at its commas, which gives the records csv.reader gives; any
+    other text goes through csv.reader.  An empty file and a cell over the
+    csv module's field size limit are ParseErrors; ``what`` names the file
+    in the first."""
+    text = read_text(path)
+    if not text:
+        raise ParseError(f"{what} file is empty")
+    lines = (text.count("\n") + text.count("\r") - text.count("\r\n")
+             + (text[-1] not in "\r\n"))
+    if '"' in text or "\r" in text or "\0" in text:
+        blocks = _csv_blocks(text)
+    else:
+        blocks = _split_blocks(text, csv.field_size_limit())
+    header = next(blocks).cells
+    # each row of the header's width holds a comma less than its cells and
+    # a line break, so the text's length bounds their number too
+    return header, min(lines - 1, len(text) // max(len(header), 1)), blocks
+
+
+def _split_blocks(text: str, limit: int) -> Iterator[_Block]:
+    """The records of a text with no quote, carriage return or NUL; the
+    header is a block of its own."""
+    last = len(text) - text.endswith("\n")  # a final newline starts no line
+    start, line, size = 0, 1, 0
+    while start <= last:
+        end = text.find("\n", start + size, last)
+        end = last if end < 0 else end
+        lines = text[start:end].split("\n")
+        if end - start > limit:
+            for i, record in enumerate(lines):
+                if len(record) > limit and max(map(len, record.split(","))) > limit:
+                    if i:
+                        yield _split_block(line, lines[:i])
+                    raise _at(line + i, f"field larger than field limit ({limit})")
+        yield _split_block(line, lines)
+        start, line, size = end + 1, line + len(lines), _BLOCK_CHARS
+
+
+def _split_block(line: int, lines: list[str]) -> _Block:
+    widths = [commas + 1 for commas in map(str.count, lines, repeat(","))]
+    if "" not in lines:
+        return _Block(line, widths, ",".join(lines).split(","))
+    # csv.reader reads an empty line as no cells, not as one empty cell
+    return _Block(line, [width if record else 0 for width, record in zip(widths, lines)],
+                  [cell for record in lines if record for cell in record.split(",")])
+
+
+def _csv_blocks(text: str) -> Iterator[_Block]:
+    """The records csv.reader reads from the text, in blocks as in
+    _split_blocks; a reader error comes after the records before it.
 
     Lines are cut from the text one at a time: io.StringIO would hold a
     copy at four bytes per character."""
-    text = read_text(path)
     reader = csv.reader(match.group() for match in _LINE.finditer(text))
-
-    def numbered():
-        line = 0
-        try:
-            for line, row in enumerate(reader, start=1):
-                yield line, row
-        except csv.Error as exc:
-            line += 1
-            raise ParseError(f"line {line}: {exc}", lines=(line,)) from None
-
-    rows = numbered()
-    first = next(rows, None)
-    if first is None:
-        raise ParseError(f"{what} file is empty")
-    return first[1], rows
-
-
-def _full_rows(header: list[str], rows, what: str) -> Iterator[tuple[int, list[str]]]:
-    """The data rows, each as wide as the header; a file with none is a ParseError."""
-    line = 1
-    for line, row in rows:
-        if len(row) != len(header):
-            raise ParseError(f"line {line}: expected {len(header)} cells, got {len(row)}",
-                             lines=(line,))
-        yield line, row
-    if line == 1:
-        raise ParseError(f"{what} file has no data rows")
+    line, rows, size, target = 1, [], 0, 0
+    try:
+        for row in reader:
+            rows.append(row)
+            size += len(row) + sum(map(len, row))
+            if size >= target:
+                yield _rows_block(line, rows)
+                line, rows, size, target = line + len(rows), [], 0, _BLOCK_CHARS
+    except csv.Error as exc:
+        if rows:
+            yield _rows_block(line, rows)
+        raise _at(line + len(rows), str(exc)) from None
+    if rows:
+        yield _rows_block(line, rows)
 
 
-def _check_id(seen: dict[str, int], sample_id: str, line: int) -> None:
-    """Record a row's sample_id, which must be nonempty and unique."""
+def _rows_block(line: int, rows: list[list[str]]) -> _Block:
+    return _Block(line, list(map(len, rows)), list(chain.from_iterable(rows)))
+
+
+def _leading_rows(block: _Block, width: int,
+                  pad: bool) -> tuple[list[str], ParseError | None]:
+    """The cells of the block's rows before the first one of the wrong
+    width, ``width`` to a row, and that row's error if there is one.  With
+    ``pad`` a narrower row is filled out with empty cells and only a wider
+    one is wrong."""
+    if block.widths.count(width) == len(block.widths):
+        return block.cells, None
+    cells: list[str] = []
+    start = 0
+    for i, count in enumerate(block.widths):
+        if count > width or not pad and count < width:
+            return cells, _at(block.line + i, "more cells than header columns" if pad
+                              else f"expected {width} cells, got {count}")
+        cells += block.cells[start:start + count]
+        cells += [""] * (width - count)
+        start += count
+    return cells, None
+
+
+def _raise_first(checks) -> None:
+    """Raise the error of the first failing row.  ``checks`` pairs each
+    check's per-row failure mask with the ParseError of a row index, in the
+    order the checks apply to one row."""
+    failed = np.column_stack([mask for mask, _ in checks])
+    if failed.any():
+        row, check = divmod(int(failed.argmax()), len(checks))
+        raise checks[check][1](row)
+
+
+def _add_ids(ids: list[str], seen: set[str], new: list[str]) -> np.ndarray:
+    """Append the next rows' sample ids to ``ids``, the file's so far in row
+    order, and to their set ``seen``; the mask of the rows whose id is empty
+    or came before."""
+    start, distinct = len(ids), len(seen)
+    ids += new
+    seen.update(new)
+    if len(seen) == distinct + len(new) and "" not in seen:
+        return np.zeros(len(new), dtype=bool)
+    first: dict[str, int] = {}
+    for row, sample_id in enumerate(ids):
+        first.setdefault(sample_id, row)
+    return np.array([not sample_id or first[sample_id] < row
+                     for row, sample_id in enumerate(new, start)], dtype=bool)
+
+
+def _id_error(ids: list[str], line: int) -> ParseError:
+    """The error of the row at ``line`` whose sample_id _add_ids rejected;
+    the data rows are the lines from 2 on."""
+    sample_id = ids[line - 2]
     if not sample_id:
-        raise ParseError(f"line {line}: empty sample_id", lines=(line,))
-    first = seen.setdefault(sample_id, line)
-    if first != line:
-        raise ParseError(f"duplicate sample_id {sample_id!r} at lines {first} and {line}",
-                         lines=(first, line))
+        return _at(line, "empty sample_id")
+    first = ids.index(sample_id) + 2
+    return ParseError(f"duplicate sample_id {sample_id!r} at lines {first} and {line}",
+                      lines=(first, line))
+
+
+def _floats(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells as a float array ``width`` wide, and the mask of the rows
+    with a cell that float() rejects, which read as zeros."""
+    rows = len(cells) // width
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        return values.reshape(rows, width), np.zeros(rows, dtype=bool)
+    except ValueError:
+        values, bad = np.zeros((rows, width)), np.zeros(rows, dtype=bool)
+        for i in range(rows):
+            try:
+                values[i] = list(map(float, cells[i * width:(i + 1) * width]))
+            except ValueError:
+                bad[i] = True
+        return values, bad
+
+
+class _Codes(dict):
+    """A code for each string, the next free one for a string not seen before."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
 
 
 def load_predictions(path) -> PredictionTable:
@@ -184,7 +316,7 @@ def load_predictions(path) -> PredictionTable:
     A row may rank fewer than K labels by leaving trailing cells empty;
     pred_1 itself must never be empty.
     """
-    header, rows = _read_csv(path, "prediction")
+    header, _, blocks = _read_csv(path, "prediction")
     if tuple(header[: len(_PRED_FIXED)]) != _PRED_FIXED:
         raise ParseError(
             f"header must start with {','.join(_PRED_FIXED)}, got {','.join(header)}",
@@ -199,42 +331,44 @@ def load_predictions(path) -> PredictionTable:
         )
     width = len(header)
     labels: list[str] = []
-    groups: list[int] = []
     backgrounds: list[str] = []
-    ranks: list[int] = []
-    seen: dict[str, int] = {}
-    for line, row in rows:
-        if len(row) > width:
-            raise ParseError(f"line {line}: more cells than header columns", lines=(line,))
-        row = row + [""] * (width - len(row))
-        sample_id, true_label, group, background = row[:4]
-        _check_id(seen, sample_id, line)
-        if not true_label:
-            raise ParseError(f"line {line}: empty true_label", lines=(line,))
-        group_code = _GROUP_CODE.get(group)
-        if group_code is None:
-            raise ParseError(
-                f"line {line}: group must be easy/hard/unassigned, got {group!r}",
-                lines=(line,),
-            )
-        ranked = row[4:]
-        if not ranked[0]:
-            raise ParseError(f"line {line}: empty pred_1", lines=(line,))
-        while not ranked[-1]:
-            ranked.pop()
-        if "" in ranked:
-            raise ParseError(
-                f"line {line}: ranked predictions have a gap", lines=(line,)
-            )
-        if len(set(ranked)) != len(ranked):
-            raise ParseError(
-                f"line {line}: duplicate labels in ranked predictions", lines=(line,)
-            )
-        labels.append(true_label)
+    groups, ranks = [np.empty(0, dtype=np.int8)], [np.empty(0, dtype=np.int64)]
+    ids: list[str] = []
+    seen: set[str] = set()
+    codes = _Codes({"": 0})  # 0 is an empty cell
+    for block in blocks:
+        cells, wide = _leading_rows(block, width, pad=True)
+        n = len(cells) // width
+        line = block.line
+        true_labels, group, background = (cells[j::width] for j in range(1, 4))
+        ranked = [cells[j::width] for j in range(4, width)]
+        pred = np.fromiter(map(codes.__getitem__, chain.from_iterable(ranked)),
+                           dtype=np.intp, count=n * len(ranked)).reshape(len(ranked), n).T
+        true = np.fromiter(map(codes.__getitem__, true_labels), dtype=np.intp, count=n)
+        group_code = np.fromiter(map(_GROUP_CODE.get, group, repeat(-1, n)),
+                                 dtype=np.int8, count=n)
+        filled = pred != 0
+        ordered = np.sort(pred, axis=1)
+        _raise_first([
+            (_add_ids(ids, seen, cells[0::width]), lambda i: _id_error(ids, line + i)),
+            (np.fromiter(map(operator.not_, true_labels), dtype=bool, count=n),
+             lambda i: _at(line + i, "empty true_label")),
+            (group_code < 0, lambda i: _at(
+                line + i, f"group must be easy/hard/unassigned, got {group[i]!r}")),
+            (~filled[:, 0], lambda i: _at(line + i, "empty pred_1")),
+            ((filled[:, 1:] > filled[:, :-1]).any(axis=1),
+             lambda i: _at(line + i, "ranked predictions have a gap")),
+            (((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != 0)).any(axis=1),
+             lambda i: _at(line + i, "duplicate labels in ranked predictions")),
+        ])
+        hit = pred == true[:, None]
+        labels += true_labels
         groups.append(group_code)
-        backgrounds.append(background)
-        ranks.append(_rank(true_label, ranked))
-    return _encode(labels, groups, backgrounds, ranks)
+        backgrounds += background
+        ranks.append(np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK))
+        if wide:
+            raise wide
+    return _encode(labels, np.concatenate(groups), backgrounds, np.concatenate(ranks))
 
 
 def _as_table(predictions, k: int) -> PredictionTable:
@@ -468,7 +602,7 @@ class SimilarityTable:
 
 def load_similarities(path) -> SimilarityTable:
     """Parse a similarity CSV: header sample_id,<cand_1>,...,<cand_C>."""
-    header, rows = _read_csv(path, "similarity")
+    header, most, blocks = _read_csv(path, "similarity")
     if len(header) < 2 or header[0] != "sample_id":
         raise ParseError(
             "header must be sample_id,<candidate_1>,...,<candidate_C>", lines=(1,)
@@ -476,19 +610,31 @@ def load_similarities(path) -> SimilarityTable:
     candidates = tuple(header[1:])
     if len(set(candidates)) != len(candidates):
         raise ParseError("duplicate candidate labels in header", lines=(1,))
-    seen: dict[str, int] = {}  # the sample ids, in row order
-    scores = []
-    for line, row in _full_rows(header, rows, "similarity"):
-        _check_id(seen, row[0], line)
-        try:
-            values = np.fromiter(map(float, row[1:]), dtype=float, count=len(row) - 1)
-        except ValueError:
-            raise ParseError(f"line {line}: non-numeric score", lines=(line,)) from None
-        if not np.isfinite(values).all():
-            raise ParseError(f"line {line}: non-finite score", lines=(line,))
-        scores.append(values)
+    width = len(header)
+    ids: list[str] = []
+    seen: set[str] = set()
+    scores = np.empty((most, len(candidates)))
+    rows = 0
+    for block in blocks:
+        cells, ragged = _leading_rows(block, width, pad=False)
+        n = len(cells) // width
+        line = block.line
+        new_ids = _add_ids(ids, seen, cells[0::width])
+        del cells[0::width]
+        values, non_numeric = _floats(cells, width - 1)
+        _raise_first([
+            (new_ids, lambda i: _id_error(ids, line + i)),
+            (non_numeric, lambda i: _at(line + i, "non-numeric score")),
+            (~np.isfinite(values).all(axis=1), lambda i: _at(line + i, "non-finite score")),
+        ])
+        scores[rows:rows + n] = values
+        rows += n
+        if ragged:
+            raise ragged
+    if not rows:
+        raise ParseError("similarity file has no data rows")
     return SimilarityTable(
-        candidates=candidates, sample_ids=tuple(seen), scores=np.array(scores)
+        candidates=candidates, sample_ids=tuple(ids), scores=scores[:rows]
     )
 
 
@@ -524,7 +670,7 @@ def load_points(path) -> list[Point]:
     Accuracies are fractions; a value that is not finite or lies outside
     [0, 1] is rejected with its line.
     """
-    header, rows = _read_csv(path, "points")
+    header, _, blocks = _read_csv(path, "points")
     if header == ["easy", "hard"]:
         named = False
     elif header == ["name", "easy", "hard"]:
@@ -533,19 +679,27 @@ def load_points(path) -> list[Point]:
         raise ParseError(
             "header must be easy,hard or name,easy,hard", lines=(1,)
         )
+    width = len(header)
     points = []
-    for line, row in _full_rows(header, rows, "points"):
-        name = row[0] if named else None
-        try:
-            easy, hard = float(row[-2]), float(row[-1])
-        except ValueError:
-            raise ParseError(f"line {line}: non-numeric accuracy", lines=(line,)) from None
-        if not (0.0 <= easy <= 1.0 and 0.0 <= hard <= 1.0):
-            raise ParseError(
-                f"line {line}: accuracies must be fractions in [0, 1], got {easy}, {hard}",
-                lines=(line,),
-            )
-        points.append(Point(name=name, easy=easy, hard=hard))
+    for block in blocks:
+        cells, ragged = _leading_rows(block, width, pad=False)
+        n = len(cells) // width
+        line = block.line
+        names = cells[0::width] if named else [None] * n
+        if named:
+            del cells[0::width]
+        values, non_numeric = _floats(cells, 2)
+        _raise_first([
+            (non_numeric, lambda i: _at(line + i, "non-numeric accuracy")),
+            (~((values >= 0.0) & (values <= 1.0)).all(axis=1), lambda i: _at(
+                line + i, "accuracies must be fractions in [0, 1], got {}, {}".format(
+                    *values[i].tolist()))),
+        ])
+        points += map(Point, names, *values.T.tolist())
+        if ragged:
+            raise ragged
+    if not points:
+        raise ParseError("points file has no data rows")
     return points
 
 

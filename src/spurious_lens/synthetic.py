@@ -40,6 +40,7 @@ STREAM_SAMPLES = 2
 STREAM_TEST = 3
 
 CHUNK = 16384
+_EMBED_ROWS = 1024
 MAX_SAMPLES = 2**63 - 1  # numpy's largest array dimension
 
 
@@ -189,11 +190,17 @@ def sample_batch(config: GenerativeConfig, rng: np.random.Generator, size: int):
 
 def embed(z: np.ndarray, dictionary: Dictionary, sigma_xi: float,
           rng: np.random.Generator) -> np.ndarray:
-    """x = D z + xi with xi ~ N(0, sigma_xi^2 / d * I_d), row-wise."""
+    """x = D z + xi with xi ~ N(0, sigma_xi^2 / d * I_d), row-wise.
+
+    The noise is drawn and added _EMBED_ROWS rows at a time, so no array of
+    the result's size is held beside it; a Generator fills normals in
+    order, so the bits are those of one draw of the whole shape."""
     x = z @ dictionary.entries.T
     if sigma_xi > 0:
-        d = dictionary.d
-        x = x + rng.standard_normal(x.shape) * (sigma_xi / math.sqrt(d))
+        scale = sigma_xi / math.sqrt(dictionary.d)
+        for start in range(0, len(x), _EMBED_ROWS):
+            block = x[start:start + _EMBED_ROWS]
+            block += rng.standard_normal(block.shape) * scale
     return x
 
 

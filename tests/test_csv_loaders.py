@@ -1,0 +1,416 @@
+"""The block-wise CSV loaders read what the row-by-row loaders read.
+
+``reference_*`` below are the loaders as they were before the block-wise
+reader: csv.reader over every file, one row at a time, each check in turn.
+On any text, well-formed or not, quote-free (split at commas) or not (read
+by the csv module), the loaders must return equal tables or raise the same
+ParseError: the same message and the same lines.
+"""
+
+import csv
+import re
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spurious_lens import ParseError, Point, SimilarityTable, evaluation
+from spurious_lens.evaluation import (
+    _GROUP_CODE,
+    _PRED_FIXED,
+    _encode,
+    _rank,
+    load_points,
+    load_predictions,
+    load_similarities,
+)
+from spurious_lens.inputs import read_text
+
+# ---------------------------------------------------------------- reference
+
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _read_csv(path, what):
+    text = read_text(path)
+    reader = csv.reader(match.group() for match in _LINE.finditer(text))
+
+    def numbered():
+        line = 0
+        try:
+            for line, row in enumerate(reader, start=1):
+                yield line, row
+        except csv.Error as exc:
+            line += 1
+            raise ParseError(f"line {line}: {exc}", lines=(line,)) from None
+
+    rows = numbered()
+    first = next(rows, None)
+    if first is None:
+        raise ParseError(f"{what} file is empty")
+    return first[1], rows
+
+
+def _full_rows(header, rows, what):
+    line = 1
+    for line, row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"line {line}: expected {len(header)} cells, got {len(row)}",
+                             lines=(line,))
+        yield line, row
+    if line == 1:
+        raise ParseError(f"{what} file has no data rows")
+
+
+def _check_id(seen, sample_id, line):
+    if not sample_id:
+        raise ParseError(f"line {line}: empty sample_id", lines=(line,))
+    first = seen.setdefault(sample_id, line)
+    if first != line:
+        raise ParseError(f"duplicate sample_id {sample_id!r} at lines {first} and {line}",
+                         lines=(first, line))
+
+
+def reference_load_predictions(path):
+    header, rows = _read_csv(path, "prediction")
+    if tuple(header[: len(_PRED_FIXED)]) != _PRED_FIXED:
+        raise ParseError(
+            f"header must start with {','.join(_PRED_FIXED)}, got {','.join(header)}",
+            lines=(1,),
+        )
+    pred_cols = header[len(_PRED_FIXED):]
+    expected = [f"pred_{i}" for i in range(1, len(pred_cols) + 1)]
+    if not pred_cols or pred_cols != expected:
+        raise ParseError(
+            f"prediction columns must be pred_1..pred_K in order, got {pred_cols}",
+            lines=(1,),
+        )
+    width = len(header)
+    labels, groups, backgrounds, ranks = [], [], [], []
+    seen = {}
+    for line, row in rows:
+        if len(row) > width:
+            raise ParseError(f"line {line}: more cells than header columns", lines=(line,))
+        row = row + [""] * (width - len(row))
+        sample_id, true_label, group, background = row[:4]
+        _check_id(seen, sample_id, line)
+        if not true_label:
+            raise ParseError(f"line {line}: empty true_label", lines=(line,))
+        group_code = _GROUP_CODE.get(group)
+        if group_code is None:
+            raise ParseError(
+                f"line {line}: group must be easy/hard/unassigned, got {group!r}",
+                lines=(line,),
+            )
+        ranked = row[4:]
+        if not ranked[0]:
+            raise ParseError(f"line {line}: empty pred_1", lines=(line,))
+        while not ranked[-1]:
+            ranked.pop()
+        if "" in ranked:
+            raise ParseError(f"line {line}: ranked predictions have a gap", lines=(line,))
+        if len(set(ranked)) != len(ranked):
+            raise ParseError(f"line {line}: duplicate labels in ranked predictions",
+                             lines=(line,))
+        labels.append(true_label)
+        groups.append(group_code)
+        backgrounds.append(background)
+        ranks.append(_rank(true_label, ranked))
+    return _encode(labels, groups, backgrounds, ranks)
+
+
+def reference_load_similarities(path):
+    header, rows = _read_csv(path, "similarity")
+    if len(header) < 2 or header[0] != "sample_id":
+        raise ParseError(
+            "header must be sample_id,<candidate_1>,...,<candidate_C>", lines=(1,)
+        )
+    candidates = tuple(header[1:])
+    if len(set(candidates)) != len(candidates):
+        raise ParseError("duplicate candidate labels in header", lines=(1,))
+    seen = {}
+    scores = []
+    for line, row in _full_rows(header, rows, "similarity"):
+        _check_id(seen, row[0], line)
+        try:
+            values = np.fromiter(map(float, row[1:]), dtype=float, count=len(row) - 1)
+        except ValueError:
+            raise ParseError(f"line {line}: non-numeric score", lines=(line,)) from None
+        if not np.isfinite(values).all():
+            raise ParseError(f"line {line}: non-finite score", lines=(line,))
+        scores.append(values)
+    return SimilarityTable(
+        candidates=candidates, sample_ids=tuple(seen), scores=np.array(scores)
+    )
+
+
+def reference_load_points(path):
+    header, rows = _read_csv(path, "points")
+    if header == ["easy", "hard"]:
+        named = False
+    elif header == ["name", "easy", "hard"]:
+        named = True
+    else:
+        raise ParseError("header must be easy,hard or name,easy,hard", lines=(1,))
+    points = []
+    for line, row in _full_rows(header, rows, "points"):
+        name = row[0] if named else None
+        try:
+            easy, hard = float(row[-2]), float(row[-1])
+        except ValueError:
+            raise ParseError(f"line {line}: non-numeric accuracy", lines=(line,)) from None
+        if not (0.0 <= easy <= 1.0 and 0.0 <= hard <= 1.0):
+            raise ParseError(
+                f"line {line}: accuracies must be fractions in [0, 1], got {easy}, {hard}",
+                lines=(line,),
+            )
+        points.append(Point(name=name, easy=easy, hard=hard))
+    return points
+
+
+# ---------------------------------------------------------------- harness
+
+def _table(result):
+    """A loader's result as plain, comparable values."""
+    if isinstance(result, list):
+        return result
+    if isinstance(result, SimilarityTable):
+        return (result.candidates, result.sample_ids, result.scores.shape,
+                result.scores.tolist())
+    return (result.labels, result.label.tolist(), result.group.tolist(),
+            result.backgrounds, result.background.tolist(), result.rank.tolist())
+
+
+def _outcome(load, path):
+    try:
+        return "table", _table(load(path))
+    except ParseError as exc:
+        return "error", str(exc), exc.lines
+
+
+LOADERS = {
+    "predictions": (load_predictions, reference_load_predictions),
+    "similarities": (load_similarities, reference_load_similarities),
+    "points": (load_points, reference_load_points),
+}
+
+
+def assert_same_outcome(kind, text, block_chars=None, field_limit=None):
+    """Write ``text`` and load it with both loaders of ``kind``; return the
+    outcome they agree on."""
+    load, reference = LOADERS[kind]
+    saved_block, saved_limit = evaluation._BLOCK_CHARS, csv.field_size_limit()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            evaluation._BLOCK_CHARS = block_chars or saved_block
+            csv.field_size_limit(field_limit or saved_limit)
+            got, expected = _outcome(load, path), _outcome(reference, path)
+        finally:
+            evaluation._BLOCK_CHARS = saved_block
+            csv.field_size_limit(saved_limit)
+    assert got == expected
+    return got
+
+
+# ---------------------------------------------------------------- random files
+
+LIMIT = 12  # the csv field size limit the random files are read under
+LABELS = ("a", "b", "c", "d")
+# cells a fault writes; "p,q" and "p\nq" split rows and lines unless quoted
+WILD = ("", "x", "a", "b", "s0", "s1", "easy", "hard", "nan", "inf", "-0.5",
+        "0.5", "1", "2", " 1", "1e400", "p,q", "p\nq", "z" * LIMIT, "y" * (LIMIT + 1))
+
+
+def _prediction_rows(draw):
+    k = draw(st.integers(1, 4))
+    rows = [[*_PRED_FIXED, *(f"pred_{i}" for i in range(1, k + 1))]]
+    for i in range(draw(st.integers(0, 25))):
+        ranked = draw(st.permutations(LABELS))[:draw(st.integers(1, k))]
+        rows.append([f"s{i}", draw(st.sampled_from(LABELS)),
+                     draw(st.sampled_from(("easy", "hard", "unassigned"))),
+                     draw(st.sampled_from(("g1", "g2"))),
+                     *ranked, *[""] * (k - len(ranked))])
+    return rows
+
+
+def _similarity_rows(draw):
+    candidates = draw(st.integers(1, 4))
+    rows = [["sample_id", *(f"c{j}" for j in range(candidates))]]
+    for i in range(draw(st.integers(0, 25))):
+        rows.append([f"s{i}", *(draw(st.sampled_from(("0.5", "-1", "2e-3", "7")))
+                                for _ in range(candidates))])
+    return rows
+
+
+def _point_rows(draw):
+    named = draw(st.booleans())
+    rows = [["name", "easy", "hard"] if named else ["easy", "hard"]]
+    for i in range(draw(st.integers(0, 25))):
+        values = [draw(st.sampled_from(("0", "0.25", "0.5", "1"))) for _ in range(2)]
+        rows.append([f"m{i}", *values] if named else values)
+    return rows
+
+
+ROWS = {"predictions": _prediction_rows, "similarities": _similarity_rows,
+        "points": _point_rows}
+
+
+@st.composite
+def csv_files(draw, kind):
+    """Text of a ``kind`` file with up to four faults: a cell blanked, taken
+    from another row or overwritten (unparseable, oversized, or holding a
+    comma or a line break), a row cut short, widened or emptied.  Quoted
+    files quote some cells and may end their lines in carriage returns."""
+    rows = ROWS[kind](draw)
+    for _ in range(draw(st.integers(0, 4))):
+        header = draw(st.integers(0, 19)) == 7  # one fault in twenty hits the header
+        i = 0 if header else draw(st.integers(1, len(rows)))
+        if i == len(rows):
+            rows.append([])
+        fault = draw(st.sampled_from(("blank", "wild", "repeat", "short", "wide", "empty")))
+        row = rows[i]
+        other = row if draw(st.booleans()) else rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, max(len(row) - 1, 0)))
+        if fault == "blank" and row:
+            row[j] = ""
+        elif fault == "wild" and row:
+            row[j] = draw(st.sampled_from(WILD))
+        elif fault == "repeat" and row and other:
+            row[j] = other[draw(st.integers(0, len(other) - 1))]
+        elif fault == "short":
+            del row[draw(st.integers(0, len(row))):]
+        elif fault == "wide":
+            row.extend(draw(st.lists(st.sampled_from(WILD), min_size=1, max_size=2)))
+        elif fault == "empty":
+            row.clear()
+    quoted = draw(st.booleans())
+    if quoted:
+        rows = [[f'"{cell}"' if draw(st.integers(0, 3)) == 0 else cell for cell in row]
+                for row in rows]
+    end = draw(st.sampled_from(("\n", "\r\n", "\r"))) if quoted else "\n"
+    text = end.join(",".join(row) for row in rows)
+    return text + end if draw(st.booleans()) else text
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_block_reader_matches_row_reader(kind, data):
+    text = data.draw(csv_files(kind), label="text")
+    block_chars = data.draw(st.sampled_from((1, 24, 1 << 14)), label="block_chars")
+    assert_same_outcome(kind, text, block_chars, LIMIT)
+
+
+# ---------------------------------------------------------------- chosen cases
+
+PREDICTIONS = ("sample_id,true_label,group,background,pred_1,pred_2\n"
+               "a1,bear,easy,snow,bear,wolf\n"
+               "a2,bear,hard,grass,wolf,bear\n"
+               "a3,fox,easy,snow,fox\n")
+SIMILARITIES = "sample_id,cat,dog\ns1,0.9,0.5\ns2,0.8,0.6\n"
+
+
+def both_paths(text):
+    """The text, and the same rows with the first header cell quoted: the
+    first is split at commas, the second read by the csv module."""
+    return [text, '"' + text.replace(",", '",', 1)]
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("similarities", SIMILARITIES + "\ns3,0.1,0.2\n", "line 4: expected 3 cells, got 0"),
+    ("points", "easy,hard\n0.5,0.5\n\n", "line 3: expected 2 cells, got 0"),
+    ("predictions", PREDICTIONS + "\n", "line 5: empty sample_id"),
+    ("predictions", PREDICTIONS + "a4,fox,easy,snow,fox,wolf,bear", "line 5: more cells"),
+    ("similarities", SIMILARITIES + "s3,0.1", "line 4: expected 3 cells, got 2"),
+    ("similarities", "sample_id,cat\ns1,0.5", None),
+    ("points", "easy,hard\n0.5,0.5", None),
+    ("predictions", PREDICTIONS.replace("a3,fox", "a3,"), "line 4: empty true_label"),
+    # two faults on one line: the parent's check order decides
+    ("predictions", PREDICTIONS.replace("a3,fox,easy", "a1,,medium"),
+     "duplicate sample_id 'a1' at lines 2 and 4"),
+    ("predictions", PREDICTIONS.replace("a3,fox,easy,snow,fox", "a3,fox,medium,snow,,"),
+     "line 4: group must be easy/hard/unassigned, got 'medium'"),
+    ("similarities", SIMILARITIES + "s1,x,inf\n", "duplicate sample_id 's1' at lines 2 and 4"),
+    ("similarities", SIMILARITIES + "s3,x,inf\n", "line 4: non-numeric score"),
+    ("points", "easy,hard\n0.5,x\n", "line 2: non-numeric accuracy"),
+    ("points", "easy,hard\n0.5,1.5\n", "got 0.5, 1.5"),
+    # faults on two lines of one block: the first line wins
+    ("predictions", PREDICTIONS + "a4,fox,easy,snow,,\na1,fox,easy,snow,fox\n",
+     "line 5: empty pred_1"),
+    ("similarities", "sample_id,cat\ns1,nan\ns1,0.5\n", "line 2: non-finite score"),
+    ("similarities", "sample_id,cat\ns1,0.5\ns1,nan\n", "duplicate sample_id 's1'"),
+    ("predictions", PREDICTIONS.replace("pred_2", "pred_2,pred_3").replace("bear,wolf", "bear,,wolf"),
+     "line 2: ranked predictions have a gap"),
+    ("predictions", PREDICTIONS.replace("wolf,bear", "wolf,wolf"),
+     "line 3: duplicate labels in ranked predictions"),
+    ("predictions", PREDICTIONS + "a1,fox,easy,snow,fox,\n", "at lines 2 and 5"),
+])
+@pytest.mark.parametrize("block_chars", [1, None], ids=["row_blocks", "default_blocks"])
+def test_edge_cases_match_row_reader(kind, text, message, block_chars):
+    for variant in both_paths(text):
+        outcome = assert_same_outcome(kind, variant, block_chars)
+        if message is None:
+            assert outcome[0] == "table"
+        else:
+            assert outcome[0] == "error" and message in outcome[1]
+
+
+def test_reader_error_comes_after_an_earlier_bad_line():
+    limit = csv.field_size_limit()
+    oversized = "a9,fox,easy,snow," + "f" * (limit + 1) + "\n"
+    bad_line_first = PREDICTIONS.replace("a2,bear", "a2,") + oversized
+    for text in both_paths(bad_line_first):
+        assert assert_same_outcome("predictions", text) == (
+            "error", "line 3: empty true_label", (3,))
+    for text in both_paths(PREDICTIONS + oversized):
+        assert assert_same_outcome("predictions", text) == (
+            "error", f"line 5: field larger than field limit ({limit})", (5,))
+    # a cell of exactly the limit is read
+    assert assert_same_outcome("points", "easy,hard\n0.5," + "0" * limit + "\n")[0] == "table"
+
+
+def test_empty_lines_under_a_wide_header_allocate_no_table():
+    # a table of one row per line would need 800 GB here
+    text = "sample_id," + ",".join(f"c{j}" for j in range(100_000)) + "\n" * 1_000_000
+    assert assert_same_outcome("similarities", text) == (
+        "error", "line 2: expected 100001 cells, got 0", (2,))
+
+
+# ---------------------------------------------------------------- memory
+
+def _peak(load, path) -> int:
+    tracemalloc.start()
+    try:
+        load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    """A load holds the text, its result and one block's cells: about 2x
+    the file for a similarity table and 6.5x for a prediction log.
+    Splitting the whole file at once holds a string per cell: 12x and 20x.
+    Both files have half the rows of the benchmark's, to halve the time
+    tracemalloc adds; the ratios do not depend on the row count."""
+    rng = np.random.default_rng(0)
+    row = ",".join(f"{v:.5f}" for v in rng.normal(0.2, 0.05, 1000))
+    similarities = tmp_path / "s.csv"
+    similarities.write_text(
+        "sample_id," + ",".join(f"cand{j:04d}" for j in range(1000)) + "\n"
+        + "".join(f"q{i:05d},{row}\n" for i in range(1000)), encoding="utf-8")
+    labels = [f"c{c:03d}" for c in range(200)]
+    predictions = tmp_path / "p.csv"
+    predictions.write_text(
+        "sample_id,true_label,group,background,pred_1,pred_2,pred_3,pred_4,pred_5\n"
+        + "".join(f"s{i:06d},{labels[i % 200]},{('easy', 'hard')[i % 2]},bg{i % 4},"
+                  + ",".join(labels[(i + j) % 200] for j in range(5)) + "\n"
+                  for i in range(25_000)), encoding="utf-8")
+    assert _peak(load_similarities, similarities) <= 3 * similarities.stat().st_size
+    assert _peak(load_predictions, predictions) <= 10 * predictions.stat().st_size

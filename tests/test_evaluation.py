@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -679,6 +680,36 @@ class TestLoadPoints:
             load_points(write_csv(tmp_path / "p.csv", "easy,hard\n"))
         assert str(err.value) == "points file has no data rows"
         assert err.value.lines == ()
+
+
+def quote_first_cell(text):
+    """The text with its first cell quoted: the same rows, which the
+    loaders then read with the csv module instead of splitting at commas."""
+    end = re.match(r"[^,\r\n]*", text).end()
+    return f'"{text[:end]}"{text[end:]}' if text else text
+
+
+class QuotedFirstCell:
+    """Runs a test class again with the first cell of every file it writes
+    quoted, so each case goes through the other CSV reader."""
+
+    @pytest.fixture(autouse=True)
+    def _quote_first_cell(self, monkeypatch):
+        write = write_csv
+        monkeypatch.setitem(globals(), "write_csv",
+                            lambda path, text: write(path, quote_first_cell(text)))
+
+
+class TestLoadPredictionsQuoted(QuotedFirstCell, TestLoadPredictions):
+    pass
+
+
+class TestSimilaritiesQuoted(QuotedFirstCell, TestSimilarities):
+    pass
+
+
+class TestLoadPointsQuoted(QuotedFirstCell, TestLoadPoints):
+    pass
 
 
 class TestEffectiveRobustnessFit:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 import threading
 import time
@@ -225,6 +226,32 @@ class TestDataset:
         resid = ds.x_image - training_latents(cfg, seed=3) @ ds.dict_image.entries.T
         # per-coordinate std is sigma_xi / sqrt(d)
         assert np.std(resid) == pytest.approx(0.5 / 8.0, rel=0.05)
+
+
+class TestEmbed:
+    def test_blockwise_noise_is_the_one_shot_draw(self):
+        rows, d, sigma_xi = 2 * synthetic._EMBED_ROWS + 77, 16, 0.7
+        dictionary, _ = dataset_dictionaries(GenerativeConfig(d_I=d, d_T=4), seed=3)
+        z = np.random.default_rng(0).standard_normal((rows, 2))
+        rng, twin = substream(5, STREAM_SAMPLES), substream(5, STREAM_SAMPLES)
+        x = embed(z, dictionary, sigma_xi, rng)
+        one_shot = (z @ dictionary.entries.T
+                    + twin.standard_normal((rows, d)) * (sigma_xi / math.sqrt(d)))
+        assert np.array_equal(x, one_shot)
+        assert rng.standard_normal() == twin.standard_normal()
+
+    def test_training_chunk_holds_no_noise_array(self, monkeypatch):
+        # one chunk's image and text rows are 33.6 MB at d = 128; drawing
+        # the noise of a whole embedding at once peaked at 51.6 MB
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "1")
+        d = 128
+        tracemalloc.start()
+        try:
+            training_moments(GenerativeConfig(n=CHUNK, d_I=d, d_T=d), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 2 * CHUNK * d * 8
 
 
 class TestOOD:
