@@ -61,7 +61,7 @@ from .evaluation import (
 )
 from .inputs import load_config, read_text
 from .svgplot import render_fit_svg
-from .synthetic import GenerativeConfig, training_moments
+from .synthetic import TRAIN_STREAM, GenerativeConfig, training_moments
 from .theory import format_report_table, verify_theorem
 
 _INPUT_ERRORS = (ParseError, ConfigError, InsufficientDataError, ShapeError, OSError)
@@ -169,6 +169,7 @@ def cmd_verify_theorem(args) -> _Outcome:
         "config": args.config,
         "seed": args.seed,
         "mc_stream": MC_STREAM,
+        "train_stream": TRAIN_STREAM,
         **_json_data(report),
     })], args.seed, 0 if report.passed else 1)
 
@@ -191,6 +192,7 @@ def cmd_simulate_gaussian(args) -> _Outcome:
         **_json_data(report),
         "alignment": alignment,
         "mc_stream": MC_STREAM,
+        "train_stream": TRAIN_STREAM,
         "n_train": config.n,
         "n_test": config.n,
         "config": config,

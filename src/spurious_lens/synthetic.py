@@ -14,8 +14,11 @@ Two parametrization modes are supported:
   ``2 * mu_spu * p_spu - 1`` used by the closed-form classifier.
 
 All randomness is driven by ``numpy.random.Generator`` streams derived from
-a single 64-bit seed, with chunked sub-streams so that results never depend
-on worker count.
+a single 64-bit seed, so results never depend on worker count.  A dataset's
+rows (:func:`sample_dataset`) and the test pass are drawn in chunks, each
+from its own sub-stream, on worker threads.  Training reads only n and three
+sums of the rows; :func:`training_moments` draws those sums from their exact
+joint law on one generator, in the same few milliseconds at any n.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ STREAM_DICT_IMAGE = 0
 STREAM_DICT_TEXT = 1
 STREAM_SAMPLES = 2
 STREAM_TEST = 3
+STREAM_MOMENTS = 4
+
+# Version of the training sums' random stream; both Gaussian reports echo it.
+TRAIN_STREAM = 2
 
 CHUNK = 16384
 _EMBED_ROWS = 1024
@@ -213,20 +220,6 @@ def dataset_dictionaries(config: GenerativeConfig, seed: int):
     return dict_image, dict_text
 
 
-def _draw_chunk(config: GenerativeConfig, dict_image: Dictionary,
-                dict_text: Dictionary, rng: np.random.Generator, size: int):
-    """One STREAM_SAMPLES chunk (x_image, x_text, y, a): the latents, then the
-    image noise, then the text noise, all from ``rng``."""
-    z, y, a = sample_batch(config, rng, size)
-    return (embed(z, dict_image, config.sigma_xi, rng),
-            embed(z, dict_text, config.sigma_xi, rng), y, a)
-
-
-def _chunk_sums(x_image: np.ndarray, x_text: np.ndarray):
-    """sum X_I, sum X_T and X_I^T X_T: all the minimizer reads of some rows."""
-    return x_image.sum(axis=0), x_text.sum(axis=0), x_image.T @ x_text
-
-
 def _add_in_order(parts) -> list:
     """Element-wise total of a stream of equal-length tuples, added left to right."""
     return functools.reduce(lambda total, part: [t + p for t, p in zip(total, part)], parts)
@@ -234,8 +227,8 @@ def _add_in_order(parts) -> list:
 
 @dataclass(frozen=True)
 class TrainingMoments:
-    """A training set as the minimizer reads it: n, the three sums of
-    :func:`_chunk_sums` and the dictionaries its rows were embedded with."""
+    """A training set as the minimizer reads it: n, sum X_I, sum X_T, the
+    matched sum X_I^T X_T and the dictionaries its rows were embedded with."""
 
     n: int
     sum_image: np.ndarray
@@ -261,9 +254,10 @@ class SyntheticDataset(TrainingMoments):
 def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     """Draw a full dataset: fresh dictionaries plus config.n embedded samples.
 
-    Deterministic in (config, seed): each chunk draws from its own sub-stream,
-    fills its own rows and returns their sums, which are added in chunk order
-    as :func:`training_moments` adds them, so the two give the same bits.
+    Deterministic in (config, seed) for any worker count: each STREAM_SAMPLES
+    chunk draws its latents, then the image noise, then the text noise from
+    its own sub-stream, fills its own rows and returns their sums, which are
+    added in chunk order.
     """
     dict_image, dict_text = dataset_dictionaries(config, seed)
     total = config.n
@@ -272,26 +266,116 @@ def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
 
     def fill(rng, start, stop):
         rows = slice(start, stop)
-        x_image[rows], x_text[rows], labels[rows], attributes[rows] = _draw_chunk(
-            config, dict_image, dict_text, rng, stop - start)
-        return _chunk_sums(x_image[rows], x_text[rows])
+        z, labels[rows], attributes[rows] = sample_batch(config, rng, stop - start)
+        x_image[rows] = embed(z, dict_image, config.sigma_xi, rng)
+        x_text[rows] = embed(z, dict_text, config.sigma_xi, rng)
+        image, text = x_image[rows], x_text[rows]
+        return image.sum(axis=0), text.sum(axis=0), image.T @ text
 
     sums = _add_in_order(_map_chunks(seed, STREAM_SAMPLES, total, fill))
     return SyntheticDataset(total, *sums, dict_image, dict_text,
                             x_image, x_text, labels, attributes)
 
 
+def _bartlett(rng: np.random.Generator, dof: int, p: int) -> np.ndarray:
+    """Upper-triangular R with R^T R ~ Wishart_p(dof, I), dof >= p: sqrt(chi^2)
+    of dof, dof - 1, ..., dof - p + 1 degrees on the diagonal and standard
+    normals above it (Bartlett 1933)."""
+    factor = np.zeros((p, p))
+    factor.flat[::p + 1] = np.sqrt(rng.chisquare(dof - np.arange(p)))
+    factor[~np.tri(p, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
+    return factor
+
+
+def _latent_gram(config: GenerativeConfig, rng: np.random.Generator) -> np.ndarray:
+    """C^T C for C = [1, Z], Z the config.n latents drawn as :func:`sample_batch`
+    draws them, from O(1) draws.
+
+    The (y, a) cell counts are multinomial.  Within a cell z = mean + S g,
+    S = diag(sigma_inv, sigma_spu), with standard-normal g.  A cell of
+    m >= 3 rows has sum g = sqrt(m) xi and sum g g^T = (sum g)(sum g)^T / m
+    + W, W ~ Wishart_2(m - 1, I) independent of xi; a smaller cell draws its
+    rows.
+    """
+    p = config.p_spu
+    counts = rng.multinomial(config.n, [p / 2, (1 - p) / 2, (1 - p) / 2, p / 2])
+    scales = np.array([config.sigma_inv, config.sigma_spu], dtype=float)
+    gram = np.zeros((LATENT_DIM + 1, LATENT_DIM + 1))
+    for signs, m in zip(((1, 1), (1, -1), (-1, 1), (-1, -1)), counts.tolist()):
+        if m == 0:
+            continue
+        if m < 3:
+            g = rng.standard_normal((m, LATENT_DIM))
+            sum_g, gram_g = g.sum(axis=0), g.T @ g
+        else:
+            sum_g = math.sqrt(m) * rng.standard_normal(LATENT_DIM)
+            factor = _bartlett(rng, m - 1, LATENT_DIM)
+            gram_g = np.outer(sum_g, sum_g) / m + factor.T @ factor
+        # the cell's rows of C are center + (0, S g_i); spread is their sum
+        center = np.array([1.0, *np.multiply(config.mean_scales, signs)])
+        spread = np.array([0.0, *(scales * sum_g)])
+        gram += m * np.outer(center, center) + np.outer(center, spread) + np.outer(spread, center)
+        gram[1:, 1:] += scales[:, None] * gram_g * scales
+    return gram
+
+
+def _noise_sums(config: GenerativeConfig, gram: np.ndarray, rng: np.random.Generator):
+    """(C^T N_I, C^T N_T, N_I^T N_T) for C = [1, Z] with C^T C = ``gram`` and
+    independent standard-normal N_I (n x d_I) and N_T (n x d_T).
+
+    Take an orthonormal n x r basis Q of a space holding C's columns,
+    r = min(n, 3), and Q_perp its complement.  Then C^T N = A (Q^T N) with
+    A A^T = C^T C, and N_I^T N_T = G_I^T G_T + E_I^T E_T, where G = Q^T N is
+    r x d and E = Q_perp^T N is (n - r) x d, all standard normal.  When
+    n - r >= d_I, E_I = U R with R the Bartlett factor of E_I^T E_I and
+    U^T E_T a fresh d_I x d_T standard normal; otherwise E is drawn.
+    """
+    r = min(config.n, LATENT_DIM + 1)
+    eigenvalues, vectors = np.linalg.eigh(gram)
+    a = vectors[:, -r:] * np.sqrt(np.clip(eigenvalues[-r:], 0.0, None))
+    g_image = rng.standard_normal((r, config.d_I))
+    g_text = rng.standard_normal((r, config.d_T))
+    rest = config.n - r
+    if rest >= config.d_I:
+        residual = _bartlett(rng, rest, config.d_I).T @ rng.standard_normal(
+            (config.d_I, config.d_T))
+    else:
+        residual = (rng.standard_normal((rest, config.d_I)).T
+                    @ rng.standard_normal((rest, config.d_T)))
+    return a @ g_image, a @ g_text, g_image.T @ g_text + residual
+
+
 def training_moments(config: GenerativeConfig, seed: int) -> TrainingMoments:
-    """The training sums of ``sample_dataset(config, seed)``, equal bit for bit:
-    each chunk is drawn as there, reduced to its sums and dropped, and the
-    sums are added in chunk order.  Memory is O(workers * CHUNK * d + d^2)."""
+    """The training sums of a dataset drawn as :func:`sample_dataset` draws
+    one, from their exact joint law: O(d_I^2 d_T) work and O(d_I d_T)
+    memory at any n.
+
+    With C = [1, Z] and X = Z D^T + s N (s = sigma_xi / sqrt(d)), the sums
+    are sum X = D sum z + s (row 0 of C^T N) and X_I^T X_T = D_I Z^T Z D_T^T
+    + s_T D_I Z^T N_T + s_I (Z^T N_I)^T D_T^T + s_I s_T N_I^T N_T.  Training
+    stream TRAIN_STREAM draws C^T C (:func:`_latent_gram`), then
+    the noise sums (:func:`_noise_sums`, none when sigma_xi = 0), from the
+    one STREAM_MOMENTS generator, so no worker count can move a bit.  The
+    dictionaries are the dataset's; the sums have the dataset's law, not
+    its bits.
+    """
     dict_image, dict_text = dataset_dictionaries(config, seed)
-
-    def sums(rng, start, stop):
-        return _chunk_sums(*_draw_chunk(config, dict_image, dict_text, rng, stop - start)[:2])
-
-    return TrainingMoments(config.n, *_add_in_order(
-        _map_chunks(seed, STREAM_SAMPLES, config.n, sums)), dict_image, dict_text)
+    rng = substream(seed, STREAM_MOMENTS)
+    gram = _latent_gram(config, rng)
+    sum_z, gram_z = gram[1:, 0], gram[1:, 1:]
+    d_image, d_text = dict_image.entries, dict_text.entries
+    sum_image, sum_text = d_image @ sum_z, d_text @ sum_z
+    matched = d_image @ gram_z @ d_text.T
+    if config.sigma_xi > 0:
+        noise_image, noise_text, noise_cross = _noise_sums(config, gram, rng)
+        s_image = config.sigma_xi / math.sqrt(dict_image.d)
+        s_text = config.sigma_xi / math.sqrt(dict_text.d)
+        sum_image = sum_image + s_image * noise_image[0]
+        sum_text = sum_text + s_text * noise_text[0]
+        matched = (matched + s_text * (d_image @ noise_text[1:])
+                   + s_image * (noise_image[1:].T @ d_text.T)
+                   + s_image * s_text * noise_cross)
+    return TrainingMoments(config.n, sum_image, sum_text, matched, dict_image, dict_text)
 
 
 def ood_config(config: GenerativeConfig) -> GenerativeConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -176,23 +177,22 @@ class TestMinimizers:
             gradient_descent_minimizer(ds, 1.0, **kwargs)
 
 
-class TestStreamedTraining:
-    """training_moments reduces each chunk to three sums as it is drawn; the
-    minimizer it gives is the materialised dataset's, bit for bit."""
+class TestDatasetSums:
+    """sample_dataset adds its chunks' sums in chunk order; they are the whole
+    arrays' sums for any worker count.  training_moments draws sums of the
+    same law with the same dictionaries (tests/test_training_law.py)."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("n", [CHUNK, 2 * CHUNK, 5 * CHUNK + 7])
-    def test_streamed_minimizer_is_the_materialised_one(self, monkeypatch, n, threads):
+    def test_dataset_minimizer_is_the_whole_array_one(self, monkeypatch, n, threads):
         monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
         cfg = GenerativeConfig(n=n, d_I=6, d_T=5, rho=0.8)
         ds = sample_dataset(cfg, seed=3)
-        streamed = empirical_minimizer(training_moments(cfg, seed=3), cfg.rho).entries
         materialised = empirical_minimizer(ds, cfg.rho).entries
-        assert np.array_equal(streamed, materialised)
         # the whole-array formula, summed in one pass
         oracle = -(np.outer(ds.x_image.sum(axis=0), ds.x_text.sum(axis=0))
                    - n * ds.x_image.T @ ds.x_text) / (n * (n - 1)) / cfg.rho
-        assert np.linalg.norm(streamed - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert np.linalg.norm(materialised - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_moments_carry_the_dataset_dictionaries(self):
         n = 2 * CHUNK + 7
@@ -201,14 +201,15 @@ class TestStreamedTraining:
         assert moments.n == len(ds) == n
         assert np.array_equal(moments.dict_image.entries, ds.dict_image.entries)
         assert np.array_equal(moments.dict_text.entries, ds.dict_text.entries)
-        # a dataset is its moments plus its rows, with the same sums
+        # a dataset is its moments plus its rows, and the alignment layer
+        # reads only the moments
         assert isinstance(ds, TrainingMoments)
-        for field in ("sum_image", "sum_text", "matched"):
-            assert np.array_equal(getattr(moments, field), getattr(ds, field))
+        alone = TrainingMoments(*(getattr(ds, field.name)
+                                  for field in dataclasses.fields(TrainingMoments)))
         M = random_matrix((6, 5), 0)
-        assert clip_loss(M, moments, 0.7) == clip_loss(M, ds, 0.7)
+        assert clip_loss(M, alone, 0.7) == clip_loss(M, ds, 0.7)
         assert np.array_equal(
-            gradient_descent_minimizer(moments, 0.7, steps=20, step_size=0.5).entries,
+            gradient_descent_minimizer(alone, 0.7, steps=20, step_size=0.5).entries,
             gradient_descent_minimizer(ds, 0.7, steps=20, step_size=0.5).entries)
 
 

@@ -240,18 +240,19 @@ class TestEmbed:
         assert np.array_equal(x, one_shot)
         assert rng.standard_normal() == twin.standard_normal()
 
-    def test_training_chunk_holds_no_noise_array(self, monkeypatch):
-        # one chunk's image and text rows are 33.6 MB at d = 128; drawing
-        # the noise of a whole embedding at once peaked at 51.6 MB
+    def test_dataset_chunk_holds_no_noise_array(self, monkeypatch):
+        # a dataset's image and text rows are 33.6 MB at n = CHUNK and
+        # d = 128, and one chunk's embedding before it is copied in 16.8 MB
+        # more; drawing the noise of a whole embedding at once peaked at 67.6 MB
         monkeypatch.setenv("SPURIOUS_LENS_THREADS", "1")
         d = 128
         tracemalloc.start()
         try:
-            training_moments(GenerativeConfig(n=CHUNK, d_I=d, d_T=d), seed=1)
+            sample_dataset(GenerativeConfig(n=CHUNK, d_I=d, d_T=d), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * 2 * CHUNK * d * 8
+        assert peak <= 1.15 * 3 * CHUNK * d * 8
 
 
 class TestOOD:
@@ -342,7 +343,8 @@ class TestThreadedSampling:
 
 class TestBoundedChunkMap:
     """The chunk map keeps at most two chunks per worker in flight, so the
-    streamed training pass holds O(workers * CHUNK * d + d^2) at any n."""
+    test pass holds O(workers * CHUNK) at any size, and training, which
+    draws no rows, O(d^2) at any n."""
 
     def test_window_holds_and_results_come_in_order(self, monkeypatch):
         monkeypatch.setenv("SPURIOUS_LENS_THREADS", "2")
