@@ -15,10 +15,12 @@ from .alignment import (
     clip_loss,
     clip_loss_gradient,
     empirical_minimizer,
+    exact_subgroup_rates,
     gradient_descent_minimizer,
     latent_alignment_target,
     population_alignment_target,
     prompt_embedding,
+    std_normal_cdf,
     subgroup_accuracy,
     zero_shot_predict_batch,
 )
@@ -81,7 +83,6 @@ from .theory import (
     VerificationReport,
     kappa1,
     kappa2,
-    std_normal_cdf,
     std_normal_inv_cdf,
     theorem_bounds,
     verify_theorem,

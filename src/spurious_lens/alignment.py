@@ -4,6 +4,11 @@ The contrastive objective used here is linear in the alignment matrix
 ``M = W_I^T W_T`` plus a quadratic penalty, so its unique stationary point
 has a closed form.  A plain gradient-descent optimizer is kept alongside as
 an independent route to the same matrix.
+
+Given its label and attribute, a test image's zero-shot score is one
+Gaussian, so each (y, a) cell is predicted right with a probability in
+closed form.  The test pass draws its subgroup counts from that law, and
+:func:`exact_subgroup_rates` reports the rates themselves.
 """
 
 from __future__ import annotations
@@ -13,12 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, NonconvergenceError, ShapeError
-from .synthetic import (STREAM_TEST, Dictionary, GenerativeConfig, TrainingMoments,
-                        _add_in_order, _map_chunks, ood_config, sample_batch)
+from .errors import (ConfigError, DomainError, InsufficientDataError, NonconvergenceError,
+                     ShapeError)
+from .synthetic import (_CELLS, STREAM_TEST, Dictionary, GenerativeConfig, TrainingMoments,
+                        _cell_probabilities, ood_config, substream)
 
 # Version of the test pass's random stream; both Gaussian reports echo it.
-MC_STREAM = 2
+MC_STREAM = 3
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -220,15 +228,51 @@ def zero_shot_predict_batch(M: AlignmentMatrix, x_image: np.ndarray, prompts) ->
     return np.where(x @ (M.entries @ (pos.vector - neg.vector)) >= 0, 1, -1)
 
 
-def subgroup_counts(predictions: np.ndarray, labels: np.ndarray,
-                    attributes: np.ndarray) -> tuple[int, int, int, int]:
-    """(correct_aligned, n_aligned, correct_conflicting, n_conflicting)."""
-    correct = predictions == labels
-    aligned = attributes == labels
-    n_aligned = int(np.count_nonzero(aligned))
-    correct_aligned = int(np.count_nonzero(correct & aligned))
-    return (correct_aligned, n_aligned,
-            int(np.count_nonzero(correct)) - correct_aligned, len(labels) - n_aligned)
+def std_normal_cdf(x: float) -> float:
+    """Standard normal CDF via the complementary error function, so a lower
+    tail keeps its relative precision."""
+    if math.isnan(x):
+        raise DomainError("std_normal_cdf is undefined for NaN")
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def _cell_margins(M: AlignmentMatrix, config: GenerativeConfig,
+                  dict_image: Dictionary, dict_text: Dictionary) -> list[float]:
+    """Standardized margin t of each (y, a) cell of the test law, in _CELLS
+    order: a test sample of the cell is predicted right with probability
+    Phi(t) and wrong with probability Phi(-t).
+
+    An image x = D_I z + xi is predicted +1 exactly when x . w >= 0, with
+    w = M (t+ - t-) for the (+1, -1) label prompts.  Given (y, a), its score
+    z . u + xi . w, u = D_I^T w, is Gaussian with mean (m_inv y, m_spu a) . u,
+    (m_inv, m_spu) = ``config.mean_scales``, and variance sigma^2 =
+    (u_0 sigma_inv)^2 + (u_1 sigma_spu)^2 + s^2, s = sigma_xi |w| / sqrt(d_I).
+    So t = y * mean / sigma.  At sigma = 0 every sample of the cell scores the
+    mean, and t is +inf or -inf as "a score >= 0 predicts +1", ties included,
+    gets the cell right or wrong.
+    """
+    _check_dims(M, dict_image, dict_text)
+    w = M.entries @ (prompt_embedding(dict_text, 1).vector
+                     - prompt_embedding(dict_text, -1).vector)
+    u = dict_image.entries.T @ w
+    noise = config.sigma_xi * np.linalg.norm(w) / math.sqrt(dict_image.d)
+    sigma = math.hypot(u[0] * config.sigma_inv, u[1] * config.sigma_spu, noise)
+    means = ((np.array(_CELLS) * config.mean_scales) @ u).tolist()
+    if sigma == 0:
+        return [math.inf if (mean >= 0) == (y == 1) else -math.inf
+                for (y, _), mean in zip(_CELLS, means)]
+    return [y * mean / sigma for (y, _), mean in zip(_CELLS, means)]
+
+
+def exact_subgroup_rates(M: AlignmentMatrix, config: GenerativeConfig,
+                         dict_image: Dictionary, dict_text: Dictionary) -> tuple[float, float]:
+    """(err_conflicting, acc_aligned): the exact zero-shot error on the a != y
+    subgroup and accuracy on the a == y subgroup of the p_spu = 1/2 test
+    distribution, each the mean of its two equally likely cells' rates.  The
+    error adds the cells' Phi(-t), so a small one keeps its precision."""
+    t = _cell_margins(M, config, dict_image, dict_text)
+    return ((std_normal_cdf(-t[1]) + std_normal_cdf(-t[2])) / 2,
+            (std_normal_cdf(t[0]) + std_normal_cdf(t[3])) / 2)
 
 
 def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
@@ -236,33 +280,22 @@ def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
                       total: int) -> SubgroupReport:
     """Zero-shot accuracy against the (+1, -1) label prompts of ``dict_text``,
     overall and split over the a == y and a != y subgroups, on ``total``
-    samples of the p_spu = 1/2 test distribution.
+    samples of the p_spu = 1/2 test distribution (:func:`ood_config`).
 
-    An image x = D_I z + xi is predicted +1 when x . w >= 0, w = M (t+ - t-).
-    Its noise enters only through xi . w ~ N(0, sigma_xi^2 |w|^2 / d_I), so
-    stream MC_STREAM scores each sample exactly from its latents and one
-    standard normal drawn after them.  Each STREAM_TEST chunk is drawn,
-    scored and counted on its own and only the counts are kept, so the
-    report is the same for any worker count.
+    Stream MC_STREAM draws the counts from their exact joint law on one
+    STREAM_TEST generator: the (y, a) cell sizes from the multinomial, then
+    each cell's correct count from Binomial(size, Phi(t)), t the cell's
+    margin (:func:`_cell_margins`).  That is O(1) work and memory at any
+    ``total``, on no thread.
     """
     if total < 1:
         raise InsufficientDataError(f"the test set needs at least 1 sample, got {total}")
-    _check_dims(M, dict_image, dict_text)
-    test_config = ood_config(config)
-    w = M.entries @ (prompt_embedding(dict_text, 1).vector
-                     - prompt_embedding(dict_text, -1).vector)
-    u = dict_image.entries.T @ w
-    noise = config.sigma_xi * np.linalg.norm(w) / math.sqrt(dict_image.d)
-
-    def counts(rng, start, stop):
-        z, y, a = sample_batch(test_config, rng, stop - start)
-        score = z @ u
-        if config.sigma_xi > 0:
-            score += noise * rng.standard_normal(stop - start)
-        return subgroup_counts(np.where(score >= 0, 1, -1), y, a)
-
-    correct_aligned, n_aligned, correct_conflicting, n_conflicting = _add_in_order(
-        _map_chunks(seed, STREAM_TEST, total, counts))
+    rates = [std_normal_cdf(t) for t in _cell_margins(M, config, dict_image, dict_text)]
+    rng = substream(seed, STREAM_TEST)
+    sizes = rng.multinomial(total, _cell_probabilities(ood_config(config)))
+    hits = rng.binomial(sizes, rates)
+    n_aligned, n_conflicting = int(sizes[0] + sizes[3]), int(sizes[1] + sizes[2])
+    correct_aligned, correct_conflicting = int(hits[0] + hits[3]), int(hits[1] + hits[2])
     return SubgroupReport(
         acc_overall=(correct_aligned + correct_conflicting) / total,
         acc_aligned=correct_aligned / n_aligned if n_aligned else None,

@@ -35,6 +35,7 @@ from .alignment import (
     MC_STREAM,
     alignment_gap,
     empirical_minimizer,
+    exact_subgroup_rates,
     latent_alignment_target,
     population_alignment_target,
     subgroup_accuracy,
@@ -129,8 +130,7 @@ def _run(args) -> int:
             params[f"{name}_sha256"] = digest
 
     # numpy reports an overflow or invalid value as a RuntimeWarning and goes
-    # on with inf or nan; the filter is process-wide, so it also covers the
-    # chunk map's worker threads
+    # on with inf or nan
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         outcome = args.func(args)
@@ -187,9 +187,12 @@ def cmd_simulate_gaussian(args) -> _Outcome:
         "population_target": population_alignment_target(config).tolist(),
     }
     report = subgroup_accuracy(matrix, config, *dicts, args.seed, config.n)
+    exact_err, exact_acc = exact_subgroup_rates(matrix, config, *dicts)
     print(f"acc_overall {fmt_pct(report.acc_overall)}%", file=sys.stderr)
     return _Outcome([(args.out, {
         **_json_data(report),
+        "exact_err_conflicting": exact_err,
+        "exact_acc_aligned": exact_acc,
         "alignment": alignment,
         "mc_stream": MC_STREAM,
         "train_stream": TRAIN_STREAM,

@@ -15,10 +15,10 @@ Two parametrization modes are supported:
 
 All randomness is driven by ``numpy.random.Generator`` streams derived from
 a single 64-bit seed, so results never depend on worker count.  A dataset's
-rows (:func:`sample_dataset`) and the test pass are drawn in chunks, each
-from its own sub-stream, on worker threads.  Training reads only n and three
-sums of the rows; :func:`training_moments` draws those sums from their exact
-joint law on one generator, in the same few milliseconds at any n.
+rows (:func:`sample_dataset`) are drawn in chunks, each from its own
+sub-stream, on worker threads.  Training reads only n and three sums of the
+rows; :func:`training_moments` draws those sums from their exact joint law on
+one generator, in the same few milliseconds at any n.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ STREAM_MOMENTS = 4
 
 # Version of the training sums' random stream; both Gaussian reports echo it.
 TRAIN_STREAM = 2
+
+# The (y, a) cells, in the order their sizes are drawn; a == y in cells 0 and 3.
+_CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 CHUNK = 16384
 _EMBED_ROWS = 1024
@@ -179,6 +182,13 @@ def _dictionary_from_rng(d: int, rng: np.random.Generator) -> Dictionary:
     return Dictionary(np.column_stack([u, v]))
 
 
+def _cell_probabilities(config: GenerativeConfig) -> list[float]:
+    """P(y, a) of each cell of _CELLS: y is uniform and a = y with
+    probability p_spu."""
+    p = config.p_spu
+    return [p / 2, (1 - p) / 2, (1 - p) / 2, p / 2]
+
+
 def sample_batch(config: GenerativeConfig, rng: np.random.Generator, size: int):
     """One chunk of (z, y, a) triples, drawn in a fixed order from ``rng``.
 
@@ -297,11 +307,10 @@ def _latent_gram(config: GenerativeConfig, rng: np.random.Generator) -> np.ndarr
     + W, W ~ Wishart_2(m - 1, I) independent of xi; a smaller cell draws its
     rows.
     """
-    p = config.p_spu
-    counts = rng.multinomial(config.n, [p / 2, (1 - p) / 2, (1 - p) / 2, p / 2])
+    counts = rng.multinomial(config.n, _cell_probabilities(config))
     scales = np.array([config.sigma_inv, config.sigma_spu], dtype=float)
     gram = np.zeros((LATENT_DIM + 1, LATENT_DIM + 1))
-    for signs, m in zip(((1, 1), (1, -1), (-1, 1), (-1, -1)), counts.tolist()):
+    for signs, m in zip(_CELLS, counts.tolist()):
         if m == 0:
             continue
         if m < 3:

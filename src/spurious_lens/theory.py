@@ -3,7 +3,8 @@
 For the Gaussian pair model the zero-shot margin is itself Gaussian, so the
 conflicting-subgroup error and aligned-subgroup accuracy have closed forms
 through two standardized margins (kappa1, kappa2) and the normal CDF.  The
-verifier re-estimates both rates by simulation and compares.
+verifier re-estimates both rates by simulation and compares, and reports the
+exact rates of the matrix it scored next to them.
 """
 
 from __future__ import annotations
@@ -16,20 +17,14 @@ from .alignment import (
     alignment_gap,
     asymptotic_minimizer,
     empirical_minimizer,
+    exact_subgroup_rates,
+    std_normal_cdf,
     subgroup_accuracy,
 )
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .synthetic import MAX_SAMPLES, GenerativeConfig, Mode, dataset_dictionaries, training_moments
 
-_SQRT2 = math.sqrt(2.0)
 _NORMAL = statistics.NormalDist()
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    if math.isnan(x):
-        raise DomainError("std_normal_cdf is undefined for NaN")
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def std_normal_inv_cdf(p: float) -> float:
@@ -116,6 +111,9 @@ class VerificationReport:
     trained (Def1 mode) and is None otherwise.  mc_stderr holds the binomial
     standard errors of (mc_err_conflicting, mc_acc_aligned), and mc_z how
     many of them each estimate lies above its bound (None for a zero stderr).
+    exact_err_conflicting and exact_acc_aligned are the two rates the
+    Monte-Carlo estimates, in closed form for the matrix it scored; they
+    equal the bounds only at sigma_xi = 0 and the asymptotic matrix.
     """
 
     mode: Mode
@@ -125,6 +123,8 @@ class VerificationReport:
     mc_samples: int
     mc_stderr: tuple[float, float]
     mc_z: tuple[float | None, float | None]
+    exact_err_conflicting: float
+    exact_acc_aligned: float
     alignment_gap: float | None
     tol: float
     passed: bool
@@ -140,7 +140,8 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
     one-sided (estimate >= bound - tol) and reports the alignment gap; only
     at mu_inv = mu_spu = 1 does training converge to the bounds' target.
 
-    Chunked sub-seeds keep the result identical for any worker count.
+    Training and the test pass each draw from one generator, so the result
+    is the same for any worker count.
     """
     if mc_samples < 1_000:
         raise InsufficientDataError(
@@ -166,6 +167,7 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
     n_aligned, n_conflicting = report.n_aligned, report.n_conflicting
     if n_aligned == 0 or n_conflicting == 0:
         raise InsufficientDataError("a Monte-Carlo subgroup came out empty")
+    exact_err, exact_acc = exact_subgroup_rates(matrix, config, dict_image, dict_text)
 
     mc_err = 1.0 - report.acc_conflicting
     mc_acc = report.acc_aligned
@@ -193,6 +195,8 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
         mc_samples=mc_samples,
         mc_stderr=stderr,
         mc_z=mc_z,
+        exact_err_conflicting=exact_err,
+        exact_acc_aligned=exact_acc,
         alignment_gap=gap,
         tol=tol,
         passed=passed,
@@ -215,9 +219,11 @@ def format_report_table(config: GenerativeConfig, report: VerificationReport) ->
         f"  kappa1      {b.kappa1:+.6f}",
         f"  kappa2      {b.kappa2:+.6f}",
         "bound vs monte-carlo",
-        f"  err a!=y    bound {b.err_lower_conflicting:.4f}   mc {report.mc_err_conflicting:.4f}"
+        f"  err a!=y    bound {b.err_lower_conflicting:.4f}"
+        f"   exact {report.exact_err_conflicting:.4f}   mc {report.mc_err_conflicting:.4f}"
         f"   stderr {report.mc_stderr[0]:.4f}   z {z[0]}",
-        f"  acc a==y    bound {b.acc_lower_aligned:.4f}   mc {report.mc_acc_aligned:.4f}"
+        f"  acc a==y    bound {b.acc_lower_aligned:.4f}"
+        f"   exact {report.exact_acc_aligned:.4f}   mc {report.mc_acc_aligned:.4f}"
         f"   stderr {report.mc_stderr[1]:.4f}   z {z[1]}",
     ]
     if report.alignment_gap is not None:

@@ -2,7 +2,9 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,18 +23,22 @@ from spurious_lens import (
     clip_loss,
     clip_loss_gradient,
     empirical_minimizer,
+    exact_subgroup_rates,
     gradient_descent_minimizer,
     latent_alignment_target,
     ood_config,
     population_alignment_target,
     prompt_embedding,
     sample_dataset,
+    std_normal_cdf,
     subgroup_accuracy,
     zero_shot_predict_batch,
 )
-from spurious_lens.alignment import subgroup_counts
+from spurious_lens import synthetic
+from spurious_lens.alignment import _cell_margins
 from spurious_lens.cli import _json_data, main as cli_main
 from spurious_lens.synthetic import (
+    _CELLS,
     CHUNK,
     STREAM_SAMPLES,
     STREAM_TEST,
@@ -337,11 +343,23 @@ def label_prompts(dict_text):
     return (prompt_embedding(dict_text, 1), prompt_embedding(dict_text, -1))
 
 
+def subgroup_counts(predictions: np.ndarray, labels: np.ndarray,
+                    attributes: np.ndarray) -> tuple[int, int, int, int]:
+    """(correct_aligned, n_aligned, correct_conflicting, n_conflicting)."""
+    correct = predictions == labels
+    aligned = attributes == labels
+    n_aligned = int(np.count_nonzero(aligned))
+    correct_aligned = int(np.count_nonzero(correct & aligned))
+    return (correct_aligned, n_aligned,
+            int(np.count_nonzero(correct)) - correct_aligned, len(labels) - n_aligned)
+
+
 def chunked_test_set(M, config, dict_image, dict_text, seed, total):
-    """(predictions, labels, attributes) of the p_spu = 1/2 test set, drawn one
-    STREAM_TEST chunk at a time as stream 2 draws it: the latents, then one
-    standard normal per sample for the image noise projected on
-    w = M (t+ - t-).  The chunks are concatenated."""
+    """(predictions, labels, attributes) of the p_spu = 1/2 test set as the
+    row-wise stream 2 drew it, one STREAM_TEST chunk at a time: the latents,
+    then one standard normal per sample for the image noise projected on
+    w = M (t+ - t-).  The chunks are concatenated.  Stream 2 is the reference
+    that stream 3's law is tested against."""
     pos, neg = label_prompts(dict_text)
     w = M.entries @ (pos.vector - neg.vector)
     noise = config.sigma_xi * np.linalg.norm(w) / math.sqrt(dict_image.d)
@@ -353,6 +371,30 @@ def chunked_test_set(M, config, dict_image, dict_text, seed, total):
         if config.sigma_xi > 0:
             score += noise * rng.standard_normal(len(y))
         parts.append((np.where(score >= 0, 1, -1), y, a))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def hit_rates(M, config, dict_image, dict_text):
+    """P(right) of each (y, a) cell, in the order of _CELLS."""
+    return [std_normal_cdf(t) for t in _cell_margins(M, config, dict_image, dict_text)]
+
+
+def stream_v3_draw(rates, seed, total):
+    """(sizes, hits) per (y, a) cell, replayed as stream 3 draws them from
+    one STREAM_TEST generator: the multinomial cell sizes, then the
+    binomial correct counts."""
+    rng = substream(seed, STREAM_TEST)
+    sizes = rng.multinomial(total, [0.25] * 4)
+    return sizes, rng.binomial(sizes, rates)
+
+
+def rows_from_counts(sizes, hits):
+    """(predictions, labels, attributes): each cell's rows, its first
+    ``hits`` predicted right and the rest wrong."""
+    parts = []
+    for (y, a), size, hit in zip(_CELLS, sizes.tolist(), hits.tolist()):
+        parts.append((np.repeat([y, -y], [hit, size - hit]),
+                      np.full(size, y), np.full(size, a)))
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -418,8 +460,8 @@ class TestSubgroupCounts:
             cfg = GenerativeConfig(n=2, d_I=4, d_T=3, p_spu=p_spu, sigma_xi=sigma_xi)
             dict_image, dict_text = dataset_dictionaries(cfg, seed=trial)
             M = random_matrix((4, 3), seed=trial)
-            want = mean_of_masks_report(
-                *chunked_test_set(M, cfg, dict_image, dict_text, trial, total))
+            want = mean_of_masks_report(*rows_from_counts(*stream_v3_draw(
+                hit_rates(M, cfg, dict_image, dict_text), trial, total)))
             for threads in ("1", "8"):
                 monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
                 got = subgroup_accuracy(M, cfg, dict_image, dict_text, trial, total)
@@ -431,15 +473,15 @@ class TestSubgroupCounts:
         cfg = GenerativeConfig(n=2, d_I=4, d_T=3)
         dict_image, dict_text = dataset_dictionaries(cfg, seed=2)
         M = random_matrix((4, 3), seed=5)
+        rates = hit_rates(M, cfg, dict_image, dict_text)
         # the first seed whose one test sample falls in the wanted subgroup
         for seed in itertools.count():
-            test_set = chunked_test_set(M, cfg, dict_image, dict_text, seed, 1)
-            _, labels, attributes = test_set
-            if (attributes[0] != labels[0]) == conflicting:
+            draw = stream_v3_draw(rates, seed, 1)
+            if (draw[0][1] + draw[0][2] == 1) == conflicting:
                 break
         got = _json_data(subgroup_accuracy(M, cfg, dict_image, dict_text, seed, 1))
         assert got[empty] is None
-        assert got == mean_of_masks_report(*test_set)
+        assert got == mean_of_masks_report(*rows_from_counts(*draw))
 
     def test_counts_partition_the_rows(self):
         ds = sample_dataset(GenerativeConfig(n=777, d_I=4, d_T=3), seed=4)
@@ -469,6 +511,11 @@ def stream_v1_counts(M, config, dict_image, dict_text, seed, total):
 
 
 def stream_v2_counts(M, config, dict_image, dict_text, seed, total):
+    return list(subgroup_counts(*chunked_test_set(M, config, dict_image, dict_text,
+                                                  seed, total)))
+
+
+def stream_v3_counts(M, config, dict_image, dict_text, seed, total):
     report = subgroup_accuracy(M, config, dict_image, dict_text, seed, total)
     return [round(report.acc_aligned * report.n_aligned), report.n_aligned,
             round(report.acc_conflicting * report.n_conflicting), report.n_conflicting]
@@ -484,10 +531,20 @@ def trained_matrix(config, seed):
     return empirical_minimizer(train, config.rho), train.dict_image, train.dict_text
 
 
+NOISY_CONFIGS = [
+    GenerativeConfig(sigma_spu=0.5, mu_spu=2.0, p_spu=0.95, sigma_xi=0.1,
+                     d_I=64, d_T=64, mode="TheoremExact"),
+    GenerativeConfig(sigma_spu=0.5, p_spu=0.9, sigma_xi=0.5, n=2000, d_I=16, d_T=8),
+    # noise as large as the latents, seen through a two-dimensional image
+    GenerativeConfig(sigma_spu=0.5, mu_spu=2.0, p_spu=0.95, sigma_xi=5.0,
+                     d_I=2, d_T=3, mode="TheoremExact"),
+]
+
+
 class TestStreamV2MatchesV1:
-    """Stream 2 scores the projection of the image noise that stream 1 drew in
-    full, so it samples the same predictions: the latents are shared, the
-    subgroups are the same, and only the noise draw differs."""
+    """The stream-2 reference scores the projection of the image noise that
+    stream 1 drew in full, so it samples the same predictions: the latents
+    are shared, the subgroups are the same, and only the noise draw differs."""
 
     TOTAL = 2 * CHUNK + 1000
 
@@ -503,14 +560,7 @@ class TestStreamV2MatchesV1:
             assert (stream_v2_counts(M, config, dict_image, dict_text, seed, self.TOTAL)
                     == stream_v1_counts(M, config, dict_image, dict_text, seed, self.TOTAL))
 
-    @pytest.mark.parametrize("config", [
-        GenerativeConfig(sigma_spu=0.5, mu_spu=2.0, p_spu=0.95, sigma_xi=0.1,
-                         d_I=64, d_T=64, mode="TheoremExact"),
-        GenerativeConfig(sigma_spu=0.5, p_spu=0.9, sigma_xi=0.5, n=2000, d_I=16, d_T=8),
-        # noise as large as the latents, seen through a two-dimensional image
-        GenerativeConfig(sigma_spu=0.5, mu_spu=2.0, p_spu=0.95, sigma_xi=5.0,
-                         d_I=2, d_T=3, mode="TheoremExact"),
-    ])
+    @pytest.mark.parametrize("config", NOISY_CONFIGS)
     def test_noisy_rates_agree_within_binomial_error(self, config):
         for seed in range(10):
             M, dict_image, dict_text = trained_matrix(config, seed)
@@ -543,3 +593,109 @@ class TestStreamV2MatchesV1:
         with pytest.raises(ShapeError):
             subgroup_accuracy(random_matrix((3, 4), seed=0), config, dict_image,
                               dict_text, 0, 100)
+
+
+def agree_within_binomial_error(hits_a, size_a, hits_b, size_b) -> bool:
+    """Two binomial rates lie within 4 standard errors of their difference,
+    taken at the pooled rate."""
+    pooled = (hits_a + hits_b) / (size_a + size_b)
+    stderr = math.sqrt(pooled * (1 - pooled) * (1 / size_a + 1 / size_b))
+    return abs(hits_a / size_a - hits_b / size_b) <= 4 * stderr
+
+
+class TestStreamV3Law:
+    """Stream 3 draws the subgroup counts from the law that the stream-2
+    reference samples row by row: the same cell sizes and rates in law, and
+    in a noiseless cell the same all-or-nothing outcome."""
+
+    TOTAL = 2 * CHUNK + 1000
+
+    @pytest.mark.parametrize("config", NOISY_CONFIGS)
+    def test_sizes_and_rates_agree_with_stream_2(self, config):
+        for seed in range(10):
+            M, dict_image, dict_text = trained_matrix(config, seed)
+            v2 = stream_v2_counts(M, config, dict_image, dict_text, seed, self.TOTAL)
+            v3 = stream_v3_counts(M, config, dict_image, dict_text, seed, self.TOTAL)
+            assert sum(v3[1::2]) == self.TOTAL
+            # n_aligned is Binomial(TOTAL, 1/2) in either stream
+            assert agree_within_binomial_error(v2[1], self.TOTAL, v3[1], self.TOTAL), (seed, v2, v3)
+            for hits_v2, size_v2, hits_v3, size_v3 in (v2[:2] + v3[:2], v2[2:] + v3[2:]):
+                assert agree_within_binomial_error(hits_v2, size_v2, hits_v3, size_v3), (
+                    seed, v2, v3)
+
+    @pytest.mark.parametrize("config,matrix", [
+        (GenerativeConfig(mu_inv=1.5, mu_spu=2.0, sigma_inv=0.0, sigma_spu=0.0,
+                          sigma_xi=0.0, n=2, d_I=5, d_T=4), "random"),
+        # every score is 0, which predicts +1: each y = +1 row right, each y = -1 row wrong
+        (GenerativeConfig(sigma_inv=0.0, sigma_spu=0.0, sigma_xi=0.3, n=2, d_I=5, d_T=4),
+         "zero"),
+        # weight 2 mu_spu p_spu - 1 = 1 on both latents: a conflicting image
+        # scores 0 up to rounding, and both streams must see the same sign
+        (GenerativeConfig(sigma_inv=0.0, sigma_spu=0.0, sigma_xi=0.0, mu_spu=1.0, p_spu=1.0,
+                          d_I=5, d_T=4, mode="TheoremExact"), "asymptotic"),
+    ], ids=["random", "zero", "tie"])
+    def test_noiseless_cells_match_the_reference(self, config, matrix):
+        for seed in range(10):
+            dict_image, dict_text = dataset_dictionaries(config, seed)
+            M = {"random": random_matrix((5, 4), seed),
+                 "zero": AlignmentMatrix(np.zeros((5, 4))),
+                 "asymptotic": asymptotic_minimizer(config, dict_image, dict_text)}[matrix]
+            rates = hit_rates(M, config, dict_image, dict_text)
+            predictions, labels, attributes = chunked_test_set(
+                M, config, dict_image, dict_text, seed, 3000)
+            for (y, a), rate in zip(_CELLS, rates):
+                cell = (labels == y) & (attributes == a)
+                assert set((predictions[cell] == y).tolist()) == {rate == 1.0}, (seed, y, a)
+            if matrix == "zero":
+                assert rates == [1.0, 1.0, 0.0, 0.0]
+            sizes, _ = stream_v3_draw(rates, seed, 3000)
+            right = np.multiply(sizes, rates)
+            assert stream_v3_counts(M, config, dict_image, dict_text, seed, 3000) == [
+                right[0] + right[3], sizes[0] + sizes[3], right[1] + right[2],
+                sizes[1] + sizes[2]]
+
+    def test_no_gaussian_command_starts_a_thread(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "8")
+        monkeypatch.setattr(synthetic, "ThreadPoolExecutor", refuse)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n": 5 * CHUNK, "d_I": 8, "d_T": 8}), encoding="utf-8")
+        for command in (["verify-theorem", "--mc", str(5 * CHUNK)], ["simulate-gaussian"]):
+            assert cli_main([*command, "--config", str(config),
+                             "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_peak_memory_does_not_grow_with_total(self):
+        config = GenerativeConfig(d_I=64, d_T=64)
+        dict_image, dict_text = dataset_dictionaries(config, seed=1)
+        M = asymptotic_minimizer(config, dict_image, dict_text)
+
+        def peak(total):
+            tracemalloc.start()
+            try:
+                subgroup_accuracy(M, config, dict_image, dict_text, 1, total)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4 * CHUNK)
+        assert peak(2**63 - 1) <= 1.25 * peak(4 * CHUNK)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           scale=st.floats(min_value=8, max_value=35))
+    def test_exact_rates_keep_their_tails(self, seed, scale):
+        # the latent noise is small against the means, so every margin lies
+        # beyond 8 and both rates sit deep in a tail of Phi
+        config = GenerativeConfig(mu_spu=0.5, sigma_inv=1 / scale, sigma_spu=0.5 / scale,
+                                  sigma_xi=0.0, d_I=4, d_T=3)
+        dict_image, dict_text = dataset_dictionaries(config, seed)
+        M = AlignmentMatrix(dict_image.entries @ np.array([[1.0, 0.0], [0.0, 0.0]])
+                            @ dict_text.entries.T)
+        err, acc = exact_subgroup_rates(M, config, dict_image, dict_text)
+        # the score is z_inv: a conflicting sample is wrong when z_inv's sign flips
+        with mpmath.workdps(40):
+            tail = mpmath.ncdf(-scale)
+            assert err == pytest.approx(float(tail), rel=1e-12)
+            assert acc == pytest.approx(float(1 - tail), abs=1e-16)

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -83,7 +84,7 @@ class TestVerifyTheorem:
         assert "pass" in captured.err
         payload = read_json(out)
         assert payload["passed"] is True
-        assert payload["mc_stream"] == payload["train_stream"] == 2
+        assert (payload["mc_stream"], payload["train_stream"]) == (3, 2)
         check_schema(payload, "verification_report")
         check_schema(manifest_of(out), "run_manifest")
 
@@ -172,7 +173,7 @@ class TestSimulateGaussian:
         assert rc == 0
         assert capsys.readouterr().out == ""
         payload = read_json(out)
-        assert payload["mc_stream"] == payload["train_stream"] == 2
+        assert (payload["mc_stream"], payload["train_stream"]) == (3, 2)
         check_schema(payload, "subgroup_report")
         assert payload["n_train"] == GAUSS_DEF1["n"]
         assert payload["n_test"] == GAUSS_DEF1["n"]
@@ -231,14 +232,13 @@ def test_theorem_exact_population_gap_shrinks(tmp_path):
 @pytest.mark.parametrize("threads", ["1", "3"])
 class TestPinnedSubgroupOutcomes:
     """Subgroup counts of the p_spu = 1/2 test pass: (correct, size) of the
-    aligned and the conflicting subgroup.  The sizes were recorded before the
-    pass was streamed, the correct counts with Monte-Carlo stream 2 and, where
-    a matrix is trained, training stream 2.  Integer ratios, so BLAS rounding
-    cannot move them."""
+    aligned and the conflicting subgroup, recorded with Monte-Carlo stream 3
+    and, where a matrix is trained, training stream 2.  Integer ratios, so
+    BLAS rounding can move them only through a cell's hit probability."""
 
     @pytest.mark.parametrize("name,aligned,conflicting", [
-        ("theorem_exact", (9759, 10021), (3746, 9979)),
-        ("def1_lemma", (9122, 10021), (7172, 9979)),
+        ("theorem_exact", (9685, 9952), (3716, 10048)),
+        ("def1_lemma", (9074, 9952), (7267, 10048)),
     ])
     def test_verify_theorem(self, tmp_path, monkeypatch, threads, name,
                             aligned, conflicting):
@@ -265,10 +265,30 @@ class TestPinnedSubgroupOutcomes:
         assert {key: report[key] for key in ("acc_overall", "acc_aligned",
                                              "acc_conflicting", "n_aligned",
                                              "n_conflicting", "n_test")} == {
-            "acc_overall": 32608 / 40000, "acc_aligned": 18268 / 20015,
-            "acc_conflicting": 14340 / 19985, "n_aligned": 20015,
-            "n_conflicting": 19985, "n_test": 40000,
+            "acc_overall": 32663 / 40000, "acc_aligned": 18382 / 20078,
+            "acc_conflicting": 14281 / 19922, "n_aligned": 20078,
+            "n_conflicting": 19922, "n_test": 40000,
         }
+
+
+@pytest.mark.parametrize("argv,config,schema", [
+    (["simulate-gaussian"], {**GAUSS_DEF1, "n": 2**63 - 1}, "subgroup_report"),
+    (["verify-theorem", "--mc", str(2**63 - 1)], GAUSS_EXACT, "verification_report"),
+], ids=["simulate-gaussian", "verify-theorem"])
+def test_largest_test_set_finishes(tmp_path, argv, config, schema):
+    # the test pass draws its counts from their law, so 2**63 - 1 test
+    # samples cost what 1000 do
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main([*argv, "--config", write_json(tmp_path / "c.json", config),
+                 "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 2.0
+    report = strict_json(out.read_text(encoding="utf-8"))
+    check_schema(report, schema)
+    assert report["n_aligned" if schema == "subgroup_report" else "mc_samples"] > 2**61
+    rates = [value for key, value in report.items() if key.startswith(("acc_", "mc_", "exact_"))
+             and isinstance(value, float)]
+    assert len(rates) >= 4 and all(math.isfinite(rate) for rate in rates)
 
 
 class TestSimulateDiscrete:

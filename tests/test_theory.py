@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -14,6 +15,8 @@ from spurious_lens import (
     GenerativeConfig,
     InsufficientDataError,
     TheoryParams,
+    asymptotic_minimizer,
+    exact_subgroup_rates,
     kappa1,
     kappa2,
     std_normal_cdf,
@@ -22,6 +25,7 @@ from spurious_lens import (
     verify_theorem,
 )
 from spurious_lens.cli import _serialize
+from spurious_lens.synthetic import dataset_dictionaries
 from spurious_lens.theory import format_report_table, params_from_config
 
 # Frozen from a 50-digit mpmath evaluation of 0.5*erfc(-x/sqrt(2)).
@@ -70,6 +74,14 @@ class TestNormalCdf:
     @given(st.floats(min_value=-40.0, max_value=40.0))
     def test_range(self, x):
         assert 0.0 <= std_normal_cdf(x) <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=8.0, max_value=37.0))
+    def test_tails_against_high_precision_oracle(self, x):
+        # erfc keeps the lower tail's relative precision; the upper tail is
+        # 1 - Phi(-x), which rounds to the nearest double
+        assert std_normal_cdf(-x) == pytest.approx(phi_oracle(-x), rel=1e-13)
+        assert std_normal_cdf(x) == phi_oracle(x)
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
@@ -184,6 +196,48 @@ class TestBounds:
 
 EXACT_CFG = GenerativeConfig(sigma_inv=1.0, sigma_spu=0.5, mu_spu=2.0,
                              p_spu=0.95, sigma_xi=0.1, mode="TheoremExact")
+
+
+class TestExactRates:
+    """exact_subgroup_rates gives the zero-shot rates of any matrix in closed
+    form; at sigma_xi = 0 and the asymptotic matrix they are the bounds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sigma_inv=st.floats(min_value=0.5, max_value=3.0),
+           sigma_spu=st.floats(min_value=0.0, max_value=3.0),
+           mu_spu=st.floats(min_value=0.5, max_value=3.0),
+           p_spu=st.floats(min_value=0.5, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=2**32))
+    def test_noiseless_asymptotic_rates_are_the_bounds(self, sigma_inv, sigma_spu,
+                                                       mu_spu, p_spu, seed):
+        cfg = GenerativeConfig(sigma_inv=sigma_inv, sigma_spu=sigma_spu, mu_spu=mu_spu,
+                               p_spu=p_spu, sigma_xi=0.0, d_I=16, d_T=16,
+                               mode="TheoremExact")
+        dict_image, dict_text = dataset_dictionaries(cfg, seed)
+        err, acc = exact_subgroup_rates(asymptotic_minimizer(cfg, dict_image, dict_text),
+                                        cfg, dict_image, dict_text)
+        bounds = theorem_bounds(params_from_config(cfg))
+        # the bounds are within about 1 unit of 2**-52 of the true value; the
+        # rates reach their margins through the rounded matrix and the
+        # dictionaries' products, under 9 units off in 80000 random configs
+        ulps = 16 * sys.float_info.epsilon
+        assert abs(err - bounds.err_lower_conflicting) <= ulps
+        assert abs(acc - bounds.acc_lower_aligned) <= ulps
+
+    def test_verify_theorem_reports_the_exact_rates_of_its_matrix(self):
+        cfg = GenerativeConfig(sigma_xi=1.0, d_I=4, d_T=4, mu_spu=2.0, p_spu=0.95,
+                               mode="TheoremExact")
+        rep = verify_theorem(cfg, mc_samples=200_000, seed=0)
+        dict_image, dict_text = dataset_dictionaries(cfg, 0)
+        exact = exact_subgroup_rates(asymptotic_minimizer(cfg, dict_image, dict_text),
+                                     cfg, dict_image, dict_text)
+        assert (rep.exact_err_conflicting, rep.exact_acc_aligned) == exact
+        # image noise the bounds leave out moves the rates off them, and the
+        # Monte-Carlo follows the exact rates
+        assert rep.bounds.err_lower_conflicting - exact[0] > 0.01
+        for mc, rate, stderr in zip((rep.mc_err_conflicting, rep.mc_acc_aligned), exact,
+                                    rep.mc_stderr):
+            assert abs(mc - rate) <= 4 * stderr
 
 
 class TestVerifyTheorem:
