@@ -14,20 +14,17 @@ Two parametrization modes are supported:
   ``2 * mu_spu * p_spu - 1`` used by the closed-form classifier.
 
 All randomness is driven by ``numpy.random.Generator`` streams derived from
-a single 64-bit seed, so results never depend on worker count.  A dataset's
+a single 64-bit seed, so results are reproducible bit for bit.  A dataset's
 rows (:func:`sample_dataset`) are drawn in chunks, each from its own
-sub-stream, on worker threads.  Training reads only n and three sums of the
-rows; :func:`training_moments` draws those sums from their exact joint law on
-one generator, in the same few milliseconds at any n.
+sub-stream.  Training reads only n and three sums of the rows;
+:func:`training_moments` draws those sums from their exact joint law on one
+generator, in the same few milliseconds at any n.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,48 +62,6 @@ def substream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
     return np.random.default_rng(ss)
-
-
-def worker_count() -> int:
-    """Worker cap from SPURIOUS_LENS_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("SPURIOUS_LENS_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"SPURIOUS_LENS_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ConfigError(f"SPURIOUS_LENS_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return min(8, os.cpu_count() or 1)
-    return value
-
-
-def _map_chunks(seed: int, tag: int, total: int, fn):
-    """Yield ``fn(substream(seed, tag, i), start, stop)`` for each CHUNK-row
-    slice ``i`` of ``range(total)``, in chunk order.
-
-    The calls run on up to :func:`worker_count` threads, with at most two per
-    worker submitted and not yet yielded, so the memory held stays bounded at
-    any ``total``.  Each call draws only from its own sub-stream, so the
-    results do not depend on the worker count.
-    """
-    starts = range(0, total, CHUNK)
-
-    def run(index):
-        start = starts[index]
-        return fn(substream(seed, tag, index), start, min(start + CHUNK, total))
-
-    workers = worker_count()
-    if workers == 1 or len(starts) <= 1:
-        yield from map(run, range(len(starts)))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        for index in range(len(starts)):
-            if len(pending) == 2 * workers:
-                yield pending.pop(0).result()
-            pending.append(pool.submit(run, index))
-        yield from (future.result() for future in pending)
 
 
 @dataclass(frozen=True)
@@ -230,11 +185,6 @@ def dataset_dictionaries(config: GenerativeConfig, seed: int):
     return dict_image, dict_text
 
 
-def _add_in_order(parts) -> list:
-    """Element-wise total of a stream of equal-length tuples, added left to right."""
-    return functools.reduce(lambda total, part: [t + p for t, p in zip(total, part)], parts)
-
-
 @dataclass(frozen=True)
 class TrainingMoments:
     """A training set as the minimizer reads it: n, sum X_I, sum X_T, the
@@ -264,25 +214,24 @@ class SyntheticDataset(TrainingMoments):
 def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     """Draw a full dataset: fresh dictionaries plus config.n embedded samples.
 
-    Deterministic in (config, seed) for any worker count: each STREAM_SAMPLES
-    chunk draws its latents, then the image noise, then the text noise from
-    its own sub-stream, fills its own rows and returns their sums, which are
-    added in chunk order.
+    Deterministic in (config, seed): CHUNK-row slice i draws its latents,
+    then the image noise, then the text noise from sub-stream
+    (STREAM_SAMPLES, i), and its sums are added in chunk order.
     """
     dict_image, dict_text = dataset_dictionaries(config, seed)
     total = config.n
     x_image, x_text = np.empty((total, dict_image.d)), np.empty((total, dict_text.d))
     labels, attributes = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
-
-    def fill(rng, start, stop):
-        rows = slice(start, stop)
-        z, labels[rows], attributes[rows] = sample_batch(config, rng, stop - start)
+    sums = None
+    for index, start in enumerate(range(0, total, CHUNK)):
+        rng = substream(seed, STREAM_SAMPLES, index)
+        rows = slice(start, min(start + CHUNK, total))
+        z, labels[rows], attributes[rows] = sample_batch(config, rng, rows.stop - start)
         x_image[rows] = embed(z, dict_image, config.sigma_xi, rng)
         x_text[rows] = embed(z, dict_text, config.sigma_xi, rng)
         image, text = x_image[rows], x_text[rows]
-        return image.sum(axis=0), text.sum(axis=0), image.T @ text
-
-    sums = _add_in_order(_map_chunks(seed, STREAM_SAMPLES, total, fill))
+        part = (image.sum(axis=0), text.sum(axis=0), image.T @ text)
+        sums = part if sums is None else [t + p for t, p in zip(sums, part)]
     return SyntheticDataset(total, *sums, dict_image, dict_text,
                             x_image, x_text, labels, attributes)
 
@@ -364,9 +313,8 @@ def training_moments(config: GenerativeConfig, seed: int) -> TrainingMoments:
     + s_T D_I Z^T N_T + s_I (Z^T N_I)^T D_T^T + s_I s_T N_I^T N_T.  Training
     stream TRAIN_STREAM draws C^T C (:func:`_latent_gram`), then
     the noise sums (:func:`_noise_sums`, none when sigma_xi = 0), from the
-    one STREAM_MOMENTS generator, so no worker count can move a bit.  The
-    dictionaries are the dataset's; the sums have the dataset's law, not
-    its bits.
+    one STREAM_MOMENTS generator.  The dictionaries are the dataset's; the
+    sums have the dataset's law, not its bits.
     """
     dict_image, dict_text = dataset_dictionaries(config, seed)
     rng = substream(seed, STREAM_MOMENTS)

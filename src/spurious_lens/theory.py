@@ -97,8 +97,8 @@ def theorem_bounds(params: TheoryParams) -> TheoryBounds:
     return TheoryBounds(
         kappa1=k1,
         kappa2=k2,
-        err_lower_conflicting=1.0 - std_normal_cdf(k1),
-        acc_lower_aligned=1.0 - std_normal_cdf(k2),
+        err_lower_conflicting=std_normal_cdf(-k1),
+        acc_lower_aligned=std_normal_cdf(-k2),
     )
 
 
@@ -141,7 +141,7 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
     at mu_inv = mu_spu = 1 does training converge to the bounds' target.
 
     Training and the test pass each draw from one generator, so the result
-    is the same for any worker count.
+    is the same on every run.
     """
     if mc_samples < 1_000:
         raise InsufficientDataError(

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 
 import mpmath
@@ -34,7 +35,6 @@ from spurious_lens import (
     subgroup_accuracy,
     zero_shot_predict_batch,
 )
-from spurious_lens import synthetic
 from spurious_lens.alignment import _cell_margins
 from spurious_lens.cli import _json_data, main as cli_main
 from spurious_lens.synthetic import (
@@ -185,13 +185,11 @@ class TestMinimizers:
 
 class TestDatasetSums:
     """sample_dataset adds its chunks' sums in chunk order; they are the whole
-    arrays' sums for any worker count.  training_moments draws sums of the
-    same law with the same dictionaries (tests/test_training_law.py)."""
+    arrays' sums.  training_moments draws sums of the same law with the same
+    dictionaries (tests/test_training_law.py)."""
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("n", [CHUNK, 2 * CHUNK, 5 * CHUNK + 7])
-    def test_dataset_minimizer_is_the_whole_array_one(self, monkeypatch, n, threads):
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+    def test_dataset_minimizer_is_the_whole_array_one(self, n):
         cfg = GenerativeConfig(n=n, d_I=6, d_T=5, rho=0.8)
         ds = sample_dataset(cfg, seed=3)
         materialised = empirical_minimizer(ds, cfg.rho).entries
@@ -449,7 +447,7 @@ def mean_of_masks_report(predictions, labels, attributes) -> dict:
 
 
 class TestSubgroupCounts:
-    def test_accuracy_equals_mean_of_masks_bit_for_bit(self, monkeypatch):
+    def test_accuracy_equals_mean_of_masks_bit_for_bit(self):
         rng = np.random.default_rng(0)
         for trial in range(200):
             # every tenth test set spans several chunks
@@ -462,10 +460,8 @@ class TestSubgroupCounts:
             M = random_matrix((4, 3), seed=trial)
             want = mean_of_masks_report(*rows_from_counts(*stream_v3_draw(
                 hit_rates(M, cfg, dict_image, dict_text), trial, total)))
-            for threads in ("1", "8"):
-                monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
-                got = subgroup_accuracy(M, cfg, dict_image, dict_text, trial, total)
-                assert _json_data(got) == want, (trial, threads)
+            got = subgroup_accuracy(M, cfg, dict_image, dict_text, trial, total)
+            assert _json_data(got) == want, trial
 
     @pytest.mark.parametrize("conflicting,empty", [(False, "acc_conflicting"),
                                                    (True, "acc_aligned")])
@@ -572,21 +568,6 @@ class TestStreamV2MatchesV1:
                 stderr = math.sqrt((r1 * (1 - r1) + r2 * (1 - r2)) / size)
                 assert abs(r1 - r2) <= 4 * stderr, (seed, v1, v2)
 
-    def test_one_and_eight_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"sigma_xi": 0.5, "n": 2 * CHUNK + 7,
-                                      "d_I": 8, "d_T": 8}), encoding="utf-8")
-        outputs = {}
-        for threads in ("1", "8"):
-            monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
-            for command in (["verify-theorem", "--mc", str(3 * CHUNK + 1)],
-                            ["simulate-gaussian"]):
-                out = tmp_path / f"{command[0]}-{threads}.json"
-                cli_main([*command, "--config", str(config), "--seed", "4",
-                          "--out", str(out)])
-                outputs.setdefault(command[0], set()).add(out.read_bytes())
-        assert all(len(variants) == 1 for variants in outputs.values())
-
     def test_rejects_a_matrix_of_other_dims(self):
         config = GenerativeConfig(d_I=4, d_T=3)
         dict_image, dict_text = dataset_dictionaries(config, seed=0)
@@ -656,10 +637,9 @@ class TestStreamV3Law:
 
     def test_no_gaussian_command_starts_a_thread(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "8")
-        monkeypatch.setattr(synthetic, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"n": 5 * CHUNK, "d_I": 8, "d_T": 8}), encoding="utf-8")
         for command in (["verify-theorem", "--mc", str(5 * CHUNK)], ["simulate-gaussian"]):

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -103,17 +104,6 @@ class TestVerifyTheorem:
             main(["verify-theorem", "--config", cfg, "--mc", "2000",
                   "--seed", "0", "--tol", "0.000001", "--out", out])
         assert Path(a).read_bytes() == Path(b).read_bytes()
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg = write_json(tmp_path / "c.json", GAUSS_EXACT)
-        outputs = []
-        for threads, name in (("1", "a.json"), ("3", "b.json")):
-            monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
-            out = str(tmp_path / name)
-            main(["verify-theorem", "--config", cfg, "--mc", "20000",
-                  "--seed", "0", "--out", out])
-            outputs.append(Path(out).read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_manifest_digest_tracks_inputs(self, tmp_path):
         cfg = write_json(tmp_path / "config.json", GAUSS_EXACT)
@@ -229,7 +219,6 @@ def test_theorem_exact_population_gap_shrinks(tmp_path):
     assert alignment["population_gap"] < 0.1
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
 class TestPinnedSubgroupOutcomes:
     """Subgroup counts of the p_spu = 1/2 test pass: (correct, size) of the
     aligned and the conflicting subgroup, recorded with Monte-Carlo stream 3
@@ -240,9 +229,7 @@ class TestPinnedSubgroupOutcomes:
         ("theorem_exact", (9685, 9952), (3716, 10048)),
         ("def1_lemma", (9074, 9952), (7267, 10048)),
     ])
-    def test_verify_theorem(self, tmp_path, monkeypatch, threads, name,
-                            aligned, conflicting):
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+    def test_verify_theorem(self, tmp_path, name, aligned, conflicting):
         out = str(tmp_path / "r.json")
         assert main(["verify-theorem", "--config", str(CONFIGS / f"{name}.json"),
                      "--mc", "20000", "--seed", "0", "--out", out]) == 0
@@ -255,8 +242,7 @@ class TestPinnedSubgroupOutcomes:
         assert report["mc_stderr"] == [math.sqrt(err * (1.0 - err) / conflicting[1]),
                                        math.sqrt(acc * (1.0 - acc) / aligned[1])]
 
-    def test_simulate_gaussian(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
+    def test_simulate_gaussian(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {**GAUSS_DEF1, "n": 40000, "d_I": 8, "d_T": 8})
         out = str(tmp_path / "sim.json")
         assert main(["simulate-gaussian", "--config", cfg, "--seed", "1",
@@ -712,6 +698,18 @@ def test_fuzzed_input_keeps_cli_contract(case):
             check_schema(strict_json(path.read_text(encoding="utf-8")), name)
 
 
+@pytest.mark.parametrize("subcommand", sorted(FUZZ_CASES))
+def test_command_starts_no_thread(tmp_path, monkeypatch, subcommand):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    role, text, extra, out_name, _ = FUZZ_CASES[subcommand]
+    source = write(tmp_path / "input", text)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main([subcommand, f"--{role}", source, *extra,
+                 "--out", str(tmp_path / out_name)]) == 0
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -736,3 +734,12 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+    def test_import_loads_no_thread_pool(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spurious_lens.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,9 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
-import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -30,7 +29,6 @@ from spurious_lens.synthetic import (
     MAX_SAMPLES,
     STREAM_SAMPLES,
     STREAM_TEST,
-    _map_chunks,
     dataset_dictionaries,
     embed,
     sample_batch,
@@ -240,11 +238,10 @@ class TestEmbed:
         assert np.array_equal(x, one_shot)
         assert rng.standard_normal() == twin.standard_normal()
 
-    def test_dataset_chunk_holds_no_noise_array(self, monkeypatch):
+    def test_dataset_chunk_holds_no_noise_array(self):
         # a dataset's image and text rows are 33.6 MB at n = CHUNK and
         # d = 128, and one chunk's embedding before it is copied in 16.8 MB
         # more; drawing the noise of a whole embedding at once peaked at 67.6 MB
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "1")
         d = 128
         tracemalloc.start()
         try:
@@ -284,10 +281,11 @@ class TestOOD:
 COLUMNS = ("x_image", "x_text", "labels", "attributes")
 
 
-class TestThreadedSampling:
-    """Several chunks on several workers give the serial results, bit for bit."""
+class TestChunkedSampling:
+    """sample_dataset draws CHUNK rows at a time, each chunk from its own
+    sub-stream, all on the calling thread."""
 
-    def draw(self, monkeypatch, threads: str):
+    def test_every_chunk_is_drawn_on_the_calling_thread(self, monkeypatch):
         calls = []
         sample = synthetic.sample_batch
 
@@ -295,34 +293,15 @@ class TestThreadedSampling:
             calls.append(threading.get_ident())
             return sample(*args, **kwargs)
 
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", threads)
         monkeypatch.setattr(synthetic, "sample_batch", recording)
         cfg = GenerativeConfig(n=5 * CHUNK + 3, d_I=4, d_T=3)
         train = sample_dataset(cfg, seed=11)
         M = asymptotic_minimizer(cfg, train.dict_image, train.dict_text)
-        report = subgroup_accuracy(M, cfg, train.dict_image, train.dict_text, 11, 3 * CHUNK + 1)
-        monkeypatch.undo()
+        subgroup_accuracy(M, cfg, train.dict_image, train.dict_text, 11, 3 * CHUNK + 1)
         # six training chunks; the test pass draws its counts, not rows
-        assert len(calls) == 6
-        return train, report, set(calls)
+        assert calls == [threading.get_ident()] * 6
 
-    def test_one_and_eight_workers_agree(self, monkeypatch):
-        serial = self.draw(monkeypatch, "1")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = self.draw(monkeypatch, "8")
-        finally:
-            sys.setswitchinterval(interval)
-        main = threading.get_ident()
-        assert serial[2] == {main}
-        assert main not in threaded[2]
-        for name in COLUMNS:
-            assert np.array_equal(getattr(serial[0], name), getattr(threaded[0], name)), name
-        assert serial[1] == threaded[1]
-
-    def test_rows_are_the_chunks_in_order(self, monkeypatch):
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "8")
+    def test_rows_are_the_chunks_in_order(self):
         cfg = GenerativeConfig(n=2 * CHUNK + 5, d_I=4, d_T=3)
         train = sample_dataset(cfg, seed=3)
         parts = []
@@ -339,45 +318,52 @@ class TestThreadedSampling:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), name
 
+    # sha256 over the rows and sums of sample_dataset(GenerativeConfig(n=n,
+    # d_I=16, d_T=12, sigma_xi=0.3), seed=7), recorded while a worker pool
+    # still drew the chunks (under 1 and 4 workers alike)
+    @pytest.mark.parametrize("n,digest", [
+        (2, "2de9eeb90b47a78c6f72e9d3f62f8b89992d8022883662ec1ed3d264420b6d23"),
+        (CHUNK, "5f0409dc34fc2c810d25d0238c03f20269a5dcc08055aa3c0bca7e47485ff4fd"),
+        (5 * CHUNK + 3, "5b06b885818778742763b777911dad4e917958a429b2b9c507aa5ff54da44f0f"),
+    ], ids=["2", "CHUNK", "5CHUNK+3"])
+    def test_rows_and_sums_keep_their_bits(self, n, digest):
+        ds = sample_dataset(GenerativeConfig(n=n, d_I=16, d_T=12, sigma_xi=0.3), seed=7)
+        h = hashlib.sha256()
+        for name in (*COLUMNS, "sum_image", "sum_text", "matched"):
+            array = np.ascontiguousarray(getattr(ds, name))
+            h.update(name.encode())
+            h.update(str(array.dtype).encode())
+            h.update(str(array.shape).encode())
+            h.update(array.tobytes())
+        assert h.hexdigest() == digest
 
-class TestBoundedChunkMap:
-    """The chunk map keeps at most two chunks per worker in flight.  It now
-    serves only sample_dataset, which keeps every row it draws; training and
-    the test pass draw no rows, so they hold O(d^2) and O(1) at any size
-    (tests/test_alignment.py guards the test pass's peak)."""
+    @pytest.mark.parametrize("value", ["1", "-1", "two"])
+    def test_former_thread_variable_is_ignored(self, monkeypatch, value):
+        # SPURIOUS_LENS_THREADS is no longer read; "-1" and "two" were input errors
+        cfg = GenerativeConfig(n=CHUNK + 3, d_I=4, d_T=3)
+        monkeypatch.delenv("SPURIOUS_LENS_THREADS", raising=False)
+        unset = sample_dataset(cfg, seed=5)
+        monkeypatch.setenv("SPURIOUS_LENS_THREADS", value)
+        got = sample_dataset(cfg, seed=5)
+        for name in (*COLUMNS, "sum_image", "sum_text", "matched"):
+            assert np.array_equal(getattr(got, name), getattr(unset, name)), name
 
-    def test_window_holds_and_results_come_in_order(self, monkeypatch):
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "2")
-        started = []
 
-        def fn(rng, start, stop):
-            started.append(start)
-            if start == 0:
-                # an unbounded map would start every other chunk meanwhile
-                time.sleep(0.05)
-            return start
+class TestTrainingMoments:
+    def test_training_peak_memory_does_not_grow_with_n(self):
+        """training_moments draws no rows, so it holds O(d^2) memory at any
+        n; sample_dataset keeps every row it draws."""
 
-        results = []
-        for result in _map_chunks(0, 99, 50 * CHUNK, fn):
-            assert len(started) <= len(results) + 2 * 2
-            results.append(result)
-        assert results == list(range(0, 50 * CHUNK, CHUNK))
-
-    def test_training_peak_memory_does_not_grow_with_n(self, monkeypatch):
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "2")
-
-        def peak(chunks):
+        def peak(n):
             tracemalloc.start()
             try:
-                training_moments(GenerativeConfig(n=chunks * CHUNK, d_I=8, d_T=8), seed=1)
+                training_moments(GenerativeConfig(n=n, d_I=8, d_T=8), seed=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(1)
-        # the largest of three small runs, in case one ran its chunks one at a time
-        small = max(peak(4) for _ in range(3))
-        assert peak(40) <= 1.25 * small
+        peak(CHUNK)
+        assert peak(MAX_SAMPLES) <= 1.25 * peak(4 * CHUNK)
 
 
 @settings(max_examples=25, deadline=None)

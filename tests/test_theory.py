@@ -172,6 +172,32 @@ class TestBounds:
         assert b.acc_lower_aligned == pytest.approx(
             1 - phi_oracle(KAPPA2_ACCEPT), abs=1e-12)
 
+    def test_far_upper_tail_keeps_its_relative_precision(self):
+        # kappa1 = 10.94: 1 - Phi(kappa1) rounds to 0.0, the bound is 3.85e-28
+        params = TheoryParams(sigma_inv=0.1, sigma_spu=0.1, mu_spu=0.5, p_spu=0.9)
+        b = theorem_bounds(params)
+        with mpmath.workdps(40):
+            want = float(mpmath.ncdf(-mpmath.mpf(b.kappa1)))
+        assert b.err_lower_conflicting == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_bounds_match_high_precision_oracle_on_random_draws(self):
+        # small scales push kappa1 far into the upper tail, where 1 - Phi(k)
+        # loses every digit
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            params = TheoryParams(
+                sigma_inv=float(rng.uniform(0.05, 2.0)),
+                sigma_spu=float(rng.uniform(0.05, 2.0)),
+                mu_spu=float(rng.uniform(0.0, 3.0)),
+                p_spu=float(rng.uniform(0.5, 1.0)),
+            )
+            b = theorem_bounds(params)
+            with mpmath.workdps(40):
+                err = float(mpmath.ncdf(-mpmath.mpf(b.kappa1)))
+                acc = float(mpmath.ncdf(-mpmath.mpf(b.kappa2)))
+            assert b.err_lower_conflicting == pytest.approx(err, rel=1e-12, abs=0), params
+            assert b.acc_lower_aligned == pytest.approx(acc, rel=1e-12, abs=0), params
+
     def test_fields_in_unit_interval_on_random_draws(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -254,14 +280,6 @@ class TestVerifyTheorem:
         a = verify_theorem(EXACT_CFG, mc_samples=5000, seed=42)
         b = verify_theorem(EXACT_CFG, mc_samples=5000, seed=42)
         assert a == b
-
-    def test_worker_count_does_not_change_report(self, monkeypatch):
-        cfg = dataclasses.replace(EXACT_CFG)
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "1")
-        one = verify_theorem(cfg, mc_samples=40_000, seed=5)
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "4")
-        four = verify_theorem(cfg, mc_samples=40_000, seed=5)
-        assert one == four
 
     def test_theorem_exact_mode_hits_bounds(self):
         rep = verify_theorem(EXACT_CFG, mc_samples=100_000, seed=3)
@@ -350,21 +368,3 @@ class TestVerifyTheorem:
                    ("parameters", "margins", "bound vs monte-carlo", "pass")]
         assert indices == sorted(indices)
         assert "kappa1" in table and "kappa2" in table
-
-
-class TestWorkerCount:
-    def test_env_values(self, monkeypatch):
-        from spurious_lens.synthetic import worker_count
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.delenv("SPURIOUS_LENS_THREADS")
-        assert worker_count() >= 1
-
-    @pytest.mark.parametrize("bad", ["-1", "two"])
-    def test_rejects_bad_env(self, monkeypatch, bad):
-        from spurious_lens.synthetic import worker_count
-        monkeypatch.setenv("SPURIOUS_LENS_THREADS", bad)
-        with pytest.raises(ConfigError):
-            worker_count()
