@@ -22,7 +22,7 @@ from .synthetic import substream
 REV_BIAS = 0.9
 
 # Sub-stream tags (shared substream() keyspace with the Gaussian sampler;
-# kept disjoint from its 0-3 range).
+# kept disjoint from its STREAM_* tags, 0-4).
 _TAG_TRAIN = 10
 _TAG_RAND = 11
 _TAG_REV = 12

@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import operator
 import re
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -73,12 +72,23 @@ def _rank(label: str, ranked) -> int:
     return ranked.index(label) + 1 if label in ranked else _NO_RANK
 
 
-def _codes(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct values, and each value's index among them."""
-    names = sorted(set(values))
-    index = {name: code for code, name in enumerate(names)}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
-    return tuple(names), codes
+class _Codes(dict):
+    """A code for each string, the next free one for a string not seen before."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
+
+    def in_name_order(self, codes) -> tuple[tuple[str, ...], np.ndarray]:
+        """The sorted strings whose codes occur in ``codes``, and each code's
+        index among them."""
+        codes = np.asarray(codes, dtype=np.intp)
+        used = np.zeros(len(self), dtype=bool)
+        used[codes] = True
+        names = sorted(compress(self, used.tolist()))  # a dict iterates in code order
+        index = np.empty(len(self), dtype=np.intp)
+        index[list(map(self.__getitem__, names))] = np.arange(len(names))
+        return tuple(names), index[codes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,23 +116,26 @@ class PredictionTable:
     def from_records(cls, records) -> PredictionTable:
         """The table of an iterable of PredictionRecord, one row each."""
         records = list(records)
+        labels, backgrounds = _Codes(), _Codes()
         return _encode(
-            [r.true_label for r in records],
+            labels, backgrounds,
+            [labels[r.true_label] for r in records],
             [_GROUP_CODE[r.group.value] for r in records],
-            [r.background for r in records],
+            [backgrounds[r.background] for r in records],
             [_rank(r.true_label, r.ranked_predictions) for r in records],
         )
 
 
-def _encode(labels: list[str], groups: list[int], backgrounds: list[str],
-            ranks: list[int]) -> PredictionTable:
-    """The table of per-row true labels, group codes, backgrounds and ranks."""
-    label_names, label_codes = _codes(labels)
-    background_names, background_codes = _codes(backgrounds)
+def _encode(labels: _Codes, backgrounds: _Codes, label, group, background,
+            rank) -> PredictionTable:
+    """The table of per-row true label codes in ``labels``, group codes,
+    background codes in ``backgrounds`` and ranks."""
+    label_names, label_codes = labels.in_name_order(label)
+    background_names, background_codes = backgrounds.in_name_order(background)
     return PredictionTable(
-        labels=label_names, label=label_codes, group=np.array(groups, dtype=np.int8),
+        labels=label_names, label=label_codes, group=np.asarray(group, dtype=np.int8),
         backgrounds=background_names, background=background_codes,
-        rank=np.array(ranks, dtype=np.int64),
+        rank=np.asarray(rank, dtype=np.int64),
     )
 
 
@@ -130,7 +143,8 @@ _PRED_FIXED = ("sample_id", "true_label", "group", "background")
 # One line as io.StringIO(newline="") splits text: ended by \r\n, \r or \n.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # Data rows are read and checked in blocks of whole lines of about this many
-# characters, so a load holds the text, its result and one block's cells.
+# characters, so a load holds the text, its result, the sample ids and one
+# block's cells.
 _BLOCK_CHARS = 1 << 14
 
 
@@ -227,24 +241,28 @@ def _rows_block(line: int, rows: list[list[str]]) -> _Block:
     return _Block(line, list(map(len, rows)), list(chain.from_iterable(rows)))
 
 
-def _leading_rows(block: _Block, width: int,
-                  pad: bool) -> tuple[list[str], ParseError | None]:
-    """The cells of the block's rows before the first one of the wrong
-    width, ``width`` to a row, and that row's error if there is one.  With
-    ``pad`` a narrower row is filled out with empty cells and only a wider
-    one is wrong."""
-    if block.widths.count(width) == len(block.widths):
-        return block.cells, None
-    cells: list[str] = []
-    start = 0
-    for i, count in enumerate(block.widths):
-        if count > width or not pad and count < width:
-            return cells, _at(block.line + i, "more cells than header columns" if pad
-                              else f"expected {width} cells, got {count}")
-        cells += block.cells[start:start + count]
-        cells += [""] * (width - count)
-        start += count
-    return cells, None
+def _data_rows(blocks: Iterator[_Block], width: int,
+               pad: bool) -> Iterator[tuple[int, int, list[str]]]:
+    """Each block's first line, row count and cells, ``width`` to a row.  A
+    block ends before its first row of the wrong width, whose error is
+    raised when the next block is asked for, so the rows before it are
+    checked first.  With ``pad`` a narrower row is filled out with empty
+    cells and only a wider one is wrong."""
+    for block in blocks:
+        if block.widths.count(width) == len(block.widths):
+            yield block.line, len(block.widths), block.cells
+            continue
+        cells: list[str] = []
+        start = 0
+        for i, count in enumerate(block.widths):
+            if count > width or not pad and count < width:
+                yield block.line, i, cells
+                raise _at(block.line + i, "more cells than header columns" if pad
+                          else f"expected {width} cells, got {count}")
+            cells += block.cells[start:start + count]
+            cells += [""] * (width - count)
+            start += count
+        yield block.line, len(block.widths), cells
 
 
 def _raise_first(checks) -> None:
@@ -301,14 +319,6 @@ def _floats(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
         return values, bad
 
 
-class _Codes(dict):
-    """A code for each string, the next free one for a string not seen before."""
-
-    def __missing__(self, key: str) -> int:
-        self[key] = code = len(self)
-        return code
-
-
 def load_predictions(path) -> PredictionTable:
     """Parse a prediction log; malformed rows are rejected by line number.
 
@@ -330,29 +340,24 @@ def load_predictions(path) -> PredictionTable:
             lines=(1,),
         )
     width = len(header)
-    labels: list[str] = []
-    backgrounds: list[str] = []
-    groups, ranks = [np.empty(0, dtype=np.int8)], [np.empty(0, dtype=np.int64)]
     ids: list[str] = []
     seen: set[str] = set()
-    codes = _Codes({"": 0})  # 0 is an empty cell
-    for block in blocks:
-        cells, wide = _leading_rows(block, width, pad=True)
-        n = len(cells) // width
-        line = block.line
-        true_labels, group, background = (cells[j::width] for j in range(1, 4))
+    labels, backgrounds = _Codes({"": 0}), _Codes()  # label code 0 is an empty cell
+    # each block's true label, group and background codes and ranks
+    columns = tuple([np.empty(0, dtype=t)] for t in (np.intp, np.int8, np.intp, np.int64))
+    for line, n, cells in _data_rows(blocks, width, pad=True):
+        group = cells[2::width]
         ranked = [cells[j::width] for j in range(4, width)]
-        pred = np.fromiter(map(codes.__getitem__, chain.from_iterable(ranked)),
+        pred = np.fromiter(map(labels.__getitem__, chain.from_iterable(ranked)),
                            dtype=np.intp, count=n * len(ranked)).reshape(len(ranked), n).T
-        true = np.fromiter(map(codes.__getitem__, true_labels), dtype=np.intp, count=n)
+        true = np.fromiter(map(labels.__getitem__, cells[1::width]), dtype=np.intp, count=n)
         group_code = np.fromiter(map(_GROUP_CODE.get, group, repeat(-1, n)),
                                  dtype=np.int8, count=n)
         filled = pred != 0
         ordered = np.sort(pred, axis=1)
         _raise_first([
             (_add_ids(ids, seen, cells[0::width]), lambda i: _id_error(ids, line + i)),
-            (np.fromiter(map(operator.not_, true_labels), dtype=bool, count=n),
-             lambda i: _at(line + i, "empty true_label")),
+            (true == 0, lambda i: _at(line + i, "empty true_label")),
             (group_code < 0, lambda i: _at(
                 line + i, f"group must be easy/hard/unassigned, got {group[i]!r}")),
             (~filled[:, 0], lambda i: _at(line + i, "empty pred_1")),
@@ -362,13 +367,12 @@ def load_predictions(path) -> PredictionTable:
              lambda i: _at(line + i, "duplicate labels in ranked predictions")),
         ])
         hit = pred == true[:, None]
-        labels += true_labels
-        groups.append(group_code)
-        backgrounds += background
-        ranks.append(np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK))
-        if wide:
-            raise wide
-    return _encode(labels, np.concatenate(groups), backgrounds, np.concatenate(ranks))
+        background = np.fromiter(map(backgrounds.__getitem__, cells[3::width]),
+                                 dtype=np.intp, count=n)
+        rank = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK)
+        for column, codes in zip(columns, (true, group_code, background, rank)):
+            column.append(codes)
+    return _encode(labels, backgrounds, *map(np.concatenate, columns))
 
 
 def _as_table(predictions, k: int) -> PredictionTable:
@@ -615,10 +619,7 @@ def load_similarities(path) -> SimilarityTable:
     seen: set[str] = set()
     scores = np.empty((most, len(candidates)))
     rows = 0
-    for block in blocks:
-        cells, ragged = _leading_rows(block, width, pad=False)
-        n = len(cells) // width
-        line = block.line
+    for line, n, cells in _data_rows(blocks, width, pad=False):
         new_ids = _add_ids(ids, seen, cells[0::width])
         del cells[0::width]
         values, non_numeric = _floats(cells, width - 1)
@@ -629,8 +630,6 @@ def load_similarities(path) -> SimilarityTable:
         ])
         scores[rows:rows + n] = values
         rows += n
-        if ragged:
-            raise ragged
     if not rows:
         raise ParseError("similarity file has no data rows")
     return SimilarityTable(
@@ -681,10 +680,7 @@ def load_points(path) -> list[Point]:
         )
     width = len(header)
     points = []
-    for block in blocks:
-        cells, ragged = _leading_rows(block, width, pad=False)
-        n = len(cells) // width
-        line = block.line
+    for line, n, cells in _data_rows(blocks, width, pad=False):
         names = cells[0::width] if named else [None] * n
         if named:
             del cells[0::width]
@@ -696,8 +692,6 @@ def load_points(path) -> list[Point]:
                     *values[i].tolist()))),
         ])
         points += map(Point, names, *values.T.tolist())
-        if ragged:
-            raise ragged
     if not points:
         raise ParseError("points file has no data rows")
     return points

@@ -18,12 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spurious_lens import ParseError, Point, SimilarityTable, evaluation
+from spurious_lens import ParseError, Point, PredictionTable, SimilarityTable, evaluation
 from spurious_lens.evaluation import (
     _GROUP_CODE,
     _PRED_FIXED,
-    _encode,
-    _rank,
     load_points,
     load_predictions,
     load_similarities,
@@ -33,6 +31,7 @@ from spurious_lens.inputs import read_text
 # ---------------------------------------------------------------- reference
 
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+NO_RANK = np.iinfo(np.int64).max  # the rank of a true label the row does not rank
 
 
 def _read_csv(path, what):
@@ -73,6 +72,13 @@ def _check_id(seen, sample_id, line):
     if first != line:
         raise ParseError(f"duplicate sample_id {sample_id!r} at lines {first} and {line}",
                          lines=(first, line))
+
+
+def _names_and_codes(values):
+    """The sorted distinct values, and each value's index among them."""
+    names = sorted(set(values))
+    index = {name: code for code, name in enumerate(names)}
+    return tuple(names), np.array([index[value] for value in values], dtype=np.intp)
 
 
 def reference_load_predictions(path):
@@ -119,8 +125,14 @@ def reference_load_predictions(path):
         labels.append(true_label)
         groups.append(group_code)
         backgrounds.append(background)
-        ranks.append(_rank(true_label, ranked))
-    return _encode(labels, groups, backgrounds, ranks)
+        ranks.append(ranked.index(true_label) + 1 if true_label in ranked else NO_RANK)
+    label_names, label_codes = _names_and_codes(labels)
+    background_names, background_codes = _names_and_codes(backgrounds)
+    return PredictionTable(
+        labels=label_names, label=label_codes, group=np.array(groups, dtype=np.int8),
+        backgrounds=background_names, background=background_codes,
+        rank=np.array(ranks, dtype=np.int64),
+    )
 
 
 def reference_load_similarities(path):
@@ -394,8 +406,9 @@ def _peak(load, path) -> int:
 
 
 def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
-    """A load holds the text, its result and one block's cells: about 2x
-    the file for a similarity table and 6.5x for a prediction log.
+    """A load holds the text, its result, the sample ids and one block's
+    cells, with a prediction log's labels and backgrounds held as codes:
+    about 2x the file for a similarity table and 5x for a prediction log.
     Splitting the whole file at once holds a string per cell: 12x and 20x.
     Both files have half the rows of the benchmark's, to halve the time
     tracemalloc adds; the ratios do not depend on the row count."""
@@ -413,4 +426,4 @@ def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
                   + ",".join(labels[(i + j) % 200] for j in range(5)) + "\n"
                   for i in range(25_000)), encoding="utf-8")
     assert _peak(load_similarities, similarities) <= 3 * similarities.stat().st_size
-    assert _peak(load_predictions, predictions) <= 10 * predictions.stat().st_size
+    assert _peak(load_predictions, predictions) <= 6 * predictions.stat().st_size

@@ -23,6 +23,7 @@ from spurious_lens import (
     confusing_labels,
     discover_spurious,
     effective_robustness_fit,
+    evaluation,
     fmt_pct,
     group_report,
     load_points,
@@ -165,6 +166,30 @@ class TestLoadPredictions:
         with pytest.raises(ParseError) as err:
             load_predictions(write_csv(tmp_path / "p.csv", text))
         assert err.value.lines == (5,)
+
+    @pytest.mark.parametrize("block_chars", [1, None], ids=["row_blocks", "default_blocks"])
+    def test_predicted_only_label_is_not_a_table_label(self, tmp_path, monkeypatch,
+                                                       block_chars):
+        # "ape" and "wolf" are ranked but never true labels; "ape" sorts
+        # first, so letting it in would shift every label code
+        text = ("sample_id,true_label,group,background,pred_1,pred_2\n"
+                "a1,bear,easy,snow,ape,bear\n"
+                "a2,fox,hard,grass,fox,ape\n"
+                "a3,bear,unassigned,snow,wolf\n")
+        if block_chars:
+            monkeypatch.setattr(evaluation, "_BLOCK_CHARS", block_chars)
+        loaded = load_predictions(write_csv(tmp_path / "p.csv", text))
+        converted = PredictionTable.from_records([
+            PredictionRecord("a1", "bear", "easy", "snow", ("ape", "bear")),
+            PredictionRecord("a2", "fox", "hard", "grass", ("fox", "ape")),
+            PredictionRecord("a3", "bear", "unassigned", "snow", ("wolf",)),
+        ])
+        assert loaded.label.tolist() == [0, 1, 0]
+        for table in (loaded, converted):
+            assert (table.labels, table.backgrounds) == (("bear", "fox"), ("grass", "snow"))
+            assert table.rank.tolist()[:2] == [2, 1] and table.rank[2] > 2
+        for column in ("label", "group", "background", "rank"):
+            assert getattr(loaded, column).tolist() == getattr(converted, column).tolist()
 
     def test_record_validation(self):
         with pytest.raises(ConfigError):
