@@ -65,7 +65,8 @@ from .svgplot import render_fit_svg
 from .synthetic import TRAIN_STREAM, GenerativeConfig, training_moments
 from .theory import format_report_table, verify_theorem
 
-_INPUT_ERRORS = (ParseError, ConfigError, InsufficientDataError, ShapeError, OSError)
+_INPUT_ERRORS = (ParseError, ConfigError, InsufficientDataError, ShapeError, OSError,
+                 MemoryError)
 _NUMERIC_ERRORS = (NonconvergenceError, DomainError, DegenerateFitError,
                    ArithmeticError, np.linalg.LinAlgError, RuntimeWarning)
 

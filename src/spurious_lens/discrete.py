@@ -18,6 +18,10 @@ import numpy as np
 from .errors import ConfigError, InsufficientDataError, NonconvergenceError
 from .synthetic import substream
 
+# Classes 0 and 1 carry colors 0 and 1 with probability p_spu in the
+# training split; the Rev test split swaps the two colors.
+BIASED = (0, 1)
+
 # Bias strength of the reversed test split toward the swapped color.
 REV_BIAS = 0.9
 
@@ -46,10 +50,10 @@ _SPLIT_TAGS = {Split.TRAIN: _TAG_TRAIN, Split.RAND: _TAG_RAND, Split.REV: _TAG_R
 class DiscreteConfig:
     """Generator and experiment knobs for the discrete dataset.
 
-    Classes ``biased_classes`` carry their ``biased_colors`` with
-    probability p_spu in the training split; all other class/color pairs
-    are uniform.  The object one-hot equals the true class with
-    probability p_inv, otherwise a uniformly chosen wrong class.
+    The ``BIASED`` classes carry their colors with probability p_spu in
+    the training split; all other class/color pairs are uniform.  The
+    object one-hot equals the true class with probability p_inv, otherwise
+    a uniformly chosen wrong class.
     """
 
     num_classes: int
@@ -57,8 +61,6 @@ class DiscreteConfig:
     p_spu: float
     n_train: int
     num_colors: int | None = None
-    biased_classes: tuple[int, int] = (0, 1)
-    biased_colors: tuple[int, int] = (0, 1)
     feature_noise: float = 0.1
     seed: int = 0
 
@@ -68,8 +70,6 @@ class DiscreteConfig:
             raise ConfigError(f"num_classes must be >= 2, got {k}")
         if self.num_colors is None:
             object.__setattr__(self, "num_colors", k)
-        object.__setattr__(self, "biased_classes", tuple(self.biased_classes))
-        object.__setattr__(self, "biased_colors", tuple(self.biased_colors))
         c = self.num_colors
         if c < k:
             raise ConfigError(f"num_colors must be >= num_classes, got {c} < {k}")
@@ -81,14 +81,6 @@ class DiscreteConfig:
             raise ConfigError(f"n_train must be positive, got {self.n_train}")
         if self.feature_noise < 0:
             raise ConfigError(f"feature_noise must be >= 0, got {self.feature_noise}")
-        if len(self.biased_classes) != 2 or len(set(self.biased_classes)) != 2 or not all(
-            0 <= i < k for i in self.biased_classes
-        ):
-            raise ConfigError(f"biased_classes must be two distinct classes, got {self.biased_classes}")
-        if len(self.biased_colors) != 2 or len(set(self.biased_colors)) != 2 or not all(
-            0 <= i < c for i in self.biased_colors
-        ):
-            raise ConfigError(f"biased_colors must be two distinct colors, got {self.biased_colors}")
 
     @property
     def feature_dim(self) -> int:
@@ -137,12 +129,12 @@ def _sample_colors(config: DiscreteConfig, split: Split, y: np.ndarray,
     if split is Split.RAND:
         return colors
     if split is Split.TRAIN:
-        targets, strength = config.biased_colors, config.p_spu
+        targets, strength = BIASED, config.p_spu
     else:
-        targets, strength = config.biased_colors[::-1], REV_BIAS
+        targets, strength = BIASED[::-1], REV_BIAS
     coins = rng.random(n)
     alt = rng.integers(0, c - 1, size=n)
-    for cls, col in zip(config.biased_classes, targets):
+    for cls, col in zip(BIASED, targets):
         mask = y == cls
         hit = mask & (coins < strength)
         colors[hit] = col
@@ -245,37 +237,32 @@ def _descend(loss_grad, w0: np.ndarray, epochs: int, step_size: float) -> np.nda
     return w
 
 
-def _init(shape: tuple[int, int], rng: np.random.Generator | None) -> np.ndarray:
-    if rng is None:
-        return np.zeros(shape)
-    return 0.01 * rng.standard_normal(shape)
-
-
 def train_supervised(data: DiscreteDataset, epochs: int = 400, step_size: float = 2.0,
-                     rng: np.random.Generator | None = None) -> LinearClassifier:
-    """k-way logistic regression over the full feature vector, full-batch GD."""
+                     *, rng: np.random.Generator) -> LinearClassifier:
+    """k-way logistic regression on the full feature vector, full-batch GD from 0.01 * N(0, 1)."""
     features, objects = data.features, data.object_labels
-    w0 = _init((data.config.num_classes, features.shape[1]), rng)
+    w0 = 0.01 * rng.standard_normal((data.config.num_classes, features.shape[1]))
     weights = _descend(lambda w: _ce_loss_grad(w, features, objects),
                        w0, epochs, step_size)
     return LinearClassifier(weights)
 
 
 def train_contrastive_perfect(data: DiscreteDataset, epochs: int = 400,
-                              step_size: float = 2.0,
-                              rng: np.random.Generator | None = None
+                              step_size: float = 2.0, *, rng: np.random.Generator
                               ) -> tuple[LinearClassifier, LinearClassifier]:
     """Joint object + color classification over shared fixed features.
 
     Returns ``(object_head, color_head)``; zero-shot prediction reads the
     object head alone.  The two cross-entropies add with equal weight and
     the heads share no parameters, so the object head follows exactly the
-    supervised trajectory up to the shared step-size schedule.
+    supervised trajectory up to the shared step-size schedule.  The start
+    is one draw from rng whose first k rows are the object head, so a
+    generator seeded as the supervised trainer's gives that trainer's start.
     """
     features, objects, colors = data.features, data.object_labels, data.color_labels
     k, c = data.config.num_classes, data.config.num_colors
     d = features.shape[1]
-    w0 = np.vstack([_init((k, d), rng), _init((c, d), rng)])
+    w0 = 0.01 * rng.standard_normal((k + c, d))
 
     def loss_grad(w):
         lo, go = _ce_loss_grad(w[:k], features, objects)
@@ -311,8 +298,6 @@ def evaluate_splits(method: str, model: LinearClassifier, rand: DiscreteDataset,
     if (rand.split, rev.split) != (Split.RAND, Split.REV):
         raise ConfigError(f"evaluate_splits takes the Rand and Rev splits, "
                           f"got {rand.split.value} and {rev.split.value}")
-    config = rand.config
-    biased = np.array(config.biased_classes)
 
     def masked_acc(split: DiscreteDataset, mask: np.ndarray) -> float | None:
         if not mask.any():
@@ -320,14 +305,14 @@ def evaluate_splits(method: str, model: LinearClassifier, rand: DiscreteDataset,
         pred = model.predict(split.features[mask])
         return float((pred == split.object_labels[mask]).mean())
 
-    rand_biased = np.isin(rand.object_labels, biased)
-    rev_biased = np.isin(rev.object_labels, biased)
+    rand_biased = np.isin(rand.object_labels, BIASED)
+    rev_biased = np.isin(rev.object_labels, BIASED)
     for split, mask in ((rand, rand_biased), (rev, rev_biased)):
         if not mask.any():
             raise InsufficientDataError(f"the {split.split.value} test split has no row of "
-                                        f"the biased classes {list(config.biased_classes)}")
+                                        f"the biased classes {list(BIASED)}")
     acc_rest = None
-    if config.num_classes > 2:
+    if rand.config.num_classes > 2:
         acc_rest = masked_acc(rand, ~rand_biased)
     return SplitReport(
         method=method,

@@ -67,19 +67,13 @@ def _unique_keys(pairs) -> dict:
 
 
 def _typed(name: str, hint, value):
-    """``value`` checked against the annotation ``hint``; lists become tuples."""
+    """``value`` checked against the annotation ``hint``."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
         (hint,) = (a for a in args if a is not type(None))
         return _typed(name, hint, value)
-    if origin is tuple:
-        if not isinstance(value, list) or len(value) != len(args):
-            raise ParseError(f"config field {name} must be a list of {len(args)} "
-                             f"values, got {json.dumps(value)}")
-        return tuple(_typed(f"{name}[{i}]", a, v)
-                     for i, (a, v) in enumerate(zip(args, value)))
     if issubclass(hint, enum.Enum):
         try:
             return hint(value)

@@ -507,6 +507,14 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": '{"h": 2}'},
      ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
      2, "unknown config fields: ['h']"),
+    ({"c.json": json.dumps({**DISCRETE, "biased_colors": [2, 3]})},
+     ["simulate-discrete", "--config", "c.json", "--out", "r.csv"],
+     2, "unknown config fields: ['biased_colors']"),
+    # a training split of 100 × 2·10¹⁵ float64 cells is 1.39 EiB, more than a
+    # 57-bit address space holds, so the allocation fails before a page is touched
+    ({"c.json": json.dumps({**DISCRETE, "num_classes": 10**15, "n_train": 100})},
+     ["simulate-discrete", "--config", "c.json", "--out", "r.csv"],
+     2, "Unable to allocate 1.39 EiB"),
     ({"c.json": json.dumps(GAUSS_OVERFLOW)},
      ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
      3, "error: overflow encountered"),
@@ -524,7 +532,8 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
         "svg-is-manifest", "svg-dir-missing", "discover-threshold-nan",
         "verify-tol-inf", "eval-oversized-cell", "gaussian-impossible-size",
         "gaussian-negative-seed", "gaussian-repeated-field", "discrete-repeated-field",
-        "gaussian-removed-field", "gaussian-overflow", "verify-def1-off-regime",
+        "gaussian-removed-field", "discrete-removed-field", "discrete-unallocatable",
+        "gaussian-overflow", "verify-def1-off-regime",
         "verify-mc-impossible"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
@@ -551,7 +560,8 @@ def test_non_finite_result_exits_three_without_output(tmp_path, monkeypatch, cap
 
 def test_config_digest_pinned(tmp_path):
     # the inputs of acceptance criterion 7; the digests predate the shared runner,
-    # the two Gaussian ones date from the removal of the config fields h and latent_dim
+    # the two Gaussian ones date from the removal of the config fields h and latent_dim,
+    # the discrete one from the removal of biased_classes and biased_colors
     gauss = write_json(tmp_path / "gauss.json", {
         "sigma_inv": 1.0, "sigma_spu": 0.5, "mu_spu": 2.0, "p_spu": 0.95,
         "sigma_xi": 0.1, "n": 1500, "d_I": 12, "d_T": 12, "mode": "TheoremExact",
@@ -578,7 +588,7 @@ def test_config_digest_pinned(tmp_path):
         (["simulate-gaussian", "--config", gauss],
          "270bd6fe0796a54e8eb891314e0fef3efcb0763348692632b64640701c8382cf"),
         (["simulate-discrete", "--config", discrete, "--seeds", "2"],
-         "15dc8637a6b24b3c9392a7f8a4d7273faaf3cb8a795464a974eec5caaf794be4"),
+         "22d8cb4c6393980e7c3201a3a3c4aec4f0eb4df46f4f3545a34af74b33cf3f7b"),
         (["eval", "--predictions", preds],
          "50c66acd09c113b5138aaa10e99ef600039d7243923d85552c3344419e421042"),
         (["discover", "--predictions", disc_preds],

@@ -63,8 +63,6 @@ class TestConfig:
     def test_defaults(self):
         assert BASE.num_colors == 2
         assert BASE.feature_dim == 4
-        assert BASE.biased_classes == (0, 1)
-        assert BASE.biased_colors == (0, 1)
         assert BASE.feature_noise == 0.1
 
     def test_num_colors_can_exceed_classes(self):
@@ -81,13 +79,6 @@ class TestConfig:
         dict(p_spu=1.01),
         dict(n_train=0),
         dict(feature_noise=-0.1),
-        dict(biased_classes=(0, 0)),
-        dict(biased_classes=(0, 2)),             # out of class range
-        dict(biased_colors=(1, 1)),
-        dict(biased_colors=(0, 2)),
-        dict(num_classes=3, biased_classes=(0, 1, 1), biased_colors=(0, 1, 1)),
-        dict(num_classes=3, biased_classes=(0, 1, 2)),
-        dict(num_classes=3, biased_colors=(0, 1, 2)),
     ])
     def test_rejections(self, kwargs):
         base = dict(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=100)
@@ -97,7 +88,7 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.75, n_train=500,
-                             num_colors=4, biased_colors=(2, 3), seed=9)
+                             num_colors=4, seed=9)
         text = json.dumps(_json_data(cfg))
         assert load_config(DiscreteConfig, text) == cfg
 
@@ -123,15 +114,21 @@ class TestConfig:
         *((name, True) for name in ("num_classes", "p_inv", "p_spu", "n_train",
                                     "num_colors", "feature_noise", "seed")),
         *((name, 3.0) for name in ("num_classes", "n_train", "num_colors", "seed")),
-        ("biased_classes", [0, True]),
-        ("biased_colors", [0, 1.0]),
-        ("biased_colors", [0, 1, 2]),
-        ("biased_colors", "01"),
     ])
     def test_loader_rejects_mistyped_field(self, field, value):
         obj = {"num_classes": 3, "p_inv": 0.75, "p_spu": 0.9, "n_train": 10,
                field: value}
         with pytest.raises(ParseError, match=rf"\b{field}\b"):
+            load_config(DiscreteConfig, json.dumps(obj))
+
+    @pytest.mark.parametrize("value", [[0, 1], [2, 1]])
+    @pytest.mark.parametrize("field", ["biased_classes", "biased_colors"])
+    def test_loader_rejects_removed_bias_field(self, field, value):
+        # the biased pair is the constant discrete.BIASED: a config that sets
+        # it is rejected, even at the old default (0, 1)
+        obj = {"num_classes": 3, "p_inv": 0.75, "p_spu": 0.9, "n_train": 10,
+               field: value}
+        with pytest.raises(ParseError, match=rf"unknown config fields: \['{field}'\]"):
             load_config(DiscreteConfig, json.dumps(obj))
 
     def test_loader_accepts_null_num_colors(self):
@@ -200,8 +197,8 @@ class TestSampling:
     def test_train_bias_rate(self):
         cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=100_000)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=2)
-        for cls, col in zip(cfg.biased_classes, cfg.biased_colors):
-            hits = data.color_labels[data.object_labels == cls] == col
+        for cls in discrete.BIASED:  # each biased class carries its own color
+            hits = data.color_labels[data.object_labels == cls] == cls
             assert 0.894 <= hits.mean() <= 0.906
 
     def test_train_miss_avoids_biased_color(self):
@@ -262,17 +259,17 @@ class TestLossAndTraining:
 
     def test_training_reduces_loss(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=2, size=500)
-        model = train_supervised(data, epochs=50)
+        model = train_supervised(data, epochs=50, rng=np.random.default_rng(0))
         trained = ce_loss(model.weights, data.features, data.object_labels)
-        at_init = ce_loss(np.zeros_like(model.weights),
-                          data.features, data.object_labels)
+        start = 0.01 * np.random.default_rng(0).standard_normal(model.weights.shape)
+        at_init = ce_loss(start, data.features, data.object_labels)
         assert trained <= at_init
 
     def test_separable_problem_fits_to_high_accuracy(self):
         cfg = DiscreteConfig(num_classes=3, p_inv=1.0, p_spu=1 / 3,
                              n_train=600, feature_noise=0.0)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=4)
-        model = train_supervised(data, epochs=400)
+        model = train_supervised(data, epochs=400, rng=np.random.default_rng(0))
         acc = (model.predict(data.features) == data.object_labels).mean()
         assert acc >= 0.99
 
@@ -280,17 +277,47 @@ class TestLossAndTraining:
         cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9,
                              n_train=600, feature_noise=0.0)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=5)
-        _, color_head = train_contrastive_perfect(data, epochs=400)
+        _, color_head = train_contrastive_perfect(data, epochs=400,
+                                                  rng=np.random.default_rng(0))
         pred = color_head.predict(data.features)
         assert (pred == data.color_labels).mean() >= 0.99
 
     def test_object_head_follows_supervised_trajectory(self):
         # disjoint heads with an additive loss: from a common start the
-        # object problem is the supervised one
+        # object problem is the supervised one, and the first k rows of the
+        # contrastive start are the supervised start of the same seed
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=7, size=400)
-        sup = train_supervised(data, epochs=60, step_size=0.5)
-        con, _ = train_contrastive_perfect(data, epochs=60, step_size=0.5)
+        sup = train_supervised(data, epochs=60, step_size=0.5, rng=np.random.default_rng(3))
+        con, _ = train_contrastive_perfect(data, epochs=60, step_size=0.5,
+                                           rng=np.random.default_rng(3))
         assert np.abs(con.weights - sup.weights).max() <= 1e-12
+
+    @pytest.mark.parametrize("num_classes, num_colors", [(2, None), (3, 5)])
+    def test_start_is_one_scaled_normal_draw(self, monkeypatch, num_classes, num_colors):
+        # the contrastive start is one (k + c) × d draw, the same bits as an
+        # object draw stacked on a color draw from the same generator
+        cfg = DiscreteConfig(num_classes=num_classes, num_colors=num_colors,
+                             p_inv=0.75, p_spu=0.9, n_train=50)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=1)
+        starts = []
+        monkeypatch.setattr(discrete, "_descend",
+                            lambda loss_grad, w0, epochs, step_size: starts.append(w0) or w0)
+        train_supervised(data, rng=np.random.default_rng(5))
+        train_contrastive_perfect(data, rng=np.random.default_rng(5))
+        k, c, d = cfg.num_classes, cfg.num_colors, cfg.feature_dim
+        rng = np.random.default_rng(5)
+        stacked = np.vstack([0.01 * rng.standard_normal((k, d)),
+                             0.01 * rng.standard_normal((c, d))])
+        assert np.array_equal(starts[1], stacked)
+        assert np.array_equal(starts[0], stacked[:k])
+
+    @pytest.mark.parametrize("call", ["missing", "positional"])
+    @pytest.mark.parametrize("trainer", [train_supervised, train_contrastive_perfect])
+    def test_rng_is_a_required_keyword(self, trainer, call):
+        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=20)
+        args = (data, 1, 2.0) + ((np.random.default_rng(0),) if call == "positional" else ())
+        with pytest.raises(TypeError, match="rng|positional"):
+            trainer(*args)
 
     def test_randomized_inits_differ_but_stay_close(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=7, size=400)
@@ -314,14 +341,14 @@ class TestLossAndTraining:
     def test_huge_step_raises_nonconvergence(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=100)
         with pytest.raises(NonconvergenceError) as err:
-            train_supervised(data, epochs=5, step_size=1e30)
+            train_supervised(data, epochs=5, step_size=1e30, rng=np.random.default_rng(0))
         assert err.value.step == 1
 
     @pytest.mark.parametrize("kwargs", [dict(epochs=0), dict(step_size=0.0)])
     def test_bad_hyperparameters(self, kwargs):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=50)
         with pytest.raises(ConfigError):
-            train_supervised(data, **kwargs)
+            train_supervised(data, **kwargs, rng=np.random.default_rng(0))
 
 
 class TestKernelMatchesReference:
