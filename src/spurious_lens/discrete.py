@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NonconvergenceError
-from .synthetic import substream
+from .synthetic import check_sizes, substream
 
 # Classes 0 and 1 carry colors 0 and 1 with probability p_spu in the
 # training split; the Rev test split swaps the two colors.
@@ -73,6 +73,10 @@ class DiscreteConfig:
         c = self.num_colors
         if c < k:
             raise ConfigError(f"num_colors must be >= num_classes, got {c} < {k}")
+        # before 1/k and 1/c, which a larger int would overflow
+        check_sizes({"num_classes": k, "num_colors": c, "n_train": self.n_train},
+                    {"the n_train x (num_classes + num_colors) training features":
+                     self.n_train * (k + c)})
         if not 1.0 / k < self.p_inv <= 1.0:
             raise ConfigError(f"p_inv must lie in (1/k, 1], got {self.p_inv}")
         if not 1.0 / c <= self.p_spu <= 1.0:

@@ -25,7 +25,7 @@ from .errors import (
     InsufficientDataError,
     ParseError,
 )
-from .inputs import read_text
+from .inputs import read_pieces
 from .theory import std_normal_inv_cdf
 
 
@@ -142,9 +142,10 @@ def _encode(labels: _Codes, backgrounds: _Codes, label, group, background,
 _PRED_FIXED = ("sample_id", "true_label", "group", "background")
 # One line as io.StringIO(newline="") splits text: ended by \r\n, \r or \n.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-# Data rows are read and checked in blocks of whole lines of about this many
-# characters, so a load holds the text, its result, the sample ids and one
-# block's cells.
+# CSV files are read in pieces of whole lines from reads of this many bytes,
+# and their records checked a piece (or about this many characters of csv
+# module rows) at a time, so a load holds one piece, its cells, its result
+# and the sample ids.
 _BLOCK_CHARS = 1 << 14
 
 
@@ -166,43 +167,52 @@ def _read_csv(path, what: str) -> tuple[list[str], int, Iterator[_Block]]:
     and the data rows in blocks, read lazily.  Lines number the records
     from 1.
 
-    A text with no quote, carriage return or NUL is cut at its newlines and
-    split at its commas, which gives the records csv.reader gives; any
-    other text goes through csv.reader.  An empty file and a cell over the
-    csv module's field size limit are ParseErrors; ``what`` names the file
-    in the first."""
-    text = read_text(path)
-    if not text:
+    The file is read twice, a piece of whole lines at a time.  The first
+    pass decodes every piece, so a byte that is not UTF-8 is an error
+    before any row's, and keeps only counts.  The second parses: a text
+    with no quote, carriage return or NUL is cut at its newlines and split
+    at its commas, which gives the records csv.reader gives; any other text
+    goes through csv.reader.  An empty file and a cell over the csv
+    module's field size limit are ParseErrors; ``what`` names the file in
+    the first."""
+    chars, breaks, last, plain = 0, 0, "", True
+    for piece in read_pieces(path, _BLOCK_CHARS):
+        chars += len(piece)
+        breaks += piece.count("\n")
+        if "\r" in piece:  # a \r not followed by \n ends a line too
+            breaks += piece.count("\r") - piece.count("\r\n")
+            plain = False
+        plain = plain and '"' not in piece and "\0" not in piece
+        last = piece[-1]
+    if not chars:
         raise ParseError(f"{what} file is empty")
-    lines = (text.count("\n") + text.count("\r") - text.count("\r\n")
-             + (text[-1] not in "\r\n"))
-    if '"' in text or "\r" in text or "\0" in text:
-        blocks = _csv_blocks(text)
-    else:
-        blocks = _split_blocks(text, csv.field_size_limit())
-    header = next(blocks).cells
+    pieces = read_pieces(path, _BLOCK_CHARS)
+    blocks = _split_blocks(pieces, csv.field_size_limit()) if plain else _csv_blocks(pieces)
+    first = next(blocks)
+    header = first.cells[:first.widths[0]]
+    if len(first.widths) > 1:
+        rest = _Block(first.line + 1, first.widths[1:], first.cells[len(header):])
+        blocks = chain([rest], blocks)
+    lines = breaks + (last not in "\r\n")  # a last line need not end in a break
     # each row of the header's width holds a comma less than its cells and
     # a line break, so the text's length bounds their number too
-    return header, min(lines - 1, len(text) // max(len(header), 1)), blocks
+    return header, min(lines - 1, chars // max(len(header), 1)), blocks
 
 
-def _split_blocks(text: str, limit: int) -> Iterator[_Block]:
-    """The records of a text with no quote, carriage return or NUL; the
-    header is a block of its own."""
-    last = len(text) - text.endswith("\n")  # a final newline starts no line
-    start, line, size = 0, 1, 0
-    while start <= last:
-        end = text.find("\n", start + size, last)
-        end = last if end < 0 else end
-        lines = text[start:end].split("\n")
-        if end - start > limit:
+def _split_blocks(pieces: Iterator[str], limit: int) -> Iterator[_Block]:
+    """The records of a text with no quote, carriage return or NUL, a
+    piece at a time."""
+    line = 1
+    for piece in pieces:
+        lines = piece.removesuffix("\n").split("\n")
+        if len(piece) > limit:
             for i, record in enumerate(lines):
                 if len(record) > limit and max(map(len, record.split(","))) > limit:
                     if i:
                         yield _split_block(line, lines[:i])
                     raise _at(line + i, f"field larger than field limit ({limit})")
         yield _split_block(line, lines)
-        start, line, size = end + 1, line + len(lines), _BLOCK_CHARS
+        line += len(lines)
 
 
 def _split_block(line: int, lines: list[str]) -> _Block:
@@ -214,21 +224,19 @@ def _split_block(line: int, lines: list[str]) -> _Block:
                   [cell for record in lines if record for cell in record.split(",")])
 
 
-def _csv_blocks(text: str) -> Iterator[_Block]:
-    """The records csv.reader reads from the text, in blocks as in
-    _split_blocks; a reader error comes after the records before it.
-
-    Lines are cut from the text one at a time: io.StringIO would hold a
-    copy at four bytes per character."""
-    reader = csv.reader(match.group() for match in _LINE.finditer(text))
-    line, rows, size, target = 1, [], 0, 0
+def _csv_blocks(pieces: Iterator[str]) -> Iterator[_Block]:
+    """The records csv.reader reads from the pieces, in blocks of about
+    _BLOCK_CHARS characters; a reader error comes after the records before
+    it.  Lines are cut from each piece one at a time."""
+    reader = csv.reader(match.group() for piece in pieces for match in _LINE.finditer(piece))
+    line, rows, size = 1, [], 0
     try:
         for row in reader:
             rows.append(row)
             size += len(row) + sum(map(len, row))
-            if size >= target:
+            if size >= _BLOCK_CHARS:
                 yield _rows_block(line, rows)
-                line, rows, size, target = line + len(rows), [], 0, _BLOCK_CHARS
+                line, rows, size = line + len(rows), [], 0
     except csv.Error as exc:
         if rows:
             yield _rows_block(line, rows)

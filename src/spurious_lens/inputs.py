@@ -1,9 +1,10 @@
 """Decoding of input files: UTF-8 text and typed config objects.
 
-Text is read as strict UTF-8 and a byte that does not decode is reported
-with its line.  Configs are built from a JSON object whose every value is
-checked against the dataclass field's annotation before the dataclass sees
-it, so a value is never coerced into a field of another type.
+Text is read as strict UTF-8, in pieces of whole lines, and a byte that
+does not decode is reported with its line.  Configs are built from a JSON
+object whose every value is checked against the dataclass field's
+annotation before the dataclass sees it, so a value is never coerced into a
+field of another type.
 """
 
 from __future__ import annotations
@@ -14,18 +15,42 @@ import json
 import math
 import types
 import typing
-from pathlib import Path
+from typing import Iterator
 
 from .errors import ParseError
 
 
 def read_text(path) -> str:
     """The file's text, decoded without newline translation."""
-    data = Path(path).read_bytes()
+    return "".join(read_pieces(path, 1 << 16))  # any read size gives the same text
+
+
+def read_pieces(path, size: int) -> Iterator[str]:
+    """The file's text in pieces of whole lines, decoded without newline
+    translation: each read of ``size`` bytes is cut after its last newline,
+    and what follows the cut starts the next piece.  A cut after a newline
+    splits no UTF-8 sequence and no \\r\\n, so a piece decodes, or fails to,
+    as its bytes do in the whole file."""
+    with open(path, "rb") as file:
+        line, carry = 1, bytearray()
+        while chunk := file.read(size):
+            cut = chunk.rfind(b"\n") + 1
+            carry += memoryview(chunk)[:cut] if cut else chunk
+            if cut:
+                yield _decode(carry, line)
+                line += carry.count(b"\n")
+                carry = bytearray(memoryview(chunk)[cut:])
+        if carry:
+            yield _decode(carry, line)
+
+
+def _decode(piece: bytearray, line: int) -> str:
+    """The piece, whose first line is line ``line`` of the file, as strict
+    UTF-8."""
     try:
-        return data.decode("utf-8")
+        return piece.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line += piece.count(b"\n", 0, exc.start)
         raise ParseError(f"line {line}: not valid UTF-8 ({exc.reason})",
                          lines=(line,)) from None
 

@@ -48,7 +48,21 @@ _CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 CHUNK = 16384
 _EMBED_ROWS = 1024
-MAX_SAMPLES = 2**63 - 1  # numpy's largest array dimension
+MAX_SAMPLES = 2**63 - 1  # numpy's largest array dimension, and its largest array in bytes
+
+
+def check_sizes(dims: dict[str, int], arrays: dict[str, int]) -> None:
+    """Reject, as a ConfigError, a size numpy cannot represent: a dimension
+    in ``dims`` above MAX_SAMPLES, or an array in ``arrays``, given by its
+    count of float64 cells, of more than MAX_SAMPLES bytes.  numpy raises
+    ValueError, not MemoryError, for either."""
+    for name, size in dims.items():
+        if size > MAX_SAMPLES:
+            raise ConfigError(f"{name} must be <= {MAX_SAMPLES}, got {size}")
+    for name, cells in arrays.items():
+        if 8 * cells > MAX_SAMPLES:
+            raise ConfigError(f"{name} would take {8 * cells} bytes, more than "
+                              f"numpy's largest array ({MAX_SAMPLES} bytes)")
 
 
 class Mode(str, enum.Enum):
@@ -93,6 +107,9 @@ class GenerativeConfig:
             raise ConfigError(
                 f"ambient dims must be >= {LATENT_DIM}, got d_I={self.d_I}, d_T={self.d_T}"
             )
+        check_sizes({"d_I": self.d_I, "d_T": self.d_T},
+                    {"a d_I x d_T matrix": self.d_I * self.d_T,
+                     "the d_I x d_I Bartlett factor": self.d_I ** 2})
         if self.rho <= 0:
             raise ConfigError(f"rho must be > 0, got {self.rho}")
         if self.mode is Mode.THEOREM_EXACT and self.mu_inv != 1.0:

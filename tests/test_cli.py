@@ -525,6 +525,25 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
      ["verify-theorem", "--config", "c.json", "--mc", "100000000000000000000",
       "--out", "r.json"],
      2, "mc_samples must be <= 9223372036854775807"),
+    # sizes numpy cannot represent: its ValueError would be an internal error
+    ({"c.json": json.dumps({**DISCRETE, "num_classes": 10**18, "n_train": 30})},
+     ["simulate-discrete", "--config", "c.json", "--out", "r.csv"],
+     2, "training features would take"),
+    ({"c.json": json.dumps({**DISCRETE, "num_colors": 10**18, "n_train": 30})},
+     ["simulate-discrete", "--config", "c.json", "--out", "r.csv"],
+     2, "training features would take"),
+    ({"c.json": json.dumps({**DISCRETE, "n_train": 10**20})},
+     ["simulate-discrete", "--config", "c.json", "--out", "r.csv"],
+     2, "n_train must be <= 9223372036854775807"),
+    ({"c.json": json.dumps({**GAUSS_DEF1, "d_I": 10**18})},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
+     2, "a d_I x d_T matrix would take"),
+    ({"c.json": json.dumps({**GAUSS_DEF1, "d_T": 10**20})},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
+     2, "d_T must be <= 9223372036854775807"),
+    ({"c.json": json.dumps({**GAUSS_EXACT, "d_I": 10**18})},
+     ["verify-theorem", "--config", "c.json", "--out", "r.json"],
+     2, "a d_I x d_T matrix would take"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
@@ -534,7 +553,10 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
         "gaussian-negative-seed", "gaussian-repeated-field", "discrete-repeated-field",
         "gaussian-removed-field", "discrete-removed-field", "discrete-unallocatable",
         "gaussian-overflow", "verify-def1-off-regime",
-        "verify-mc-impossible"])
+        "verify-mc-impossible", "discrete-classes-unrepresentable",
+        "discrete-colors-unrepresentable", "discrete-n-train-unrepresentable",
+        "gaussian-d-image-unrepresentable", "gaussian-d-text-unrepresentable",
+        "verify-d-image-unrepresentable"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)

@@ -26,7 +26,7 @@ from spurious_lens.evaluation import (
     load_predictions,
     load_similarities,
 )
-from spurious_lens.inputs import read_text
+from spurious_lens.inputs import read_pieces, read_text
 
 # ---------------------------------------------------------------- reference
 
@@ -427,3 +427,140 @@ def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
                   for i in range(25_000)), encoding="utf-8")
     assert _peak(load_similarities, similarities) <= 3 * similarities.stat().st_size
     assert _peak(load_predictions, predictions) <= 6 * predictions.stat().st_size
+
+
+def test_peak_memory_of_a_similarity_load_is_its_scores(tmp_path):
+    """A load holds one piece of the file at a time, never its whole text:
+    a 1000 x 1000 table peaks at its 8 MB of scores plus at most 1 MiB,
+    where its 8 MB of text would take 8 MB as bytes and as much again as a
+    str."""
+    rng = np.random.default_rng(1)
+    path = tmp_path / "s.csv"
+    path.write_text(
+        "sample_id," + ",".join(f"cand{j:04d}" for j in range(1000)) + "\n"
+        + "".join(f"q{i:05d}," + ",".join(f"{v:.5f}" for v in rng.normal(0.2, 0.05, 1000))
+                  + "\n" for i in range(1000)), encoding="utf-8")
+    scores = load_similarities(path).scores
+    assert scores.shape == (1000, 1000)
+    assert _peak(load_similarities, path) <= scores.nbytes + (1 << 20)
+
+
+# ---------------------------------------------------------------- piece boundaries
+
+# Read sizes that put a cut at every offset of the short files below.
+EVERY_CUT = range(1, 48)
+
+
+def same_outcome_of_bytes(kind, data: bytes, block_chars=None):
+    """Load the file ``data`` with both loaders of ``kind``, the block-wise
+    one reading pieces of ``block_chars`` bytes; return the outcome they
+    agree on."""
+    load, reference = LOADERS[kind]
+    saved = evaluation._BLOCK_CHARS
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(data)
+        try:
+            evaluation._BLOCK_CHARS = block_chars or saved
+            got, expected = _outcome(load, path), _outcome(reference, path)
+        finally:
+            evaluation._BLOCK_CHARS = saved
+    assert got == expected
+    return got
+
+
+def _utf8_error(data: bytes) -> tuple[str, str, tuple[int]]:
+    """The error outcome of the first byte of ``data`` that is not UTF-8,
+    found by decoding the whole of it."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return "error", f"line {line}: not valid UTF-8 ({exc.reason})", (line,)
+    raise AssertionError("the data decodes")
+
+
+def test_a_bad_byte_in_a_later_piece_comes_before_a_bad_row_in_an_earlier_one():
+    rows = "".join(f"t{i},0.1,0.2\n" for i in range(20))
+    for text in both_paths(SIMILARITIES + "s3,x,0.5\n" + rows):
+        data = text.encode("utf-8") + b"u1,0.\xff,0.3\n"
+        for block_chars in (1, 16, 64, None):
+            outcome = same_outcome_of_bytes("similarities", data, block_chars)
+            assert outcome == _utf8_error(data) == (
+                "error", "line 25: not valid UTF-8 (invalid start byte)", (25,))
+
+
+@pytest.mark.parametrize("kind,text,expected", [
+    # multi-byte characters of two, three and four bytes in names and ids
+    ("similarities", "sample_id,café,€uro,𝄞\ns€1,0.9,0.5,0.1\nsé2,0.8,0.6,0.2\n", "table"),
+    ("predictions", PREDICTIONS.replace("snow", "snö€").replace("a2", "𝄞2"), "table"),
+    # a bad row between good ones
+    ("similarities", SIMILARITIES + "s3,0.1\ns4,0.3,0.4\n", "line 4: expected 3 cells, got 2"),
+    ("predictions", PREDICTIONS.replace("a2,bear,hard", "a2,bear,mid"),
+     "line 3: group must be easy/hard/unassigned, got 'mid'"),
+    # a quoted field over two lines is one record, so the bad row after it is line 3
+    ("similarities", 'sample_id,cat,dog\n"s\n1",0.9,0.5\ns2,0.8\n',
+     "line 3: expected 3 cells, got 2"),
+    ("predictions", PREDICTIONS.replace("a1,bear,easy,snow", 'a1,bear,easy,"sn\now"'), "table"),
+    # carriage returns end lines, alone or before a newline
+    ("similarities", SIMILARITIES.replace("\n", "\r\n"), "table"),
+    ("similarities", (SIMILARITIES + "s3,0.1\n").replace("\n", "\r\n"),
+     "line 4: expected 3 cells, got 2"),
+    ("points", "easy,hard\r0.5,0.5\r\n0.25,0.75\r", "table"),
+    # no final newline
+    ("similarities", SIMILARITIES.rstrip("\n"), "table"),
+    ("points", "easy,hard\n0.5,0.5\n0.25,x", "line 3: non-numeric accuracy"),
+])
+def test_records_across_every_cut_match_row_reader(kind, text, expected):
+    for variant in both_paths(text):
+        for block_chars in EVERY_CUT:
+            outcome = assert_same_outcome(kind, variant, block_chars)
+            if expected == "table":
+                assert outcome[0] == "table"
+            else:
+                assert outcome[0] == "error" and expected in outcome[1]
+
+
+@pytest.mark.parametrize("text", [
+    "sample_id,café\ns€1,0.9\n",
+    "sample_id,cat\r\ns1,0.9\r\ns2,0.8\r\n",
+    "sample_id,cat\rs1,0.9\n\ns2,0.8",
+    "sample_id,cat\n" + "s" * 300 + ",0.5\n",
+])
+def test_pieces_are_whole_lines_of_the_text(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for size in EVERY_CUT:
+        pieces = list(read_pieces(path, size))
+        assert "".join(pieces) == text
+        assert all(piece.endswith("\n") for piece in pieces[:-1])
+
+
+def test_a_line_longer_than_many_pieces():
+    cells = [f"{j / 7:.6f}" for j in range(2000)]  # a 17 kB row: 2400 reads of 7 bytes
+    text = ("sample_id," + ",".join(f"c{j}" for j in range(2000)) + "\n"
+            + "s1," + ",".join(cells) + "\ns2," + ",".join(cells[::-1]) + "\n")
+    for variant in both_paths(text):
+        for block_chars in (7, 1000, None):
+            kind, (candidates, ids, shape, _) = assert_same_outcome(
+                "similarities", variant, block_chars)
+            assert kind == "table" and ids == ("s1", "s2") and shape == (2, 2000)
+
+
+@pytest.mark.parametrize("data", [
+    b"sample_id,cat\ns1,0.9\ns\xe42,0.8\ns3,0.7\n",
+    b"sample_id,cat\ns1,0.9\n\n\ns2,0.\xe2\x82\n",
+    b"sample_id,cat\ns1,0.9\ns2,0.\xe2\x82",  # a sequence cut short by the end of the file
+])
+def test_read_text_and_the_csv_reader_name_the_same_line(tmp_path, monkeypatch, data):
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    expected = _utf8_error(data)
+    with pytest.raises(ParseError) as whole:
+        read_text(path)
+    assert ("error", str(whole.value), whole.value.lines) == expected
+    for block_chars in (1, 5, 1 << 14):
+        monkeypatch.setattr(evaluation, "_BLOCK_CHARS", block_chars)
+        with pytest.raises(ParseError) as pieces:
+            evaluation._read_csv(path, "similarity")
+        assert ("error", str(pieces.value), pieces.value.lines) == expected

@@ -27,6 +27,7 @@ from spurious_lens import (
 from spurious_lens import discrete
 from spurious_lens.cli import _json_data
 from spurious_lens.inputs import load_config, read_text
+from spurious_lens.synthetic import MAX_SAMPLES
 
 BASE = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -85,6 +86,27 @@ class TestConfig:
         base.update(kwargs)
         with pytest.raises(ConfigError):
             DiscreteConfig(**base)
+
+    # k = c = 2 features take 32 bytes a row
+    @pytest.mark.parametrize("kwargs,named", [
+        (dict(num_classes=MAX_SAMPLES + 1), "num_classes must be <= 9223372036854775807"),
+        (dict(num_colors=10**400), "num_colors must be <= 9223372036854775807"),
+        (dict(n_train=MAX_SAMPLES + 1), "n_train must be <= 9223372036854775807"),
+        (dict(num_classes=10**18), "training features would take"),
+        (dict(num_colors=10**18), "training features would take"),
+        (dict(n_train=MAX_SAMPLES // 32 + 1), "training features would take"),
+    ])
+    def test_rejects_sizes_numpy_cannot_represent(self, kwargs, named):
+        base = dict(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=30)
+        base.update(kwargs)
+        with pytest.raises(ConfigError, match=named):
+            DiscreteConfig(**base)
+
+    def test_admits_the_largest_representable_training_split(self):
+        # a config allocates nothing; this one's training features would
+        # take just under 2**63 bytes
+        cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=MAX_SAMPLES // 32)
+        assert cfg.n_train * cfg.feature_dim * 8 <= MAX_SAMPLES
 
     def test_json_round_trip(self):
         cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.75, n_train=500,

@@ -71,6 +71,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             GenerativeConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs,named", [
+        (dict(d_I=MAX_SAMPLES + 1), "d_I must be <= 9223372036854775807"),
+        (dict(d_T=10**20), "d_T must be <= 9223372036854775807"),
+        (dict(d_I=10**18), "a d_I x d_T matrix would take"),
+        (dict(d_I=2, d_T=MAX_SAMPLES // 16 + 1), "a d_I x d_T matrix would take"),
+        (dict(d_I=2**30, d_T=2), "the d_I x d_I Bartlett factor would take"),
+    ])
+    def test_rejects_sizes_numpy_cannot_represent(self, kwargs, named):
+        with pytest.raises(ConfigError, match=named):
+            GenerativeConfig(**kwargs)
+
+    @pytest.mark.parametrize("d_I,d_T", [(2**30 - 1, 2), (2, MAX_SAMPLES // 16)])
+    def test_admits_the_largest_representable_matrices(self, d_I, d_T):
+        # a config allocates nothing; each of these has one matrix of just
+        # under 2**63 bytes
+        cfg = GenerativeConfig(d_I=d_I, d_T=d_T)
+        assert max(cfg.d_I * cfg.d_T, cfg.d_I ** 2) * 8 <= MAX_SAMPLES
+
     def test_theorem_exact_requires_unit_mu_inv(self):
         GenerativeConfig(mode="TheoremExact", mu_inv=1.0)
         with pytest.raises(ConfigError):
