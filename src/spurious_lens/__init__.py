@@ -15,7 +15,6 @@ from .alignment import (
     clip_loss,
     clip_loss_gradient,
     empirical_minimizer,
-    exact_subgroup_rates,
     gradient_descent_minimizer,
     latent_alignment_target,
     population_alignment_target,
@@ -74,7 +73,6 @@ from .synthetic import (
     GenerativeConfig,
     Mode,
     SyntheticDataset,
-    ood_config,
     sample_dataset,
 )
 from .theory import (

@@ -7,8 +7,8 @@ an independent route to the same matrix.
 
 Given its label and attribute, a test image's zero-shot score is one
 Gaussian, so each (y, a) cell is predicted right with a probability in
-closed form.  The test pass draws its subgroup counts from that law, and
-:func:`exact_subgroup_rates` reports the rates themselves.
+closed form.  The test pass draws its subgroup counts from that law and
+reports the exact subgroup rates beside them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ConfigError, DomainError, InsufficientDataError, NonconvergenceError,
                      ShapeError)
 from .synthetic import (_CELLS, STREAM_TEST, Dictionary, GenerativeConfig, TrainingMoments,
-                        _cell_probabilities, ood_config, substream)
+                        _cell_probabilities, substream)
 
 # Version of the test pass's random stream; both Gaussian reports echo it.
 MC_STREAM = 3
@@ -56,7 +56,9 @@ class PromptEmbedding:
 
 @dataclass(frozen=True)
 class SubgroupReport:
-    """Zero-shot accuracy split by whether the attribute matches the label.
+    """Zero-shot accuracy split by whether the attribute matches the label,
+    next to the exact error on the a != y subgroup and accuracy on the
+    a == y subgroup that the counts are drawn from.
 
     A subgroup with no samples reports None rather than 0 for its accuracy.
     """
@@ -66,6 +68,8 @@ class SubgroupReport:
     acc_conflicting: float | None
     n_aligned: int
     n_conflicting: int
+    exact_err_conflicting: float
+    exact_acc_aligned: float
 
 
 def _check_dims(M: AlignmentMatrix, dict_image: Dictionary, dict_text: Dictionary) -> None:
@@ -264,36 +268,26 @@ def _cell_margins(M: AlignmentMatrix, config: GenerativeConfig,
     return [y * mean / sigma for (y, _), mean in zip(_CELLS, means)]
 
 
-def exact_subgroup_rates(M: AlignmentMatrix, config: GenerativeConfig,
-                         dict_image: Dictionary, dict_text: Dictionary) -> tuple[float, float]:
-    """(err_conflicting, acc_aligned): the exact zero-shot error on the a != y
-    subgroup and accuracy on the a == y subgroup of the p_spu = 1/2 test
-    distribution, each the mean of its two equally likely cells' rates.  The
-    error adds the cells' Phi(-t), so a small one keeps its precision."""
-    t = _cell_margins(M, config, dict_image, dict_text)
-    return ((std_normal_cdf(-t[1]) + std_normal_cdf(-t[2])) / 2,
-            (std_normal_cdf(t[0]) + std_normal_cdf(t[3])) / 2)
-
-
 def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
                       dict_image: Dictionary, dict_text: Dictionary, seed: int,
                       total: int) -> SubgroupReport:
     """Zero-shot accuracy against the (+1, -1) label prompts of ``dict_text``,
     overall and split over the a == y and a != y subgroups, on ``total``
-    samples of the p_spu = 1/2 test distribution (:func:`ood_config`).
+    samples of the test distribution: ``config`` with p_spu = 1/2.
 
     Stream MC_STREAM draws the counts from their exact joint law on one
     STREAM_TEST generator: the (y, a) cell sizes from the multinomial, then
     each cell's correct count from Binomial(size, Phi(t)), t the cell's
     margin (:func:`_cell_margins`).  That is O(1) work and memory at any
-    ``total``, on no thread.
+    ``total``, on no thread.  Each exact rate is the mean of its two cells'
+    rates; the error adds their Phi(-t), so a small one keeps its precision.
     """
     if total < 1:
         raise InsufficientDataError(f"the test set needs at least 1 sample, got {total}")
-    rates = [std_normal_cdf(t) for t in _cell_margins(M, config, dict_image, dict_text)]
+    t = _cell_margins(M, config, dict_image, dict_text)
     rng = substream(seed, STREAM_TEST)
-    sizes = rng.multinomial(total, _cell_probabilities(ood_config(config)))
-    hits = rng.binomial(sizes, rates)
+    sizes = rng.multinomial(total, _cell_probabilities(0.5))
+    hits = rng.binomial(sizes, [std_normal_cdf(margin) for margin in t])
     n_aligned, n_conflicting = int(sizes[0] + sizes[3]), int(sizes[1] + sizes[2])
     correct_aligned, correct_conflicting = int(hits[0] + hits[3]), int(hits[1] + hits[2])
     return SubgroupReport(
@@ -302,4 +296,6 @@ def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
         acc_conflicting=correct_conflicting / n_conflicting if n_conflicting else None,
         n_aligned=n_aligned,
         n_conflicting=n_conflicting,
+        exact_err_conflicting=(std_normal_cdf(-t[1]) + std_normal_cdf(-t[2])) / 2,
+        exact_acc_aligned=(std_normal_cdf(t[0]) + std_normal_cdf(t[3])) / 2,
     )

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import Iterator, NamedTuple
@@ -172,9 +174,11 @@ def _read_csv(path, what: str) -> tuple[list[str], int, Iterator[_Block]]:
     before any row's, and keeps only counts.  The second parses: a text
     with no quote, carriage return or NUL is cut at its newlines and split
     at its commas, which gives the records csv.reader gives; any other text
-    goes through csv.reader.  An empty file and a cell over the csv
-    module's field size limit are ParseErrors; ``what`` names the file in
-    the first."""
+    goes through csv.reader.  A file that is not regular (a pipe cannot be
+    read twice), an empty file and a cell over the csv module's field size
+    limit are ParseErrors; ``what`` names the file in the first two."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ParseError(f"{what} file {path}: a CSV input must be a regular file")
     chars, breaks, last, plain = 0, 0, "", True
     for piece in read_pieces(path, _BLOCK_CHARS):
         chars += len(piece)

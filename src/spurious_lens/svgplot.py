@@ -16,6 +16,27 @@ _MARGIN = 56
 _TICKS = 5
 
 
+def _fmt(v: float) -> str:
+    return f"{v:.6g}"
+
+
+def _line(svg: ET.Element, x1: float, y1: float, x2: float, y2: float,
+          stroke: str = "black", width: str = "1", dash: str | None = None) -> None:
+    attrs = {"x1": _fmt(x1), "y1": _fmt(y1), "x2": _fmt(x2), "y2": _fmt(y2),
+             "stroke": stroke, "stroke-width": width, "stroke-dasharray": dash}
+    ET.SubElement(svg, "line", {k: v for k, v in attrs.items() if v is not None})
+
+
+def _text(svg: ET.Element, x: float, y: float, text: str, size: str,
+          anchor: str | None = None, rotate: bool = False) -> None:
+    """Sans-serif ``text`` at (x, y), turned a quarter left about that point
+    when ``rotate``."""
+    turn = f"rotate(-90 {_fmt(x)} {_fmt(y)})" if rotate else None
+    attrs = {"x": _fmt(x), "y": _fmt(y), "font-size": size, "text-anchor": anchor,
+             "font-family": "sans-serif", "transform": turn}
+    ET.SubElement(svg, "text", {k: v for k, v in attrs.items() if v is not None}).text = text
+
+
 def render_fit_svg(points, fit: FitLine) -> str:
     """Scatter of the points with the fitted line and a dashed y=x reference.
 
@@ -36,9 +57,6 @@ def render_fit_svg(points, fit: FitLine) -> str:
     def sy(v: float) -> float:
         return _HEIGHT - _MARGIN - (v - lo) / span * (_HEIGHT - 2 * _MARGIN)
 
-    def fmt(v: float) -> str:
-        return f"{v:.6g}"
-
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
         "width": str(_WIDTH),
@@ -50,72 +68,34 @@ def render_fit_svg(points, fit: FitLine) -> str:
         "fill": "white",
     })
     ET.SubElement(svg, "rect", {
-        "x": fmt(_MARGIN), "y": fmt(_MARGIN),
-        "width": fmt(_WIDTH - 2 * _MARGIN), "height": fmt(_HEIGHT - 2 * _MARGIN),
+        "x": _fmt(_MARGIN), "y": _fmt(_MARGIN),
+        "width": _fmt(_WIDTH - 2 * _MARGIN), "height": _fmt(_HEIGHT - 2 * _MARGIN),
         "fill": "none", "stroke": "black", "stroke-width": "1",
     })
+    bottom = _HEIGHT - _MARGIN
     for i in range(_TICKS):
         v = lo + span * i / (_TICKS - 1)
         px, py = sx(v), sy(v)
-        ET.SubElement(svg, "line", {
-            "x1": fmt(px), "y1": fmt(_HEIGHT - _MARGIN),
-            "x2": fmt(px), "y2": fmt(_HEIGHT - _MARGIN + 5),
-            "stroke": "black", "stroke-width": "1",
-        })
-        tick_x = ET.SubElement(svg, "text", {
-            "x": fmt(px), "y": fmt(_HEIGHT - _MARGIN + 18),
-            "font-size": "10", "text-anchor": "middle",
-            "font-family": "sans-serif",
-        })
-        tick_x.text = f"{v:.2f}"
-        ET.SubElement(svg, "line", {
-            "x1": fmt(_MARGIN - 5), "y1": fmt(py),
-            "x2": fmt(_MARGIN), "y2": fmt(py),
-            "stroke": "black", "stroke-width": "1",
-        })
-        tick_y = ET.SubElement(svg, "text", {
-            "x": fmt(_MARGIN - 8), "y": fmt(py + 3),
-            "font-size": "10", "text-anchor": "end",
-            "font-family": "sans-serif",
-        })
-        tick_y.text = f"{v:.2f}"
+        _line(svg, px, bottom, px, bottom + 5)
+        _text(svg, px, bottom + 18, f"{v:.2f}", "10", "middle")
+        _line(svg, _MARGIN - 5, py, _MARGIN, py)
+        _text(svg, _MARGIN - 8, py + 3, f"{v:.2f}", "10", "end")
 
     space = "accuracy" if fit.transform is Transform.LINEAR else "probit(accuracy)"
-    x_label = ET.SubElement(svg, "text", {
-        "x": fmt(_WIDTH / 2), "y": fmt(_HEIGHT - 12),
-        "font-size": "12", "text-anchor": "middle", "font-family": "sans-serif",
-    })
-    x_label.text = f"easy {space}"
-    y_label = ET.SubElement(svg, "text", {
-        "x": "14", "y": fmt(_HEIGHT / 2),
-        "font-size": "12", "text-anchor": "middle", "font-family": "sans-serif",
-        "transform": f"rotate(-90 14 {fmt(_HEIGHT / 2)})",
-    })
-    y_label.text = f"hard {space}"
+    _text(svg, _WIDTH / 2, _HEIGHT - 12, f"easy {space}", "12", "middle")
+    _text(svg, 14, _HEIGHT / 2, f"hard {space}", "12", "middle", rotate=True)
 
     # dashed y = x reference across the drawing range
-    ET.SubElement(svg, "line", {
-        "x1": fmt(sx(lo)), "y1": fmt(sy(lo)),
-        "x2": fmt(sx(hi)), "y2": fmt(sy(hi)),
-        "stroke": "gray", "stroke-width": "1", "stroke-dasharray": "6 4",
-    })
-    ET.SubElement(svg, "line", {
-        "x1": fmt(sx(lo)), "y1": fmt(sy(fit.slope * lo + fit.intercept)),
-        "x2": fmt(sx(hi)), "y2": fmt(sy(fit.slope * hi + fit.intercept)),
-        "stroke": "crimson", "stroke-width": "1.5",
-    })
+    _line(svg, sx(lo), sy(lo), sx(hi), sy(hi), "gray", dash="6 4")
+    _line(svg, sx(lo), sy(fit.slope * lo + fit.intercept),
+          sx(hi), sy(fit.slope * hi + fit.intercept), "crimson", "1.5")
     for px, py in zip(x, y):
         ET.SubElement(svg, "circle", {
-            "cx": fmt(sx(float(px))), "cy": fmt(sy(float(py))),
+            "cx": _fmt(sx(float(px))), "cy": _fmt(sy(float(py))),
             "r": "3.5", "fill": "steelblue", "fill-opacity": "0.8",
             "stroke": "none",
         })
-    caption = ET.SubElement(svg, "text", {
-        "x": fmt(_MARGIN + 6), "y": fmt(_MARGIN - 8),
-        "font-size": "11", "font-family": "sans-serif",
-    })
-    caption.text = (
-        f"{fit.transform.value} fit: slope {fit.slope:.4f}, "
-        f"intercept {fit.intercept:.4f}, rms {fit.residual_rms:.2e}"
-    )
+    _text(svg, _MARGIN + 6, _MARGIN - 8,
+          f"{fit.transform.value} fit: slope {fit.slope:.4f}, "
+          f"intercept {fit.intercept:.4f}, rms {fit.residual_rms:.2e}", "11")
     return ET.tostring(svg, encoding="unicode", xml_declaration=True) + "\n"

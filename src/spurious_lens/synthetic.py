@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,10 +154,9 @@ def _dictionary_from_rng(d: int, rng: np.random.Generator) -> Dictionary:
     return Dictionary(np.column_stack([u, v]))
 
 
-def _cell_probabilities(config: GenerativeConfig) -> list[float]:
+def _cell_probabilities(p: float) -> list[float]:
     """P(y, a) of each cell of _CELLS: y is uniform and a = y with
-    probability p_spu."""
-    p = config.p_spu
+    probability p."""
     return [p / 2, (1 - p) / 2, (1 - p) / 2, p / 2]
 
 
@@ -273,7 +272,7 @@ def _latent_gram(config: GenerativeConfig, rng: np.random.Generator) -> np.ndarr
     + W, W ~ Wishart_2(m - 1, I) independent of xi; a smaller cell draws its
     rows.
     """
-    counts = rng.multinomial(config.n, _cell_probabilities(config))
+    counts = rng.multinomial(config.n, _cell_probabilities(config.p_spu))
     scales = np.array([config.sigma_inv, config.sigma_spu], dtype=float)
     gram = np.zeros((LATENT_DIM + 1, LATENT_DIM + 1))
     for signs, m in zip(_CELLS, counts.tolist()):
@@ -350,8 +349,3 @@ def training_moments(config: GenerativeConfig, seed: int) -> TrainingMoments:
                    + s_image * (noise_image[1:].T @ d_text.T)
                    + s_image * s_text * noise_cross)
     return TrainingMoments(config.n, sum_image, sum_text, matched, dict_image, dict_text)
-
-
-def ood_config(config: GenerativeConfig) -> GenerativeConfig:
-    """The test distribution: identical config with p_spu = 1/2."""
-    return replace(config, p_spu=0.5)

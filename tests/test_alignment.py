@@ -24,10 +24,8 @@ from spurious_lens import (
     clip_loss,
     clip_loss_gradient,
     empirical_minimizer,
-    exact_subgroup_rates,
     gradient_descent_minimizer,
     latent_alignment_target,
-    ood_config,
     population_alignment_target,
     prompt_embedding,
     sample_dataset,
@@ -364,7 +362,8 @@ def chunked_test_set(M, config, dict_image, dict_text, seed, total):
     parts = []
     for index, start in enumerate(range(0, total, CHUNK)):
         rng = substream(seed, STREAM_TEST, index)
-        z, y, a = sample_batch(ood_config(config), rng, min(CHUNK, total - start))
+        z, y, a = sample_batch(dataclasses.replace(config, p_spu=0.5), rng,
+                               min(CHUNK, total - start))
         score = z @ (dict_image.entries.T @ w)
         if config.sigma_xi > 0:
             score += noise * rng.standard_normal(len(y))
@@ -375,6 +374,14 @@ def chunked_test_set(M, config, dict_image, dict_text, seed, total):
 def hit_rates(M, config, dict_image, dict_text):
     """P(right) of each (y, a) cell, in the order of _CELLS."""
     return [std_normal_cdf(t) for t in _cell_margins(M, config, dict_image, dict_text)]
+
+
+def exact_rates(M, config, dict_image, dict_text) -> dict:
+    """The exact subgroup rates: the mean of Phi(-t) over the two conflicting
+    cells and of Phi(t) over the two aligned cells."""
+    t = _cell_margins(M, config, dict_image, dict_text)
+    return {"exact_err_conflicting": (std_normal_cdf(-t[1]) + std_normal_cdf(-t[2])) / 2,
+            "exact_acc_aligned": (std_normal_cdf(t[0]) + std_normal_cdf(t[3])) / 2}
 
 
 def stream_v3_draw(rates, seed, total):
@@ -430,7 +437,8 @@ class TestSubgroups:
         M = empirical_minimizer(ds, cfg.rho)
         d = _json_data(subgroup_accuracy(M, cfg, ds.dict_image, ds.dict_text, 3, 500))
         assert set(d) == {"acc_overall", "acc_aligned", "acc_conflicting",
-                          "n_aligned", "n_conflicting"}
+                          "n_aligned", "n_conflicting", "exact_err_conflicting",
+                          "exact_acc_aligned"}
 
 
 def mean_of_masks_report(predictions, labels, attributes) -> dict:
@@ -458,8 +466,9 @@ class TestSubgroupCounts:
             cfg = GenerativeConfig(n=2, d_I=4, d_T=3, p_spu=p_spu, sigma_xi=sigma_xi)
             dict_image, dict_text = dataset_dictionaries(cfg, seed=trial)
             M = random_matrix((4, 3), seed=trial)
-            want = mean_of_masks_report(*rows_from_counts(*stream_v3_draw(
-                hit_rates(M, cfg, dict_image, dict_text), trial, total)))
+            want = {**mean_of_masks_report(*rows_from_counts(*stream_v3_draw(
+                hit_rates(M, cfg, dict_image, dict_text), trial, total))),
+                    **exact_rates(M, cfg, dict_image, dict_text)}
             got = subgroup_accuracy(M, cfg, dict_image, dict_text, trial, total)
             assert _json_data(got) == want, trial
 
@@ -477,7 +486,8 @@ class TestSubgroupCounts:
                 break
         got = _json_data(subgroup_accuracy(M, cfg, dict_image, dict_text, seed, 1))
         assert got[empty] is None
-        assert got == mean_of_masks_report(*rows_from_counts(*draw))
+        assert got == {**mean_of_masks_report(*rows_from_counts(*draw)),
+                       **exact_rates(M, cfg, dict_image, dict_text)}
 
     def test_counts_partition_the_rows(self):
         ds = sample_dataset(GenerativeConfig(n=777, d_I=4, d_T=3), seed=4)
@@ -500,7 +510,8 @@ def stream_v1_counts(M, config, dict_image, dict_text, seed, total):
     counts = []
     for index, start in enumerate(range(0, total, CHUNK)):
         rng = substream(seed, STREAM_TEST, index)
-        z, y, a = sample_batch(ood_config(config), rng, min(CHUNK, total - start))
+        z, y, a = sample_batch(dataclasses.replace(config, p_spu=0.5), rng,
+                               min(CHUNK, total - start))
         x_image = embed(z, dict_image, config.sigma_xi, rng)
         counts.append(subgroup_counts(zero_shot_predict_batch(M, x_image, prompts), y, a))
     return [sum(column) for column in zip(*counts)]
@@ -673,7 +684,8 @@ class TestStreamV3Law:
         dict_image, dict_text = dataset_dictionaries(config, seed)
         M = AlignmentMatrix(dict_image.entries @ np.array([[1.0, 0.0], [0.0, 0.0]])
                             @ dict_text.entries.T)
-        err, acc = exact_subgroup_rates(M, config, dict_image, dict_text)
+        report = subgroup_accuracy(M, config, dict_image, dict_text, seed, 1)
+        err, acc = report.exact_err_conflicting, report.exact_acc_aligned
         # the score is z_inv: a conflicting sample is wrong when z_inv's sign flips
         with mpmath.workdps(40):
             tail = mpmath.ncdf(-scale)

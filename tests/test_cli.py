@@ -1,11 +1,15 @@
+import contextlib
 import dataclasses
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,10 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spurious_lens import (DiscreteConfig, GenerativeConfig, SimilarityTable, __version__,
-                           load_schema)
+from spurious_lens import (DiscreteConfig, GenerativeConfig, ParseError, SimilarityTable,
+                           __version__, load_schema)
 from spurious_lens import cli
 from spurious_lens.cli import main
+from spurious_lens.evaluation import load_points, load_predictions, load_similarities
 
 GAUSS_EXACT = {
     "sigma_inv": 1.0, "sigma_spu": 0.5, "mu_spu": 2.0, "p_spu": 0.95,
@@ -624,6 +629,97 @@ def test_config_digest_pinned(tmp_path):
         out = str(tmp_path / f"{argv[0]}.out")
         assert main(argv + ["--out", out]) == 0
         assert manifest_of(out)["config_digest"] == digest, argv[0]
+
+
+def test_input_files_are_digested_in_pieces(tmp_path):
+    data = np.random.default_rng(0).bytes(8_000_000)
+    path = tmp_path / "big.csv"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = cli._file_sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+@contextlib.contextmanager
+def fed_pipe(path: Path, data: bytes):
+    """(path, served): a named pipe at ``path`` whose first reader reads
+    ``data`` and any later one nothing, as from a stream that was used up,
+    and a list of what was written, empty while no reader has opened the
+    pipe.  A writer thread meets every open, so no read blocks a test."""
+    os.mkfifo(path)
+    done, served = threading.Event(), []
+
+    def feed():
+        chunk = data
+        while not done.is_set():
+            with contextlib.suppress(BrokenPipeError), open(path, "wb") as pipe:
+                if not done.is_set():
+                    served.append(chunk)
+                pipe.write(chunk)
+            chunk = b""
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield str(path), served
+    finally:
+        done.set()
+        while writer.is_alive():  # a writer waiting in open goes on once a reader opens
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(0.01)
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process, so that a read that hangs fails the test."""
+    return subprocess.run([sys.executable, "-m", "spurious_lens.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestPipedInput:
+    """A CSV input is read twice, so a pipe is refused before it is opened;
+    the config is read once, so a piped config works."""
+
+    @pytest.mark.parametrize("load,what,text", [
+        (load_predictions, "prediction", PREDICTIONS),
+        (load_similarities, "similarity", SIMILARITIES),
+        (load_points, "points", POINTS),
+    ], ids=["predictions", "similarities", "points"])
+    def test_loader_refuses_a_pipe(self, tmp_path, load, what, text):
+        with fed_pipe(tmp_path / "in.csv", text.encode()) as (pipe, served):
+            with pytest.raises(ParseError) as exc:
+                load(pipe)
+        assert str(exc.value) == f"{what} file {pipe}: a CSV input must be a regular file"
+        assert served == []
+
+    def test_missing_file_keeps_its_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_similarities(tmp_path / "absent.csv")
+
+    def test_cli_refuses_a_piped_csv(self, tmp_path):
+        out = tmp_path / "r.json"
+        with fed_pipe(tmp_path / "s.csv", SIMILARITIES.encode()) as (pipe, served):
+            proc = run_cli("confuse", "--similarities", pipe, "--k", "1", "--out", str(out))
+        assert proc.returncode == 2
+        assert served == []  # neither the loader nor the digest opened it
+        assert proc.stderr == (f"error: similarity file {pipe}: "
+                               "a CSV input must be a regular file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+    def test_cli_reads_a_piped_config(self, tmp_path):
+        config = json.dumps(GAUSS_EXACT)
+        outs = [tmp_path / "file.json", tmp_path / "pipe.json"]
+        assert main(["simulate-gaussian", "--config", write(tmp_path / "c.json", config),
+                     "--out", str(outs[0])]) == 0
+        with fed_pipe(tmp_path / "p.json", config.encode()) as (pipe, _):
+            proc = run_cli("simulate-gaussian", "--config", pipe, "--out", str(outs[1]))
+        assert proc.returncode == 0, proc.stderr
+        # a second read of the pipe would find it empty
+        assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 # The schema each shipped config is written against.

@@ -8,13 +8,14 @@ scale must give the points, the fitted line, the y = x reference and the
 tick values.
 """
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from spurious_lens import Point, Transform, effective_robustness_fit, render_fit_svg
-from spurious_lens.evaluation import transform_coordinates
+from spurious_lens.evaluation import FitLine, transform_coordinates
 
 WIDTH = HEIGHT = 480
 MARGIN = 56
@@ -84,3 +85,16 @@ def test_tick_labels_name_their_ticks(transform):
         assert float(label.get("x")) < float(tick.get("x1"))
         assert float(label.get("y")) - float(tick.get("y1")) == pytest.approx(3, abs=1e-3)
         assert float(label.text) == pytest.approx(value, abs=0.005 + tol)
+
+
+@pytest.mark.parametrize("fit,sha256", [
+    (FitLine(0.875, -0.125, Transform.LINEAR, 0.0234375),
+     "23a5b33a3f5c717c4d08c2a537550bc3c20e2cfe92a151fcece385d5b134c3de"),
+    (FitLine(1.125, -0.375, Transform.PROBIT, 0.046875),
+     "c91fb371472782d4c307a6e96827714c5f059b3b261791e6ecc209866ac7bea3"),
+], ids=["linear", "probit"])
+def test_svg_bytes_are_pinned(fit, sha256):
+    # the fit is given, not solved, so the bytes do not depend on the BLAS;
+    # the hashes pin every attribute, its order and each number's format
+    svg = render_fit_svg(POINTS, fit)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == sha256

@@ -17,7 +17,6 @@ from spurious_lens import (
     Mode,
     ParseError,
     asymptotic_minimizer,
-    ood_config,
     sample_dataset,
     subgroup_accuracy,
 )
@@ -271,16 +270,10 @@ class TestEmbed:
 
 
 class TestOOD:
-    def test_ood_config_only_changes_p_spu(self):
-        cfg = GenerativeConfig(p_spu=0.95, mu_spu=2.0, mode="TheoremExact")
-        ood = ood_config(cfg)
-        assert ood.p_spu == 0.5
-        assert dataclasses.replace(ood, p_spu=cfg.p_spu) == cfg
-
     def test_ood_batches_deterministic_and_distinct_from_train(self):
         cfg = GenerativeConfig(n=500, d_I=4, d_T=4)
         ds = sample_dataset(cfg, seed=9)
-        a, b = (sample_batch(ood_config(cfg), substream(9, STREAM_TEST), 500)
+        a, b = (sample_batch(dataclasses.replace(cfg, p_spu=0.5), substream(9, STREAM_TEST), 500)
                 for _ in range(2))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not np.array_equal(a[0], training_latents(cfg, seed=9))

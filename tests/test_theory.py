@@ -16,11 +16,11 @@ from spurious_lens import (
     InsufficientDataError,
     TheoryParams,
     asymptotic_minimizer,
-    exact_subgroup_rates,
     kappa1,
     kappa2,
     std_normal_cdf,
     std_normal_inv_cdf,
+    subgroup_accuracy,
     theorem_bounds,
     verify_theorem,
 )
@@ -225,7 +225,7 @@ EXACT_CFG = GenerativeConfig(sigma_inv=1.0, sigma_spu=0.5, mu_spu=2.0,
 
 
 class TestExactRates:
-    """exact_subgroup_rates gives the zero-shot rates of any matrix in closed
+    """subgroup_accuracy reports the zero-shot rates of any matrix in closed
     form; at sigma_xi = 0 and the asymptotic matrix they are the bounds."""
 
     @settings(max_examples=80, deadline=None)
@@ -240,8 +240,9 @@ class TestExactRates:
                                p_spu=p_spu, sigma_xi=0.0, d_I=16, d_T=16,
                                mode="TheoremExact")
         dict_image, dict_text = dataset_dictionaries(cfg, seed)
-        err, acc = exact_subgroup_rates(asymptotic_minimizer(cfg, dict_image, dict_text),
-                                        cfg, dict_image, dict_text)
+        report = subgroup_accuracy(asymptotic_minimizer(cfg, dict_image, dict_text),
+                                   cfg, dict_image, dict_text, seed, 1)
+        err, acc = report.exact_err_conflicting, report.exact_acc_aligned
         bounds = theorem_bounds(params_from_config(cfg))
         # the bounds are within about 1 unit of 2**-52 of the true value; the
         # rates reach their margins through the rounded matrix and the
@@ -255,8 +256,9 @@ class TestExactRates:
                                mode="TheoremExact")
         rep = verify_theorem(cfg, mc_samples=200_000, seed=0)
         dict_image, dict_text = dataset_dictionaries(cfg, 0)
-        exact = exact_subgroup_rates(asymptotic_minimizer(cfg, dict_image, dict_text),
-                                     cfg, dict_image, dict_text)
+        report = subgroup_accuracy(asymptotic_minimizer(cfg, dict_image, dict_text),
+                                   cfg, dict_image, dict_text, 0, 1)
+        exact = (report.exact_err_conflicting, report.exact_acc_aligned)
         assert (rep.exact_err_conflicting, rep.exact_acc_aligned) == exact
         # image noise the bounds leave out moves the rates off them, and the
         # Monte-Carlo follows the exact rates
