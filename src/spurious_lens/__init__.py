@@ -8,83 +8,28 @@ from importlib.resources import files as _files
 
 from .alignment import (
     AlignmentMatrix,
-    PromptEmbedding,
-    SubgroupReport,
     alignment_gap,
-    asymptotic_minimizer,
     clip_loss,
     clip_loss_gradient,
     empirical_minimizer,
     gradient_descent_minimizer,
-    latent_alignment_target,
-    population_alignment_target,
     prompt_embedding,
     std_normal_cdf,
-    subgroup_accuracy,
     zero_shot_predict_batch,
 )
-from .discrete import (
-    DiscreteConfig,
-    DiscreteDataset,
-    LinearClassifier,
-    MethodSummary,
-    Split,
-    SplitReport,
-    evaluate_splits,
-    run_discrete_experiment,
-    sample_discrete_dataset,
-    train_contrastive_perfect,
-    train_supervised,
-)
-from .errors import (
-    ConfigError,
-    DegenerateFitError,
-    DomainError,
-    InsufficientDataError,
-    NonconvergenceError,
-    ParseError,
-    ShapeError,
-    SpuriousLensError,
-)
+from .discrete import DiscreteConfig, run_discrete_experiment
 from .evaluation import (
-    EvalReport,
-    FitLine,
-    GroupSplit,
-    Group,
     Point,
     PredictionRecord,
-    PredictionTable,
-    SimilarityTable,
-    Transform,
     balanced_accuracy,
-    confusing_labels,
     discover_spurious,
     effective_robustness_fit,
     fmt_pct,
     group_report,
-    load_points,
-    load_predictions,
-    load_similarities,
     plain_accuracy,
 )
-from .svgplot import render_fit_svg
-from .synthetic import (
-    Dictionary,
-    GenerativeConfig,
-    Mode,
-    SyntheticDataset,
-    sample_dataset,
-)
-from .theory import (
-    TheoryBounds,
-    TheoryParams,
-    VerificationReport,
-    kappa1,
-    kappa2,
-    std_normal_inv_cdf,
-    theorem_bounds,
-    verify_theorem,
-)
+from .synthetic import GenerativeConfig, sample_dataset
+from .theory import kappa1, kappa2, verify_theorem
 
 __version__ = "0.1.0"
 

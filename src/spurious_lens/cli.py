@@ -128,6 +128,8 @@ def _run(args) -> int:
     as decoded and each input file by its SHA-256.  The files are digested
     after the subcommand has loaded them, so a loader's error comes first.
     """
+    if not Path(args.out).name:
+        raise ConfigError(f"--out {args.out!r} names no file")
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "config_type", "out", "svg")}
     inputs = [params[k] for k in ("config", *_INPUT_FILES) if k in params]

@@ -66,7 +66,11 @@ def load_config(cls, text: str):
     """
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ParseError:
+        raise
+    # a JSONDecodeError, an integer past Python's digit limit, or nesting
+    # deeper than the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("config JSON must be an object")

@@ -156,13 +156,15 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int,
 
     bounds = theorem_bounds(params_from_config(config))
     gap = None
-    dict_image, dict_text = dataset_dictionaries(config, seed)
     if config.mode is Mode.THEOREM_EXACT:
-        matrix = asymptotic_minimizer(config, dict_image, dict_text)
+        dicts = dataset_dictionaries(config, seed)
+        matrix = asymptotic_minimizer(config, *dicts)
     else:
-        matrix = empirical_minimizer(training_moments(config, seed), config.rho)
-        gap = alignment_gap(matrix, config, dict_image, dict_text)
-    report = subgroup_accuracy(matrix, config, dict_image, dict_text, seed, mc_samples)
+        train = training_moments(config, seed)
+        dicts = (train.dict_image, train.dict_text)
+        matrix = empirical_minimizer(train, config.rho)
+        gap = alignment_gap(matrix, config, *dicts)
+    report = subgroup_accuracy(matrix, config, *dicts, seed, mc_samples)
     n_aligned, n_conflicting = report.n_aligned, report.n_conflicting
     if n_aligned == 0 or n_conflicting == 0:
         raise InsufficientDataError("a Monte-Carlo subgroup came out empty")

@@ -13,33 +13,33 @@ from hypothesis import strategies as st
 
 from spurious_lens import (
     AlignmentMatrix,
-    ConfigError,
     GenerativeConfig,
-    InsufficientDataError,
-    Mode,
-    NonconvergenceError,
-    ShapeError,
     alignment_gap,
-    asymptotic_minimizer,
     clip_loss,
     clip_loss_gradient,
     empirical_minimizer,
     gradient_descent_minimizer,
-    latent_alignment_target,
-    population_alignment_target,
     prompt_embedding,
     sample_dataset,
     std_normal_cdf,
-    subgroup_accuracy,
     zero_shot_predict_batch,
 )
-from spurious_lens.alignment import _cell_margins
+from spurious_lens.alignment import (
+    _cell_margins,
+    asymptotic_minimizer,
+    latent_alignment_target,
+    population_alignment_target,
+    subgroup_accuracy,
+)
 from spurious_lens.cli import _json_data, main as cli_main
+from spurious_lens.errors import (ConfigError, InsufficientDataError, NonconvergenceError,
+                                  ShapeError)
 from spurious_lens.synthetic import (
     _CELLS,
     CHUNK,
     STREAM_SAMPLES,
     STREAM_TEST,
+    Mode,
     TrainingMoments,
     dataset_dictionaries,
     embed,

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spurious_lens import (DiscreteConfig, GenerativeConfig, ParseError, SimilarityTable,
-                           __version__, load_schema)
+from spurious_lens import DiscreteConfig, GenerativeConfig, __version__, load_schema
 from spurious_lens import cli
 from spurious_lens.cli import main
-from spurious_lens.evaluation import load_points, load_predictions, load_similarities
+from spurious_lens.errors import ParseError
+from spurious_lens.evaluation import (SimilarityTable, load_points, load_predictions,
+                                      load_similarities)
 
 GAUSS_EXACT = {
     "sigma_inv": 1.0, "sigma_spu": 0.5, "mu_spu": 2.0, "p_spu": 0.95,
@@ -549,6 +550,20 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": json.dumps({**GAUSS_EXACT, "d_I": 10**18})},
      ["verify-theorem", "--config", "c.json", "--out", "r.json"],
      2, "a d_I x d_T matrix would take"),
+    ({"p.csv": PREDICTIONS}, ["eval", "--predictions", "p.csv", "--out", ""], 2, "--out"),
+    ({"p.csv": POINTS_OK}, ["fit", "--points", "p.csv", "--out", "."], 2, "--out"),
+    ({"p.csv": POINTS_OK}, ["fit", "--points", "p.csv", "--out", "/"], 2, "--out"),
+    # the experiment itself fails on this config, so naming --out shows that
+    # the output path is checked before the subcommand runs
+    ({"c.json": json.dumps({**DISCRETE, "num_classes": 10**15, "n_train": 100})},
+     ["simulate-discrete", "--config", "c.json", "--out", ""], 2, "--out"),
+    ({"c.json": "[" * 100_000 + "]" * 100_000},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
+     2, "config is not valid JSON"),
+    # past Python's int-string digit limit where it has one (3.10.7 and later),
+    # out of n's range where it has none
+    ({"c.json": '{"n": ' + "9" * 5000 + "}"},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"], 2, "error: "),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
@@ -561,7 +576,9 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
         "verify-mc-impossible", "discrete-classes-unrepresentable",
         "discrete-colors-unrepresentable", "discrete-n-train-unrepresentable",
         "gaussian-d-image-unrepresentable", "gaussian-d-text-unrepresentable",
-        "verify-d-image-unrepresentable"])
+        "verify-d-image-unrepresentable", "eval-out-empty", "fit-out-dot",
+        "fit-out-root", "discrete-out-empty", "config-deep-nesting",
+        "config-int-too-long"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)

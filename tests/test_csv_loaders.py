@@ -18,10 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spurious_lens import ParseError, Point, PredictionTable, SimilarityTable, evaluation
+from spurious_lens import Point, evaluation
+from spurious_lens.errors import ParseError
 from spurious_lens.evaluation import (
     _GROUP_CODE,
     _PRED_FIXED,
+    PredictionTable,
+    SimilarityTable,
     load_points,
     load_predictions,
     load_similarities,

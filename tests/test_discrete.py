@@ -8,24 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spurious_lens import (
-    ConfigError,
-    DiscreteConfig,
+from spurious_lens import DiscreteConfig, run_discrete_experiment
+from spurious_lens import discrete
+from spurious_lens.cli import _json_data
+from spurious_lens.discrete import (
     DiscreteDataset,
-    InsufficientDataError,
     LinearClassifier,
-    NonconvergenceError,
-    ParseError,
     Split,
     SplitReport,
     evaluate_splits,
-    run_discrete_experiment,
     sample_discrete_dataset,
     train_contrastive_perfect,
     train_supervised,
 )
-from spurious_lens import discrete
-from spurious_lens.cli import _json_data
+from spurious_lens.errors import (ConfigError, InsufficientDataError, NonconvergenceError,
+                                  ParseError)
 from spurious_lens.inputs import load_config, read_text
 from spurious_lens.synthetic import MAX_SAMPLES
 

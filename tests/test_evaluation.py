@@ -7,33 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spurious_lens import (
-    ConfigError,
-    DegenerateFitError,
-    DomainError,
-    FitLine,
-    Group,
-    InsufficientDataError,
-    ParseError,
     Point,
     PredictionRecord,
-    PredictionTable,
-    SimilarityTable,
-    Transform,
     balanced_accuracy,
-    confusing_labels,
     discover_spurious,
     effective_robustness_fit,
     evaluation,
     fmt_pct,
     group_report,
+    plain_accuracy,
+    std_normal_cdf,
+)
+from spurious_lens.cli import _json_data, _serialize
+from spurious_lens.errors import (ConfigError, DegenerateFitError, DomainError,
+                                  InsufficientDataError, ParseError)
+from spurious_lens.evaluation import (
+    FitLine,
+    Group,
+    PredictionTable,
+    SimilarityTable,
+    Transform,
+    confusing_labels,
     load_points,
     load_predictions,
     load_similarities,
-    plain_accuracy,
-    std_normal_cdf,
-    std_normal_inv_cdf,
 )
-from spurious_lens.cli import _json_data, _serialize
+from spurious_lens.theory import std_normal_inv_cdf
 
 
 def records(label, n_correct, n_total, group="unassigned", background="",

@@ -7,6 +7,11 @@ A re-export in ``__init__.py`` is not a use, and neither is a unit test
 of the definition itself: code that only its own tests call is surface
 to delete.  Uses are found in the syntax tree as names, attributes and
 imported names.
+
+The top level re-exports only what the acceptance gate or the benchmark
+imports from ``spurious_lens``; every other definition is imported from its
+module.  ``__version__`` and ``load_schema`` are defined in ``__init__.py``
+itself, for the CLI and the benchmark.
 """
 
 import ast
@@ -50,3 +55,20 @@ def test_every_public_definition_has_a_user():
     unused = sorted(f"{module}.{name}" for name, module in defined.items()
                     if name not in used)
     assert not unused, f"public but read only by their own tests: {unused}"
+
+
+def test_every_top_level_name_has_a_user():
+    init = ROOT / "src" / "spurious_lens" / "__init__.py"
+    exported = {alias.asname or alias.name for node in _tree(init).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert "verify_theorem" in exported
+    imported = {alias.name
+                for path in [ROOT / "tests" / "test_acceptance.py",
+                             *sorted((ROOT / "benchmarks").glob("*.py"))]
+                for node in ast.walk(_tree(path))
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module == "spurious_lens"
+                for alias in node.names}
+    unused = sorted(exported - imported)
+    assert not unused, f"re-exported but not imported from the top level: {unused}"

@@ -14,8 +14,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spurious_lens import Point, Transform, effective_robustness_fit, render_fit_svg
-from spurious_lens.evaluation import FitLine, transform_coordinates
+from spurious_lens import Point, effective_robustness_fit
+from spurious_lens.evaluation import FitLine, Transform, transform_coordinates
+from spurious_lens.svgplot import render_fit_svg
 
 WIDTH = HEIGHT = 480
 MARGIN = 56

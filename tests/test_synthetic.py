@@ -10,24 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spurious_lens import (
-    ConfigError,
-    Dictionary,
-    GenerativeConfig,
-    Mode,
-    ParseError,
-    asymptotic_minimizer,
-    sample_dataset,
-    subgroup_accuracy,
-)
+from spurious_lens import GenerativeConfig, sample_dataset
 from spurious_lens import synthetic
+from spurious_lens.alignment import asymptotic_minimizer, subgroup_accuracy
 from spurious_lens.cli import _json_data
+from spurious_lens.errors import ConfigError, ParseError
 from spurious_lens.inputs import load_config
 from spurious_lens.synthetic import (
     CHUNK,
     MAX_SAMPLES,
     STREAM_SAMPLES,
     STREAM_TEST,
+    Dictionary,
+    Mode,
     dataset_dictionaries,
     embed,
     sample_batch,
@@ -108,6 +103,14 @@ class TestConfig:
     def test_from_json_rejects_invalid_json(self):
         with pytest.raises(ParseError):
             load_config(GenerativeConfig, "{not json")
+
+    @pytest.mark.parametrize("text,message", [
+        ("[" * 100_000 + "]" * 100_000, "^config is not valid JSON: "),
+        ('{"n": 100, "n": 5}', "^config field n is given more than once$"),
+    ], ids=["deep-nesting", "repeated-field"])
+    def test_from_json_names_the_fault(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_config(GenerativeConfig, text)
 
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ParseError):

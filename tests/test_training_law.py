@@ -15,15 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spurious_lens import (
-    GenerativeConfig,
-    alignment_gap,
-    empirical_minimizer,
-    latent_alignment_target,
-    population_alignment_target,
-    sample_dataset,
-)
+from spurious_lens import GenerativeConfig, alignment_gap, empirical_minimizer, sample_dataset
 from spurious_lens import synthetic
+from spurious_lens.alignment import latent_alignment_target, population_alignment_target
 from spurious_lens.synthetic import (
     MAX_SAMPLES,
     _bartlett,
