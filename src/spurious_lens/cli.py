@@ -124,12 +124,19 @@ def _file_sha256(path) -> str:
 def _run(args) -> int:
     """Decode the config, run the subcommand, then write its outputs and manifest.
 
+    An output path that names a directory (``--out``, its manifest or
+    ``--svg``) is refused before the subcommand runs.
+
     The digest covers every argument but the output paths, with the config
     as decoded and each input file by its SHA-256.  The files are digested
     after the subcommand has loaded them, so a loader's error comes first.
     """
     if not Path(args.out).name:
         raise ConfigError(f"--out {args.out!r} names no file")
+    manifest_path = str(Path(args.out).with_suffix(".manifest.json"))
+    for path in (args.out, manifest_path, getattr(args, "svg", None)):
+        if path and Path(path).is_dir():
+            raise ConfigError(f"output {path} is a directory")
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "config_type", "out", "svg")}
     inputs = [params[k] for k in ("config", *_INPUT_FILES) if k in params]
@@ -145,7 +152,6 @@ def _run(args) -> int:
     for name in _INPUT_FILES:
         if name in params:
             params[f"{name}_sha256"] = _file_sha256(params.pop(name))
-    manifest_path = str(Path(args.out).with_suffix(".manifest.json"))
     files = [(path, _serialize(path, payload)) for path, payload in outcome.outputs]
     files.append((manifest_path, _serialize(manifest_path, {
         "subcommand": args.subcommand,

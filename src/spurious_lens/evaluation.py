@@ -149,15 +149,33 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # module rows) at a time, so a load holds one piece, its cells, its result
 # and the sample ids.
 _BLOCK_CHARS = 1 << 14
+# Characters that send a text through csv.reader (see _read_csv).
+_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
 
 
 class _Block(NamedTuple):
     """Consecutive records of a CSV file: the first one's line number, each
-    one's cell count, and all their cells, record after record."""
+    one's cell count, and the records, each a line of text cut at its commas
+    only when its cells are asked for (``text``) or a csv module row."""
 
     line: int
     widths: list[int]
-    cells: list[str]
+    records: list[str] | list[list[str]]
+    text: bool
+
+    def cells(self) -> list[str]:
+        """All the records' cells, record after record."""
+        if not self.text:
+            return list(chain.from_iterable(self.records))
+        if self.records and "" not in self.records:
+            return ",".join(self.records).split(",")
+        # csv.reader reads an empty line as no cells, not as one empty cell
+        return [cell for record in self.records if record for cell in record.split(",")]
+
+    def rows(self, start: int, stop: int | None = None) -> _Block:
+        """The block of records ``start`` to ``stop``."""
+        return _Block(self.line + start, self.widths[start:stop], self.records[start:stop],
+                      self.text)
 
 
 def _at(line: int, message: str) -> ParseError:
@@ -171,12 +189,14 @@ def _read_csv(path, what: str) -> tuple[list[str], int, Iterator[_Block]]:
 
     The file is read twice, a piece of whole lines at a time.  The first
     pass decodes every piece, so a byte that is not UTF-8 is an error
-    before any row's, and keeps only counts.  The second parses: a text
-    with no quote, carriage return or NUL is cut at its newlines and split
-    at its commas, which gives the records csv.reader gives; any other text
-    goes through csv.reader.  A file that is not regular (a pipe cannot be
-    read twice), an empty file and a cell over the csv module's field size
-    limit are ParseErrors; ``what`` names the file in the first two."""
+    before any row's, and keeps only counts.  The second parses.  A plain
+    text, with no quote, carriage return, NUL or \\x1c-\\x1f, is cut at its
+    newlines into records whose commas cut the cells csv.reader gives; any
+    other text goes through csv.reader.  (numpy's text reader, which parses
+    the numbers of a plain text's records, strips \\x1c-\\x1f around a number,
+    where float() rejects them.)  A file that is not regular (a pipe cannot
+    be read twice), an empty file and a cell over the csv module's field
+    size limit are ParseErrors; ``what`` names the file in the first two."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise ParseError(f"{what} file {path}: a CSV input must be a regular file")
     chars, breaks, last, plain = 0, 0, "", True
@@ -186,17 +206,16 @@ def _read_csv(path, what: str) -> tuple[list[str], int, Iterator[_Block]]:
         if "\r" in piece:  # a \r not followed by \n ends a line too
             breaks += piece.count("\r") - piece.count("\r\n")
             plain = False
-        plain = plain and '"' not in piece and "\0" not in piece
+        plain = plain and not any(map(piece.__contains__, _NOT_PLAIN))
         last = piece[-1]
     if not chars:
         raise ParseError(f"{what} file is empty")
     pieces = read_pieces(path, _BLOCK_CHARS)
     blocks = _split_blocks(pieces, csv.field_size_limit()) if plain else _csv_blocks(pieces)
     first = next(blocks)
-    header = first.cells[:first.widths[0]]
+    header = first.rows(0, 1).cells()
     if len(first.widths) > 1:
-        rest = _Block(first.line + 1, first.widths[1:], first.cells[len(header):])
-        blocks = chain([rest], blocks)
+        blocks = chain([first.rows(1)], blocks)
     lines = breaks + (last not in "\r\n")  # a last line need not end in a break
     # each row of the header's width holds a comma less than its cells and
     # a line break, so the text's length bounds their number too
@@ -204,8 +223,7 @@ def _read_csv(path, what: str) -> tuple[list[str], int, Iterator[_Block]]:
 
 
 def _split_blocks(pieces: Iterator[str], limit: int) -> Iterator[_Block]:
-    """The records of a text with no quote, carriage return or NUL, a
-    piece at a time."""
+    """The records of a plain text (see _read_csv), a piece at a time."""
     line = 1
     for piece in pieces:
         lines = piece.removesuffix("\n").split("\n")
@@ -221,11 +239,9 @@ def _split_blocks(pieces: Iterator[str], limit: int) -> Iterator[_Block]:
 
 def _split_block(line: int, lines: list[str]) -> _Block:
     widths = [commas + 1 for commas in map(str.count, lines, repeat(","))]
-    if "" not in lines:
-        return _Block(line, widths, ",".join(lines).split(","))
-    # csv.reader reads an empty line as no cells, not as one empty cell
-    return _Block(line, [width if record else 0 for width, record in zip(widths, lines)],
-                  [cell for record in lines if record for cell in record.split(",")])
+    if "" in lines:  # an empty line has no cells
+        widths = [width if record else 0 for width, record in zip(widths, lines)]
+    return _Block(line, widths, lines, True)
 
 
 def _csv_blocks(pieces: Iterator[str]) -> Iterator[_Block]:
@@ -250,31 +266,32 @@ def _csv_blocks(pieces: Iterator[str]) -> Iterator[_Block]:
 
 
 def _rows_block(line: int, rows: list[list[str]]) -> _Block:
-    return _Block(line, list(map(len, rows)), list(chain.from_iterable(rows)))
+    return _Block(line, list(map(len, rows)), rows, False)
 
 
-def _data_rows(blocks: Iterator[_Block], width: int,
-               pad: bool) -> Iterator[tuple[int, int, list[str]]]:
-    """Each block's first line, row count and cells, ``width`` to a row.  A
-    block ends before its first row of the wrong width, whose error is
-    raised when the next block is asked for, so the rows before it are
-    checked first.  With ``pad`` a narrower row is filled out with empty
-    cells and only a wider one is wrong."""
+def _data_rows(blocks: Iterator[_Block], width: int, pad: bool) -> Iterator[_Block]:
+    """The blocks, with rows ``width`` cells wide.  A block ends before its
+    first row of the wrong width, whose error is raised when the next block
+    is asked for, so the rows before it are checked first.  With ``pad`` a
+    narrower row is filled out with empty cells and only a wider one is
+    wrong."""
     for block in blocks:
         if block.widths.count(width) == len(block.widths):
-            yield block.line, len(block.widths), block.cells
+            yield block
             continue
-        cells: list[str] = []
-        start = 0
-        for i, count in enumerate(block.widths):
-            if count > width or not pad and count < width:
-                yield block.line, i, cells
-                raise _at(block.line + i, "more cells than header columns" if pad
-                          else f"expected {width} cells, got {count}")
-            cells += block.cells[start:start + count]
-            cells += [""] * (width - count)
-            start += count
-        yield block.line, len(block.widths), cells
+        n = next((i for i, count in enumerate(block.widths)
+                  if count > width or not pad and count < width), len(block.widths))
+        good = block.rows(0, n)
+        if pad:
+            cells, start, rows = good.cells(), 0, []
+            for count in good.widths:
+                rows.append(cells[start:start + count] + [""] * (width - count))
+                start += count
+            good = _rows_block(good.line, rows)
+        yield good
+        if n < len(block.widths):
+            raise _at(block.line + n, "more cells than header columns" if pad
+                      else f"expected {width} cells, got {block.widths[n]}")
 
 
 def _raise_first(checks) -> None:
@@ -331,6 +348,37 @@ def _floats(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
         return values, bad
 
 
+def _numbers(block: _Block, width: int,
+             named: bool) -> tuple[list[str | None], np.ndarray, np.ndarray]:
+    """The block's first cells if ``named`` (else a None per row), and the
+    floats and mask of :func:`_floats` of its other cells.  Records of text
+    go to numpy's C reader, which parses a number with float()'s own
+    routine and makes no str per cell.  A block it rejects or reads to
+    another shape (say, for a cell such as ``1_0`` that float() accepts), a
+    block with a record empty after its name, and a block of csv module
+    rows go cell by cell."""
+    rows = len(block.widths)
+    if block.text and rows:
+        names, rests = [None] * rows, block.records
+        if named:
+            names, _, rests = zip(*map(str.partition, rests, repeat(",")))
+        # an empty record is no row to numpy, and no record is no data
+        if "" not in rests:
+            try:
+                values = np.loadtxt(rests, delimiter=",", comments=None, dtype=float,
+                                    ndmin=2)
+            except ValueError:
+                values = None
+            if values is not None and values.shape == (rows, width - named):
+                return list(names), values, np.zeros(rows, dtype=bool)
+    cells = block.cells()
+    if not named:
+        return [None] * rows, *_floats(cells, width)
+    names = cells[0::width]
+    del cells[0::width]
+    return names, *_floats(cells, width - 1)
+
+
 def load_predictions(path) -> PredictionTable:
     """Parse a prediction log; malformed rows are rejected by line number.
 
@@ -357,7 +405,8 @@ def load_predictions(path) -> PredictionTable:
     labels, backgrounds = _Codes({"": 0}), _Codes()  # label code 0 is an empty cell
     # each block's true label, group and background codes and ranks
     columns = tuple([np.empty(0, dtype=t)] for t in (np.intp, np.int8, np.intp, np.int64))
-    for line, n, cells in _data_rows(blocks, width, pad=True):
+    for block in _data_rows(blocks, width, pad=True):
+        line, n, cells = block.line, len(block.widths), block.cells()
         group = cells[2::width]
         ranked = [cells[j::width] for j in range(4, width)]
         pred = np.fromiter(map(labels.__getitem__, chain.from_iterable(ranked)),
@@ -631,10 +680,10 @@ def load_similarities(path) -> SimilarityTable:
     seen: set[str] = set()
     scores = np.empty((most, len(candidates)))
     rows = 0
-    for line, n, cells in _data_rows(blocks, width, pad=False):
-        new_ids = _add_ids(ids, seen, cells[0::width])
-        del cells[0::width]
-        values, non_numeric = _floats(cells, width - 1)
+    for block in _data_rows(blocks, width, pad=False):
+        line, n = block.line, len(block.widths)
+        names, values, non_numeric = _numbers(block, width, named=True)
+        new_ids = _add_ids(ids, seen, names)
         _raise_first([
             (new_ids, lambda i: _id_error(ids, line + i)),
             (non_numeric, lambda i: _at(line + i, "non-numeric score")),
@@ -692,11 +741,9 @@ def load_points(path) -> list[Point]:
         )
     width = len(header)
     points = []
-    for line, n, cells in _data_rows(blocks, width, pad=False):
-        names = cells[0::width] if named else [None] * n
-        if named:
-            del cells[0::width]
-        values, non_numeric = _floats(cells, 2)
+    for block in _data_rows(blocks, width, pad=False):
+        line = block.line
+        names, values, non_numeric = _numbers(block, width, named)
         _raise_first([
             (non_numeric, lambda i: _at(line + i, "non-numeric accuracy")),
             (~((values >= 0.0) & (values <= 1.0)).all(axis=1), lambda i: _at(

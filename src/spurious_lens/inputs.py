@@ -13,6 +13,7 @@ import dataclasses
 import enum
 import json
 import math
+import sys
 import types
 import typing
 from typing import Iterator
@@ -68,10 +69,12 @@ def load_config(cls, text: str):
         obj = json.loads(text, object_pairs_hook=_unique_keys)
     except ParseError:
         raise
-    # a JSONDecodeError, an integer past Python's digit limit, or nesting
-    # deeper than the recursion limit
-    except (ValueError, RecursionError) as exc:
+    # nesting deeper than the recursion limit is not valid JSON to us
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
+    except ValueError:  # an integer past Python's int-string digit limit
+        raise ParseError("config integer has more digits than the "
+                         f"{sys.get_int_max_str_digits()} allowed") from None
     if not isinstance(obj, dict):
         raise ParseError("config JSON must be an object")
     hints = typing.get_type_hints(cls)

@@ -602,6 +602,38 @@ def test_non_finite_result_exits_three_without_output(tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
 
+@pytest.mark.parametrize("argv,directory", [
+    (["simulate-discrete", "--config", "c.json", "--out", "d"], "d"),
+    (["simulate-discrete", "--config", "c.json", "--out", "t.csv"], "t.manifest.json"),
+    (["fit", "--points", "p.csv", "--out", "d"], "d"),
+    (["fit", "--points", "p.csv", "--svg", "d", "--out", "f.json"], "d"),
+], ids=["discrete-out", "discrete-manifest", "fit-out", "fit-svg"])
+def test_output_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                     argv, directory):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "c.json", DISCRETE)
+    write(tmp_path / "p.csv", POINTS)
+    (tmp_path / directory).mkdir()
+    ran = []
+    monkeypatch.setattr(cli, "run_discrete_experiment", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "load_points", lambda *args: ran.append(args))
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: output {directory} is a directory\n"
+    assert ran == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-string digit limit")
+def test_integer_past_the_digit_limit_names_the_limit(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", '{"n": ' + "9" * 5000 + "}")
+    assert main(["simulate-gaussian", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == (
+        f"error: config integer has more digits than the {limit} allowed\n")
+
+
 def test_config_digest_pinned(tmp_path):
     # the inputs of acceptance criterion 7; the digests predate the shared runner,
     # the two Gaussian ones date from the removal of the config fields h and latent_dim,

@@ -190,12 +190,14 @@ def reference_load_points(path):
 # ---------------------------------------------------------------- harness
 
 def _table(result):
-    """A loader's result as plain, comparable values."""
+    """A loader's result as plain, comparable values, each float as its
+    bits, so that two loaders must agree to the last bit (-0.0 is not 0.0)."""
     if isinstance(result, list):
-        return result
+        return [(p.name, *np.array([p.easy, p.hard]).view(np.int64).tolist())
+                for p in result]
     if isinstance(result, SimilarityTable):
         return (result.candidates, result.sample_ids, result.scores.shape,
-                result.scores.tolist())
+                result.scores.view(np.int64).tolist())
     return (result.labels, result.label.tolist(), result.group.tolist(),
             result.backgrounds, result.background.tolist(), result.rank.tolist())
 
@@ -409,10 +411,12 @@ def _peak(load, path) -> int:
 
 
 def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
-    """A load holds the text, its result, the sample ids and one block's
-    cells, with a prediction log's labels and backgrounds held as codes:
-    about 2x the file for a similarity table and 5x for a prediction log.
-    Splitting the whole file at once holds a string per cell: 12x and 20x.
+    """A load holds one piece of the text, its result and the sample ids,
+    with a prediction log's labels and backgrounds held as codes and a
+    block's cells only where numbers are not parsed from the records' text:
+    about 1.05x the file for a similarity table and 4.8x for a prediction
+    log.  Splitting the whole text into cells at once holds a string per
+    cell: 10x and 14x.
     Both files have half the rows of the benchmark's, to halve the time
     tracemalloc adds; the ratios do not depend on the row count."""
     rng = np.random.default_rng(0)
@@ -434,9 +438,9 @@ def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
 
 def test_peak_memory_of_a_similarity_load_is_its_scores(tmp_path):
     """A load holds one piece of the file at a time, never its whole text:
-    a 1000 x 1000 table peaks at its 8 MB of scores plus at most 1 MiB,
-    where its 8 MB of text would take 8 MB as bytes and as much again as a
-    str."""
+    a 1000 x 1000 table peaks at its 8 MB of scores plus at most 1 MiB
+    (0.40 MiB measured), where its 8 MB of text would take 8 MB as bytes
+    and as much again as a str."""
     rng = np.random.default_rng(1)
     path = tmp_path / "s.csv"
     path.write_text(
@@ -567,3 +571,109 @@ def test_read_text_and_the_csv_reader_name_the_same_line(tmp_path, monkeypatch, 
         with pytest.raises(ParseError) as pieces:
             evaluation._read_csv(path, "similarity")
         assert ("error", str(pieces.value), pieces.value.lines) == expected
+
+
+# ---------------------------------------------------------------- numeric path
+
+# What a number's cell is drawn from: float() and numpy's reader disagree on
+# some of these (``_``, \x1c-\x1f, non-ASCII digits and spaces), and the
+# rest make cells that both reject, both accept, or read as non-finite.
+TOKENS = (*"0123456789", "+", "-", ".", "e", "_", "#", "inf", "nan",
+          " ", "\t", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
+          "\xa0", "　", "١")
+PADDING = st.sampled_from(("", " ", "\t", "\x0b", "\x1c", "\x1f", "\xa0", "　"))
+NUMBER_CELLS = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=8).map("".join),
+    st.tuples(PADDING, st.floats(allow_nan=False).map(repr), PADDING).map("".join),
+    st.sampled_from(("0", "-0", "-0.0", "1e-320", "1e400", "0.1", "١.5", "1_000.5")),
+)
+
+
+@st.composite
+def numeric_tables(draw, kind):
+    """Text of a similarity table or points file whose numbers are drawn
+    from NUMBER_CELLS."""
+    if kind == "similarities":
+        width = draw(st.integers(1, 4))
+        rows = [["sample_id", *(f"c{j}" for j in range(width))]]
+        names = [f"q{i}" for i in range(draw(st.integers(1, 6)))]
+    else:
+        width, named = 2, draw(st.booleans())
+        rows = [["name", "easy", "hard"] if named else ["easy", "hard"]]
+        names = [f"m{i}" if named else None for i in range(draw(st.integers(1, 6)))]
+    for name in names:
+        numbers = draw(st.lists(NUMBER_CELLS, min_size=width, max_size=width))
+        rows.append(numbers if name is None else [name, *numbers])
+    return "\n".join(map(",".join, rows)) + draw(st.sampled_from(("", "\n")))
+
+
+@pytest.mark.parametrize("kind", ["similarities", "points"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numbers_are_float_bit_for_bit(kind, data):
+    text = data.draw(numeric_tables(kind), label="text")
+    block_chars = data.draw(st.sampled_from((1, 24, None)), label="block_chars")
+    assert_same_outcome(kind, text, block_chars)
+
+
+def refuse_cell_by_cell(monkeypatch):
+    """Make the per-cell fallback fail, so a load that passes never took it."""
+    def refuse(cells, width):
+        raise AssertionError("a plain numeric block was parsed cell by cell")
+    monkeypatch.setattr(evaluation, "_floats", refuse)
+
+
+def _table_text(rows: int, candidates: int, digits: int) -> str:
+    rng = np.random.default_rng(rows)
+    return ("sample_id," + ",".join(f"cand{j:04d}" for j in range(candidates)) + "\n"
+            + "".join(f"q{i:05d}," + ",".join(f"{v:.{digits}f}" for v in
+                                              rng.normal(0.2, 0.05, candidates)) + "\n"
+                      for i in range(rows)))
+
+
+@pytest.mark.parametrize("text,block_chars", [
+    # the header fills the first 16 KiB read, so the first piece has no data row
+    (_table_text(6, 1000, 5), None),
+    # each record is longer than one read
+    (_table_text(3, 2000, 6), None),
+    (_table_text(3, 20, 6), 40),
+    # one candidate: numpy reads each record as a one-column row
+    ("sample_id,cat\nq1,0.5\nq2,-0.0\nq3,1e-5\n", None),
+    ("sample_id,cat\nq1,0.5\nq2,-0.0\nq3,1e-5\n", 1),
+])
+def test_plain_numeric_table_never_goes_cell_by_cell(monkeypatch, text, block_chars):
+    refuse_cell_by_cell(monkeypatch)
+    assert assert_same_outcome("similarities", text, block_chars)[0] == "table"
+
+
+@pytest.mark.parametrize("text", [
+    "easy,hard\n0.5,0.25\n1,0\n",
+    "name,easy,hard\nm1,0.5,0.25\nm2,1e-3,-0.0\n",
+])
+def test_plain_points_never_go_cell_by_cell(monkeypatch, text):
+    refuse_cell_by_cell(monkeypatch)
+    assert assert_same_outcome("points", text)[0] == "table"
+
+
+@pytest.mark.parametrize("kind,text,expected", [
+    # an empty rest is no row to numpy: its record goes cell by cell
+    ("similarities", "sample_id,cat\nq1,0.5\nq2,\nq3,0.5\n", "line 3: non-numeric score"),
+    ("similarities", "sample_id,cat\nq1,\n", "line 2: non-numeric score"),
+    ("similarities", "sample_id,cat,dog\nq1,0.5,0.5\nq2,,\n", "line 3: non-numeric score"),
+    # a cell of spaces only is no number to either reader
+    ("similarities", "sample_id,cat,dog\nq1,0.5, \n", "line 2: non-numeric score"),
+    ("similarities", "sample_id,cat\nq1,\t\n", "line 2: non-numeric score"),
+    ("points", "easy,hard\n0.5, \n", "line 2: non-numeric accuracy"),
+    # numpy strips \x1c-\x1f around a number, float() does not
+    ("similarities", "sample_id,cat\nq1,0.5\x1c\n", "line 2: non-numeric score"),
+    ("points", "name,easy,hard\nm1,\x1f0.5,0.5\n", "line 2: non-numeric accuracy"),
+    # float() reads these, numpy's reader does not
+    ("similarities", "sample_id,cat,dog\nq1,1_0.5,١.5\n", "table"),
+    ("points", "easy,hard\n0_0.5,٠.5\n", "table"),
+])
+def test_cells_the_readers_disagree_on(kind, text, expected):
+    outcome = assert_same_outcome(kind, text)
+    if expected == "table":
+        assert outcome[0] == "table"
+    else:
+        assert outcome[0] == "error" and expected in outcome[1]
