@@ -74,9 +74,10 @@ _INPUT_FILES = ("predictions", "similarities", "points")
 
 
 class _Outcome(NamedTuple):
-    """What a subcommand produced: (path, JSON payload or text) pairs."""
+    """What a subcommand produced: a JSON payload or text for each of its
+    output files, in the order of :func:`_output_paths`."""
 
-    outputs: list[tuple[str, object]]
+    payloads: list[object]
     seed: int = 0
     exit_code: int = 0
 
@@ -121,11 +122,22 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _output_paths(args) -> list[str]:
+    """The files a subcommand writes besides its manifest: ``--out``, and
+    the JSON summary of simulate-discrete or the SVG of fit."""
+    if args.subcommand == "simulate-discrete":
+        return [args.out, str(Path(args.out).with_suffix(".json"))]
+    if args.subcommand == "fit":
+        return [args.out, args.svg or str(Path(args.out).with_suffix(".svg"))]
+    return [args.out]
+
+
 def _run(args) -> int:
     """Decode the config, run the subcommand, then write its outputs and manifest.
 
-    An output path that names a directory (``--out``, its manifest or
-    ``--svg``) is refused before the subcommand runs.
+    An output path that names a directory (``--out``, its manifest, or a
+    file derived from the arguments such as fit's default SVG) is refused
+    before the subcommand runs.
 
     The digest covers every argument but the output paths, with the config
     as decoded and each input file by its SHA-256.  The files are digested
@@ -133,9 +145,10 @@ def _run(args) -> int:
     """
     if not Path(args.out).name:
         raise ConfigError(f"--out {args.out!r} names no file")
+    paths = _output_paths(args)
     manifest_path = str(Path(args.out).with_suffix(".manifest.json"))
-    for path in (args.out, manifest_path, getattr(args, "svg", None)):
-        if path and Path(path).is_dir():
+    for path in (args.out, manifest_path, *paths[1:]):
+        if Path(path).is_dir():
             raise ConfigError(f"output {path} is a directory")
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "config_type", "out", "svg")}
@@ -152,13 +165,14 @@ def _run(args) -> int:
     for name in _INPUT_FILES:
         if name in params:
             params[f"{name}_sha256"] = _file_sha256(params.pop(name))
-    files = [(path, _serialize(path, payload)) for path, payload in outcome.outputs]
+    files = [(path, _serialize(path, payload))
+             for path, payload in zip(paths, outcome.payloads, strict=True)]
     files.append((manifest_path, _serialize(manifest_path, {
         "subcommand": args.subcommand,
         "config_digest": _digest(params),
         "seed": outcome.seed,
         "version": __version__,
-        "outputs": [path for path, _ in outcome.outputs],
+        "outputs": paths,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     })))
     seen = {Path(p).resolve(): f"input {p}" for p in inputs}
@@ -182,13 +196,13 @@ def _run(args) -> int:
 def cmd_verify_theorem(args) -> _Outcome:
     report = verify_theorem(args.config, args.mc, args.seed, args.tol)
     print(format_report_table(args.config, report), file=sys.stderr)
-    return _Outcome([(args.out, {
+    return _Outcome([{
         "config": args.config,
         "seed": args.seed,
         "mc_stream": MC_STREAM,
         "train_stream": TRAIN_STREAM,
         **_json_data(report),
-    })], args.seed, 0 if report.passed else 1)
+    }], args.seed, 0 if report.passed else 1)
 
 
 def cmd_simulate_gaussian(args) -> _Outcome:
@@ -205,7 +219,7 @@ def cmd_simulate_gaussian(args) -> _Outcome:
     }
     report = subgroup_accuracy(matrix, config, *dicts, args.seed, config.n)
     print(f"acc_overall {fmt_pct(report.acc_overall)}%", file=sys.stderr)
-    return _Outcome([(args.out, {
+    return _Outcome([{
         **_json_data(report),
         "alignment": alignment,
         "mc_stream": MC_STREAM,
@@ -214,7 +228,7 @@ def cmd_simulate_gaussian(args) -> _Outcome:
         "n_test": config.n,
         "config": config,
         "seed": args.seed,
-    })], args.seed)
+    }], args.seed)
 
 
 def _pct_cell(mean: float, std: float) -> str:
@@ -238,13 +252,13 @@ def cmd_simulate_discrete(args) -> _Outcome:
             rest,
         ])
     return _Outcome([
-        (args.out, table.getvalue()),
-        (str(Path(args.out).with_suffix(".json")), {
+        table.getvalue(),
+        {
             "config": config,
             "n_seeds": args.seeds,
             "summaries": summaries,
             "per_seed": per_seed,
-        }),
+        },
     ], config.seed)
 
 
@@ -256,7 +270,7 @@ def cmd_eval(args) -> _Outcome:
         f"drop {fmt_pct(report.balanced_drop)} pp",
         file=sys.stderr,
     )
-    return _Outcome([(args.out, report)])
+    return _Outcome([report])
 
 
 def cmd_discover(args) -> _Outcome:
@@ -267,38 +281,35 @@ def cmd_discover(args) -> _Outcome:
         f"skipped {len(split.skipped)}",
         file=sys.stderr,
     )
-    return _Outcome([(args.out, split)])
+    return _Outcome([split])
 
 
 def cmd_confuse(args) -> _Outcome:
     table = load_similarities(args.similarities)
     top = confusing_labels(table, args.k)
-    means = {name: float(score)
-             for name, score in zip(table.candidates, table.scores.mean(axis=0))}
-    return _Outcome([(args.out, {
+    return _Outcome([{
         "k": args.k,
         "labels": top,
-        "mean_scores": means,
-        "n_samples": len(table.sample_ids),
-    })])
+        "mean_scores": dict(zip(table.candidates, table.means.tolist())),
+        "n_samples": table.n_samples,
+    }])
 
 
 def cmd_fit(args) -> _Outcome:
     points = load_points(args.points)
     fit = effective_robustness_fit(points, args.transform)
-    svg_path = args.svg or str(Path(args.out).with_suffix(".svg"))
     print(
         f"{fit.transform.value} fit: slope {fit.slope:.4f} "
         f"intercept {fit.intercept:.4f}",
         file=sys.stderr,
     )
     return _Outcome([
-        (args.out, {
+        {
             **_json_data(fit),
             "n_points": len(points),
             "points": points,
-        }),
-        (svg_path, render_fit_svg(points, fit)),
+        },
+        render_fit_svg(points, fit),
     ])
 
 

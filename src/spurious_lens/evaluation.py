@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import operator
 import os
 import re
 import stat
+import warnings
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import Iterator, NamedTuple
@@ -147,10 +149,10 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # CSV files are read in pieces of whole lines from reads of this many bytes,
 # and their records checked a piece (or about this many characters of csv
 # module rows) at a time, so a load holds one piece, its cells, its result
-# and the sample ids.
+# and a hash of each sample id.
 _BLOCK_CHARS = 1 << 14
 # Characters that send a text through csv.reader (see _read_csv).
-_NOT_PLAIN = '"\0\x1c\x1d\x1e\x1f'
+_NOT_PLAIN = '"\r\0\x1c\x1d\x1e\x1f'
 
 
 class _Block(NamedTuple):
@@ -182,33 +184,28 @@ def _at(line: int, message: str) -> ParseError:
     return ParseError(f"line {line}: {message}", lines=(line,))
 
 
-def _read_csv(path, what: str) -> tuple[list[str], int, Iterator[_Block]]:
-    """The header row, at most how many data rows as wide as it follow it,
-    and the data rows in blocks, read lazily.  Lines number the records
-    from 1.
+def _read_csv(path, what: str) -> tuple[list[str], Iterator[_Block]]:
+    """The header row and the data rows in blocks, read lazily.  Lines
+    number the records from 1.
 
     The file is read twice, a piece of whole lines at a time.  The first
     pass decodes every piece, so a byte that is not UTF-8 is an error
-    before any row's, and keeps only counts.  The second parses.  A plain
-    text, with no quote, carriage return, NUL or \\x1c-\\x1f, is cut at its
-    newlines into records whose commas cut the cells csv.reader gives; any
-    other text goes through csv.reader.  (numpy's text reader, which parses
-    the numbers of a plain text's records, strips \\x1c-\\x1f around a number,
-    where float() rejects them.)  A file that is not regular (a pipe cannot
-    be read twice), an empty file and a cell over the csv module's field
-    size limit are ParseErrors; ``what`` names the file in the first two."""
+    before any row's, and keeps only whether the text is plain.  The second
+    parses.  A plain text, with no quote, carriage return, NUL or
+    \\x1c-\\x1f, is cut at its newlines into records whose commas cut the
+    cells csv.reader gives; any other text goes through csv.reader.  (numpy's
+    text reader, which parses the numbers of a plain text's records, strips
+    \\x1c-\\x1f around a number, where float() rejects them.)  A file that is
+    not regular (a pipe cannot be read twice), an empty file and a cell over
+    the csv module's field size limit are ParseErrors; ``what`` names the
+    file in the first two."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise ParseError(f"{what} file {path}: a CSV input must be a regular file")
-    chars, breaks, last, plain = 0, 0, "", True
+    empty, plain = True, True
     for piece in read_pieces(path, _BLOCK_CHARS):
-        chars += len(piece)
-        breaks += piece.count("\n")
-        if "\r" in piece:  # a \r not followed by \n ends a line too
-            breaks += piece.count("\r") - piece.count("\r\n")
-            plain = False
+        empty = False
         plain = plain and not any(map(piece.__contains__, _NOT_PLAIN))
-        last = piece[-1]
-    if not chars:
+    if empty:
         raise ParseError(f"{what} file is empty")
     pieces = read_pieces(path, _BLOCK_CHARS)
     blocks = _split_blocks(pieces, csv.field_size_limit()) if plain else _csv_blocks(pieces)
@@ -216,10 +213,7 @@ def _read_csv(path, what: str) -> tuple[list[str], int, Iterator[_Block]]:
     header = first.rows(0, 1).cells()
     if len(first.widths) > 1:
         blocks = chain([first.rows(1)], blocks)
-    lines = breaks + (last not in "\r\n")  # a last line need not end in a break
-    # each row of the header's width holds a comma less than its cells and
-    # a line break, so the text's length bounds their number too
-    return header, min(lines - 1, chars // max(len(header), 1)), blocks
+    return header, blocks
 
 
 def _split_blocks(pieces: Iterator[str], limit: int) -> Iterator[_Block]:
@@ -294,41 +288,80 @@ def _data_rows(blocks: Iterator[_Block], width: int, pad: bool) -> Iterator[_Blo
                       else f"expected {width} cells, got {block.widths[n]}")
 
 
-def _raise_first(checks) -> None:
+def _raise_first(checks, ids: _SampleIds | None = None) -> None:
     """Raise the error of the first failing row.  ``checks`` pairs each
     check's per-row failure mask with the ParseError of a row index, in the
-    order the checks apply to one row."""
+    order the checks apply to one row.  With ``ids``, whose latest rows the
+    masks are of, the first check is the empty sample_id check, and a
+    repeated sample_id on a row up to the failing one comes first."""
     failed = np.column_stack([mask for mask, _ in checks])
     if failed.any():
         row, check = divmod(int(failed.argmax()), len(checks))
+        if ids is not None:  # the row itself counts unless its id is empty
+            ids.check(ids.start + row + (check > 0))
         raise checks[check][1](row)
 
 
-def _add_ids(ids: list[str], seen: set[str], new: list[str]) -> np.ndarray:
-    """Append the next rows' sample ids to ``ids``, the file's so far in row
-    order, and to their set ``seen``; the mask of the rows whose id is empty
-    or came before."""
-    start, distinct = len(ids), len(seen)
-    ids += new
-    seen.update(new)
-    if len(seen) == distinct + len(new) and "" not in seen:
-        return np.zeros(len(new), dtype=bool)
-    first: dict[str, int] = {}
-    for row, sample_id in enumerate(ids):
-        first.setdefault(sample_id, row)
-    return np.array([not sample_id or first[sample_id] < row
-                     for row, sample_id in enumerate(new, start)], dtype=bool)
+# The hash a sample id is kept as; equal hashes are compared as strings.
+_id_hash = hash
 
 
-def _id_error(ids: list[str], line: int) -> ParseError:
-    """The error of the row at ``line`` whose sample_id _add_ids rejected;
-    the data rows are the lines from 2 on."""
-    sample_id = ids[line - 2]
-    if not sample_id:
-        return _at(line, "empty sample_id")
-    first = ids.index(sample_id) + 2
-    return ParseError(f"duplicate sample_id {sample_id!r} at lines {first} and {line}",
-                      lines=(first, line))
+class _SampleIds:
+    """The sample ids of a CSV file's data rows, kept as one 8-byte hash
+    each, in row order.  ``path``, ``what``, ``width`` and ``pad`` say how
+    to read the file again (see _read_csv and _data_rows): only when two
+    hashes are equal are the ids read as strings."""
+
+    def __init__(self, path, what: str, width: int, pad: bool):
+        self.source = path, what, width, pad
+        self.hashes = [np.empty(0, dtype=np.int64)]
+        self.start = self.rows = 0  # the latest ids' first row, and the row count
+
+    def add(self, names) -> np.ndarray:
+        """Take the next rows' sample ids; the mask of the empty ones."""
+        n = len(names)
+        self.hashes.append(np.fromiter(map(_id_hash, names), dtype=np.int64, count=n))
+        self.start, self.rows = self.rows, self.rows + n
+        if "" not in names:
+            return np.zeros(n, dtype=bool)
+        return np.fromiter(map(operator.not_, names), dtype=bool, count=n)
+
+    def checked(self, blocks: Iterator[_Block]) -> Iterator[_Block]:
+        """The blocks; an error raised between two of them comes after any
+        repeated sample_id of the rows before it."""
+        try:
+            yield from blocks
+        except ParseError:
+            self.check(self.rows)
+            raise
+
+    def check(self, rows: int) -> None:
+        """Raise the error of the first row, of the first ``rows`` (none of
+        them with an empty id), whose sample_id an earlier row has."""
+        hashes = np.concatenate(self.hashes)[:rows]
+        ranked = np.sort(hashes)
+        equal = ranked[1:] == ranked[:-1]
+        if not equal.any():
+            return
+        suspect = np.isin(hashes, ranked[1:][equal])
+        first: dict[str, int] = {}
+        for row, sample_id in self._ids(suspect):
+            if first.setdefault(sample_id, row) != row:
+                lines = first[sample_id] + 2, row + 2  # data rows are the lines from 2 on
+                raise ParseError(f"duplicate sample_id {sample_id!r} at lines {lines[0]} "
+                                 f"and {lines[1]}", lines=lines)
+
+    def _ids(self, wanted: np.ndarray) -> Iterator[tuple[int, str]]:
+        """Each wanted row and its sample id, read from the file again."""
+        path, what, width, pad = self.source
+        _, blocks = _read_csv(path, what)
+        rows = _data_rows(blocks, width, pad)
+        start = 0
+        while start < len(wanted):  # and no further: a later row may be malformed
+            names = next(rows).cells()[0::width]
+            for i in np.flatnonzero(wanted[start:start + len(names)]).tolist():
+                yield start + i, names[i]
+            start += len(names)
 
 
 def _floats(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +419,7 @@ def load_predictions(path) -> PredictionTable:
     A row may rank fewer than K labels by leaving trailing cells empty;
     pred_1 itself must never be empty.
     """
-    header, _, blocks = _read_csv(path, "prediction")
+    header, blocks = _read_csv(path, "prediction")
     if tuple(header[: len(_PRED_FIXED)]) != _PRED_FIXED:
         raise ParseError(
             f"header must start with {','.join(_PRED_FIXED)}, got {','.join(header)}",
@@ -400,12 +433,11 @@ def load_predictions(path) -> PredictionTable:
             lines=(1,),
         )
     width = len(header)
-    ids: list[str] = []
-    seen: set[str] = set()
+    ids = _SampleIds(path, "prediction", width, pad=True)
     labels, backgrounds = _Codes({"": 0}), _Codes()  # label code 0 is an empty cell
     # each block's true label, group and background codes and ranks
     columns = tuple([np.empty(0, dtype=t)] for t in (np.intp, np.int8, np.intp, np.int64))
-    for block in _data_rows(blocks, width, pad=True):
+    for block in ids.checked(_data_rows(blocks, width, pad=True)):
         line, n, cells = block.line, len(block.widths), block.cells()
         group = cells[2::width]
         ranked = [cells[j::width] for j in range(4, width)]
@@ -417,7 +449,7 @@ def load_predictions(path) -> PredictionTable:
         filled = pred != 0
         ordered = np.sort(pred, axis=1)
         _raise_first([
-            (_add_ids(ids, seen, cells[0::width]), lambda i: _id_error(ids, line + i)),
+            (ids.add(cells[0::width]), lambda i: _at(line + i, "empty sample_id")),
             (true == 0, lambda i: _at(line + i, "empty true_label")),
             (group_code < 0, lambda i: _at(
                 line + i, f"group must be easy/hard/unassigned, got {group[i]!r}")),
@@ -426,13 +458,14 @@ def load_predictions(path) -> PredictionTable:
              lambda i: _at(line + i, "ranked predictions have a gap")),
             (((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != 0)).any(axis=1),
              lambda i: _at(line + i, "duplicate labels in ranked predictions")),
-        ])
+        ], ids)
         hit = pred == true[:, None]
         background = np.fromiter(map(backgrounds.__getitem__, cells[3::width]),
                                  dtype=np.intp, count=n)
         rank = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK)
         for column, codes in zip(columns, (true, group_code, background, rank)):
             column.append(codes)
+    ids.check(ids.rows)
     return _encode(labels, backgrounds, *map(np.concatenate, columns))
 
 
@@ -649,25 +682,32 @@ def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
 
 @dataclass(frozen=True)
 class SimilarityTable:
-    """Per-sample scores of one class's images against candidate labels."""
+    """The mean score of each candidate label over the samples of one
+    class's images."""
 
     candidates: tuple[str, ...]
-    sample_ids: tuple[str, ...]
-    scores: np.ndarray
+    n_samples: int
+    means: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=float)
-        object.__setattr__(self, "scores", s)
-        if s.ndim != 2 or s.shape != (len(self.sample_ids), len(self.candidates)):
+        means = np.asarray(self.means, dtype=float)
+        object.__setattr__(self, "means", means)
+        if means.shape != (len(self.candidates),):
             raise ConfigError(
-                f"scores shape {s.shape} does not match "
-                f"{len(self.sample_ids)} samples x {len(self.candidates)} candidates"
+                f"means shape {means.shape} does not match {len(self.candidates)} candidates"
             )
 
 
 def load_similarities(path) -> SimilarityTable:
-    """Parse a similarity CSV: header sample_id,<cand_1>,...,<cand_C>."""
-    header, most, blocks = _read_csv(path, "similarity")
+    """Parse a similarity CSV: header sample_id,<cand_1>,...,<cand_C>.
+
+    The means are those of numpy's ``mean(axis=0)`` over the score matrix,
+    to the bit, from one row of column sums: numpy adds the rows of a
+    matrix of two or more columns in order, so each block's rows are added
+    to the sums in file order.  One column numpy sums pairwise, so a table
+    of one candidate keeps its column of scores.  An overflow of the sums
+    is left to :func:`confusing_labels`, after every row is checked."""
+    header, blocks = _read_csv(path, "similarity")
     if len(header) < 2 or header[0] != "sample_id":
         raise ParseError(
             "header must be sample_id,<candidate_1>,...,<candidate_C>", lines=(1,)
@@ -676,33 +716,40 @@ def load_similarities(path) -> SimilarityTable:
     if len(set(candidates)) != len(candidates):
         raise ParseError("duplicate candidate labels in header", lines=(1,))
     width = len(header)
-    ids: list[str] = []
-    seen: set[str] = set()
-    scores = np.empty((most, len(candidates)))
-    rows = 0
-    for block in _data_rows(blocks, width, pad=False):
-        line, n = block.line, len(block.widths)
+    ids = _SampleIds(path, "similarity", width, pad=False)
+    sums, column = None, []
+    for block in ids.checked(_data_rows(blocks, width, pad=False)):
+        line = block.line
         names, values, non_numeric = _numbers(block, width, named=True)
-        new_ids = _add_ids(ids, seen, names)
         _raise_first([
-            (new_ids, lambda i: _id_error(ids, line + i)),
+            (ids.add(names), lambda i: _at(line + i, "empty sample_id")),
             (non_numeric, lambda i: _at(line + i, "non-numeric score")),
             (~np.isfinite(values).all(axis=1), lambda i: _at(line + i, "non-finite score")),
-        ])
-        scores[rows:rows + n] = values
-        rows += n
-    if not rows:
+        ], ids)
+        if len(candidates) == 1:
+            column.append(values)
+        elif len(values):
+            with np.errstate(over="ignore"):
+                if sums is not None:
+                    values[0] += sums
+                sums = np.add.reduce(values, axis=0, out=sums)
+    ids.check(ids.rows)
+    if not ids.rows:
         raise ParseError("similarity file has no data rows")
-    return SimilarityTable(
-        candidates=candidates, sample_ids=tuple(ids), scores=scores[:rows]
-    )
+    if column:
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = np.concatenate(column).mean(axis=0)
+    else:
+        means = sums / ids.rows
+    return SimilarityTable(candidates=candidates, n_samples=ids.rows, means=means)
 
 
 def confusing_labels(similarities: SimilarityTable, k: int = 20) -> list[str]:
     """Top-k candidate labels by mean score over all samples, descending.
 
     Easy and hard samples are pooled with equal per-sample weight; ties
-    break lexicographically.
+    break lexicographically.  An infinite mean, the overflow of finite
+    scores' sum, is warned of as numpy's mean warns of it.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -710,9 +757,11 @@ def confusing_labels(similarities: SimilarityTable, k: int = 20) -> list[str]:
         raise ConfigError(
             f"k = {k} exceeds the {len(similarities.candidates)} candidates"
         )
-    means = similarities.scores.mean(axis=0)
+    if np.isinf(similarities.means).any():
+        warnings.warn("overflow encountered in reduce", RuntimeWarning, stacklevel=2)
     order = sorted(
-        zip(similarities.candidates, means), key=lambda item: (-item[1], item[0])
+        zip(similarities.candidates, similarities.means.tolist()),
+        key=lambda item: (-item[1], item[0]),
     )
     return [name for name, _ in order[:k]]
 
@@ -730,7 +779,7 @@ def load_points(path) -> list[Point]:
     Accuracies are fractions; a value that is not finite or lies outside
     [0, 1] is rejected with its line.
     """
-    header, _, blocks = _read_csv(path, "points")
+    header, blocks = _read_csv(path, "points")
     if header == ["easy", "hard"]:
         named = False
     elif header == ["name", "easy", "hard"]:

@@ -33,25 +33,30 @@ def read_pieces(path, size: int) -> Iterator[str]:
     splits no UTF-8 sequence and no \\r\\n, so a piece decodes, or fails to,
     as its bytes do in the whole file."""
     with open(path, "rb") as file:
-        line, carry = 1, bytearray()
+        start, carry = 0, bytearray()  # the byte offset of carry in the file
         while chunk := file.read(size):
             cut = chunk.rfind(b"\n") + 1
             carry += memoryview(chunk)[:cut] if cut else chunk
             if cut:
-                yield _decode(carry, line)
-                line += carry.count(b"\n")
+                yield _decode(carry, file, start)
+                start += len(carry)
                 carry = bytearray(memoryview(chunk)[cut:])
         if carry:
-            yield _decode(carry, line)
+            yield _decode(carry, file, start)
 
 
-def _decode(piece: bytearray, line: int) -> str:
-    """The piece, whose first line is line ``line`` of the file, as strict
-    UTF-8."""
+def _decode(piece: bytearray, file, start: int) -> str:
+    """The piece, which starts at byte ``start`` of ``file``, as strict
+    UTF-8.  Only a piece that does not decode has its line found: the
+    newlines before it are counted by reading the file again up to it."""
     try:
         return piece.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line += piece.count(b"\n", 0, exc.start)
+        line = 1 + piece.count(b"\n", 0, exc.start)
+        file.seek(0)
+        while start > 0 and (chunk := file.read(min(start, 1 << 16))):
+            line += chunk.count(b"\n")
+            start -= len(chunk)
         raise ParseError(f"line {line}: not valid UTF-8 ({exc.reason})",
                          lines=(line,)) from None
 

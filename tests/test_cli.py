@@ -594,7 +594,7 @@ def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
 def test_non_finite_result_exits_three_without_output(tmp_path, monkeypatch, capsys):
     sims = write(tmp_path / "s.csv", SIMILARITIES)
     monkeypatch.setattr(cli, "load_similarities", lambda path: SimilarityTable(
-        candidates=("cat", "dog"), sample_ids=("s1",), scores=[[float("nan"), 0.5]]))
+        candidates=("cat", "dog"), n_samples=1, means=[float("nan"), 0.5]))
     rc = main(["confuse", "--similarities", sims, "--k", "1",
                "--out", str(tmp_path / "c.json")])
     assert rc == 3
@@ -605,9 +605,12 @@ def test_non_finite_result_exits_three_without_output(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("argv,directory", [
     (["simulate-discrete", "--config", "c.json", "--out", "d"], "d"),
     (["simulate-discrete", "--config", "c.json", "--out", "t.csv"], "t.manifest.json"),
+    (["simulate-discrete", "--config", "c.json", "--out", "t.csv"], "t.json"),
     (["fit", "--points", "p.csv", "--out", "d"], "d"),
     (["fit", "--points", "p.csv", "--svg", "d", "--out", "f.json"], "d"),
-], ids=["discrete-out", "discrete-manifest", "fit-out", "fit-svg"])
+    (["fit", "--points", "p.csv", "--out", "f.json"], "f.svg"),
+], ids=["discrete-out", "discrete-manifest", "discrete-summary", "fit-out", "fit-svg",
+        "fit-default-svg"])
 def test_output_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
                                                      argv, directory):
     monkeypatch.chdir(tmp_path)

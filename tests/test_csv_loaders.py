@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spurious_lens import Point, evaluation
+from spurious_lens import Point, cli, evaluation
 from spurious_lens.errors import ParseError
 from spurious_lens.evaluation import (
     _GROUP_CODE,
@@ -159,7 +159,7 @@ def reference_load_similarities(path):
             raise ParseError(f"line {line}: non-finite score", lines=(line,))
         scores.append(values)
     return SimilarityTable(
-        candidates=candidates, sample_ids=tuple(seen), scores=np.array(scores)
+        candidates=candidates, n_samples=len(scores), means=np.array(scores).mean(axis=0)
     )
 
 
@@ -196,8 +196,7 @@ def _table(result):
         return [(p.name, *np.array([p.easy, p.hard]).view(np.int64).tolist())
                 for p in result]
     if isinstance(result, SimilarityTable):
-        return (result.candidates, result.sample_ids, result.scores.shape,
-                result.scores.view(np.int64).tolist())
+        return (result.candidates, result.n_samples, result.means.view(np.int64).tolist())
     return (result.labels, result.label.tolist(), result.group.tolist(),
             result.backgrounds, result.background.tolist(), result.rank.tolist())
 
@@ -339,7 +338,7 @@ def both_paths(text):
     return [text, '"' + text.replace(",", '",', 1)]
 
 
-@pytest.mark.parametrize("kind,text,message", [
+EDGE_CASES = [
     ("similarities", SIMILARITIES + "\ns3,0.1,0.2\n", "line 4: expected 3 cells, got 0"),
     ("points", "easy,hard\n0.5,0.5\n\n", "line 3: expected 2 cells, got 0"),
     ("predictions", PREDICTIONS + "\n", "line 5: empty sample_id"),
@@ -367,7 +366,23 @@ def both_paths(text):
     ("predictions", PREDICTIONS.replace("wolf,bear", "wolf,wolf"),
      "line 3: duplicate labels in ranked predictions"),
     ("predictions", PREDICTIONS + "a1,fox,easy,snow,fox,\n", "at lines 2 and 5"),
-])
+    # a repeated id before a width error, which comes between blocks of rows
+    ("similarities", SIMILARITIES + "s1,0.1,0.2\ns3,0.1\n", "'s1' at lines 2 and 4"),
+    ("predictions", PREDICTIONS + "a2,fox,easy,snow,fox\na5,fox,easy,snow,a,b,c\n",
+     "'a2' at lines 3 and 5"),
+    # an empty id is no repeat of an earlier one, nor of a later one
+    ("similarities", SIMILARITIES + ",0.1,0.2\n,0.3,0.4\n", "line 4: empty sample_id"),
+    ("similarities", SIMILARITIES + ",0.1,0.2\ns1,0.3,0.4\n", "line 4: empty sample_id"),
+    ("similarities", SIMILARITIES + "s1,0.1,0.2\n,0.3,0.4\n", "'s1' at lines 2 and 4"),
+    ("predictions", PREDICTIONS + "a1,fox,easy,snow,fox\n,fox,easy,snow,fox\n",
+     "'a1' at lines 2 and 5"),
+    # the first repeat by line, though another id's first copy comes before it
+    ("similarities", SIMILARITIES + "s3,0.1,0.2\ns2,0.1,0.2\ns1,0.1,0.2\ns3,0,0\n",
+     "'s2' at lines 3 and 5"),
+]
+
+
+@pytest.mark.parametrize("kind,text,message", EDGE_CASES)
 @pytest.mark.parametrize("block_chars", [1, None], ids=["row_blocks", "default_blocks"])
 def test_edge_cases_match_row_reader(kind, text, message, block_chars):
     for variant in both_paths(text):
@@ -401,30 +416,35 @@ def test_empty_lines_under_a_wide_header_allocate_no_table():
 
 # ---------------------------------------------------------------- memory
 
-def _peak(load, path) -> int:
+def _peak(call, arg) -> int:
     tracemalloc.start()
     try:
-        load(path)
+        call(arg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
-    """A load holds one piece of the text, its result and the sample ids,
-    with a prediction log's labels and backgrounds held as codes and a
-    block's cells only where numbers are not parsed from the records' text:
-    about 1.05x the file for a similarity table and 4.8x for a prediction
-    log.  Splitting the whole text into cells at once holds a string per
-    cell: 10x and 14x.
-    Both files have half the rows of the benchmark's, to halve the time
-    tracemalloc adds; the ratios do not depend on the row count."""
+def _scores_file(path, rows: int):
+    """A similarity table of 1000 candidates, every row with the same scores."""
     rng = np.random.default_rng(0)
     row = ",".join(f"{v:.5f}" for v in rng.normal(0.2, 0.05, 1000))
-    similarities = tmp_path / "s.csv"
-    similarities.write_text(
+    path.write_text(
         "sample_id," + ",".join(f"cand{j:04d}" for j in range(1000)) + "\n"
-        + "".join(f"q{i:05d},{row}\n" for i in range(1000)), encoding="utf-8")
+        + "".join(f"q{i:05d},{row}\n" for i in range(rows)), encoding="utf-8")
+    return path
+
+
+def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    """A load holds one piece of the text, its result and an 8-byte hash
+    per sample id, with a prediction log's labels and backgrounds held as
+    codes and a block's cells only where numbers are not parsed from the
+    records' text: about 0.05x the file for a similarity table, whose
+    result is a row of means, and 1.8x for a prediction log.  Splitting
+    the whole text into cells at once holds a string per cell: 10x and 14x.
+    Both files have half the rows of the benchmark's, to halve the time
+    tracemalloc adds; the ratios do not depend on the row count."""
+    similarities = _scores_file(tmp_path / "s.csv", 1000)
     labels = [f"c{c:03d}" for c in range(200)]
     predictions = tmp_path / "p.csv"
     predictions.write_text(
@@ -432,24 +452,35 @@ def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
         + "".join(f"s{i:06d},{labels[i % 200]},{('easy', 'hard')[i % 2]},bg{i % 4},"
                   + ",".join(labels[(i + j) % 200] for j in range(5)) + "\n"
                   for i in range(25_000)), encoding="utf-8")
-    assert _peak(load_similarities, similarities) <= 3 * similarities.stat().st_size
-    assert _peak(load_predictions, predictions) <= 6 * predictions.stat().st_size
+    assert _peak(load_similarities, similarities) <= 0.2 * similarities.stat().st_size
+    assert _peak(load_predictions, predictions) <= 2.5 * predictions.stat().st_size
 
 
-def test_peak_memory_of_a_similarity_load_is_its_scores(tmp_path):
-    """A load holds one piece of the file at a time, never its whole text:
-    a 1000 x 1000 table peaks at its 8 MB of scores plus at most 1 MiB
-    (0.40 MiB measured), where its 8 MB of text would take 8 MB as bytes
-    and as much again as a str."""
+def test_peak_memory_of_a_similarity_load_is_one_piece(tmp_path):
+    """A load holds one piece of the file at a time and a row of column
+    sums, never the whole text or the score matrix: a 1000 x 1000 table,
+    whose scores take 8 MB, peaks at most at 512 KiB (0.38 MiB measured)."""
     rng = np.random.default_rng(1)
     path = tmp_path / "s.csv"
     path.write_text(
         "sample_id," + ",".join(f"cand{j:04d}" for j in range(1000)) + "\n"
         + "".join(f"q{i:05d}," + ",".join(f"{v:.5f}" for v in rng.normal(0.2, 0.05, 1000))
                   + "\n" for i in range(1000)), encoding="utf-8")
-    scores = load_similarities(path).scores
-    assert scores.shape == (1000, 1000)
-    assert _peak(load_similarities, path) <= scores.nbytes + (1 << 20)
+    table = load_similarities(path)
+    assert table.n_samples == 1000 and table.means.shape == (1000,)
+    assert _peak(load_similarities, path) <= 512 << 10
+
+
+def test_peak_memory_of_confuse_does_not_grow_with_the_rows(tmp_path):
+    """The confuse subcommand, from parsing to its report and manifest,
+    peaks under 1 MiB (0.58 MiB measured), and 4000 rows take at most
+    256 KiB more than 1000 (0.02 MiB measured): 8 bytes a row."""
+    peaks = [_peak(cli.main, ["confuse", "--similarities",
+                              str(_scores_file(tmp_path / f"s{rows}.csv", rows)),
+                              "--out", str(tmp_path / f"c{rows}.json")])
+             for rows in (1000, 4000)]
+    assert max(peaks) <= 1 << 20
+    assert peaks[1] - peaks[0] <= 256 << 10
 
 
 # ---------------------------------------------------------------- piece boundaries
@@ -495,6 +526,24 @@ def test_a_bad_byte_in_a_later_piece_comes_before_a_bad_row_in_an_earlier_one():
             outcome = same_outcome_of_bytes("similarities", data, block_chars)
             assert outcome == _utf8_error(data) == (
                 "error", "line 25: not valid UTF-8 (invalid start byte)", (25,))
+
+
+def test_a_bad_byte_several_pieces_in_is_numbered_by_its_line(tmp_path):
+    """The newlines before a bad byte are counted from the file only when it
+    fails to decode, here up to 300 pieces in, and past 64 KiB of text."""
+    for rows in (40, 6000):
+        data = (SIMILARITIES.encode("utf-8")
+                + b"".join(b"t%d,0.1,0.2\n" % i for i in range(rows)) + b"u1,0.\xff,0.3\n")
+        path = tmp_path / f"s{rows}.csv"
+        path.write_bytes(data)
+        expected = _utf8_error(data)
+        assert expected[2] == (rows + 4,)
+        for size in (*EVERY_CUT, 1 << 14):
+            with pytest.raises(ParseError) as err:
+                list(read_pieces(path, size))
+            assert ("error", str(err.value), err.value.lines) == expected
+        for block_chars in (1, 40, None):
+            assert same_outcome_of_bytes("similarities", data, block_chars) == expected
 
 
 @pytest.mark.parametrize("kind,text,expected", [
@@ -549,9 +598,9 @@ def test_a_line_longer_than_many_pieces():
             + "s1," + ",".join(cells) + "\ns2," + ",".join(cells[::-1]) + "\n")
     for variant in both_paths(text):
         for block_chars in (7, 1000, None):
-            kind, (candidates, ids, shape, _) = assert_same_outcome(
+            kind, (candidates, n_samples, means) = assert_same_outcome(
                 "similarities", variant, block_chars)
-            assert kind == "table" and ids == ("s1", "s2") and shape == (2, 2000)
+            assert kind == "table" and n_samples == 2 and len(means) == 2000
 
 
 @pytest.mark.parametrize("data", [
@@ -677,3 +726,99 @@ def test_cells_the_readers_disagree_on(kind, text, expected):
         assert outcome[0] == "table"
     else:
         assert outcome[0] == "error" and expected in outcome[1]
+
+
+# ---------------------------------------------------------------- means
+
+# What a score is drawn from: finite values of every magnitude, signed zeros
+# and a subnormal, so that the order of the additions shows in the bits.
+def _scores(rng, shape) -> np.ndarray:
+    values = rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-320, 300, shape)
+    special = rng.random(shape) < 0.1
+    values[special] = rng.choice((-0.0, 0.0, 1e-320, -1e-320, 1.0), special.sum())
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(candidates=st.sampled_from((1, 2, 3, 40)), rows=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1), block_chars=st.sampled_from((1, 24, 1 << 14)))
+def test_means_are_numpy_means_bit_for_bit(candidates, rows, seed, block_chars):
+    """The means of the column sums are the reference's
+    ``np.array(rows).mean(axis=0)`` to the bit: one candidate's summed
+    pairwise as numpy sums a column, two or more a row at a time."""
+    rows = min(rows, 6000 // candidates)
+    scores = _scores(np.random.default_rng(seed), (rows, candidates))
+    text = ("sample_id," + ",".join(f"c{j}" for j in range(candidates)) + "\n"
+            + "".join(f"q{i}," + ",".join(map(repr, row)) + "\n"
+                      for i, row in enumerate(scores.tolist())))
+    kind, (_, n_samples, means) = assert_same_outcome("similarities", text, block_chars)
+    assert kind == "table" and n_samples == rows
+    assert means == scores.mean(axis=0).view(np.int64).tolist()
+
+
+OVERFLOW = ("s0,1e308,1e308\ns1,1e308,1e308\n"
+            + "".join(f"t{i},0.5,0.5\n" for i in range(4000)))
+
+
+@pytest.mark.parametrize("candidates", [1, 2])
+def test_an_overflow_of_the_sums_comes_after_every_row(tmp_path, capsys, candidates):
+    """Finite scores whose column sums overflow exit 3 with numpy's message,
+    but only once every row is checked: a bad row in a later piece is
+    reported, as it was when the sums were taken after the load."""
+    header = "sample_id," + ",".join(f"c{j}" for j in range(candidates)) + "\n"
+    rows = OVERFLOW if candidates == 2 else re.sub(",[^,\n]*\n", "\n", OVERFLOW)
+    path = tmp_path / "s.csv"
+    argv = ["confuse", "--similarities", str(path), "--k", "1",
+            "--out", str(tmp_path / "c.json")]
+    path.write_text(header + rows, encoding="utf-8")
+    assert path.stat().st_size > 2 * evaluation._BLOCK_CHARS
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: overflow encountered in reduce\n"
+    path.write_text(header + rows + "bad,x" + ",0.5" * (candidates - 1) + "\n",
+                    encoding="utf-8")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: line 4004: non-numeric score\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+# ---------------------------------------------------------------- sample id hashes
+
+def _with_equal_hashes(check):
+    """``check()`` with every sample id hashed to one value, so that every
+    pair of rows is checked by reading the file's ids again."""
+    saved = evaluation._id_hash
+    evaluation._id_hash = lambda sample_id: 7
+    try:
+        return check()
+    finally:
+        evaluation._id_hash = saved
+
+
+@pytest.mark.parametrize("kind,text,message", EDGE_CASES)
+def test_equal_hashes_change_no_outcome(kind, text, message):
+    for variant in both_paths(text):
+        for block_chars in (1, 24, None):
+            outcome = assert_same_outcome(kind, variant, block_chars)
+            assert _with_equal_hashes(
+                lambda: assert_same_outcome(kind, variant, block_chars)) == outcome
+
+
+def test_equal_hashes_before_a_reader_error():
+    limit = csv.field_size_limit()
+    text = PREDICTIONS + "a1,fox,easy,snow,fox\na9,fox,easy,snow," + "f" * (limit + 1) + "\n"
+    for variant in both_paths(text):
+        for check in (lambda: assert_same_outcome("predictions", variant),
+                      lambda: _with_equal_hashes(
+                          lambda: assert_same_outcome("predictions", variant))):
+            assert check() == ("error", "duplicate sample_id 'a1' at lines 2 and 5", (2, 5))
+
+
+@pytest.mark.parametrize("kind", ["predictions", "similarities"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_equal_hashes_change_no_outcome_of_random_files(kind, data):
+    text = data.draw(csv_files(kind), label="text")
+    block_chars = data.draw(st.sampled_from((1, 24, 1 << 14)), label="block_chars")
+    outcome = assert_same_outcome(kind, text, block_chars, LIMIT)
+    assert _with_equal_hashes(
+        lambda: assert_same_outcome(kind, text, block_chars, LIMIT)) == outcome

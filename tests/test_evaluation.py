@@ -568,8 +568,9 @@ class TestSimilarities:
     def test_valid_file(self, tmp_path):
         table = load_similarities(write_csv(tmp_path / "s.csv", VALID_SIMILARITIES))
         assert table.candidates == ("cat", "dog", "fish")
-        assert table.sample_ids == ("s1", "s2", "s3")
-        assert table.scores.shape == (3, 3)
+        assert table.n_samples == 3
+        assert table.means.tolist() == np.array(
+            [[0.9, 0.5, 0.1], [0.8, 0.6, 0.2], [0.7, 0.7, 0.0]]).mean(axis=0).tolist()
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError) as err:
@@ -629,15 +630,13 @@ class TestSimilarities:
 
     def test_table_shape_validation(self):
         with pytest.raises(ConfigError):
-            SimilarityTable(candidates=("a",), sample_ids=("s",),
-                            scores=np.zeros((2, 2)))
+            SimilarityTable(candidates=("a",), n_samples=1, means=np.zeros(2))
 
 
 class TestConfusingLabels:
+    SCORES = np.array([[0.9, 0.5, 0.1], [0.8, 0.6, 0.2], [0.7, 0.7, 0.0]])
     TABLE = SimilarityTable(
-        candidates=("cat", "dog", "fish"),
-        sample_ids=("s1", "s2", "s3"),
-        scores=np.array([[0.9, 0.5, 0.1], [0.8, 0.6, 0.2], [0.7, 0.7, 0.0]]),
+        candidates=("cat", "dog", "fish"), n_samples=3, means=SCORES.mean(axis=0),
     )
 
     def test_top_two_by_mean(self):
@@ -648,16 +647,25 @@ class TestConfusingLabels:
 
     def test_order_invariant_to_positive_scaling(self):
         scaled = SimilarityTable(candidates=self.TABLE.candidates,
-                                 sample_ids=self.TABLE.sample_ids,
-                                 scores=self.TABLE.scores * 7.0)
+                                 n_samples=self.TABLE.n_samples,
+                                 means=(self.SCORES * 7.0).mean(axis=0))
         assert confusing_labels(scaled, k=3) == confusing_labels(self.TABLE, k=3)
 
     def test_ties_break_lexicographically(self):
         table = SimilarityTable(
-            candidates=("zebra", "ant"), sample_ids=("s1",),
-            scores=np.array([[0.5, 0.5]]),
+            candidates=("zebra", "ant"), n_samples=1,
+            means=np.array([[0.5, 0.5]]).mean(axis=0),
         )
         assert confusing_labels(table, k=2) == ["ant", "zebra"]
+
+    def test_an_infinite_mean_warns_as_numpy_mean_did(self):
+        # the loader's means are infinite only where finite scores' sum overflowed
+        table = SimilarityTable(candidates=("cat", "dog"), n_samples=2,
+                                means=[np.inf, 0.5])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+            assert confusing_labels(table, k=1) == ["cat"]
+        with pytest.raises(ConfigError):
+            confusing_labels(table, k=0)  # an invalid k comes first
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
