@@ -39,7 +39,7 @@ from .alignment import (
     population_alignment_target,
     subgroup_accuracy,
 )
-from .discrete import DiscreteConfig, run_discrete_experiment
+from .discrete import TRAIN_SCHEDULE, DiscreteConfig, run_discrete_experiment
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -258,6 +258,7 @@ def cmd_simulate_discrete(args) -> _Outcome:
             "n_seeds": args.seeds,
             "summaries": summaries,
             "per_seed": per_seed,
+            "train_schedule": TRAIN_SCHEDULE,
         },
     ], config.seed)
 

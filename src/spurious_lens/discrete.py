@@ -2,10 +2,10 @@
 
 Samples are noisy object one-hots concatenated with color one-hots.  Two
 training routes are compared: a plain supervised k-way classifier over the
-full feature vector, and a contrastive stand-in that jointly classifies
-object and color with separate linear heads (a perfect language side makes
-the contrastive task equivalent to that pair of classification tasks).
-Zero-shot prediction always reads the object head alone.
+full feature vector, and a contrastive stand-in.  A perfect language side
+makes the contrastive task an object and a color classification with
+separate linear heads and an additive loss, so the heads share nothing and
+the object head, which zero-shot prediction reads, trains alone.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ _TAG_INIT_CON = 21
 
 # Step-size halvings allowed within one descent step before giving up.
 _MAX_HALVINGS = 40
+
+# Version of the trainers' step schedule, echoed in simulate-discrete's JSON;
+# 2 descends the contrastive object head alone, 1 jointly with a color head.
+TRAIN_SCHEDULE = 2
 
 
 class Split(str, enum.Enum):
@@ -241,40 +245,31 @@ def _descend(loss_grad, w0: np.ndarray, epochs: int, step_size: float) -> np.nda
     return w
 
 
-def train_supervised(data: DiscreteDataset, epochs: int = 400, step_size: float = 2.0,
-                     *, rng: np.random.Generator) -> LinearClassifier:
-    """k-way logistic regression on the full feature vector, full-batch GD from 0.01 * N(0, 1)."""
+def _train_object_head(data: DiscreteDataset, epochs: int, step_size: float,
+                       rng: np.random.Generator) -> LinearClassifier:
+    """Object cross-entropy by full-batch GD from 0.01 * N(0, 1) drawn from rng."""
     features, objects = data.features, data.object_labels
     w0 = 0.01 * rng.standard_normal((data.config.num_classes, features.shape[1]))
-    weights = _descend(lambda w: _ce_loss_grad(w, features, objects),
-                       w0, epochs, step_size)
-    return LinearClassifier(weights)
+    return LinearClassifier(_descend(lambda w: _ce_loss_grad(w, features, objects),
+                                     w0, epochs, step_size))
+
+
+def train_supervised(data: DiscreteDataset, epochs: int = 400, step_size: float = 2.0,
+                     *, rng: np.random.Generator) -> LinearClassifier:
+    """k-way logistic regression on the full feature vector."""
+    return _train_object_head(data, epochs, step_size, rng)
 
 
 def train_contrastive_perfect(data: DiscreteDataset, epochs: int = 400,
                               step_size: float = 2.0, *, rng: np.random.Generator
-                              ) -> tuple[LinearClassifier, LinearClassifier]:
-    """Joint object + color classification over shared fixed features.
+                              ) -> LinearClassifier:
+    """The object head of contrastive training with a perfect language side.
 
-    Returns ``(object_head, color_head)``; zero-shot prediction reads the
-    object head alone.  The two cross-entropies add with equal weight and
-    the heads share no parameters, so the object head follows exactly the
-    supervised trajectory up to the shared step-size schedule.  The start
-    is one draw from rng whose first k rows are the object head, so a
-    generator seeded as the supervised trainer's gives that trainer's start.
+    The contrastive loss is then the object cross-entropy plus a color
+    cross-entropy over disjoint heads, so the object head descends the
+    supervised problem alone.  No report reads the color head; it is not trained.
     """
-    features, objects, colors = data.features, data.object_labels, data.color_labels
-    k, c = data.config.num_classes, data.config.num_colors
-    d = features.shape[1]
-    w0 = 0.01 * rng.standard_normal((k + c, d))
-
-    def loss_grad(w):
-        lo, go = _ce_loss_grad(w[:k], features, objects)
-        lc, gc = _ce_loss_grad(w[k:], features, colors)
-        return lo + lc, np.vstack([go, gc])
-
-    weights = _descend(loss_grad, w0, epochs, step_size)
-    return LinearClassifier(weights[:k]), LinearClassifier(weights[k:])
+    return _train_object_head(data, epochs, step_size, rng)
 
 
 @dataclass(frozen=True)
@@ -378,8 +373,8 @@ def run_discrete_experiment(config: DiscreteConfig, n_seeds: int,
         rand = sample_discrete_dataset(config, Split.RAND, seed, size=n_test)
         rev = sample_discrete_dataset(config, Split.REV, seed, size=n_test)
         sup = train_supervised(train, epochs, step_size, rng=substream(seed, _TAG_INIT_SUP))
-        con, _ = train_contrastive_perfect(train, epochs, step_size,
-                                           rng=substream(seed, _TAG_INIT_CON))
+        con = train_contrastive_perfect(train, epochs, step_size,
+                                        rng=substream(seed, _TAG_INIT_CON))
         reports["supervised"].append(evaluate_splits("supervised", sup, rand, rev))
         reports["contrastive"].append(evaluate_splits("contrastive", con, rand, rev))
     summaries = [_summarize(method, runs) for method, runs in reports.items()]

@@ -15,6 +15,7 @@ import operator
 import os
 import re
 import stat
+import statistics
 import warnings
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
@@ -30,7 +31,6 @@ from .errors import (
     ParseError,
 )
 from .inputs import read_pieces
-from .theory import std_normal_inv_cdf
 
 
 class Group(str, enum.Enum):
@@ -635,13 +635,15 @@ def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
     n_bg = len(table.backgrounds)
     # Count only the (class, background) cells that occur: a log with a
     # background per row would otherwise need rows x rows counters.
-    cells, cell = np.unique(table.label * n_bg + table.background, return_inverse=True)
-    totals = np.bincount(cell, minlength=len(cells)).tolist()
-    hit_counts = np.bincount(cell[_top_k(table, k)], minlength=len(cells)).tolist()
+    code = table.label * n_bg + table.background
+    cells, totals = np.unique(code, return_counts=True)
+    hit_cells, hits_per_cell = np.unique(code[_top_k(table, k)], return_counts=True)
+    hit_counts = np.zeros_like(totals)
+    hit_counts[np.searchsorted(cells, hit_cells)] = hits_per_cell
     qualifying: list[list[tuple[str, int, int]]] = [[] for _ in table.labels]
-    for code, hit, count in zip(cells.tolist(), hit_counts, totals):
+    for cell, hit, count in zip(cells.tolist(), hit_counts.tolist(), totals.tolist()):
         if count >= min_count:
-            label, background = divmod(code, n_bg)
+            label, background = divmod(cell, n_bg)
             qualifying[label].append((table.backgrounds[background], hit, count))
     flagged = []
     unflagged = []
@@ -811,6 +813,13 @@ class FitLine:
     intercept: float
     transform: Transform
     residual_rms: float
+
+
+def std_normal_inv_cdf(p: float) -> float:
+    """Inverse standard normal CDF; defined only on the open unit interval."""
+    if math.isnan(p) or not 0.0 < p < 1.0:
+        raise DomainError(f"inverse normal CDF needs p in (0, 1), got {p}")
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def transform_coordinates(points, transform: Transform | str):

@@ -10,7 +10,6 @@ exact rates of the matrix it scored next to them.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 from .alignment import (
@@ -22,15 +21,6 @@ from .alignment import (
 )
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .synthetic import MAX_SAMPLES, GenerativeConfig, Mode, dataset_dictionaries, training_moments
-
-_NORMAL = statistics.NormalDist()
-
-
-def std_normal_inv_cdf(p: float) -> float:
-    """Inverse standard normal CDF; defined only on the open unit interval."""
-    if math.isnan(p) or not 0.0 < p < 1.0:
-        raise DomainError(f"inverse normal CDF needs p in (0, 1), got {p}")
-    return _NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)

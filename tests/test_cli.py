@@ -301,6 +301,7 @@ class TestSimulateDiscrete:
         sidecar = read_json(Path(out).with_suffix(".json"))
         check_schema(sidecar, "discrete_summary")
         assert sidecar["n_seeds"] == 2
+        assert sidecar["train_schedule"] == 2
         manifest = manifest_of(out)
         check_schema(manifest, "run_manifest")
         assert set(manifest["outputs"]) == {out, str(Path(out).with_suffix(".json"))}

@@ -24,7 +24,7 @@ from spurious_lens.discrete import (
 from spurious_lens.errors import (ConfigError, InsufficientDataError, NonconvergenceError,
                                   ParseError)
 from spurious_lens.inputs import load_config, read_text
-from spurious_lens.synthetic import MAX_SAMPLES
+from spurious_lens.synthetic import MAX_SAMPLES, substream
 
 BASE = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -292,29 +292,19 @@ class TestLossAndTraining:
         acc = (model.predict(data.features) == data.object_labels).mean()
         assert acc >= 0.99
 
-    def test_color_head_learns_exact_color_block(self):
-        cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9,
-                             n_train=600, feature_noise=0.0)
-        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=5)
-        _, color_head = train_contrastive_perfect(data, epochs=400,
-                                                  rng=np.random.default_rng(0))
-        pred = color_head.predict(data.features)
-        assert (pred == data.color_labels).mean() >= 0.99
-
     def test_object_head_follows_supervised_trajectory(self):
         # disjoint heads with an additive loss: from a common start the
-        # object problem is the supervised one, and the first k rows of the
-        # contrastive start are the supervised start of the same seed
+        # object problem is the supervised one
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=7, size=400)
         sup = train_supervised(data, epochs=60, step_size=0.5, rng=np.random.default_rng(3))
-        con, _ = train_contrastive_perfect(data, epochs=60, step_size=0.5,
-                                           rng=np.random.default_rng(3))
-        assert np.abs(con.weights - sup.weights).max() <= 1e-12
+        con = train_contrastive_perfect(data, epochs=60, step_size=0.5,
+                                        rng=np.random.default_rng(3))
+        assert np.array_equal(con.weights, sup.weights)
 
     @pytest.mark.parametrize("num_classes, num_colors", [(2, None), (3, 5)])
     def test_start_is_one_scaled_normal_draw(self, monkeypatch, num_classes, num_colors):
-        # the contrastive start is one (k + c) × d draw, the same bits as an
-        # object draw stacked on a color draw from the same generator
+        # both starts are one k × d draw: the object rows of schedule 1's
+        # (k + c) × d start, an object draw stacked on a color draw
         cfg = DiscreteConfig(num_classes=num_classes, num_colors=num_colors,
                              p_inv=0.75, p_spu=0.9, n_train=50)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=1)
@@ -327,7 +317,7 @@ class TestLossAndTraining:
         rng = np.random.default_rng(5)
         stacked = np.vstack([0.01 * rng.standard_normal((k, d)),
                              0.01 * rng.standard_normal((c, d))])
-        assert np.array_equal(starts[1], stacked)
+        assert np.array_equal(starts[1], stacked[:k])
         assert np.array_equal(starts[0], stacked[:k])
 
     @pytest.mark.parametrize("call", ["missing", "positional"])
@@ -341,8 +331,7 @@ class TestLossAndTraining:
     def test_randomized_inits_differ_but_stay_close(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=7, size=400)
         sup = train_supervised(data, epochs=100, rng=np.random.default_rng(1))
-        con, _ = train_contrastive_perfect(data, epochs=100,
-                                           rng=np.random.default_rng(2))
+        con = train_contrastive_perfect(data, epochs=100, rng=np.random.default_rng(2))
         assert not np.array_equal(con.weights, sup.weights)
         sup_acc = (sup.predict(data.features) == data.object_labels).mean()
         con_acc = (con.predict(data.features) == data.object_labels).mean()
@@ -389,22 +378,83 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("num_classes, num_colors",
                              [(2, None), (5, None), (8, None), (12, None), (5, 9)])
     def test_trained_weights_bit_equal(self, monkeypatch, num_classes, num_colors):
-        # (5, 9): the object head sums by column and the color head with
-        # sum(axis=1) inside one contrastive loss_grad
+        # (8, None) and (12, None) sum with sum(axis=1), the others by column
         cfg = DiscreteConfig(num_classes=num_classes, num_colors=num_colors,
                              p_inv=0.75, p_spu=0.9, n_train=600)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=3)
 
         def train():
             sup = train_supervised(data, epochs=80, rng=np.random.default_rng(1))
-            heads = train_contrastive_perfect(data, epochs=80,
-                                              rng=np.random.default_rng(2))
-            return sup.weights, *(head.weights for head in heads)
+            con = train_contrastive_perfect(data, epochs=80, rng=np.random.default_rng(2))
+            return sup.weights, con.weights
 
         fast = train()
         monkeypatch.setattr(discrete, "_ce_loss_grad", reference_ce_loss_grad)
         for got, want in zip(fast, train()):
             assert np.array_equal(got, want)
+
+
+def joint_contrastive_reference(data, epochs=400, step_size=2.0, *, rng):
+    """Schedule 1's object head: the object and color heads descended jointly
+    from one (k + c) × d start, so a halving for either head halves both steps."""
+    features, objects, colors = data.features, data.object_labels, data.color_labels
+    k, c = data.config.num_classes, data.config.num_colors
+    w0 = 0.01 * rng.standard_normal((k + c, features.shape[1]))
+
+    def loss_grad(w):
+        lo, go = discrete._ce_loss_grad(w[:k], features, objects)
+        lc, gc = discrete._ce_loss_grad(w[k:], features, colors)
+        return lo + lc, np.vstack([go, gc])
+
+    weights = discrete._descend(loss_grad, w0, epochs, step_size)
+    return weights[:k]
+
+
+class TestOneHeadPerRun:
+    def test_no_color_head_is_trained(self, monkeypatch):
+        cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.9, n_train=200, seed=4)
+        n_seeds, epochs = 2, 5
+        calls, kernel = [], discrete._ce_loss_grad
+
+        def counting_loss_grad(weights, x, labels):
+            calls.append(labels)
+            return kernel(weights, x, labels)
+
+        monkeypatch.setattr(discrete, "_ce_loss_grad", counting_loss_grad)
+        run_discrete_experiment(cfg, n_seeds=n_seeds, n_test=100, epochs=epochs)
+        trains = [sample_discrete_dataset(cfg, Split.TRAIN, cfg.seed + i)
+                  for i in range(n_seeds)]
+        assert all(not np.array_equal(t.object_labels, t.color_labels) for t in trains)
+        # each seed's supervised descent, then its contrastive one, with no halving
+        per_run = epochs + 1
+        assert len(calls) == 2 * n_seeds * per_run
+        for index, labels in enumerate(calls):
+            assert np.array_equal(labels, trains[index // (2 * per_run)].object_labels)
+
+    @pytest.mark.parametrize("num_classes", [2, 5, 12])
+    def test_object_head_bit_equal_to_joint_descent(self, num_classes):
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=3000)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
+        con = train_contrastive_perfect(data, rng=substream(0, discrete._TAG_INIT_CON))
+        joint = joint_contrastive_reference(data, rng=substream(0, discrete._TAG_INIT_CON))
+        assert np.array_equal(con.weights, joint)
+
+    def test_declared_difference_where_a_schedule_halves(self, monkeypatch):
+        # at feature_noise 1 the object descent alone halves its step where
+        # the joint one did not, so the weights leave bit-equality
+        cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000,
+                             feature_noise=1.0)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
+        joint = joint_contrastive_reference(data, rng=substream(0, discrete._TAG_INIT_CON))
+        calls, kernel = [], discrete._ce_loss_grad
+        monkeypatch.setattr(discrete, "_ce_loss_grad",
+                            lambda *args: calls.append(1) or kernel(*args))
+        con = train_contrastive_perfect(data, rng=substream(0, discrete._TAG_INIT_CON))
+        assert len(calls) > 401
+        assert 0 < np.abs(con.weights - joint).max() < 1e-6
+        for split in draw_test_splits(cfg, 4000, seed=0):
+            assert np.array_equal(con.predict(split.features),
+                                  LinearClassifier(joint).predict(split.features))
 
 
 class TestEvaluation:

@@ -31,8 +31,8 @@ from spurious_lens.evaluation import (
     load_points,
     load_predictions,
     load_similarities,
+    std_normal_inv_cdf,
 )
-from spurious_lens.theory import std_normal_inv_cdf
 
 
 def records(label, n_correct, n_total, group="unassigned", background="",
@@ -533,6 +533,21 @@ class TestColumnarMetricsOracle:
                 assert canonical(_json_data(
                     discover_spurious(table, threshold, min_count, k))) == canonical(
                     naive_discover(recs, threshold, min_count, k)), (k, min_count)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_discover_with_one_background_per_row(self, seed):
+        # as many cells as rows: every cell holds one record
+        recs = [PredictionRecord(r.sample_id, r.true_label, r.group, f"r{i}",
+                                 r.ranked_predictions)
+                for i, r in enumerate(random_log(seed))]
+        table = PredictionTable.from_records(recs)
+        assert len(table.backgrounds) == len(recs)
+        for k in (1, 2, RANDOM_LOG_RANKS):
+            for min_count in (1, 2):
+                report = _json_data(discover_spurious(table, 50.0, min_count, k))
+                assert canonical(report) == canonical(
+                    naive_discover(recs, 50.0, min_count, k)), (k, min_count)
+                assert bool(report["flagged"]) == (min_count == 1)
 
     def test_random_logs_have_ties_and_one_sided_classes(self):
         recs = random_log(0)

@@ -13,9 +13,10 @@ from spurious_lens import GenerativeConfig, kappa1, kappa2, std_normal_cdf, veri
 from spurious_lens.alignment import asymptotic_minimizer, subgroup_accuracy
 from spurious_lens.cli import _serialize
 from spurious_lens.errors import ConfigError, DomainError, InsufficientDataError
+from spurious_lens.evaluation import std_normal_inv_cdf
 from spurious_lens.synthetic import dataset_dictionaries
 from spurious_lens.theory import (TheoryParams, format_report_table, params_from_config,
-                                  std_normal_inv_cdf, theorem_bounds)
+                                  theorem_bounds)
 
 # Frozen from a 50-digit mpmath evaluation of 0.5*erfc(-x/sqrt(2)).
 PHI_196 = 0.97500210485177963
