@@ -125,19 +125,18 @@ def _file_sha256(path) -> str:
 def _output_paths(args) -> list[str]:
     """The files a subcommand writes besides its manifest: ``--out``, and
     the JSON summary of simulate-discrete or the SVG of fit."""
-    if args.subcommand == "simulate-discrete":
-        return [args.out, str(Path(args.out).with_suffix(".json"))]
-    if args.subcommand == "fit":
-        return [args.out, args.svg or str(Path(args.out).with_suffix(".svg"))]
-    return [args.out]
+    if getattr(args, "svg", None) is not None:
+        return [args.out, args.svg]
+    suffix = {"simulate-discrete": ".json", "fit": ".svg"}.get(args.subcommand)
+    return [args.out, str(Path(args.out).with_suffix(suffix))] if suffix else [args.out]
 
 
 def _run(args) -> int:
-    """Decode the config, run the subcommand, then write its outputs and manifest.
-
-    An output path that names a directory (``--out``, its manifest, or a
-    file derived from the arguments such as fit's default SVG) is refused
-    before the subcommand runs.
+    """Check the output paths, decode the config, run the subcommand, then
+    write its outputs and manifest.  Each output (``--out``, a file derived
+    from the arguments such as fit's default SVG, and the manifest) must
+    name a file in an existing directory, and not a directory, an input or
+    an earlier output.
 
     The digest covers every argument but the output paths, with the config
     as decoded and each input file by its SHA-256.  The files are digested
@@ -147,12 +146,21 @@ def _run(args) -> int:
         raise ConfigError(f"--out {args.out!r} names no file")
     paths = _output_paths(args)
     manifest_path = str(Path(args.out).with_suffix(".manifest.json"))
-    for path in (args.out, manifest_path, *paths[1:]):
-        if Path(path).is_dir():
-            raise ConfigError(f"output {path} is a directory")
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "config_type", "out", "svg")}
-    inputs = [params[k] for k in ("config", *_INPUT_FILES) if k in params]
+    seen = {Path(params[k]).resolve(): f"input {params[k]}"
+            for k in ("config", *_INPUT_FILES) if k in params}
+    for path in (*paths, manifest_path):
+        if not Path(path).name:
+            raise ConfigError(f"output {path!r} names no file")
+        if Path(path).is_dir():
+            raise ConfigError(f"output {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"output {path}: no directory {Path(path).parent}")
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"output {path} would overwrite {seen[resolved]}")
+        seen[resolved] = f"output {path}"
     if "config" in params:
         args.config = load_config(args.config_type, read_text(params["config"]))
         params["config"] = args.config
@@ -175,12 +183,6 @@ def _run(args) -> int:
         "outputs": paths,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     })))
-    seen = {Path(p).resolve(): f"input {p}" for p in inputs}
-    for path, _ in files:
-        resolved = Path(path).resolve()
-        if resolved in seen:
-            raise ConfigError(f"output {path} would overwrite {seen[resolved]}")
-        seen[resolved] = f"output {path}"
     written = []
     try:
         for path, data in files:

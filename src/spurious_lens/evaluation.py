@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 import operator
 import os
-import re
 import stat
 import statistics
 import warnings
@@ -144,8 +144,6 @@ def _encode(labels: _Codes, backgrounds: _Codes, label, group, background,
 
 
 _PRED_FIXED = ("sample_id", "true_label", "group", "background")
-# One line as io.StringIO(newline="") splits text: ended by \r\n, \r or \n.
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # CSV files are read in pieces of whole lines from reads of this many bytes,
 # and their records checked a piece (or about this many characters of csv
 # module rows) at a time, so a load holds one piece, its cells, its result
@@ -198,11 +196,13 @@ def _read_csv(path, what: str) -> tuple[list[str], Iterator[_Block]]:
     \\x1c-\\x1f around a number, where float() rejects them.)  A file that is
     not regular (a pipe cannot be read twice), an empty file and a cell over
     the csv module's field size limit are ParseErrors; ``what`` names the
-    file in the first two."""
+    file in the first two.  So is a UTF-8 byte-order mark at its start."""
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise ParseError(f"{what} file {path}: a CSV input must be a regular file")
     empty, plain = True, True
     for piece in read_pieces(path, _BLOCK_CHARS):
+        if empty and piece.startswith("\ufeff"):
+            raise _at(1, "the file starts with a byte-order mark (U+FEFF)")
         empty = False
         plain = plain and not any(map(piece.__contains__, _NOT_PLAIN))
     if empty:
@@ -241,8 +241,9 @@ def _split_block(line: int, lines: list[str]) -> _Block:
 def _csv_blocks(pieces: Iterator[str]) -> Iterator[_Block]:
     """The records csv.reader reads from the pieces, in blocks of about
     _BLOCK_CHARS characters; a reader error comes after the records before
-    it.  Lines are cut from each piece one at a time."""
-    reader = csv.reader(match.group() for piece in pieces for match in _LINE.finditer(piece))
+    it.  io.StringIO cuts lines from each piece, one at a time, after
+    \\r\\n, \\r or \\n."""
+    reader = csv.reader(line for piece in pieces for line in io.StringIO(piece, newline=""))
     line, rows, size = 1, [], 0
     try:
         for row in reader:
@@ -288,17 +289,13 @@ def _data_rows(blocks: Iterator[_Block], width: int, pad: bool) -> Iterator[_Blo
                       else f"expected {width} cells, got {block.widths[n]}")
 
 
-def _raise_first(checks, ids: _SampleIds | None = None) -> None:
+def _raise_first(checks) -> None:
     """Raise the error of the first failing row.  ``checks`` pairs each
     check's per-row failure mask with the ParseError of a row index, in the
-    order the checks apply to one row.  With ``ids``, whose latest rows the
-    masks are of, the first check is the empty sample_id check, and a
-    repeated sample_id on a row up to the failing one comes first."""
+    order the checks apply to one row."""
     failed = np.column_stack([mask for mask, _ in checks])
     if failed.any():
         row, check = divmod(int(failed.argmax()), len(checks))
-        if ids is not None:  # the row itself counts unless its id is empty
-            ids.check(ids.start + row + (check > 0))
         raise checks[check][1](row)
 
 
@@ -310,34 +307,34 @@ class _SampleIds:
     """The sample ids of a CSV file's data rows, kept as one 8-byte hash
     each, in row order.  ``path``, ``what``, ``width`` and ``pad`` say how
     to read the file again (see _read_csv and _data_rows): only when two
-    hashes are equal are the ids read as strings."""
+    hashes are equal are the ids read as strings.  Around a row loop, it
+    checks the rows up to a ParseError's line before the error, else all."""
 
     def __init__(self, path, what: str, width: int, pad: bool):
         self.source = path, what, width, pad
         self.hashes = [np.empty(0, dtype=np.int64)]
-        self.start = self.rows = 0  # the latest ids' first row, and the row count
+        self.rows = 0
 
     def add(self, names) -> np.ndarray:
         """Take the next rows' sample ids; the mask of the empty ones."""
         n = len(names)
         self.hashes.append(np.fromiter(map(_id_hash, names), dtype=np.int64, count=n))
-        self.start, self.rows = self.rows, self.rows + n
+        self.rows += n
         if "" not in names:
             return np.zeros(n, dtype=bool)
         return np.fromiter(map(operator.not_, names), dtype=bool, count=n)
 
-    def checked(self, blocks: Iterator[_Block]) -> Iterator[_Block]:
-        """The blocks; an error raised between two of them comes after any
-        repeated sample_id of the rows before it."""
-        try:
-            yield from blocks
-        except ParseError:
-            self.check(self.rows)
-            raise
+    def __enter__(self) -> _SampleIds:
+        return self
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if kind is None or issubclass(kind, ParseError) and error.lines:
+            # data rows start at line 2, so the rows up to line L are L - 1
+            self.check(self.rows if error is None else min(self.rows, error.lines[0] - 1))
 
     def check(self, rows: int) -> None:
-        """Raise the error of the first row, of the first ``rows`` (none of
-        them with an empty id), whose sample_id an earlier row has."""
+        """Raise the error of the first row, of the first ``rows`` (only the
+        last of them may have an empty id), whose sample_id an earlier row has."""
         hashes = np.concatenate(self.hashes)[:rows]
         ranked = np.sort(hashes)
         equal = ranked[1:] == ranked[:-1]
@@ -437,35 +434,35 @@ def load_predictions(path) -> PredictionTable:
     labels, backgrounds = _Codes({"": 0}), _Codes()  # label code 0 is an empty cell
     # each block's true label, group and background codes and ranks
     columns = tuple([np.empty(0, dtype=t)] for t in (np.intp, np.int8, np.intp, np.int64))
-    for block in ids.checked(_data_rows(blocks, width, pad=True)):
-        line, n, cells = block.line, len(block.widths), block.cells()
-        group = cells[2::width]
-        ranked = [cells[j::width] for j in range(4, width)]
-        pred = np.fromiter(map(labels.__getitem__, chain.from_iterable(ranked)),
-                           dtype=np.intp, count=n * len(ranked)).reshape(len(ranked), n).T
-        true = np.fromiter(map(labels.__getitem__, cells[1::width]), dtype=np.intp, count=n)
-        group_code = np.fromiter(map(_GROUP_CODE.get, group, repeat(-1, n)),
-                                 dtype=np.int8, count=n)
-        filled = pred != 0
-        ordered = np.sort(pred, axis=1)
-        _raise_first([
-            (ids.add(cells[0::width]), lambda i: _at(line + i, "empty sample_id")),
-            (true == 0, lambda i: _at(line + i, "empty true_label")),
-            (group_code < 0, lambda i: _at(
-                line + i, f"group must be easy/hard/unassigned, got {group[i]!r}")),
-            (~filled[:, 0], lambda i: _at(line + i, "empty pred_1")),
-            ((filled[:, 1:] > filled[:, :-1]).any(axis=1),
-             lambda i: _at(line + i, "ranked predictions have a gap")),
-            (((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != 0)).any(axis=1),
-             lambda i: _at(line + i, "duplicate labels in ranked predictions")),
-        ], ids)
-        hit = pred == true[:, None]
-        background = np.fromiter(map(backgrounds.__getitem__, cells[3::width]),
-                                 dtype=np.intp, count=n)
-        rank = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK)
-        for column, codes in zip(columns, (true, group_code, background, rank)):
-            column.append(codes)
-    ids.check(ids.rows)
+    with ids:
+        for block in _data_rows(blocks, width, pad=True):
+            line, n, cells = block.line, len(block.widths), block.cells()
+            group = cells[2::width]
+            ranked = [cells[j::width] for j in range(4, width)]
+            pred = np.fromiter(map(labels.__getitem__, chain.from_iterable(ranked)),
+                               dtype=np.intp, count=n * len(ranked)).reshape(len(ranked), n).T
+            true = np.fromiter(map(labels.__getitem__, cells[1::width]), dtype=np.intp, count=n)
+            group_code = np.fromiter(map(_GROUP_CODE.get, group, repeat(-1, n)),
+                                     dtype=np.int8, count=n)
+            filled = pred != 0
+            ordered = np.sort(pred, axis=1)
+            _raise_first([
+                (ids.add(cells[0::width]), lambda i: _at(line + i, "empty sample_id")),
+                (true == 0, lambda i: _at(line + i, "empty true_label")),
+                (group_code < 0, lambda i: _at(
+                    line + i, f"group must be easy/hard/unassigned, got {group[i]!r}")),
+                (~filled[:, 0], lambda i: _at(line + i, "empty pred_1")),
+                ((filled[:, 1:] > filled[:, :-1]).any(axis=1),
+                 lambda i: _at(line + i, "ranked predictions have a gap")),
+                (((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != 0)).any(axis=1),
+                 lambda i: _at(line + i, "duplicate labels in ranked predictions")),
+            ])
+            hit = pred == true[:, None]
+            background = np.fromiter(map(backgrounds.__getitem__, cells[3::width]),
+                                     dtype=np.intp, count=n)
+            rank = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK)
+            for column, codes in zip(columns, (true, group_code, background, rank)):
+                column.append(codes)
     return _encode(labels, backgrounds, *map(np.concatenate, columns))
 
 
@@ -720,22 +717,23 @@ def load_similarities(path) -> SimilarityTable:
     width = len(header)
     ids = _SampleIds(path, "similarity", width, pad=False)
     sums, column = None, []
-    for block in ids.checked(_data_rows(blocks, width, pad=False)):
-        line = block.line
-        names, values, non_numeric = _numbers(block, width, named=True)
-        _raise_first([
-            (ids.add(names), lambda i: _at(line + i, "empty sample_id")),
-            (non_numeric, lambda i: _at(line + i, "non-numeric score")),
-            (~np.isfinite(values).all(axis=1), lambda i: _at(line + i, "non-finite score")),
-        ], ids)
-        if len(candidates) == 1:
-            column.append(values)
-        elif len(values):
-            with np.errstate(over="ignore"):
-                if sums is not None:
-                    values[0] += sums
-                sums = np.add.reduce(values, axis=0, out=sums)
-    ids.check(ids.rows)
+    with ids:
+        for block in _data_rows(blocks, width, pad=False):
+            line = block.line
+            names, values, non_numeric = _numbers(block, width, named=True)
+            _raise_first([
+                (ids.add(names), lambda i: _at(line + i, "empty sample_id")),
+                (non_numeric, lambda i: _at(line + i, "non-numeric score")),
+                (~np.isfinite(values).all(axis=1),
+                 lambda i: _at(line + i, "non-finite score")),
+            ])
+            if len(candidates) == 1:
+                column.append(values)
+            elif len(values):
+                with np.errstate(over="ignore"):
+                    if sums is not None:
+                        values[0] += sums
+                    sums = np.add.reduce(values, axis=0, out=sums)
     if not ids.rows:
         raise ParseError("similarity file has no data rows")
     if column:

@@ -23,8 +23,8 @@ from spurious_lens import DiscreteConfig, GenerativeConfig, __version__, load_sc
 from spurious_lens import cli
 from spurious_lens.cli import main
 from spurious_lens.errors import ParseError
-from spurious_lens.evaluation import (SimilarityTable, load_points, load_predictions,
-                                      load_similarities)
+from spurious_lens.evaluation import (SimilarityTable, fmt_pct, load_points,
+                                      load_predictions, load_similarities)
 
 GAUSS_EXACT = {
     "sigma_inv": 1.0, "sigma_spu": 0.5, "mu_spu": 2.0, "p_spu": 0.95,
@@ -312,6 +312,17 @@ class TestSimulateDiscrete:
         main(["simulate-discrete", "--config", cfg, "--seeds", "1", "--out", out])
         row = Path(out).read_text(encoding="utf-8").strip().splitlines()[1]
         assert "± 0.00" in row
+
+    def test_rest_cell_is_the_summary_rest(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {**DISCRETE, "num_classes": 3})
+        out = str(tmp_path / "table.csv")
+        assert main(["simulate-discrete", "--config", cfg, "--seeds", "1", "--out", out]) == 0
+        rows = Path(out).read_text(encoding="utf-8").strip().splitlines()[1:]
+        summaries = read_json(Path(out).with_suffix(".json"))["summaries"]
+        assert len(rows) == len(summaries) == 2
+        for row, summary in zip(rows, summaries):
+            mean, std = summary["rest_mean"], summary["rest_std"]
+            assert row.split(",")[7] == f"{fmt_pct(mean)} ± {fmt_pct(std)}"
 
     def test_bad_seed_count_exits_two(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", DISCRETE)
@@ -626,6 +637,55 @@ def test_output_directory_is_refused_before_any_work(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == f"error: output {directory} is a directory\n"
     assert ran == []
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate-discrete", "--config", "c.json", "--seeds", "3", "--out", "d.json"],
+     "output d.json would overwrite output d.json"),
+    (["simulate-discrete", "--config", "c.json", "--out", "missing/d.csv"],
+     "output missing/d.csv: no directory missing"),
+    (["simulate-discrete", "--config", "c.json", "--out", "c.csv"],
+     "output c.json would overwrite input c.json"),
+    (["simulate-gaussian", "--config", "c.json", "--out", "c.json"],
+     "output c.json would overwrite input c.json"),
+    (["fit", "--points", "p.csv", "--svg", "", "--out", "f.json"],
+     "output '' names no file"),
+    (["fit", "--points", "p.csv", "--svg", "missing/f.svg", "--out", "f.json"],
+     "output missing/f.svg: no directory missing"),
+    (["fit", "--points", "p.csv", "--out", "missing/f.json"],
+     "output missing/f.json: no directory missing"),
+    (["fit", "--points", "p.csv", "--svg", "f.manifest.json", "--out", "f.json"],
+     "output f.manifest.json would overwrite output f.manifest.json"),
+    (["fit", "--points", "p.csv", "--svg", "p.csv", "--out", "f.json"],
+     "output p.csv would overwrite input p.csv"),
+], ids=["discrete-summary-is-out", "discrete-dir-missing", "discrete-summary-is-config",
+        "gaussian-out-is-config", "fit-svg-empty", "fit-svg-dir-missing", "fit-dir-missing",
+        "fit-svg-is-manifest", "fit-svg-is-points"])
+def test_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                    argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "c.json", DISCRETE)
+    write(tmp_path / "p.csv", POINTS)
+    ran = []
+    for name in ("load_config", "run_discrete_experiment", "load_points"):
+        monkeypatch.setattr(cli, name, lambda *args: ran.append(args))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert ran == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_internal_error_exits_four_without_output(tmp_path, monkeypatch, capsys):
+    preds = write(tmp_path / "p.csv", PREDICTIONS)
+
+    def fail(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "group_report", fail)
+    assert main(["eval", "--predictions", preds, "--out", str(tmp_path / "r.json")]) == 4
+    assert capsys.readouterr().err == "error: internal: KeyError: 'x'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

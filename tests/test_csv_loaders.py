@@ -407,6 +407,30 @@ def test_reader_error_comes_after_an_earlier_bad_line():
     assert assert_same_outcome("points", "easy,hard\n0.5," + "0" * limit + "\n")[0] == "table"
 
 
+def test_field_limit_error_after_a_good_record_in_the_same_piece():
+    oversized = "a9,fox,easy,snow," + "f" * 21 + "\n"
+    for text in both_paths(PREDICTIONS + oversized):
+        assert assert_same_outcome("predictions", text, field_limit=20) == (
+            "error", "line 5: field larger than field limit (20)", (5,))
+    for text in both_paths(PREDICTIONS.replace("a2,bear", "a2,") + oversized):
+        assert assert_same_outcome("predictions", text, field_limit=20) == (
+            "error", "line 3: empty true_label", (3,))
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("predictions", PREDICTIONS),
+    ("similarities", SIMILARITIES),
+    ("points", "easy,hard\n0.5,0.5\n"),
+], ids=["predictions", "similarities", "points"])
+def test_a_byte_order_mark_is_named(tmp_path, kind, text):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        LOADERS[kind][0](path)
+    assert str(err.value) == "line 1: the file starts with a byte-order mark (U+FEFF)"
+    assert err.value.lines == (1,)
+
+
 def test_empty_lines_under_a_wide_header_allocate_no_table():
     # a table of one row per line would need 800 GB here
     text = "sample_id," + ",".join(f"c{j}" for j in range(100_000)) + "\n" * 1_000_000
