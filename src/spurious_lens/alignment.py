@@ -191,9 +191,7 @@ def gradient_descent_minimizer(train: TrainingMoments, rho: float,
             rising += 1
             if rising >= 10:
                 raise NonconvergenceError(
-                    f"loss increased for 10 consecutive steps (at step {step})",
-                    step=step,
-                )
+                    f"loss increased for 10 consecutive steps (at step {step})")
         else:
             rising = 0
         prev = cur

@@ -23,6 +23,7 @@ import datetime
 import hashlib
 import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -136,13 +137,13 @@ def _run(args) -> int:
     write its outputs and manifest.  Each output (``--out``, a file derived
     from the arguments such as fit's default SVG, and the manifest) must
     name a file in an existing directory, and not a directory, an input or
-    an earlier output.
+    an earlier output.  A path ending in a separator names no file.
 
     The digest covers every argument but the output paths, with the config
     as decoded and each input file by its SHA-256.  The files are digested
     after the subcommand has loaded them, so a loader's error comes first.
     """
-    if not Path(args.out).name:
+    if not Path(os.path.basename(args.out)).name:
         raise ConfigError(f"--out {args.out!r} names no file")
     paths = _output_paths(args)
     manifest_path = str(Path(args.out).with_suffix(".manifest.json"))
@@ -151,7 +152,7 @@ def _run(args) -> int:
     seen = {Path(params[k]).resolve(): f"input {params[k]}"
             for k in ("config", *_INPUT_FILES) if k in params}
     for path in (*paths, manifest_path):
-        if not Path(path).name:
+        if not Path(os.path.basename(path)).name:
             raise ConfigError(f"output {path!r} names no file")
         if Path(path).is_dir():
             raise ConfigError(f"output {path} is a directory")

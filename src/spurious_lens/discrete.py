@@ -36,12 +36,18 @@ _TAG_INIT_CON = 21
 # Step-size halvings allowed within one descent step before giving up.
 _MAX_HALVINGS = 40
 
+# The trainers' schedule: full-batch epochs from a starting step size, and
+# the rows of each test split.
+EPOCHS = 400
+STEP_SIZE = 2.0
+N_TEST = 4000
+
 # Version of the trainers' step schedule, echoed in simulate-discrete's JSON;
 # 2 descends the contrastive object head alone, 1 jointly with a color head.
 TRAIN_SCHEDULE = 2
 
 
-class Split(str, enum.Enum):
+class Split(enum.Enum):
     TRAIN = "Train"
     RAND = "Rand"
     REV = "Rev"
@@ -98,26 +104,23 @@ class DiscreteConfig:
 @dataclass(frozen=True)
 class DiscreteDataset:
     """Column-batched discrete samples, one row each, with an object label in
-    [0, num_classes) and a color label in [0, num_colors) per row."""
+    [0, num_classes) per row; a row's color is its one-hot features[:, num_classes:]."""
 
     config: DiscreteConfig
     split: Split
     features: np.ndarray
     object_labels: np.ndarray
-    color_labels: np.ndarray
 
     def __post_init__(self):
         # the trainer's flat index would read another row's cell for a label out of range
         shape = np.shape(self.features)
-        for name, high in (("object_labels", self.config.num_classes),
-                           ("color_labels", self.config.num_colors)):
-            labels = np.asarray(getattr(self, name))
-            object.__setattr__(self, name, labels)
-            if labels.shape != shape[:1]:
-                raise ConfigError(f"{name} must hold one label per feature row, "
-                                  f"got shape {labels.shape} for features {shape}")
-            if not np.all((labels >= 0) & (labels < high)):
-                raise ConfigError(f"{name} must lie in [0, {high})")
+        labels = np.asarray(self.object_labels)
+        object.__setattr__(self, "object_labels", labels)
+        if labels.shape != shape[:1]:
+            raise ConfigError(f"object_labels must hold one label per feature row, "
+                              f"got shape {labels.shape} for features {shape}")
+        if not np.all((labels >= 0) & (labels < self.config.num_classes)):
+            raise ConfigError(f"object_labels must lie in [0, {self.config.num_classes})")
 
     def __len__(self) -> int:
         return self.object_labels.shape[0]
@@ -153,7 +156,7 @@ def _sample_colors(config: DiscreteConfig, split: Split, y: np.ndarray,
     return colors
 
 
-def sample_discrete_dataset(config: DiscreteConfig, split: Split | str,
+def sample_discrete_dataset(config: DiscreteConfig, split: Split,
                             seed: int, size: int | None = None) -> DiscreteDataset:
     """Draw one split; deterministic in (config, split, seed, size).
 
@@ -162,7 +165,6 @@ def sample_discrete_dataset(config: DiscreteConfig, split: Split | str,
     class's one-hot otherwise, then perturbed by feature_noise; the color
     block is an exact one-hot drawn per the split's bias rule.
     """
-    split = Split(split)
     n = config.n_train if size is None else size
     if n < 1:
         raise ConfigError(f"dataset size must be positive, got {n}")
@@ -178,7 +180,7 @@ def sample_discrete_dataset(config: DiscreteConfig, split: Split | str,
     if config.feature_noise > 0:
         features[:, :k] += config.feature_noise * rng.standard_normal((n, k))
     features[np.arange(n), k + colors] = 1.0
-    return DiscreteDataset(config, split, features, object_labels=y, color_labels=colors)
+    return DiscreteDataset(config, split, features, object_labels=y)
 
 
 @dataclass(frozen=True)
@@ -221,10 +223,6 @@ def _ce_loss_grad(weights: np.ndarray, x: np.ndarray, labels: np.ndarray):
 
 def _descend(loss_grad, w0: np.ndarray, epochs: int, step_size: float) -> np.ndarray:
     """Full-batch GD with step halving; loss never increases between epochs."""
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    if step_size <= 0:
-        raise ConfigError(f"step_size must be > 0, got {step_size}")
     w = w0
     loss, grad = loss_grad(w)
     step = step_size
@@ -239,37 +237,32 @@ def _descend(loss_grad, w0: np.ndarray, epochs: int, step_size: float) -> np.nda
         else:
             raise NonconvergenceError(
                 f"loss would not decrease after {_MAX_HALVINGS} step halvings "
-                f"(epoch {epoch})",
-                step=epoch,
-            )
+                f"(epoch {epoch})")
     return w
 
 
-def _train_object_head(data: DiscreteDataset, epochs: int, step_size: float,
-                       rng: np.random.Generator) -> LinearClassifier:
-    """Object cross-entropy by full-batch GD from 0.01 * N(0, 1) drawn from rng."""
+def _train_object_head(data: DiscreteDataset, rng: np.random.Generator) -> LinearClassifier:
+    """EPOCHS of GD on the object cross-entropy, first step STEP_SIZE, from 0.01 * N(0, 1)."""
     features, objects = data.features, data.object_labels
     w0 = 0.01 * rng.standard_normal((data.config.num_classes, features.shape[1]))
     return LinearClassifier(_descend(lambda w: _ce_loss_grad(w, features, objects),
-                                     w0, epochs, step_size))
+                                     w0, EPOCHS, STEP_SIZE))
 
 
-def train_supervised(data: DiscreteDataset, epochs: int = 400, step_size: float = 2.0,
-                     *, rng: np.random.Generator) -> LinearClassifier:
+def train_supervised(data: DiscreteDataset, *, rng: np.random.Generator) -> LinearClassifier:
     """k-way logistic regression on the full feature vector."""
-    return _train_object_head(data, epochs, step_size, rng)
+    return _train_object_head(data, rng)
 
 
-def train_contrastive_perfect(data: DiscreteDataset, epochs: int = 400,
-                              step_size: float = 2.0, *, rng: np.random.Generator
-                              ) -> LinearClassifier:
+def train_contrastive_perfect(data: DiscreteDataset, *,
+                              rng: np.random.Generator) -> LinearClassifier:
     """The object head of contrastive training with a perfect language side.
 
     The contrastive loss is then the object cross-entropy plus a color
     cross-entropy over disjoint heads, so the object head descends the
     supervised problem alone.  No report reads the color head; it is not trained.
     """
-    return _train_object_head(data, epochs, step_size, rng)
+    return _train_object_head(data, rng)
 
 
 @dataclass(frozen=True)
@@ -352,17 +345,15 @@ def _summarize(method: str, reports: list[SplitReport]) -> MethodSummary:
     )
 
 
-def run_discrete_experiment(config: DiscreteConfig, n_seeds: int,
-                            n_test: int = 4000, epochs: int = 400,
-                            step_size: float = 2.0
+def run_discrete_experiment(config: DiscreteConfig, n_seeds: int
                             ) -> tuple[list[MethodSummary], list[SplitReport]]:
     """Train both methods over n_seeds seeds and aggregate per column.
 
-    Seeds run at config.seed + index.  Each seed draws its Train, Rand and
-    Rev splits once and both methods are scored on those draws;
-    initializations use separate sub-streams so the two otherwise-identical
-    object problems do not start bit-equal.  The per-seed reports list every
-    supervised seed, then every contrastive one.
+    Seeds run at config.seed + index.  Each seed draws its Train split and
+    its N_TEST-row Rand and Rev splits once and both methods are scored on
+    those draws; initializations use separate sub-streams so the two
+    otherwise-identical object problems do not start bit-equal.  The
+    per-seed reports list every supervised seed, then every contrastive one.
     """
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -370,11 +361,10 @@ def run_discrete_experiment(config: DiscreteConfig, n_seeds: int,
     for index in range(n_seeds):
         seed = config.seed + index
         train = sample_discrete_dataset(config, Split.TRAIN, seed)
-        rand = sample_discrete_dataset(config, Split.RAND, seed, size=n_test)
-        rev = sample_discrete_dataset(config, Split.REV, seed, size=n_test)
-        sup = train_supervised(train, epochs, step_size, rng=substream(seed, _TAG_INIT_SUP))
-        con = train_contrastive_perfect(train, epochs, step_size,
-                                        rng=substream(seed, _TAG_INIT_CON))
+        rand = sample_discrete_dataset(config, Split.RAND, seed, size=N_TEST)
+        rev = sample_discrete_dataset(config, Split.REV, seed, size=N_TEST)
+        sup = train_supervised(train, rng=substream(seed, _TAG_INIT_SUP))
+        con = train_contrastive_perfect(train, rng=substream(seed, _TAG_INIT_CON))
         reports["supervised"].append(evaluate_splits("supervised", sup, rand, rev))
         reports["contrastive"].append(evaluate_splits("contrastive", con, rand, rev))
     summaries = [_summarize(method, runs) for method, runs in reports.items()]

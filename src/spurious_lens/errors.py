@@ -23,14 +23,7 @@ class DomainError(SpuriousLensError, ValueError):
 
 
 class NonconvergenceError(SpuriousLensError, RuntimeError):
-    """Iterative optimization diverged or stalled.
-
-    `step` records the iteration at which the failure was detected.
-    """
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """Iterative optimization diverged or stalled; the message names the step."""
 
 
 class ParseError(SpuriousLensError, ValueError):

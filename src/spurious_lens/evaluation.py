@@ -615,10 +615,9 @@ class GroupSplit:
     skipped: tuple[Skipped, ...]
 
 
-def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
-                      k: int = 1) -> GroupSplit:
-    """Flag classes whose accuracy varies across backgrounds by more than
-    threshold_pp percentage points (strictly), assigning easy and hard.
+def discover_spurious(predictions, threshold_pp: float, min_count: int = 20) -> GroupSplit:
+    """Flag classes whose top-1 accuracy varies across backgrounds by more
+    than threshold_pp percentage points (strictly), assigning easy and hard.
 
     Only backgrounds with at least min_count records of the class qualify;
     a class with fewer than two qualifying backgrounds is skipped with a
@@ -628,13 +627,13 @@ def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
         raise ConfigError(f"threshold_pp must be finite and > 0, got {threshold_pp}")
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    table = _as_table(predictions, k)
+    table = _as_table(predictions, 1)
     n_bg = len(table.backgrounds)
     # Count only the (class, background) cells that occur: a log with a
     # background per row would otherwise need rows x rows counters.
     code = table.label * n_bg + table.background
     cells, totals = np.unique(code, return_counts=True)
-    hit_cells, hits_per_cell = np.unique(code[_top_k(table, k)], return_counts=True)
+    hit_cells, hits_per_cell = np.unique(code[_top_k(table, 1)], return_counts=True)
     hit_counts = np.zeros_like(totals)
     hit_counts[np.searchsorted(cells, hit_cells)] = hits_per_cell
     qualifying: list[list[tuple[str, int, int]]] = [[] for _ in table.labels]
@@ -672,7 +671,7 @@ def discover_spurious(predictions, threshold_pp: float, min_count: int = 20,
     return GroupSplit(
         threshold_pp=threshold_pp,
         min_count=min_count,
-        k=k,
+        k=1,
         flagged=tuple(flagged),
         unflagged=tuple(unflagged),
         skipped=tuple(skipped),

@@ -39,6 +39,7 @@ from spurious_lens.synthetic import (
     CHUNK,
     STREAM_SAMPLES,
     STREAM_TEST,
+    Dictionary,
     Mode,
     TrainingMoments,
     dataset_dictionaries,
@@ -166,9 +167,8 @@ class TestMinimizers:
 
     def test_oversized_step_raises_after_ten_increases(self):
         ds = small_dataset(seed=6)
-        with pytest.raises(NonconvergenceError) as info:
+        with pytest.raises(NonconvergenceError, match=r"\(at step 10\)$"):
             gradient_descent_minimizer(ds, 1.0, steps=100, step_size=3.0)
-        assert info.value.step == 10
 
     @pytest.mark.parametrize("kwargs", [
         {"steps": 0, "step_size": 0.1},
@@ -691,3 +691,19 @@ class TestStreamV3Law:
             tail = mpmath.ncdf(-scale)
             assert err == pytest.approx(float(tail), rel=1e-12)
             assert acc == pytest.approx(float(1 - tail), abs=1e-16)
+
+
+@pytest.mark.parametrize("call,error,named", [
+    (lambda: AlignmentMatrix(np.zeros(3)), ShapeError, "must be 2-D"),
+    (lambda: zero_shot_predict_batch(
+        AlignmentMatrix(np.zeros((4, 4))), np.zeros((2, 3)),
+        label_prompts(dataset_dictionaries(GenerativeConfig(d_I=4, d_T=4), 0)[1])),
+     ShapeError, "image dim 3"),
+    (lambda: gradient_descent_minimizer(small_dataset(), rho=0.0, steps=5, step_size=0.1),
+     ConfigError, "rho must be > 0"),
+    (lambda: Dictionary(np.zeros((4, 3))), ConfigError, r"dictionary must be \(d, 2\)"),
+], ids=["matrix-not-2d", "zero-shot-image-width", "minimizer-rho-zero",
+        "dictionary-too-wide"])
+def test_library_rejects_malformed_arguments(call, error, named):
+    with pytest.raises(error, match=named):
+        call()

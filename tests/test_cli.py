@@ -576,6 +576,13 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     # out of n's range where it has none
     ({"c.json": '{"n": ' + "9" * 5000 + "}"},
      ["simulate-gaussian", "--config", "c.json", "--out", "r.json"], 2, "error: "),
+    ({"p.csv": "easy,hard\n0.5,0.5\n0.5000000000000001,0.6\n"},
+     ["fit", "--points", "p.csv", "--out", "r.json"], 3, "x values too close to distinguish"),
+    ({"p.csv": "sample_id,true_label,group,background,pred_1\n"},
+     ["eval", "--predictions", "p.csv", "--out", "r.json"], 2, "no records to score"),
+    ({"c.json": json.dumps({**GAUSS_EXACT, "sigma_inv": 1e-170, "sigma_spu": 0})},
+     ["verify-theorem", "--config", "c.json", "--out", "r.json"],
+     3, "singular parameters: margin has zero variance"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
@@ -590,7 +597,8 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
         "gaussian-d-image-unrepresentable", "gaussian-d-text-unrepresentable",
         "verify-d-image-unrepresentable", "eval-out-empty", "fit-out-dot",
         "fit-out-root", "discrete-out-empty", "config-deep-nesting",
-        "config-int-too-long"])
+        "config-int-too-long", "fit-x-too-close", "eval-header-only",
+        "verify-singular-margin"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)
@@ -658,9 +666,14 @@ def test_output_directory_is_refused_before_any_work(tmp_path, monkeypatch, caps
      "output f.manifest.json would overwrite output f.manifest.json"),
     (["fit", "--points", "p.csv", "--svg", "p.csv", "--out", "f.json"],
      "output p.csv would overwrite input p.csv"),
+    (["fit", "--points", "p.csv", "--svg", "nod/", "--out", "f.json"],
+     "output 'nod/' names no file"),
+    (["fit", "--points", "p.csv", "--out", "a.json/"], "--out 'a.json/' names no file"),
+    (["fit", "--points", "p.csv", "--out", "x/."], "--out 'x/.' names no file"),
 ], ids=["discrete-summary-is-out", "discrete-dir-missing", "discrete-summary-is-config",
         "gaussian-out-is-config", "fit-svg-empty", "fit-svg-dir-missing", "fit-dir-missing",
-        "fit-svg-is-manifest", "fit-svg-is-points"])
+        "fit-svg-is-manifest", "fit-svg-is-points", "fit-svg-trailing-sep",
+        "fit-out-trailing-sep", "fit-out-trailing-dot"])
 def test_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
                                                     argv, message):
     monkeypatch.chdir(tmp_path)
@@ -673,6 +686,26 @@ def test_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsy
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert ran == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_failed_write_removes_the_outputs_written(tmp_path, monkeypatch, capsys):
+    # fit writes its report, its SVG and its manifest; the SVG's write fails
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "p.csv", POINTS)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_bytes, written = Path.write_bytes, []
+
+    def fail_second(path, data):
+        written.append(path.name)
+        if len(written) == 2:
+            raise OSError(28, "No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", fail_second)
+    assert main(["fit", "--points", "p.csv", "--out", "f.json"]) == 2
+    assert capsys.readouterr().err.endswith("\nerror: [Errno 28] No space left on device\n")
+    assert written == ["f.json", "f.svg"]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

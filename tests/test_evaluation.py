@@ -373,11 +373,11 @@ class TestDiscoverSpurious:
         assert flagged.hard_background == "alpha"
 
     @pytest.mark.parametrize("kwargs", [
-        dict(threshold_pp=0.0), dict(min_count=0), dict(k=0),
+        dict(threshold_pp=0.0), dict(min_count=0),
         dict(threshold_pp=float("nan")), dict(threshold_pp=float("inf")),
     ])
     def test_bad_parameters(self, kwargs):
-        base = dict(threshold_pp=5.0, min_count=20, k=1)
+        base = dict(threshold_pp=5.0, min_count=20)
         base.update(kwargs)
         with pytest.raises(ConfigError):
             discover_spurious([], **base)
@@ -527,12 +527,11 @@ class TestColumnarMetricsOracle:
         recs = random_log(seed)
         table = PredictionTable.from_records(recs)
         rng = np.random.default_rng(100 + seed)
-        for k in ORACLE_KS:
-            for min_count in (1, 5, 20):
-                threshold = float(rng.choice([25.0, 50.0, rng.uniform(1.0, 60.0)]))
-                assert canonical(_json_data(
-                    discover_spurious(table, threshold, min_count, k))) == canonical(
-                    naive_discover(recs, threshold, min_count, k)), (k, min_count)
+        for min_count in (1, 5, 20):
+            threshold = float(rng.choice([25.0, 50.0, rng.uniform(1.0, 60.0)]))
+            assert canonical(_json_data(
+                discover_spurious(table, threshold, min_count))) == canonical(
+                naive_discover(recs, threshold, min_count, 1)), min_count
 
     @pytest.mark.parametrize("seed", range(3))
     def test_discover_with_one_background_per_row(self, seed):
@@ -542,12 +541,11 @@ class TestColumnarMetricsOracle:
                 for i, r in enumerate(random_log(seed))]
         table = PredictionTable.from_records(recs)
         assert len(table.backgrounds) == len(recs)
-        for k in (1, 2, RANDOM_LOG_RANKS):
-            for min_count in (1, 2):
-                report = _json_data(discover_spurious(table, 50.0, min_count, k))
-                assert canonical(report) == canonical(
-                    naive_discover(recs, 50.0, min_count, k)), (k, min_count)
-                assert bool(report["flagged"]) == (min_count == 1)
+        for min_count in (1, 2):
+            report = _json_data(discover_spurious(table, 50.0, min_count))
+            assert canonical(report) == canonical(
+                naive_discover(recs, 50.0, min_count, 1)), min_count
+            assert bool(report["flagged"]) == (min_count == 1)
 
     def test_random_logs_have_ties_and_one_sided_classes(self):
         recs = random_log(0)
@@ -567,8 +565,8 @@ class TestColumnarMetricsOracle:
         for k in ORACLE_KS:
             assert canonical(_json_data(group_report(loaded, k))) == \
                 canonical(_json_data(group_report(converted, k)))
-            assert canonical(_json_data(discover_spurious(loaded, 10.0, 5, k))) == \
-                canonical(_json_data(discover_spurious(converted, 10.0, 5, k)))
+        assert canonical(_json_data(discover_spurious(loaded, 10.0, 5))) == \
+            canonical(_json_data(discover_spurious(converted, 10.0, 5)))
 
 
 VALID_SIMILARITIES = """\

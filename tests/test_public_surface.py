@@ -8,10 +8,14 @@ of the definition itself: code that only its own tests call is surface
 to delete.  Uses are found in the syntax tree as names, attributes and
 imported names.
 
+The same users must pass each optional parameter of a public module-level
+function, by position or by keyword: a default that only tests override is
+a knob to delete.
+
 The top level re-exports only what the acceptance gate or the benchmark
 imports from ``spurious_lens``; every other definition is imported from its
-module.  ``__version__`` and ``load_schema`` are defined in ``__init__.py``
-itself, for the CLI and the benchmark.
+module.  ``__init__.py`` itself defines ``__version__``, which the CLI
+reads, and ``load_schema``, which only the tests and the benchmark read.
 """
 
 import ast
@@ -72,3 +76,40 @@ def test_every_top_level_name_has_a_user():
                 for alias in node.names}
     unused = sorted(exported - imported)
     assert not unused, f"re-exported but not imported from the top level: {unused}"
+
+
+
+def passed_arguments(paths) -> set[tuple[str, object]]:
+    """(callee, argument) for each argument a call passes: its position, its
+    keyword, or "*" when a *args or **kwargs may pass any of them."""
+    passed = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            passed.update((name, position) for position in range(len(node.args)))
+            passed.update((name, kw.arg or "*") for kw in node.keywords)
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                passed.add((name, "*"))
+    return passed
+
+
+def test_every_optional_parameter_has_a_caller():
+    passed = passed_arguments(USERS)
+    unpassed = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = [(a.arg, i) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(a.arg, None) for a, default in
+                          zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            unpassed += [f"{path.stem}.{node.name}({arg})" for arg, position in defaulted
+                         if not {(node.name, arg), (node.name, position),
+                                 (node.name, "*")} & passed]
+    assert not unpassed, f"optional but set only by their own tests: {unpassed}"
