@@ -365,17 +365,13 @@ def _floats(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
     """The cells as a float array ``width`` wide, and the mask of the rows
     with a cell that float() rejects, which read as zeros."""
     rows = len(cells) // width
-    try:
-        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-        return values.reshape(rows, width), np.zeros(rows, dtype=bool)
-    except ValueError:
-        values, bad = np.zeros((rows, width)), np.zeros(rows, dtype=bool)
-        for i in range(rows):
-            try:
-                values[i] = list(map(float, cells[i * width:(i + 1) * width]))
-            except ValueError:
-                bad[i] = True
-        return values, bad
+    values, bad = np.zeros((rows, width)), np.zeros(rows, dtype=bool)
+    for i in range(rows):
+        try:
+            values[i] = list(map(float, cells[i * width:(i + 1) * width]))
+        except ValueError:
+            bad[i] = True
+    return values, bad
 
 
 def _numbers(block: _Block, width: int,
@@ -386,7 +382,7 @@ def _numbers(block: _Block, width: int,
     routine and makes no str per cell.  A block it rejects or reads to
     another shape (say, for a cell such as ``1_0`` that float() accepts), a
     block with a record empty after its name, and a block of csv module
-    rows go cell by cell."""
+    rows go row by row."""
     rows = len(block.widths)
     if block.text and rows:
         names, rests = [None] * rows, block.records
@@ -467,12 +463,15 @@ def load_predictions(path) -> PredictionTable:
 
 
 def _as_table(predictions, k: int) -> PredictionTable:
-    """The predictions as a table, once ``k`` is known to be a valid top-k."""
+    """The predictions as a table, once ``k`` is known to be a valid top-k;
+    a table with no rows is an InsufficientDataError."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if isinstance(predictions, PredictionTable):
-        return predictions
-    return PredictionTable.from_records(predictions)
+    if not isinstance(predictions, PredictionTable):
+        predictions = PredictionTable.from_records(predictions)
+    if not len(predictions):
+        raise InsufficientDataError("no records to score")
+    return predictions
 
 
 def _top_k(table: PredictionTable, k: int) -> np.ndarray:
@@ -500,16 +499,12 @@ def _balanced(hits: list[int], totals: list[int]) -> float:
 def plain_accuracy(predictions, k: int) -> float:
     """Top-k hit rate over all records regardless of class."""
     table = _as_table(predictions, k)
-    if not len(table):
-        raise InsufficientDataError("no records to score")
     return int(np.count_nonzero(_top_k(table, k))) / len(table)
 
 
 def balanced_accuracy(predictions, k: int) -> float:
     """Unweighted mean of per-class top-k accuracies."""
     table = _as_table(predictions, k)
-    if not len(table):
-        raise InsufficientDataError("no records to score")
     return _balanced(*_class_counts(table, k))
 
 
@@ -544,8 +539,6 @@ class EvalReport:
 def group_report(predictions, k: int) -> EvalReport:
     """Easy-vs-hard metrics; every record must already carry a group."""
     table = _as_table(predictions, k)
-    if not len(table):
-        raise InsufficientDataError("no records to score")
     if (table.group == _GROUP_CODE[Group.UNASSIGNED.value]).any():
         raise ConfigError("group_report needs every record assigned easy or hard")
     easy_hits, n_easy = _class_counts(table, k, Group.EASY)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import math
 import sys
 import types
 import typing
@@ -67,8 +66,8 @@ def load_config(cls, text: str):
     A missing field takes its default; unknown or repeated fields, a missing
     field with no default, and a value whose JSON type does not match its
     field are rejected: an ``int`` field takes only integers, a ``float`` field
-    integers or floats (kept as given), and no numeric field takes ``true``
-    or ``false`` or a non-finite value.  Every failure is a ParseError.
+    integers or floats (kept as given) within the finite float range, and no
+    numeric field takes ``true`` or ``false``.  Every failure is a ParseError.
     """
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
@@ -120,7 +119,7 @@ def _typed(name: str, hint, value):
                              f"got {json.dumps(value)}") from None
     accepted = (int, float) if hint is float else (hint,)
     if (isinstance(value, bool) or not isinstance(value, accepted)
-            or (hint is float and not math.isfinite(value))):
+            or (hint is float and not abs(value) <= sys.float_info.max)):
         kind = "a finite number" if hint is float else "an integer"
         raise ParseError(f"config field {name} must be {kind}, got {json.dumps(value)}")
     return value

@@ -1,12 +1,10 @@
 """Minimal static SVG scatter plot for accuracy-pair fits.
 
-Built on xml.etree so the output is well-formed by construction and
-references nothing outside the file itself.
+Written as text: every attribute and text is a number or a fixed word, so
+nothing needs escaping, and the file references nothing outside itself.
 """
 
 from __future__ import annotations
-
-import xml.etree.ElementTree as ET
 
 from .evaluation import FitLine, Transform, transform_coordinates
 
@@ -16,25 +14,21 @@ _MARGIN = 56
 _TICKS = 5
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "black",
+          width: str = "1", dash: str = "") -> str:
+    dash = dash and f' stroke-dasharray="{dash}"'
+    return (f'<line x1="{x1:.6g}" y1="{y1:.6g}" x2="{x2:.6g}" y2="{y2:.6g}" '
+            f'stroke="{stroke}" stroke-width="{width}"{dash} />')
 
 
-def _line(svg: ET.Element, x1: float, y1: float, x2: float, y2: float,
-          stroke: str = "black", width: str = "1", dash: str | None = None) -> None:
-    attrs = {"x1": _fmt(x1), "y1": _fmt(y1), "x2": _fmt(x2), "y2": _fmt(y2),
-             "stroke": stroke, "stroke-width": width, "stroke-dasharray": dash}
-    ET.SubElement(svg, "line", {k: v for k, v in attrs.items() if v is not None})
-
-
-def _text(svg: ET.Element, x: float, y: float, text: str, size: str,
-          anchor: str | None = None, rotate: bool = False) -> None:
+def _text(x: float, y: float, text: str, size: str, anchor: str = "",
+          rotate: bool = False) -> str:
     """Sans-serif ``text`` at (x, y), turned a quarter left about that point
     when ``rotate``."""
-    turn = f"rotate(-90 {_fmt(x)} {_fmt(y)})" if rotate else None
-    attrs = {"x": _fmt(x), "y": _fmt(y), "font-size": size, "text-anchor": anchor,
-             "font-family": "sans-serif", "transform": turn}
-    ET.SubElement(svg, "text", {k: v for k, v in attrs.items() if v is not None}).text = text
+    anchor = anchor and f' text-anchor="{anchor}"'
+    turn = f' transform="rotate(-90 {x:.6g} {y:.6g})"' if rotate else ""
+    return (f'<text x="{x:.6g}" y="{y:.6g}" font-size="{size}"{anchor} '
+            f'font-family="sans-serif"{turn}>{text}</text>')
 
 
 def render_fit_svg(points, fit: FitLine) -> str:
@@ -57,45 +51,28 @@ def render_fit_svg(points, fit: FitLine) -> str:
     def sy(v: float) -> float:
         return _HEIGHT - _MARGIN - (v - lo) / span * (_HEIGHT - 2 * _MARGIN)
 
-    svg = ET.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": str(_WIDTH),
-        "height": str(_HEIGHT),
-        "viewBox": f"0 0 {_WIDTH} {_HEIGHT}",
-    })
-    ET.SubElement(svg, "rect", {
-        "x": "0", "y": "0", "width": str(_WIDTH), "height": str(_HEIGHT),
-        "fill": "white",
-    })
-    ET.SubElement(svg, "rect", {
-        "x": _fmt(_MARGIN), "y": _fmt(_MARGIN),
-        "width": _fmt(_WIDTH - 2 * _MARGIN), "height": _fmt(_HEIGHT - 2 * _MARGIN),
-        "fill": "none", "stroke": "black", "stroke-width": "1",
-    })
-    bottom = _HEIGHT - _MARGIN
+    w, h, bottom = _WIDTH, _HEIGHT, _HEIGHT - _MARGIN
+    parts = ["<?xml version='1.0' encoding='utf-8'?>\n"
+             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+             f'viewBox="0 0 {w} {h}"><rect x="0" y="0" width="{w}" height="{h}" fill="white" />'
+             f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{w - 2 * _MARGIN}" '
+             f'height="{h - 2 * _MARGIN}" fill="none" stroke="black" stroke-width="1" />']
     for i in range(_TICKS):
         v = lo + span * i / (_TICKS - 1)
         px, py = sx(v), sy(v)
-        _line(svg, px, bottom, px, bottom + 5)
-        _text(svg, px, bottom + 18, f"{v:.2f}", "10", "middle")
-        _line(svg, _MARGIN - 5, py, _MARGIN, py)
-        _text(svg, _MARGIN - 8, py + 3, f"{v:.2f}", "10", "end")
-
+        parts += [_line(px, bottom, px, bottom + 5),
+                  _text(px, bottom + 18, f"{v:.2f}", "10", "middle"),
+                  _line(_MARGIN - 5, py, _MARGIN, py),
+                  _text(_MARGIN - 8, py + 3, f"{v:.2f}", "10", "end")]
     space = "accuracy" if fit.transform is Transform.LINEAR else "probit(accuracy)"
-    _text(svg, _WIDTH / 2, _HEIGHT - 12, f"easy {space}", "12", "middle")
-    _text(svg, 14, _HEIGHT / 2, f"hard {space}", "12", "middle", rotate=True)
-
-    # dashed y = x reference across the drawing range
-    _line(svg, sx(lo), sy(lo), sx(hi), sy(hi), "gray", dash="6 4")
-    _line(svg, sx(lo), sy(fit.slope * lo + fit.intercept),
-          sx(hi), sy(fit.slope * hi + fit.intercept), "crimson", "1.5")
-    for px, py in zip(x, y):
-        ET.SubElement(svg, "circle", {
-            "cx": _fmt(sx(float(px))), "cy": _fmt(sy(float(py))),
-            "r": "3.5", "fill": "steelblue", "fill-opacity": "0.8",
-            "stroke": "none",
-        })
-    _text(svg, _MARGIN + 6, _MARGIN - 8,
-          f"{fit.transform.value} fit: slope {fit.slope:.4f}, "
-          f"intercept {fit.intercept:.4f}, rms {fit.residual_rms:.2e}", "11")
-    return ET.tostring(svg, encoding="unicode", xml_declaration=True) + "\n"
+    parts += [_text(w / 2, h - 12, f"easy {space}", "12", "middle"),
+              _text(14, h / 2, f"hard {space}", "12", "middle", rotate=True),
+              # dashed y = x reference across the drawing range
+              _line(sx(lo), sy(lo), sx(hi), sy(hi), "gray", dash="6 4"),
+              _line(sx(lo), sy(fit.slope * lo + fit.intercept),
+                    sx(hi), sy(fit.slope * hi + fit.intercept), "crimson", "1.5")]
+    parts += [f'<circle cx="{sx(float(px)):.6g}" cy="{sy(float(py)):.6g}" r="3.5" '
+              'fill="steelblue" fill-opacity="0.8" stroke="none" />' for px, py in zip(x, y)]
+    title = (f"{fit.transform.value} fit: slope {fit.slope:.4f}, "
+             f"intercept {fit.intercept:.4f}, rms {fit.residual_rms:.2e}")
+    return "".join(parts) + _text(_MARGIN + 6, _MARGIN - 8, title, "11") + "</svg>\n"

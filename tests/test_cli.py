@@ -583,6 +583,19 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": json.dumps({**GAUSS_EXACT, "sigma_inv": 1e-170, "sigma_spu": 0})},
      ["verify-theorem", "--config", "c.json", "--out", "r.json"],
      3, "singular parameters: margin has zero variance"),
+    # an integer past the largest float: float() of it would overflow
+    ({"c.json": json.dumps({**GAUSS_EXACT, "sigma_xi": 10**400})},
+     ["verify-theorem", "--config", "c.json", "--out", "r.json"],
+     2, "config field sigma_xi must be a finite number"),
+    ({"c.json": json.dumps({**GAUSS_DEF1, "rho": -10**400})},
+     ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
+     2, "config field rho must be a finite number"),
+    ({"c.json": json.dumps({**DISCRETE, "p_inv": 10**400})},
+     ["simulate-discrete", "--config", "c.json", "--out", "r.csv"],
+     2, "config field p_inv must be a finite number"),
+    ({"p.csv": "sample_id,true_label,group,background,pred_1\n"},
+     ["discover", "--predictions", "p.csv", "--threshold", "5", "--out", "r.json"],
+     2, "no records to score"),
 ], ids=["fit-nan-hard", "fit-nan-easy", "fit-inf-easy", "fit-out-of-range",
         "eval-non-utf8", "confuse-non-utf8", "config-float-for-int",
         "config-bool-for-float", "config-bool-seed", "config-non-utf8",
@@ -598,7 +611,8 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
         "verify-d-image-unrepresentable", "eval-out-empty", "fit-out-dot",
         "fit-out-root", "discrete-out-empty", "config-deep-nesting",
         "config-int-too-long", "fit-x-too-close", "eval-header-only",
-        "verify-singular-margin"])
+        "verify-singular-margin", "verify-int-past-float", "gaussian-int-past-float",
+        "discrete-int-past-float", "discover-header-only"])
 def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
                                           files, argv, code, named):
     monkeypatch.chdir(tmp_path)
@@ -1017,3 +1031,14 @@ class TestParser:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_no_xml_library_is_loaded(self, tmp_path):
+        # the fit SVG is written as text, so no subcommand needs ElementTree
+        argv = ["fit", "--points", write(tmp_path / "p.csv", POINTS),
+                "--out", str(tmp_path / "f.json")]
+        code = (f"import sys, spurious_lens.cli as cli; cli.main({argv!r}); "
+                "print(sorted({'xml.etree.ElementTree', 'pyexpat'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "f.svg").is_file()

@@ -158,9 +158,11 @@ def reference_load_similarities(path):
         if not np.isfinite(values).all():
             raise ParseError(f"line {line}: non-finite score", lines=(line,))
         scores.append(values)
-    return SimilarityTable(
-        candidates=candidates, n_samples=len(scores), means=np.array(scores).mean(axis=0)
-    )
+    # finite scores whose sum overflows make an infinite mean, which the
+    # loader leaves to confusing_labels
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.array(scores).mean(axis=0)
+    return SimilarityTable(candidates=candidates, n_samples=len(scores), means=means)
 
 
 def reference_load_points(path):
@@ -687,6 +689,13 @@ def test_numbers_are_float_bit_for_bit(kind, data):
     text = data.draw(numeric_tables(kind), label="text")
     block_chars = data.draw(st.sampled_from((1, 24, None)), label="block_chars")
     assert_same_outcome(kind, text, block_chars)
+
+
+def test_scores_whose_sum_overflows_give_the_same_infinite_mean():
+    text = ("sample_id,c0,c1,c2\nq0,0,0,8.988465674311579e+307\n"
+            "q1,0,0,8.98846567431158e+307")
+    kind, (_, _, bits) = assert_same_outcome("similarities", text, block_chars=1)
+    assert kind == "table" and np.array(bits).view(float).tolist() == [0.0, 0.0, np.inf]
 
 
 def refuse_cell_by_cell(monkeypatch):

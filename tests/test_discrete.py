@@ -456,6 +456,12 @@ class TestOneHeadPerRun:
 
 
 class TestEvaluation:
+    @pytest.mark.parametrize("weights", [np.zeros(3), np.array([[np.nan]])],
+                             ids=["one-dimensional", "non-finite"])
+    def test_classifier_rejects_malformed_weights(self, weights):
+        with pytest.raises(ConfigError, match="finite 2-D matrix"):
+            LinearClassifier(weights)
+
     def test_split_report_rejects_out_of_range(self):
         with pytest.raises(ConfigError):
             SplitReport(method="supervised", acc_rand_biased=1.2,

@@ -13,6 +13,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spurious_lens import Point, effective_robustness_fit
 from spurious_lens.evaluation import FitLine, Transform, transform_coordinates
@@ -99,3 +101,25 @@ def test_svg_bytes_are_pinned(fit, sha256):
     # the hashes pin every attribute, its order and each number's format
     svg = render_fit_svg(POINTS, fit)
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == sha256
+
+
+ACCURACY = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(ACCURACY, ACCURACY), min_size=1, max_size=39),
+       tie=st.booleans(), transform=st.sampled_from(list(Transform)),
+       slope=st.floats(-1e6, 1e6), intercept=st.floats(-1e6, 1e6),
+       rms=st.floats(0.0, 1e6))
+def test_every_svg_is_well_formed(pairs, tie, transform, slope, intercept, rms):
+    # the SVG is written as text: a parser must read back every mark
+    points = [Point(f"p{i}", pairs[0][0] if tie else easy, hard)
+              for i, (easy, hard) in enumerate(pairs)]
+    svg = render_fit_svg(points, FitLine(slope, intercept, transform, rms))
+    root = ET.fromstring(svg)
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert len(_elements(svg, "circle")) == len(points)
+    assert len(_elements(svg, "line")) == 2 * 5 + 2
+    *_, title = _elements(svg, "text")
+    assert title.text == (f"{transform.value} fit: slope {slope:.4f}, "
+                          f"intercept {intercept:.4f}, rms {rms:.2e}")
