@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ MC_STREAM = 3
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentMatrix:
     """The learned bilinear form scoring image rows against text columns."""
 
@@ -48,14 +49,12 @@ class AlignmentMatrix:
         return self.entries.shape
 
 
-@dataclass(frozen=True)
-class PromptEmbedding:
+class PromptEmbedding(NamedTuple):
     label: int
     vector: np.ndarray
 
 
-@dataclass(frozen=True)
-class SubgroupReport:
+class SubgroupReport(NamedTuple):
     """Zero-shot accuracy split by whether the attribute matches the label,
     next to the exact error on the a != y subgroup and accuracy on the
     a == y subgroup that the counts are drawn from.

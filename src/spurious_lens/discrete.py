@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,7 +102,7 @@ class DiscreteConfig:
         return self.num_classes + self.num_colors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDataset:
     """Column-batched discrete samples, one row each, with an object label in
     [0, num_classes) per row; a row's color is its one-hot features[:, num_classes:]."""
@@ -183,8 +184,10 @@ def sample_discrete_dataset(config: DiscreteConfig, split: Split,
     return DiscreteDataset(config, split, features, object_labels=y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
+    """One row of weights per class; a feature row is scored against each."""
+
     weights: np.ndarray
 
     def __post_init__(self):
@@ -314,8 +317,7 @@ def evaluate_splits(method: str, model: LinearClassifier, rand: DiscreteDataset,
     )
 
 
-@dataclass(frozen=True)
-class MethodSummary:
+class MethodSummary(NamedTuple):
     """Mean and population std of each SplitReport column over seeds."""
 
     method: str

@@ -15,7 +15,6 @@ import math
 import operator
 import os
 import stat
-import statistics
 import warnings
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
@@ -51,6 +50,9 @@ def fmt_pct(fraction: float) -> str:
 
 @dataclass(frozen=True)
 class PredictionRecord:
+    """One row of a prediction log: a sample's label, group, background
+    and the model's labels in descending score order."""
+
     sample_id: str
     true_label: str
     group: Group
@@ -508,8 +510,7 @@ def balanced_accuracy(predictions, k: int) -> float:
     return _balanced(*_class_counts(table, k))
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     label: str
     easy_accuracy: float | None
     hard_accuracy: float | None
@@ -518,8 +519,7 @@ class ClassMetrics:
     n_hard: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-class and dataset-level easy/hard comparison at one k.
 
     balanced_drop subtracts balanced accuracies computed over the classes
@@ -575,15 +575,13 @@ def group_report(predictions, k: int) -> EvalReport:
     )
 
 
-@dataclass(frozen=True)
-class BackgroundStat:
+class BackgroundStat(NamedTuple):
     name: str
     accuracy: float
     count: int
 
 
-@dataclass(frozen=True)
-class ClassSplit:
+class ClassSplit(NamedTuple):
     label: str
     easy_background: str
     hard_background: str
@@ -596,8 +594,7 @@ class Skipped(NamedTuple):
     notice: str
 
 
-@dataclass(frozen=True)
-class GroupSplit:
+class GroupSplit(NamedTuple):
     """Outcome of the per-class background split selection."""
 
     threshold_pp: float
@@ -671,7 +668,7 @@ def discover_spurious(predictions, threshold_pp: float, min_count: int = 20) -> 
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityTable:
     """The mean score of each candidate label over the samples of one
     class's images."""
@@ -758,8 +755,7 @@ def confusing_labels(similarities: SimilarityTable, k: int = 20) -> list[str]:
     return [name for name, _ in order[:k]]
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     name: str | None
     easy: float
     hard: float
@@ -797,8 +793,7 @@ def load_points(path) -> list[Point]:
     return points
 
 
-@dataclass(frozen=True)
-class FitLine:
+class FitLine(NamedTuple):
     slope: float
     intercept: float
     transform: Transform
@@ -809,6 +804,7 @@ def std_normal_inv_cdf(p: float) -> float:
     """Inverse standard normal CDF; defined only on the open unit interval."""
     if math.isnan(p) or not 0.0 < p < 1.0:
         raise DomainError(f"inverse normal CDF needs p in (0, 1), got {p}")
+    import statistics  # here, not at the top: it loads fractions and decimal
     return statistics.NormalDist().inv_cdf(p)
 
 

@@ -126,7 +126,7 @@ class GenerativeConfig:
         return float(self.mu_inv), float(self.mu_spu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Ambient embedding with orthonormal columns, shape (d, 2)."""
 
@@ -201,7 +201,7 @@ def dataset_dictionaries(config: GenerativeConfig, seed: int):
     return dict_image, dict_text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingMoments:
     """A training set as the minimizer reads it: n, sum X_I, sum X_T, the
     matched sum X_I^T X_T and the dictionaries its rows were embedded with."""
@@ -214,7 +214,7 @@ class TrainingMoments:
     dict_text: Dictionary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDataset(TrainingMoments):
     """A training set's moments plus its rows, one paired sample each."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .alignment import (
     alignment_gap,
@@ -71,8 +72,7 @@ def kappa2(params: TheoryParams) -> float:
     return (-2.0 * params.mu_spu * params.p_spu - s2) / _margin_scale(params)
 
 
-@dataclass(frozen=True)
-class TheoryBounds:
+class TheoryBounds(NamedTuple):
     kappa1: float
     kappa2: float
     err_lower_conflicting: float
@@ -91,8 +91,7 @@ def theorem_bounds(params: TheoryParams) -> TheoryBounds:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Closed-form bounds next to their Monte-Carlo estimates.
 
     alignment_gap is the relative Frobenius distance of the trained matrix

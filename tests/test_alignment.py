@@ -32,8 +32,11 @@ from spurious_lens.alignment import (
     subgroup_accuracy,
 )
 from spurious_lens.cli import _json_data, main as cli_main
+from spurious_lens.discrete import (DiscreteConfig, LinearClassifier, Split,
+                                    sample_discrete_dataset)
 from spurious_lens.errors import (ConfigError, InsufficientDataError, NonconvergenceError,
                                   ShapeError)
+from spurious_lens.evaluation import SimilarityTable
 from spurious_lens.synthetic import (
     _CELLS,
     CHUNK,
@@ -707,3 +710,21 @@ class TestStreamV3Law:
 def test_library_rejects_malformed_arguments(call, error, named):
     with pytest.raises(error, match=named):
         call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AlignmentMatrix(np.eye(2)),
+    lambda: Dictionary(np.eye(2)),
+    lambda: training_moments(GenerativeConfig(n=25, d_I=4, d_T=3), seed=0),
+    lambda: small_dataset(),
+    lambda: LinearClassifier(np.eye(2)),
+    lambda: sample_discrete_dataset(DiscreteConfig(2, 0.75, 0.9, 10), Split.TRAIN, 0),
+    lambda: SimilarityTable(("a", "b"), 3, np.zeros(2)),
+], ids=["AlignmentMatrix", "Dictionary", "TrainingMoments", "SyntheticDataset",
+        "LinearClassifier", "DiscreteDataset", "SimilarityTable"])
+def test_array_records_compare_by_identity(make):
+    # field-wise == would ask numpy for the truth value of an array
+    first, second = make(), make()
+    assert first == first and first != second
+    assert first in [first] and second not in [first]
+    assert hash(first) == hash(first) and len({first, second}) == 2

@@ -1042,3 +1042,18 @@ class TestParser:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert (tmp_path / "f.svg").is_file()
+
+    def test_statistics_loads_only_for_the_probit_fit(self, tmp_path):
+        # statistics pulls in fractions and decimal; only the probit fit reads it
+        verify = ["verify-theorem", "--config", write_json(tmp_path / "c.json", GAUSS_EXACT),
+                  "--mc", "2000", "--out", str(tmp_path / "v.json")]
+        fit = ["fit", "--points", write(tmp_path / "p.csv", POINTS),
+               "--transform", "probit", "--out", str(tmp_path / "f.json")]
+        heavy = {"statistics", "decimal", "fractions"}
+        code = (f"import sys, spurious_lens.cli as cli; v = cli.main({verify!r}); "
+                f"loaded = sorted({heavy!r} & set(sys.modules)); "
+                f"print(v, loaded, cli.main({fit!r}), 'statistics' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 [] 0 True"
+        assert read_json(tmp_path / "f.json")["transform"] == "probit"

@@ -113,3 +113,30 @@ def test_every_optional_parameter_has_a_caller():
                          if not {(node.name, arg), (node.name, position),
                                  (node.name, "*")} & passed]
     assert not unpassed, f"optional but set only by their own tests: {unpassed}"
+
+
+# Dataclasses without a __post_init__, each with why it is not a NamedTuple.
+UNCHECKED_DATACLASSES = {
+    "TrainingMoments": "SyntheticDataset subclasses it; tests read dataclasses.fields",
+    "SyntheticDataset": "it extends TrainingMoments with the rows",
+    "PredictionTable": "its __len__ counts rows, not fields",
+}
+
+
+def test_every_dataclass_checks_its_fields():
+    # defining a dataclass costs about ten times a NamedTuple at import, so a
+    # record whose fields need no check is a NamedTuple
+    unchecked = set()
+    for path in MODULES:
+        for node in _tree(path).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if (any(getattr(d, "id", None) == "dataclass" for d in decorators)
+                    and "__post_init__" not in methods):
+                unchecked.add(node.name)
+    listed = set(UNCHECKED_DATACLASSES)
+    assert not unchecked - listed, (
+        f"a dataclass without __post_init__ should be a NamedTuple: {sorted(unchecked - listed)}")
+    assert not listed - unchecked, f"listed but checked or gone: {sorted(listed - unchecked)}"
