@@ -8,6 +8,7 @@ formatting concern (:func:`fmt_pct`).
 
 from __future__ import annotations
 
+import array
 import csv
 import enum
 import io
@@ -307,21 +308,21 @@ _id_hash = hash
 
 class _SampleIds:
     """The sample ids of a CSV file's data rows, kept as one 8-byte hash
-    each, in row order.  ``path``, ``what``, ``width`` and ``pad`` say how
-    to read the file again (see _read_csv and _data_rows): only when two
-    hashes are equal are the ids read as strings.  Around a row loop, it
-    checks the rows up to a ParseError's line before the error, else all."""
+    each, in row order, in one flat buffer (``hashes``, one entry a row).
+    ``path``, ``what``, ``width`` and ``pad`` say how to read the file again
+    (see _read_csv and _data_rows): only when two hashes are equal are the
+    ids read as strings.  Around a row loop, it checks the rows up to a
+    ParseError's line before the error, else all."""
 
     def __init__(self, path, what: str, width: int, pad: bool):
         self.source = path, what, width, pad
-        self.hashes = [np.empty(0, dtype=np.int64)]
-        self.rows = 0
+        self.hashes = array.array("q")
 
     def add(self, names) -> np.ndarray:
         """Take the next rows' sample ids; the mask of the empty ones."""
         n = len(names)
-        self.hashes.append(np.fromiter(map(_id_hash, names), dtype=np.int64, count=n))
-        self.rows += n
+        self.hashes.frombytes(
+            np.fromiter(map(_id_hash, names), dtype=np.int64, count=n).tobytes())
         if "" not in names:
             return np.zeros(n, dtype=bool)
         return np.fromiter(map(operator.not_, names), dtype=bool, count=n)
@@ -332,12 +333,13 @@ class _SampleIds:
     def __exit__(self, kind, error, traceback) -> None:
         if kind is None or issubclass(kind, ParseError) and error.lines:
             # data rows start at line 2, so the rows up to line L are L - 1
-            self.check(self.rows if error is None else min(self.rows, error.lines[0] - 1))
+            rows = len(self.hashes)
+            self.check(rows if error is None else min(rows, error.lines[0] - 1))
 
     def check(self, rows: int) -> None:
         """Raise the error of the first row, of the first ``rows`` (only the
         last of them may have an empty id), whose sample_id an earlier row has."""
-        hashes = np.concatenate(self.hashes)[:rows]
+        hashes = np.frombuffer(self.hashes, dtype=np.int64)[:rows]
         ranked = np.sort(hashes)
         equal = ranked[1:] == ranked[:-1]
         if not equal.any():
@@ -430,8 +432,8 @@ def load_predictions(path) -> PredictionTable:
     width = len(header)
     ids = _SampleIds(path, "prediction", width, pad=True)
     labels, backgrounds = _Codes({"": 0}), _Codes()  # label code 0 is an empty cell
-    # each block's true label, group and background codes and ranks
-    columns = tuple([np.empty(0, dtype=t)] for t in (np.intp, np.int8, np.intp, np.int64))
+    # the rows' true label, group and background codes and ranks
+    columns = tuple(map(array.array, "qbqq"))
     with ids:
         for block in _data_rows(blocks, width, pad=True):
             line, n, cells = block.line, len(block.widths), block.cells()
@@ -439,7 +441,7 @@ def load_predictions(path) -> PredictionTable:
             ranked = [cells[j::width] for j in range(4, width)]
             pred = np.fromiter(map(labels.__getitem__, chain.from_iterable(ranked)),
                                dtype=np.intp, count=n * len(ranked)).reshape(len(ranked), n).T
-            true = np.fromiter(map(labels.__getitem__, cells[1::width]), dtype=np.intp, count=n)
+            true = np.fromiter(map(labels.__getitem__, cells[1::width]), dtype=np.int64, count=n)
             group_code = np.fromiter(map(_GROUP_CODE.get, group, repeat(-1, n)),
                                      dtype=np.int8, count=n)
             filled = pred != 0
@@ -457,11 +459,12 @@ def load_predictions(path) -> PredictionTable:
             ])
             hit = pred == true[:, None]
             background = np.fromiter(map(backgrounds.__getitem__, cells[3::width]),
-                                     dtype=np.intp, count=n)
+                                     dtype=np.int64, count=n)
             rank = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK)
             for column, codes in zip(columns, (true, group_code, background, rank)):
-                column.append(codes)
-    return _encode(labels, backgrounds, *map(np.concatenate, columns))
+                column.frombytes(codes.tobytes())
+    return _encode(labels, backgrounds,
+                   *(np.frombuffer(column, dtype=column.typecode) for column in columns))
 
 
 def _as_table(predictions, k: int) -> PredictionTable:
@@ -689,11 +692,11 @@ class SimilarityTable:
 def load_similarities(path) -> SimilarityTable:
     """Parse a similarity CSV: header sample_id,<cand_1>,...,<cand_C>.
 
-    The means are those of numpy's ``mean(axis=0)`` over the score matrix,
-    to the bit, from one row of column sums: numpy adds the rows of a
-    matrix of two or more columns in order, so each block's rows are added
-    to the sums in file order.  One column numpy sums pairwise, so a table
-    of one candidate keeps its column of scores.  An overflow of the sums
+    The means are one row of column sums over the row count.  Each column
+    is summed in file order from +0.0, however many candidates the table
+    has, so a candidate's mean does not depend on the others: for two or
+    more candidates these are the bits of numpy's ``mean(axis=0)`` over the
+    score matrix, whose rows numpy adds in order.  An overflow of the sums
     is left to :func:`confusing_labels`, after every row is checked."""
     header, blocks = _read_csv(path, "similarity")
     if len(header) < 2 or header[0] != "sample_id":
@@ -705,7 +708,7 @@ def load_similarities(path) -> SimilarityTable:
         raise ParseError("duplicate candidate labels in header", lines=(1,))
     width = len(header)
     ids = _SampleIds(path, "similarity", width, pad=False)
-    sums, column = None, []
+    sums = np.zeros(len(candidates))
     with ids:
         for block in _data_rows(blocks, width, pad=False):
             line = block.line
@@ -716,21 +719,18 @@ def load_similarities(path) -> SimilarityTable:
                 (~np.isfinite(values).all(axis=1),
                  lambda i: _at(line + i, "non-finite score")),
             ])
-            if len(candidates) == 1:
-                column.append(values)
-            elif len(values):
+            if len(values):
                 with np.errstate(over="ignore"):
-                    if sums is not None:
-                        values[0] += sums
-                    sums = np.add.reduce(values, axis=0, out=sums)
-    if not ids.rows:
+                    values[0] += sums
+                    if len(candidates) == 1:
+                        # numpy sums a lone column pairwise; cumsum adds in order
+                        sums = values.cumsum(axis=0)[-1]
+                    else:
+                        np.add.reduce(values, axis=0, out=sums)
+    rows = len(ids.hashes)
+    if not rows:
         raise ParseError("similarity file has no data rows")
-    if column:
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = np.concatenate(column).mean(axis=0)
-    else:
-        means = sums / ids.rows
-    return SimilarityTable(candidates=candidates, n_samples=ids.rows, means=means)
+    return SimilarityTable(candidates=candidates, n_samples=rows, means=sums / rows)
 
 
 def confusing_labels(similarities: SimilarityTable, k: int = 20) -> list[str]:

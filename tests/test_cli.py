@@ -791,6 +791,32 @@ def test_config_digest_pinned(tmp_path):
         assert manifest_of(out)["config_digest"] == digest, argv[0]
 
 
+def test_csv_report_bytes_pinned(tmp_path):
+    """The reports of the CSV subcommands on this file's inputs.  The
+    one-candidate table's mean is 0.1 summed pairwise, as numpy sums a lone
+    column, and 0.09999999999999999 summed in file order, as a wider table
+    sums each of its columns."""
+    preds = write(tmp_path / "p.csv", PREDICTIONS)
+    disc_preds = write(tmp_path / "d.csv", DISCOVER_PREDICTIONS)
+    sims = write(tmp_path / "s.csv", SIMILARITIES)
+    one = write(tmp_path / "one.csv",
+                "sample_id,cat\n" + "".join(f"s{i},0.1\n" for i in range(8)))
+    pinned = [
+        (["eval", "--predictions", preds],
+         "85106daac55723a2e15c30a6c930bef9f14b7533bce1b565c735293a784aa51c"),
+        (["discover", "--predictions", disc_preds, "--threshold", "5", "--min-count", "20"],
+         "087af60696360bef492d815244bb724f9b849fcf41cb52762088db095b91299b"),
+        (["confuse", "--similarities", sims, "--k", "2"],
+         "eb68c749647d626586a03e01d7395fc2e764ffa7a1191e9e03157d80da28daa7"),
+        (["confuse", "--similarities", one, "--k", "1"],
+         "e7f7d3b4323d27e593a16916e66e90a761be71824fa637e619b708f1548eccbd"),
+    ]
+    for i, (argv, digest) in enumerate(pinned):
+        out = tmp_path / f"{i}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
 def test_input_files_are_digested_in_pieces(tmp_path):
     data = np.random.default_rng(0).bytes(8_000_000)
     path = tmp_path / "big.csv"

@@ -8,6 +8,7 @@ ParseError: the same message and the same lines.
 """
 
 import csv
+import gc
 import re
 import tempfile
 import tracemalloc
@@ -161,7 +162,12 @@ def reference_load_similarities(path):
     # finite scores whose sum overflows make an infinite mean, which the
     # loader leaves to confusing_labels
     with np.errstate(over="ignore", invalid="ignore"):
-        means = np.array(scores).mean(axis=0)
+        if len(candidates) == 1:
+            # one column is added in file order from +0.0 like a wider table's
+            # columns, not pairwise as numpy sums a lone column
+            means = np.cumsum([np.zeros(1), *scores], axis=0)[-1] / len(scores)
+        else:
+            means = np.array(scores).mean(axis=0)
     return SimilarityTable(candidates=candidates, n_samples=len(scores), means=means)
 
 
@@ -466,7 +472,7 @@ def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
     per sample id, with a prediction log's labels and backgrounds held as
     codes and a block's cells only where numbers are not parsed from the
     records' text: about 0.05x the file for a similarity table, whose
-    result is a row of means, and 1.8x for a prediction log.  Splitting
+    result is a row of means, and 1.3x for a prediction log.  Splitting
     the whole text into cells at once holds a string per cell: 10x and 14x.
     Both files have half the rows of the benchmark's, to halve the time
     tracemalloc adds; the ratios do not depend on the row count."""
@@ -499,14 +505,32 @@ def test_peak_memory_of_a_similarity_load_is_one_piece(tmp_path):
 
 def test_peak_memory_of_confuse_does_not_grow_with_the_rows(tmp_path):
     """The confuse subcommand, from parsing to its report and manifest,
-    peaks under 1 MiB (0.58 MiB measured), and 4000 rows take at most
-    256 KiB more than 1000 (0.02 MiB measured): 8 bytes a row."""
+    peaks under 1 MiB (0.38-0.45 MiB measured), and 4000 rows take at most
+    256 KiB more than 1000 (at most 0.02 MiB measured, in warm calls, after
+    gc.collect() or with gc off): 8 bytes a row."""
     peaks = [_peak(cli.main, ["confuse", "--similarities",
                               str(_scores_file(tmp_path / f"s{rows}.csv", rows)),
                               "--out", str(tmp_path / f"c{rows}.json")])
              for rows in (1000, 4000)]
     assert max(peaks) <= 1 << 20
     assert peaks[1] - peaks[0] <= 256 << 10
+
+
+def test_the_sample_id_store_grows_8_bytes_a_row():
+    """2000 adds of 2 ids each, the blocks of confuse's 8 KB rows, keep
+    about 8 bytes a row (one flat buffer, over-allocated by at most a
+    sixteenth), not an array a block (68 bytes a row)."""
+    ids = evaluation._SampleIds("s.csv", "similarity", 2, pad=False)
+    blocks = [[f"q{i:05d}", f"r{i:05d}"] for i in range(2000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for names in blocks:
+            ids.add(names)
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grown <= 9 * 4000 + (1 << 10)
 
 
 # ---------------------------------------------------------------- piece boundaries
@@ -772,21 +796,54 @@ def _scores(rng, shape) -> np.ndarray:
     return values
 
 
+def _similarity_text(scores) -> str:
+    """A similarity table of the score matrix, each score as its repr."""
+    return ("sample_id," + ",".join(f"c{j}" for j in range(scores.shape[1])) + "\n"
+            + "".join(f"q{i}," + ",".join(map(repr, row)) + "\n"
+                      for i, row in enumerate(scores.tolist())))
+
+
 @settings(max_examples=40, deadline=None)
 @given(candidates=st.sampled_from((1, 2, 3, 40)), rows=st.integers(1, 3000),
        seed=st.integers(0, 2**32 - 1), block_chars=st.sampled_from((1, 24, 1 << 14)))
 def test_means_are_numpy_means_bit_for_bit(candidates, rows, seed, block_chars):
-    """The means of the column sums are the reference's
-    ``np.array(rows).mean(axis=0)`` to the bit: one candidate's summed
-    pairwise as numpy sums a column, two or more a row at a time."""
+    """The means of the column sums are the reference's to the bit: for two
+    or more candidates ``np.array(rows).mean(axis=0)``, which adds a row at
+    a time, and for one the same in-order sum from +0.0 (numpy would sum
+    a lone column pairwise)."""
     rows = min(rows, 6000 // candidates)
     scores = _scores(np.random.default_rng(seed), (rows, candidates))
-    text = ("sample_id," + ",".join(f"c{j}" for j in range(candidates)) + "\n"
-            + "".join(f"q{i}," + ",".join(map(repr, row)) + "\n"
-                      for i, row in enumerate(scores.tolist())))
+    text = _similarity_text(scores)
     kind, (_, n_samples, means) = assert_same_outcome("similarities", text, block_chars)
     assert kind == "table" and n_samples == rows
+    if candidates == 1:
+        in_order = np.cumsum([np.zeros(candidates), *scores], axis=0)[-1] / rows
+        assert means == in_order.view(np.int64).tolist()
+        return
     assert means == scores.mean(axis=0).view(np.int64).tolist()
+
+
+def _similarity_file(path, scores):
+    path.write_text(_similarity_text(scores), encoding="utf-8")
+    return path
+
+
+def test_a_candidates_mean_does_not_depend_on_the_others(tmp_path):
+    """A column of scores has the same mean, to the bit, alone and next to
+    another candidate's column: every width adds its rows in file order."""
+    scores = np.random.default_rng(5).normal(0.2, 0.05, (2000, 2))
+    alone = load_similarities(_similarity_file(tmp_path / "1.csv", scores[:, :1])).means
+    paired = load_similarities(_similarity_file(tmp_path / "2.csv", scores)).means
+    assert alone[0].hex() == paired[0].hex()
+
+
+def test_a_one_candidate_overflow_is_an_overflow(tmp_path, capsys):
+    """Summed pairwise, 4 x 1e308 then 4 x -1e308 would be inf + -inf = nan;
+    added in file order the sum stays inf, an overflow, as at any width."""
+    path = _similarity_file(tmp_path / "s.csv", np.repeat([[1e308], [-1e308]], 4, axis=0))
+    assert cli.main(["confuse", "--similarities", str(path), "--k", "1",
+                     "--out", str(tmp_path / "c.json")]) == 3
+    assert capsys.readouterr().err == "error: overflow encountered in reduce\n"
 
 
 OVERFLOW = ("s0,1e308,1e308\ns1,1e308,1e308\n"

@@ -455,6 +455,53 @@ class TestOneHeadPerRun:
                                   LinearClassifier(joint).predict(split.features))
 
 
+def naive_contrastive_loss(weights, x, objects, colors, k, c):
+    """The image-to-text contrastive loss with a perfect language side, over
+    all k·c captions: image i embeds as W x_i, caption (j, m) as [e_j; e_m],
+    and each row takes the cross-entropy over every caption at its own
+    (object, color) caption, caption (j, m) being column j·c + m."""
+    captions = np.array([np.concatenate([np.eye(k)[j], np.eye(c)[m]])
+                         for j in range(k) for m in range(c)])
+    scores = x @ weights.T @ captions.T
+    top = scores.max(axis=1)
+    lse = np.log(np.exp(scores - top[:, None]).sum(axis=1)) + top
+    return float(np.mean(lse - scores[np.arange(len(x)), objects * c + colors])), scores
+
+
+class TestContrastiveReduction:
+    """The contrastive loss over all captions splits into the object and the
+    color cross-entropies of disjoint heads, since log Σ_{j,m} e^{a_j + b_m}
+    = lse(a) + lse(b): the reason the object head is descended alone."""
+
+    @pytest.mark.parametrize("num_classes,num_colors", [(5, 5), (2, 3)])
+    def test_naive_loss_is_object_plus_color_cross_entropy(self, num_classes, num_colors):
+        cfg = DiscreteConfig(num_classes=num_classes, num_colors=num_colors, p_inv=0.75,
+                             p_spu=0.9, n_train=500)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
+        x, objects, colors = data.features, data.object_labels, colors_of(data)
+        k, c = num_classes, num_colors
+        w = np.random.default_rng(1).normal(size=(k + c, cfg.feature_dim))
+
+        def naive(weights):
+            return naive_contrastive_loss(weights, x, objects, colors, k, c)[0]
+
+        lo, go = discrete._ce_loss_grad(w[:k], x, objects)
+        lc, gc = discrete._ce_loss_grad(w[k:], x, colors)
+        assert naive(w) == pytest.approx(lo + lc, rel=1e-13)
+        eps, fd = 1e-6, np.zeros_like(w)
+        for index in np.ndindex(w.shape):
+            bump = np.zeros_like(w)
+            bump[index] = eps
+            fd[index] = (naive(w + bump) - naive(w - bump)) / (2 * eps)
+        assert np.abs(fd - np.vstack([go, gc])).max() <= 1e-8
+        # the best caption's object is the object head's prediction
+        test = sample_discrete_dataset(cfg, Split.RAND, seed=0, size=2000)
+        _, scores = naive_contrastive_loss(w, test.features, test.object_labels,
+                                           colors_of(test), k, c)
+        assert np.array_equal(scores.argmax(axis=1) // c,
+                              LinearClassifier(w[:k]).predict(test.features))
+
+
 class TestEvaluation:
     @pytest.mark.parametrize("weights", [np.zeros(3), np.array([[np.nan]])],
                              ids=["one-dimensional", "non-finite"])
