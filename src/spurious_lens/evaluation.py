@@ -722,11 +722,8 @@ def load_similarities(path) -> SimilarityTable:
             if len(values):
                 with np.errstate(over="ignore"):
                     values[0] += sums
-                    if len(candidates) == 1:
-                        # numpy sums a lone column pairwise; cumsum adds in order
-                        sums = values.cumsum(axis=0)[-1]
-                    else:
-                        np.add.reduce(values, axis=0, out=sums)
+                    # not add.reduce: numpy sums a lone column pairwise
+                    sums = np.add.accumulate(values, axis=0, out=values)[-1]
     rows = len(ids.hashes)
     if not rows:
         raise ParseError("similarity file has no data rows")
