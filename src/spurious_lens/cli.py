@@ -70,7 +70,8 @@ _INPUT_ERRORS = (ParseError, ConfigError, InsufficientDataError, ShapeError, OSE
 _NUMERIC_ERRORS = (NonconvergenceError, DomainError, DegenerateFitError,
                    ArithmeticError, np.linalg.LinAlgError, RuntimeWarning)
 
-# Arguments naming input files, digested by content as <name>_sha256.
+# Arguments naming input files, digested by content as <name>_sha256; a
+# subcommand reads at most one, so one digest serves.
 _INPUT_FILES = ("predictions", "similarities", "points")
 
 
@@ -114,15 +115,6 @@ def _digest(params: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _file_sha256(path) -> str:
-    """SHA-256 of the file's bytes, read 64 KiB at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as file:
-        while chunk := file.read(1 << 16):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _output_paths(args) -> list[str]:
     """The files a subcommand writes besides its manifest: ``--out``, and
     the JSON summary of simulate-discrete or the SVG of fit."""
@@ -140,8 +132,8 @@ def _run(args) -> int:
     an earlier output.  A path ending in a separator names no file.
 
     The digest covers every argument but the output paths, with the config
-    as decoded and each input file by its SHA-256.  The files are digested
-    after the subcommand has loaded them, so a loader's error comes first.
+    as decoded and the input file by the SHA-256 of the bytes its loader
+    parsed, which the loader feeds ``args.sha256`` as it reads them.
     """
     if not Path(os.path.basename(args.out)).name:
         raise ConfigError(f"--out {args.out!r} names no file")
@@ -166,6 +158,7 @@ def _run(args) -> int:
         args.config = load_config(args.config_type, read_text(params["config"]))
         params["config"] = args.config
 
+    args.sha256 = hashlib.sha256()
     # numpy reports an overflow or invalid value as a RuntimeWarning and goes
     # on with inf or nan
     with warnings.catch_warnings():
@@ -173,7 +166,8 @@ def _run(args) -> int:
         outcome = args.func(args)
     for name in _INPUT_FILES:
         if name in params:
-            params[f"{name}_sha256"] = _file_sha256(params.pop(name))
+            del params[name]
+            params[f"{name}_sha256"] = args.sha256.hexdigest()
     files = [(path, _serialize(path, payload))
              for path, payload in zip(paths, outcome.payloads, strict=True)]
     files.append((manifest_path, _serialize(manifest_path, {
@@ -267,7 +261,7 @@ def cmd_simulate_discrete(args) -> _Outcome:
 
 
 def cmd_eval(args) -> _Outcome:
-    report = group_report(load_predictions(args.predictions), args.topk)
+    report = group_report(load_predictions(args.predictions, digest=args.sha256), args.topk)
     print(
         f"balanced easy {fmt_pct(report.balanced_easy)}%  "
         f"hard {fmt_pct(report.balanced_hard)}%  "
@@ -278,7 +272,7 @@ def cmd_eval(args) -> _Outcome:
 
 
 def cmd_discover(args) -> _Outcome:
-    split = discover_spurious(load_predictions(args.predictions),
+    split = discover_spurious(load_predictions(args.predictions, digest=args.sha256),
                               args.threshold, args.min_count)
     print(
         f"flagged {len(split.flagged)} classes, "
@@ -289,7 +283,7 @@ def cmd_discover(args) -> _Outcome:
 
 
 def cmd_confuse(args) -> _Outcome:
-    table = load_similarities(args.similarities)
+    table = load_similarities(args.similarities, digest=args.sha256)
     top = confusing_labels(table, args.k)
     return _Outcome([{
         "k": args.k,
@@ -300,7 +294,7 @@ def cmd_confuse(args) -> _Outcome:
 
 
 def cmd_fit(args) -> _Outcome:
-    points = load_points(args.points)
+    points = load_points(args.points, digest=args.sha256)
     fit = effective_robustness_fit(points, args.transform)
     print(
         f"{fit.transform.value} fit: slope {fit.slope:.4f} "

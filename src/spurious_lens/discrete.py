@@ -5,13 +5,14 @@ training routes are compared: a plain supervised k-way classifier over the
 full feature vector, and a contrastive stand-in.  A perfect language side
 makes the contrastive task an object and a color classification with
 separate linear heads and an additive loss, so the heads share nothing and
-the object head, which zero-shot prediction reads, trains alone.
+the object head, which zero-shot prediction reads, descends the supervised
+problem: each seed trains one head and scores it under both names.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +32,7 @@ REV_BIAS = 0.9
 _TAG_TRAIN = 10
 _TAG_RAND = 11
 _TAG_REV = 12
-_TAG_INIT_SUP = 20
-_TAG_INIT_CON = 21
+_TAG_INIT = 20  # 21 started schedule 2's contrastive head
 
 # Step-size halvings allowed within one descent step before giving up.
 _MAX_HALVINGS = 40
@@ -44,8 +44,9 @@ STEP_SIZE = 2.0
 N_TEST = 4000
 
 # Version of the trainers' step schedule, echoed in simulate-discrete's JSON;
-# 2 descends the contrastive object head alone, 1 jointly with a color head.
-TRAIN_SCHEDULE = 2
+# 3 descends one head per seed for both methods, 2 a contrastive object head
+# of its own, from another start, and 1 that head jointly with a color head.
+TRAIN_SCHEDULE = 3
 
 
 class Split(enum.Enum):
@@ -244,28 +245,26 @@ def _descend(loss_grad, w0: np.ndarray, epochs: int, step_size: float) -> np.nda
     return w
 
 
-def _train_object_head(data: DiscreteDataset, rng: np.random.Generator) -> LinearClassifier:
-    """EPOCHS of GD on the object cross-entropy, first step STEP_SIZE, from 0.01 * N(0, 1)."""
+def train_supervised(data: DiscreteDataset, *, rng: np.random.Generator) -> LinearClassifier:
+    """k-way logistic regression on the full feature vector: EPOCHS of GD on
+    the object cross-entropy, first step STEP_SIZE, from 0.01 * N(0, 1)."""
     features, objects = data.features, data.object_labels
     w0 = 0.01 * rng.standard_normal((data.config.num_classes, features.shape[1]))
     return LinearClassifier(_descend(lambda w: _ce_loss_grad(w, features, objects),
                                      w0, EPOCHS, STEP_SIZE))
 
 
-def train_supervised(data: DiscreteDataset, *, rng: np.random.Generator) -> LinearClassifier:
-    """k-way logistic regression on the full feature vector."""
-    return _train_object_head(data, rng)
-
-
 def train_contrastive_perfect(data: DiscreteDataset, *,
                               rng: np.random.Generator) -> LinearClassifier:
     """The object head of contrastive training with a perfect language side.
 
-    The contrastive loss is then the object cross-entropy plus a color
-    cross-entropy over disjoint heads, so the object head descends the
-    supervised problem alone.  No report reads the color head; it is not trained.
+    The contrastive loss over all captions is then the object cross-entropy
+    plus a color cross-entropy over disjoint heads (log-sum-exp over object
+    and color splits in two), so the object head descends the supervised
+    problem itself: from the same start it is the supervised model.  No
+    report reads the color head; it is not trained.
     """
-    return _train_object_head(data, rng)
+    return train_supervised(data, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -349,26 +348,25 @@ def _summarize(method: str, reports: list[SplitReport]) -> MethodSummary:
 
 def run_discrete_experiment(config: DiscreteConfig, n_seeds: int
                             ) -> tuple[list[MethodSummary], list[SplitReport]]:
-    """Train both methods over n_seeds seeds and aggregate per column.
+    """Train over n_seeds seeds and aggregate per column for both methods.
 
     Seeds run at config.seed + index.  Each seed draws its Train split and
-    its N_TEST-row Rand and Rev splits once and both methods are scored on
-    those draws; initializations use separate sub-streams so the two
-    otherwise-identical object problems do not start bit-equal.  The
-    per-seed reports list every supervised seed, then every contrastive one.
+    its N_TEST-row Rand and Rev splits once, trains one head, and scores it
+    once: with a perfect language side the contrastive object head is the
+    supervised model (see train_contrastive_perfect), so the one report is
+    given under both method names.  The per-seed reports list every
+    supervised seed, then every contrastive one.
     """
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
-    reports: dict[str, list[SplitReport]] = {"supervised": [], "contrastive": []}
+    reports = []
     for index in range(n_seeds):
         seed = config.seed + index
         train = sample_discrete_dataset(config, Split.TRAIN, seed)
         rand = sample_discrete_dataset(config, Split.RAND, seed, size=N_TEST)
         rev = sample_discrete_dataset(config, Split.REV, seed, size=N_TEST)
-        sup = train_supervised(train, rng=substream(seed, _TAG_INIT_SUP))
-        con = train_contrastive_perfect(train, rng=substream(seed, _TAG_INIT_CON))
-        reports["supervised"].append(evaluate_splits("supervised", sup, rand, rev))
-        reports["contrastive"].append(evaluate_splits("contrastive", con, rand, rev))
-    summaries = [_summarize(method, runs) for method, runs in reports.items()]
-    return summaries, reports["supervised"] + reports["contrastive"]
-
+        model = train_contrastive_perfect(train, rng=substream(seed, _TAG_INIT))
+        reports.append(evaluate_splits("supervised", model, rand, rev))
+    contrastive = [replace(report, method="contrastive") for report in reports]
+    return ([_summarize("supervised", reports), _summarize("contrastive", contrastive)],
+            reports + contrastive)

@@ -185,16 +185,17 @@ def _at(line: int, message: str) -> ParseError:
     return ParseError(f"line {line}: {message}", lines=(line,))
 
 
-def _read_csv(path, what: str) -> tuple[list[str], Iterator[_Block]]:
+def _read_csv(path, what: str, digest=None) -> tuple[list[str], Iterator[_Block]]:
     """The header row and the data rows in blocks, read lazily.  Lines
     number the records from 1.
 
     The file is read twice, a piece of whole lines at a time.  The first
     pass decodes every piece, so a byte that is not UTF-8 is an error
     before any row's, and keeps only whether the text is plain.  The second
-    parses.  A plain text, with no quote, carriage return, NUL or
-    \\x1c-\\x1f, is cut at its newlines into records whose commas cut the
-    cells csv.reader gives; any other text goes through csv.reader.  (numpy's
+    parses, and feeds ``digest`` (see read_pieces) the bytes it parses.  A
+    plain text, with no quote, carriage return, NUL or \\x1c-\\x1f, is cut
+    at its newlines into records whose commas cut the cells csv.reader
+    gives; any other text goes through csv.reader.  (numpy's
     text reader, which parses the numbers of a plain text's records, strips
     \\x1c-\\x1f around a number, where float() rejects them.)  A file that is
     not regular (a pipe cannot be read twice), an empty file and a cell over
@@ -210,7 +211,7 @@ def _read_csv(path, what: str) -> tuple[list[str], Iterator[_Block]]:
         plain = plain and not any(map(piece.__contains__, _NOT_PLAIN))
     if empty:
         raise ParseError(f"{what} file is empty")
-    pieces = read_pieces(path, _BLOCK_CHARS)
+    pieces = read_pieces(path, _BLOCK_CHARS, digest)
     blocks = _split_blocks(pieces, csv.field_size_limit()) if plain else _csv_blocks(pieces)
     first = next(blocks)
     header = first.rows(0, 1).cells()
@@ -409,14 +410,15 @@ def _numbers(block: _Block, width: int,
     return names, *_floats(cells, width - 1)
 
 
-def load_predictions(path) -> PredictionTable:
+def load_predictions(path, *, digest=None) -> PredictionTable:
     """Parse a prediction log; malformed rows are rejected by line number.
 
     Expected header: sample_id,true_label,group,background,pred_1,...,pred_K.
     A row may rank fewer than K labels by leaving trailing cells empty;
-    pred_1 itself must never be empty.
+    pred_1 itself must never be empty.  A ``digest`` (a hashlib object) is
+    fed the bytes of the file that are parsed.
     """
-    header, blocks = _read_csv(path, "prediction")
+    header, blocks = _read_csv(path, "prediction", digest)
     if tuple(header[: len(_PRED_FIXED)]) != _PRED_FIXED:
         raise ParseError(
             f"header must start with {','.join(_PRED_FIXED)}, got {','.join(header)}",
@@ -689,7 +691,7 @@ class SimilarityTable:
             )
 
 
-def load_similarities(path) -> SimilarityTable:
+def load_similarities(path, *, digest=None) -> SimilarityTable:
     """Parse a similarity CSV: header sample_id,<cand_1>,...,<cand_C>.
 
     The means are one row of column sums over the row count.  Each column
@@ -697,8 +699,9 @@ def load_similarities(path) -> SimilarityTable:
     has, so a candidate's mean does not depend on the others: for two or
     more candidates these are the bits of numpy's ``mean(axis=0)`` over the
     score matrix, whose rows numpy adds in order.  An overflow of the sums
-    is left to :func:`confusing_labels`, after every row is checked."""
-    header, blocks = _read_csv(path, "similarity")
+    is left to :func:`confusing_labels`, after every row is checked.  A
+    ``digest`` is fed the bytes parsed, as by :func:`load_predictions`."""
+    header, blocks = _read_csv(path, "similarity", digest)
     if len(header) < 2 or header[0] != "sample_id":
         raise ParseError(
             "header must be sample_id,<candidate_1>,...,<candidate_C>", lines=(1,)
@@ -758,13 +761,14 @@ class Point(NamedTuple):
     hard: float
 
 
-def load_points(path) -> list[Point]:
+def load_points(path, *, digest=None) -> list[Point]:
     """Parse accuracy pairs: header easy,hard with an optional name column.
 
     Accuracies are fractions; a value that is not finite or lies outside
-    [0, 1] is rejected with its line.
+    [0, 1] is rejected with its line.  A ``digest`` is fed the bytes parsed,
+    as by :func:`load_predictions`.
     """
-    header, blocks = _read_csv(path, "points")
+    header, blocks = _read_csv(path, "points", digest)
     if header == ["easy", "hard"]:
         named = False
     elif header == ["name", "easy", "hard"]:

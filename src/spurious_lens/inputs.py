@@ -25,15 +25,19 @@ def read_text(path) -> str:
     return "".join(read_pieces(path, 1 << 16))  # any read size gives the same text
 
 
-def read_pieces(path, size: int) -> Iterator[str]:
+def read_pieces(path, size: int, digest=None) -> Iterator[str]:
     """The file's text in pieces of whole lines, decoded without newline
     translation: each read of ``size`` bytes is cut after its last newline,
     and what follows the cut starts the next piece.  A cut after a newline
     splits no UTF-8 sequence and no \\r\\n, so a piece decodes, or fails to,
-    as its bytes do in the whole file."""
+    as its bytes do in the whole file.  A ``digest`` (a hashlib object) is
+    updated with each read's bytes, so once the pieces are used up it
+    digests the bytes they were decoded from."""
     with open(path, "rb") as file:
         start, carry = 0, bytearray()  # the byte offset of carry in the file
         while chunk := file.read(size):
+            if digest is not None:
+                digest.update(chunk)
             cut = chunk.rfind(b"\n") + 1
             carry += memoryview(chunk)[:cut] if cut else chunk
             if cut:

@@ -25,6 +25,7 @@ from spurious_lens.cli import main
 from spurious_lens.errors import ParseError
 from spurious_lens.evaluation import (SimilarityTable, fmt_pct, load_points,
                                       load_predictions, load_similarities)
+from spurious_lens.inputs import read_pieces
 
 GAUSS_EXACT = {
     "sigma_inv": 1.0, "sigma_spu": 0.5, "mu_spu": 2.0, "p_spu": 0.95,
@@ -301,7 +302,7 @@ class TestSimulateDiscrete:
         sidecar = read_json(Path(out).with_suffix(".json"))
         check_schema(sidecar, "discrete_summary")
         assert sidecar["n_seeds"] == 2
-        assert sidecar["train_schedule"] == 2
+        assert sidecar["train_schedule"] == 3
         manifest = manifest_of(out)
         check_schema(manifest, "run_manifest")
         assert set(manifest["outputs"]) == {out, str(Path(out).with_suffix(".json"))}
@@ -627,7 +628,7 @@ def test_malformed_input_leaves_no_output(tmp_path, monkeypatch, capsys,
 
 def test_non_finite_result_exits_three_without_output(tmp_path, monkeypatch, capsys):
     sims = write(tmp_path / "s.csv", SIMILARITIES)
-    monkeypatch.setattr(cli, "load_similarities", lambda path: SimilarityTable(
+    monkeypatch.setattr(cli, "load_similarities", lambda path, digest: SimilarityTable(
         candidates=("cat", "dog"), n_samples=1, means=[float("nan"), 0.5]))
     rc = main(["confuse", "--similarities", sims, "--k", "1",
                "--out", str(tmp_path / "c.json")])
@@ -817,18 +818,83 @@ def test_csv_report_bytes_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
+def rounded(value):
+    """JSON data with each float kept to 12 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [rounded(item) for item in value]
+    return value
+
+
+def test_discrete_and_fit_report_bytes_pinned(tmp_path):
+    """simulate-discrete's CSV and summary and fit's SVG, byte for byte: their
+    digests were the same under each OpenBLAS kernel tried (OPENBLAS_CORETYPE
+    Haswell, SkylakeX, Cooperlake, SandyBridge, Nehalem, Prescott and Zen).
+    fit's JSON comes from a LAPACK least squares whose last bits moved with
+    the kernel, so it is pinned with each float rounded to 12 significant
+    digits.  The summary's digest dates from training schedule 3."""
+    discrete = str(Path(__file__).resolve().parents[1] / "configs" / "discrete_k2.json")
+    points = write(tmp_path / "pts.csv", POINTS)
+    pinned = [
+        (["simulate-discrete", "--config", discrete, "--seeds", "2"], {
+            ".csv": "30825f71e33fb34d4ad2c4e7e543849932d45c9e14cd00f6159995f2830761f6",
+            ".json": "7b2c9cf341e571457e8d504572b511f1c23d8a3004f75e0706b78d234edbc29e"}),
+        (["fit", "--points", points], {
+            ".json": "3e7f9feccd288555527365214f9c89bcae5df30b3ec0d12a1f26c3e68f1e7aa5",
+            ".svg": "1ca651f69722283a6ed1ac0ccfae0485e7e5d19fa19736c6c41bc8e0a4f3f556"}),
+        (["fit", "--points", points, "--transform", "probit"], {
+            ".json": "c12b44a396e6e3d0568d4767e19f0e5e266ae2b9907ac41d68acf7fe9054d3b5",
+            ".svg": "e9de616e3ba65a0bde3672ea12c79ed7fe4d75e1744ed2949e4755a7d94fb58c"}),
+    ]
+    for i, (argv, digests) in enumerate(pinned):
+        out = tmp_path / f"{i}{next(iter(digests))}"
+        assert main(argv + ["--out", str(out)]) == 0
+        for suffix, digest in digests.items():
+            data = out.with_suffix(suffix).read_bytes()
+            if argv[0] == "fit" and suffix == ".json":
+                data = json.dumps(rounded(json.loads(data)), sort_keys=True).encode("utf-8")
+            assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
+
+
 def test_input_files_are_digested_in_pieces(tmp_path):
-    data = np.random.default_rng(0).bytes(8_000_000)
+    # the loaders' reads digest an input as they go, never holding the file
+    text = np.random.default_rng(0).bytes(4_000_000).hex()
+    data = "\n".join(text[i:i + 99] for i in range(0, len(text), 99)).encode("ascii")
     path = tmp_path / "big.csv"
     path.write_bytes(data)
+    digest = hashlib.sha256()
     tracemalloc.start()
     try:
-        digest = cli._file_sha256(path)
+        for _ in read_pieces(path, 1 << 14, digest):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert digest == hashlib.sha256(data).hexdigest()
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_manifest_digests_the_bytes_parsed(tmp_path, monkeypatch):
+    """An input that changes after its loader read it is digested as read."""
+    sims = tmp_path / "s.csv"
+    sims.write_text(SIMILARITIES, encoding="utf-8")
+    load = cli.load_similarities
+
+    def load_then_change(path, digest):
+        table = load(path, digest=digest)
+        sims.write_text(SIMILARITIES + "s4,0.1,0.1,0.1\n", encoding="utf-8")
+        return table
+
+    monkeypatch.setattr(cli, "load_similarities", load_then_change)
+    out = tmp_path / "c.json"
+    assert main(["confuse", "--similarities", str(sims), "--k", "1", "--out", str(out)]) == 0
+    assert read_json(out)["n_samples"] == 3
+    params = {"k": 1, "similarities_sha256": hashlib.sha256(SIMILARITIES.encode()).hexdigest(),
+              "subcommand": "confuse"}
+    assert manifest_of(out)["config_digest"] == cli._digest(params)
 
 
 @contextlib.contextmanager

@@ -9,6 +9,7 @@ ParseError: the same message and the same lines.
 
 import csv
 import gc
+import hashlib
 import re
 import tempfile
 import tracemalloc
@@ -640,6 +641,28 @@ def test_pieces_are_whole_lines_of_the_text(tmp_path, text):
         pieces = list(read_pieces(path, size))
         assert "".join(pieces) == text
         assert all(piece.endswith("\n") for piece in pieces[:-1])
+
+
+@pytest.mark.parametrize("colliding", [False, True], ids=["hashed", "colliding-ids"])
+@pytest.mark.parametrize("kind,text", [
+    ("predictions", PREDICTIONS),
+    ("similarities", "sample_id,café\r\ns€1,0.9\r\ns2,0.8"),
+    ("points", "name,easy,hard\nr1,0.5,0.5\n,0.25,0.75\n"),
+])
+def test_the_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch, kind, text, colliding):
+    """The parse pass feeds ``digest`` each byte of the file once, at any read
+    size, on both paths; ids read again when their hashes collide are not fed
+    to it."""
+    if colliding:
+        monkeypatch.setattr(evaluation, "_id_hash", lambda sample_id: 7)
+    for i, variant in enumerate(both_paths(text)):
+        path = tmp_path / f"{i}.csv"
+        path.write_bytes(variant.encode("utf-8"))
+        for size in EVERY_CUT:
+            monkeypatch.setattr(evaluation, "_BLOCK_CHARS", size)
+            digest = hashlib.sha256()
+            LOADERS[kind][0](path, digest=digest)
+            assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_a_line_longer_than_many_pieces():
