@@ -648,7 +648,7 @@ def test_pieces_are_whole_lines_of_the_text(tmp_path, text):
     ("predictions", PREDICTIONS),
     ("similarities", "sample_id,café\r\ns€1,0.9\r\ns2,0.8"),
     ("points", "name,easy,hard\nr1,0.5,0.5\n,0.25,0.75\n"),
-])
+], ids=["predictions", "similarities-crlf", "points"])
 def test_the_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch, kind, text, colliding):
     """The parse pass feeds ``digest`` each byte of the file once, at any read
     size, on both paths; ids read again when their hashes collide are not fed
