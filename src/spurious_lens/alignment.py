@@ -53,6 +53,11 @@ class PromptEmbedding(NamedTuple):
     label: int
     vector: np.ndarray
 
+    # compared by identity: a field-wise == would ask numpy if ``vector`` is true
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
 
 class SubgroupReport(NamedTuple):
     """Zero-shot accuracy split by whether the attribute matches the label,

@@ -15,10 +15,10 @@ Two parametrization modes are supported:
 
 All randomness is driven by ``numpy.random.Generator`` streams derived from
 a single 64-bit seed, so results are reproducible bit for bit.  A dataset's
-rows (:func:`sample_dataset`) are drawn in chunks, each from its own
-sub-stream.  Training reads only n and three sums of the rows;
-:func:`training_moments` draws those sums from their exact joint law on one
-generator, in the same few milliseconds at any n.
+rows (:func:`sample_dataset`) are drawn from one sub-stream.  Training reads
+only n and three sums of the rows; :func:`training_moments` draws those sums
+from their exact joint law on one generator, in the same few milliseconds at
+any n.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import ConfigError
 
 LATENT_DIM = 2
 
-# Fixed sub-stream tags; chunked draws use spawn_key=(tag, chunk_index).
+# Fixed sub-stream tags; each tag seeds one generator, spawn_key=(tag, 0).
 STREAM_DICT_IMAGE = 0
 STREAM_DICT_TEXT = 1
 STREAM_SAMPLES = 2
@@ -46,7 +46,6 @@ TRAIN_STREAM = 2
 # The (y, a) cells, in the order their sizes are drawn; a == y in cells 0 and 3.
 _CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
-CHUNK = 16384
 _EMBED_ROWS = 1024
 MAX_SAMPLES = 2**63 - 1  # numpy's largest array dimension, and its largest array in bytes
 
@@ -70,11 +69,11 @@ class Mode(str, enum.Enum):
     THEOREM_EXACT = "TheoremExact"
 
 
-def substream(seed: int, tag: int, index: int = 0) -> np.random.Generator:
-    """Deterministic generator for sub-stream (tag, index) of a root seed."""
+def substream(seed: int, tag: int) -> np.random.Generator:
+    """Deterministic generator for sub-stream ``tag`` of a root seed."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, index))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, 0))
     return np.random.default_rng(ss)
 
 
@@ -161,7 +160,7 @@ def _cell_probabilities(p: float) -> list[float]:
 
 
 def sample_batch(config: GenerativeConfig, rng: np.random.Generator, size: int):
-    """One chunk of (z, y, a) triples, drawn in a fixed order from ``rng``.
+    """``size`` (z, y, a) triples, drawn in a fixed order from ``rng``.
 
     y is uniform on {-1, +1}; a equals y with probability p_spu and -y
     otherwise; z is Gaussian around ``config.mean_scales`` * (y, a) in either mode.
@@ -230,25 +229,16 @@ class SyntheticDataset(TrainingMoments):
 def sample_dataset(config: GenerativeConfig, seed: int) -> SyntheticDataset:
     """Draw a full dataset: fresh dictionaries plus config.n embedded samples.
 
-    Deterministic in (config, seed): CHUNK-row slice i draws its latents,
-    then the image noise, then the text noise from sub-stream
-    (STREAM_SAMPLES, i), and its sums are added in chunk order.
+    Deterministic in (config, seed): the one STREAM_SAMPLES generator draws
+    the latents of all rows, then the image noise, then the text noise.
     """
     dict_image, dict_text = dataset_dictionaries(config, seed)
-    total = config.n
-    x_image, x_text = np.empty((total, dict_image.d)), np.empty((total, dict_text.d))
-    labels, attributes = np.empty(total, dtype=np.int64), np.empty(total, dtype=np.int64)
-    sums = None
-    for index, start in enumerate(range(0, total, CHUNK)):
-        rng = substream(seed, STREAM_SAMPLES, index)
-        rows = slice(start, min(start + CHUNK, total))
-        z, labels[rows], attributes[rows] = sample_batch(config, rng, rows.stop - start)
-        x_image[rows] = embed(z, dict_image, config.sigma_xi, rng)
-        x_text[rows] = embed(z, dict_text, config.sigma_xi, rng)
-        image, text = x_image[rows], x_text[rows]
-        part = (image.sum(axis=0), text.sum(axis=0), image.T @ text)
-        sums = part if sums is None else [t + p for t, p in zip(sums, part)]
-    return SyntheticDataset(total, *sums, dict_image, dict_text,
+    rng = substream(seed, STREAM_SAMPLES)
+    z, labels, attributes = sample_batch(config, rng, config.n)
+    x_image = embed(z, dict_image, config.sigma_xi, rng)
+    x_text = embed(z, dict_text, config.sigma_xi, rng)
+    return SyntheticDataset(config.n, x_image.sum(axis=0), x_text.sum(axis=0),
+                            x_image.T @ x_text, dict_image, dict_text,
                             x_image, x_text, labels, attributes)
 
 

@@ -81,8 +81,14 @@ class TheoryBounds(NamedTuple):
 
 def theorem_bounds(params: TheoryParams) -> TheoryBounds:
     """Error lower bound on a != y and accuracy lower bound on a == y."""
-    k1 = kappa1(params)
-    k2 = kappa2(params)
+    try:
+        k1 = kappa1(params)
+        k2 = kappa2(params)
+    except OverflowError:
+        raise DomainError(
+            f"the margins overflow a float at sigma_inv={params.sigma_inv:g}, "
+            f"sigma_spu={params.sigma_spu:g}, mu_spu={params.mu_spu:g}, "
+            f"p_spu={params.p_spu:g}") from None
     return TheoryBounds(
         kappa1=k1,
         kappa2=k2,

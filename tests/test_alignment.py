@@ -25,6 +25,7 @@ from spurious_lens import (
     zero_shot_predict_batch,
 )
 from spurious_lens.alignment import (
+    PromptEmbedding,
     _cell_margins,
     asymptotic_minimizer,
     latent_alignment_target,
@@ -39,7 +40,6 @@ from spurious_lens.errors import (ConfigError, InsufficientDataError, Nonconverg
 from spurious_lens.evaluation import SimilarityTable
 from spurious_lens.synthetic import (
     _CELLS,
-    CHUNK,
     STREAM_SAMPLES,
     STREAM_TEST,
     Dictionary,
@@ -51,6 +51,17 @@ from spurious_lens.synthetic import (
     substream,
     training_moments,
 )
+
+
+CHUNK = 1 << 14  # rows per piece of the chunked reference streams below
+
+
+def chunk_stream(seed, tag, index):
+    """The generator of piece ``index`` of a chunked reference stream:
+    sub-stream ``tag`` of the root seed, spawn key (tag, index).  Piece 0
+    is substream(seed, tag)."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(tag, index)))
 
 
 def naive_pairwise_loss(M, dataset, rho):
@@ -185,9 +196,9 @@ class TestMinimizers:
 
 
 class TestDatasetSums:
-    """sample_dataset adds its chunks' sums in chunk order; they are the whole
-    arrays' sums.  training_moments draws sums of the same law with the same
-    dictionaries (tests/test_training_law.py)."""
+    """sample_dataset's sums are the whole arrays' sums.  training_moments
+    draws sums of the same law with the same dictionaries
+    (tests/test_training_law.py)."""
 
     @pytest.mark.parametrize("n", [CHUNK, 2 * CHUNK, 5 * CHUNK + 7])
     def test_dataset_minimizer_is_the_whole_array_one(self, n):
@@ -240,9 +251,9 @@ class TestTargets:
                          n=200_000, mode="TheoremExact"),
     ], ids=["Def1", "TheoremExact"])
     def test_population_target_is_second_moment(self, cfg):
-        # the training latents, replayed: each chunk draws them first
+        # latents of the training law, drawn CHUNK rows at a time
         z = np.concatenate([
-            sample_batch(cfg, substream(0, STREAM_SAMPLES, index), min(CHUNK, cfg.n - start))[0]
+            sample_batch(cfg, chunk_stream(0, STREAM_SAMPLES, index), min(CHUNK, cfg.n - start))[0]
             for index, start in enumerate(range(0, cfg.n, CHUNK))])
         emp = z.T @ z / cfg.n
         assert np.allclose(emp, population_alignment_target(cfg), atol=0.02)
@@ -364,7 +375,7 @@ def chunked_test_set(M, config, dict_image, dict_text, seed, total):
     noise = config.sigma_xi * np.linalg.norm(w) / math.sqrt(dict_image.d)
     parts = []
     for index, start in enumerate(range(0, total, CHUNK)):
-        rng = substream(seed, STREAM_TEST, index)
+        rng = chunk_stream(seed, STREAM_TEST, index)
         z, y, a = sample_batch(dataclasses.replace(config, p_spu=0.5), rng,
                                min(CHUNK, total - start))
         score = z @ (dict_image.entries.T @ w)
@@ -512,7 +523,7 @@ def stream_v1_counts(M, config, dict_image, dict_text, seed, total):
     prompts = label_prompts(dict_text)
     counts = []
     for index, start in enumerate(range(0, total, CHUNK)):
-        rng = substream(seed, STREAM_TEST, index)
+        rng = chunk_stream(seed, STREAM_TEST, index)
         z, y, a = sample_batch(dataclasses.replace(config, p_spu=0.5), rng,
                                min(CHUNK, total - start))
         x_image = embed(z, dict_image, config.sigma_xi, rng)
@@ -720,8 +731,9 @@ def test_library_rejects_malformed_arguments(call, error, named):
     lambda: LinearClassifier(np.eye(2)),
     lambda: sample_discrete_dataset(DiscreteConfig(2, 0.75, 0.9, 10), Split.TRAIN, 0),
     lambda: SimilarityTable(("a", "b"), 3, np.zeros(2)),
+    lambda: PromptEmbedding(0, np.ones(2)),
 ], ids=["AlignmentMatrix", "Dictionary", "TrainingMoments", "SyntheticDataset",
-        "LinearClassifier", "DiscreteDataset", "SimilarityTable"])
+        "LinearClassifier", "DiscreteDataset", "SimilarityTable", "PromptEmbedding"])
 def test_array_records_compare_by_identity(make):
     # field-wise == would ask numpy for the truth value of an array
     first, second = make(), make()

@@ -160,6 +160,21 @@ class TestVerifyTheorem:
                    "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("fields,named", [
+        # sigma_inv ** 2 overflows
+        ({"mode": "Def1", "sigma_inv": 1e200}, "sigma_inv=1e+200,"),
+        # the weight 2 mu_spu p_spu - 1, squared, overflows
+        ({"mode": "TheoremExact", "mu_spu": 1e300}, "mu_spu=1e+300,"),
+    ], ids=["Def1-sigma_inv", "TheoremExact-mu_spu"])
+    def test_margin_overflow_names_the_parameters(self, tmp_path, capsys, fields, named):
+        cfg = write_json(tmp_path / "c.json", fields)
+        out = tmp_path / "r.json"
+        assert main(["verify-theorem", "--config", cfg, "--mc", "1000", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the margins overflow a float at sigma_inv=")
+        assert named in err
+        assert not out.exists()
+
 
 class TestSimulateGaussian:
     def test_report_and_manifest(self, tmp_path, capsys):
@@ -857,6 +872,32 @@ def test_discrete_and_fit_report_bytes_pinned(tmp_path):
             if argv[0] == "fit" and suffix == ".json":
                 data = json.dumps(rounded(json.loads(data)), sort_keys=True).encode("utf-8")
             assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
+
+
+def test_gaussian_report_bytes_pinned(tmp_path):
+    """The verify-theorem and simulate-gaussian reports, with each float
+    rounded to 12 significant digits: their raw bytes go through BLAS
+    products and moved in their last bits with the OpenBLAS kernel, while
+    the rounded digests were the same under each kernel tried
+    (OPENBLAS_CORETYPE Prescott, Nehalem, SandyBridge, Haswell, SkylakeX,
+    Cooperlake and Zen)."""
+    exact = write_json(tmp_path / "exact.json", GAUSS_EXACT)
+    def1 = write_json(tmp_path / "def1.json", GAUSS_DEF1)
+    pinned = [
+        (["verify-theorem", "--config", exact, "--mc", "20000", "--seed", "3"],
+         "2016f4304ba8aa999431aaa000c11499509aa134fe99251a2b0ced7dcca861b0"),
+        (["simulate-gaussian", "--config", exact, "--seed", "0"],
+         "db2b3713b3a18246c8531a9dc765ad4c4369d462951498b42c67e78d8e9dfc98"),
+        (["verify-theorem", "--config", def1, "--mc", "20000", "--seed", "3"],
+         "a7c26733347ff700eaf4165104b272bd35ddaaee345862f4ea31dabadd66872e"),
+        (["simulate-gaussian", "--config", def1, "--seed", "0"],
+         "84831dafeb2bb44fa280eb6de5b0439d0577d361d7a79ea34723ced0c06a2d04"),
+    ]
+    for i, (argv, digest) in enumerate(pinned):
+        out = tmp_path / f"{i}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        data = json.dumps(rounded(json.loads(out.read_bytes())), sort_keys=True)
+        assert hashlib.sha256(data.encode("utf-8")).hexdigest() == digest, argv
 
 
 def test_input_files_are_digested_in_pieces(tmp_path):

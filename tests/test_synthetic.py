@@ -1,9 +1,13 @@
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
+import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spurious_lens import GenerativeConfig, sample_dataset
-from spurious_lens import synthetic
+from spurious_lens import discrete, synthetic
 from spurious_lens.alignment import asymptotic_minimizer, subgroup_accuracy
 from spurious_lens.cli import _json_data
 from spurious_lens.errors import ConfigError, ParseError
 from spurious_lens.inputs import load_config
 from spurious_lens.synthetic import (
-    CHUNK,
     MAX_SAMPLES,
     STREAM_SAMPLES,
     STREAM_TEST,
@@ -33,14 +36,13 @@ from spurious_lens.synthetic import (
 NUMERIC_FIELDS = ("mu_inv", "mu_spu", "sigma_inv", "sigma_spu", "sigma_xi", "p_spu",
                   "n", "d_I", "d_T", "rho")
 INT_FIELDS = ("n", "d_I", "d_T")
+CHUNK = 1 << 14  # rows; the pinned digests and peak bounds below are taken at multiples of it
 
 
 def training_latents(cfg, seed):
-    """The latents sample_dataset drew, replayed: each STREAM_SAMPLES chunk
-    draws them first from its own generator."""
-    return np.concatenate([
-        sample_batch(cfg, substream(seed, STREAM_SAMPLES, index), min(CHUNK, cfg.n - start))[0]
-        for index, start in enumerate(range(0, cfg.n, CHUNK))])
+    """The latents sample_dataset drew, replayed: its STREAM_SAMPLES
+    generator draws them first."""
+    return sample_batch(cfg, substream(seed, STREAM_SAMPLES), cfg.n)[0]
 
 
 class TestConfig:
@@ -222,15 +224,6 @@ class TestDataset:
         c = sample_dataset(cfg, seed=5)
         assert not np.array_equal(a.x_image, c.x_image)
 
-    def test_chunk_prefix_stable_across_total_size(self):
-        # growing the dataset must not change the earlier chunks
-        cfg_small = GenerativeConfig(n=CHUNK + 50, d_I=4, d_T=4)
-        cfg_large = GenerativeConfig(n=2 * CHUNK, d_I=4, d_T=4)
-        small = sample_dataset(cfg_small, seed=7)
-        large = sample_dataset(cfg_large, seed=7)
-        assert np.array_equal(small.x_image[:CHUNK], large.x_image[:CHUNK])
-        assert np.array_equal(small.labels[:CHUNK], large.labels[:CHUNK])
-
     def test_noiseless_embedding_is_exact_dictionary_image(self):
         cfg = GenerativeConfig(n=20, d_I=6, d_T=4, sigma_xi=0.0)
         ds = sample_dataset(cfg, seed=2)
@@ -260,8 +253,9 @@ class TestEmbed:
 
     def test_dataset_chunk_holds_no_noise_array(self):
         # a dataset's image and text rows are 33.6 MB at n = CHUNK and
-        # d = 128, and one chunk's embedding before it is copied in 16.8 MB
-        # more; drawing the noise of a whole embedding at once peaked at 67.6 MB
+        # d = 128, and the draw peaks 5% above them; drawing the noise of a
+        # whole embedding at once peaked at 67.6 MB, and copying the
+        # embeddings into preallocated rows at 52 MB
         d = 128
         tracemalloc.start()
         try:
@@ -269,7 +263,7 @@ class TestEmbed:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * 3 * CHUNK * d * 8
+        assert peak <= 1.15 * 2 * CHUNK * d * 8
 
 
 class TestOOD:
@@ -295,50 +289,44 @@ class TestOOD:
 COLUMNS = ("x_image", "x_text", "labels", "attributes")
 
 
-class TestChunkedSampling:
-    """sample_dataset draws CHUNK rows at a time, each chunk from its own
-    sub-stream, all on the calling thread."""
+class TestRowSampling:
+    """sample_dataset draws every row from one STREAM_SAMPLES generator, on
+    the calling thread."""
 
-    def test_every_chunk_is_drawn_on_the_calling_thread(self, monkeypatch):
+    def test_all_rows_are_one_draw_on_the_calling_thread(self, monkeypatch):
         calls = []
         sample = synthetic.sample_batch
 
-        def recording(*args, **kwargs):
-            calls.append(threading.get_ident())
-            return sample(*args, **kwargs)
+        def recording(config, rng, size):
+            calls.append((threading.get_ident(), size))
+            return sample(config, rng, size)
 
         monkeypatch.setattr(synthetic, "sample_batch", recording)
         cfg = GenerativeConfig(n=5 * CHUNK + 3, d_I=4, d_T=3)
         train = sample_dataset(cfg, seed=11)
         M = asymptotic_minimizer(cfg, train.dict_image, train.dict_text)
         subgroup_accuracy(M, cfg, train.dict_image, train.dict_text, 11, 3 * CHUNK + 1)
-        # six training chunks; the test pass draws its counts, not rows
-        assert calls == [threading.get_ident()] * 6
+        # one training draw; the test pass draws its counts, not rows
+        assert calls == [(threading.get_ident(), cfg.n)]
 
-    def test_rows_are_the_chunks_in_order(self):
+    def test_rows_are_the_latents_then_the_image_then_the_text_noise(self):
         cfg = GenerativeConfig(n=2 * CHUNK + 5, d_I=4, d_T=3)
         train = sample_dataset(cfg, seed=3)
-        parts = []
-        for index, start in enumerate(range(0, cfg.n, CHUNK)):
-            # one generator per chunk: latents, then the image, then the text noise
-            rng = substream(3, STREAM_SAMPLES, index)
-            z, y, a = sample_batch(cfg, rng, min(CHUNK, cfg.n - start))
-            x_image = embed(z, train.dict_image, cfg.sigma_xi, rng)
-            x_text = embed(z, train.dict_text, cfg.sigma_xi, rng)
-            parts.append((x_image, x_text, y, a))
-        for name, column in zip(COLUMNS, zip(*parts)):
-            want = np.concatenate(column)
+        rng = substream(3, STREAM_SAMPLES)
+        z, y, a = sample_batch(cfg, rng, cfg.n)
+        x_image = embed(z, train.dict_image, cfg.sigma_xi, rng)
+        x_text = embed(z, train.dict_text, cfg.sigma_xi, rng)
+        for name, want in zip(COLUMNS, (x_image, x_text, y, a)):
             got = getattr(train, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), name
 
     # sha256 over the rows and sums of sample_dataset(GenerativeConfig(n=n,
-    # d_I=16, d_T=12, sigma_xi=0.3), seed=7), recorded while a worker pool
-    # still drew the chunks (under 1 and 4 workers alike)
+    # d_I=16, d_T=12, sigma_xi=0.3), seed=7)
     @pytest.mark.parametrize("n,digest", [
         (2, "2de9eeb90b47a78c6f72e9d3f62f8b89992d8022883662ec1ed3d264420b6d23"),
         (CHUNK, "5f0409dc34fc2c810d25d0238c03f20269a5dcc08055aa3c0bca7e47485ff4fd"),
-        (5 * CHUNK + 3, "5b06b885818778742763b777911dad4e917958a429b2b9c507aa5ff54da44f0f"),
+        (5 * CHUNK + 3, "3d3267c3f833581beb38ed405bc6cb587c43a09b0278609c4d70f7f9d57e22ba"),
     ], ids=["2", "CHUNK", "5CHUNK+3"])
     def test_rows_and_sums_keep_their_bits(self, n, digest):
         ds = sample_dataset(GenerativeConfig(n=n, d_I=16, d_T=12, sigma_xi=0.3), seed=7)
@@ -391,3 +379,35 @@ def test_sample_batch_deterministic_for_any_seed(seed, size):
     b = sample_batch(cfg, substream(seed, 2), size)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert a[0].shape == (size, 2)
+
+
+class TestStreamLayout:
+    """Every draw of the package comes from substream(seed, tag), and no two
+    tags name the same stream."""
+
+    SOURCES = sorted(
+        (Path(__file__).resolve().parents[1] / "src" / "spurious_lens").glob("*.py"))
+
+    def test_stream_tags_are_distinct(self):
+        tags = {f"synthetic.{name}": value for name, value in vars(synthetic).items()
+                if name.startswith("STREAM_")}
+        tags.update({f"discrete.{name}": value for name, value in vars(discrete).items()
+                     if name.startswith("_TAG_")})
+        assert {"synthetic.STREAM_SAMPLES", "discrete._TAG_INIT"} <= set(tags)
+        assert len(set(tags.values())) == len(tags), tags
+        assert set(discrete._SPLIT_TAGS.values()) <= set(tags.values())
+
+    def test_every_substream_call_passes_a_seed_and_a_tag(self):
+        assert list(inspect.signature(substream).parameters) == ["seed", "tag"]
+        calls = [(path.name, node) for path in self.SOURCES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call)
+                 and "substream" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))]
+        assert {name for name, _ in calls} == {"alignment.py", "discrete.py", "synthetic.py"}
+        tag = re.compile(r"STREAM_[A-Z_]+|_TAG_[A-Z_]+|_SPLIT_TAGS\[\w+\]")
+        wrong = [f"{name}:{node.lineno}" for name, node in calls
+                 if len(node.args) != 2 or node.keywords
+                 or isinstance(node.args[0], ast.Starred)
+                 or not tag.fullmatch(ast.unparse(node.args[1]))]
+        assert not wrong
