@@ -191,7 +191,7 @@ def _run(args) -> int:
 
 
 def cmd_verify_theorem(args) -> _Outcome:
-    report = verify_theorem(args.config, args.mc, args.seed, args.tol)
+    report = verify_theorem(args.config, args.mc, args.seed)
     print(format_report_table(args.config, report), file=sys.stderr)
     return _Outcome([{
         "config": args.config,
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="GenerativeConfig JSON")
     p.add_argument("--mc", type=int, default=100_000, help="Monte-Carlo samples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=0.01)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_verify_theorem, config_type=GenerativeConfig)
 

@@ -62,17 +62,16 @@ _SPLIT_TAGS = {Split.TRAIN: _TAG_TRAIN, Split.RAND: _TAG_RAND, Split.REV: _TAG_R
 class DiscreteConfig:
     """Generator and experiment knobs for the discrete dataset.
 
-    The ``BIASED`` classes carry their colors with probability p_spu in
-    the training split; all other class/color pairs are uniform.  The
-    object one-hot equals the true class with probability p_inv, otherwise
-    a uniformly chosen wrong class.
+    There are as many colors as classes.  The ``BIASED`` classes carry
+    their colors with probability p_spu in the training split; all other
+    class/color pairs are uniform.  The object one-hot equals the true class
+    with probability p_inv, otherwise a uniformly chosen wrong class.
     """
 
     num_classes: int
     p_inv: float
     p_spu: float
     n_train: int
-    num_colors: int | None = None
     feature_noise: float = 0.1
     seed: int = 0
 
@@ -80,19 +79,13 @@ class DiscreteConfig:
         k = self.num_classes
         if k < 2:
             raise ConfigError(f"num_classes must be >= 2, got {k}")
-        if self.num_colors is None:
-            object.__setattr__(self, "num_colors", k)
-        c = self.num_colors
-        if c < k:
-            raise ConfigError(f"num_colors must be >= num_classes, got {c} < {k}")
-        # before 1/k and 1/c, which a larger int would overflow
-        check_sizes({"num_classes": k, "num_colors": c, "n_train": self.n_train},
-                    {"the n_train x (num_classes + num_colors) training features":
-                     self.n_train * (k + c)})
+        # before 1/k, which a larger int would overflow
+        check_sizes({"num_classes": k, "n_train": self.n_train},
+                    {"the n_train x 2*num_classes training features": self.n_train * 2 * k})
         if not 1.0 / k < self.p_inv <= 1.0:
             raise ConfigError(f"p_inv must lie in (1/k, 1], got {self.p_inv}")
-        if not 1.0 / c <= self.p_spu <= 1.0:
-            raise ConfigError(f"p_spu must lie in [1/num_colors, 1], got {self.p_spu}")
+        if not 1.0 / k <= self.p_spu <= 1.0:
+            raise ConfigError(f"p_spu must lie in [1/k, 1], got {self.p_spu}")
         if self.n_train < 1:
             raise ConfigError(f"n_train must be positive, got {self.n_train}")
         if self.feature_noise < 0:
@@ -100,7 +93,7 @@ class DiscreteConfig:
 
     @property
     def feature_dim(self) -> int:
-        return self.num_classes + self.num_colors
+        return 2 * self.num_classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +129,7 @@ def _uniform_excluding(rng: np.random.Generator, high: int, excluded: np.ndarray
 
 def _sample_colors(config: DiscreteConfig, split: Split, y: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    c = config.num_colors
+    c = config.num_classes
     n = y.shape[0]
     colors = rng.integers(0, c, size=n)
     if split is Split.RAND:

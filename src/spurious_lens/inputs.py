@@ -13,7 +13,6 @@ import dataclasses
 import enum
 import json
 import sys
-import types
 import typing
 from typing import Iterator
 
@@ -108,12 +107,6 @@ def _unique_keys(pairs) -> dict:
 
 def _typed(name: str, hint, value):
     """``value`` checked against the annotation ``hint``."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        (hint,) = (a for a in args if a is not type(None))
-        return _typed(name, hint, value)
     if issubclass(hint, enum.Enum):
         try:
             return hint(value)

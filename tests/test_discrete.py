@@ -65,21 +65,19 @@ def reference_ce_loss_grad(weights, x, labels):
 
 class TestConfig:
     def test_defaults(self):
-        assert BASE.num_colors == 2
         assert BASE.feature_dim == 4
         assert BASE.feature_noise == 0.1
 
-    def test_num_colors_can_exceed_classes(self):
-        cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.5,
-                             n_train=100, num_colors=5)
-        assert cfg.feature_dim == 7
+    def test_one_color_per_class(self):
+        cfg = DiscreteConfig(num_classes=5, p_inv=0.75, p_spu=0.2, n_train=100)
+        assert cfg.feature_dim == 10
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_classes=1),
-        dict(num_colors=1),                      # fewer colors than classes
         dict(p_inv=0.5),                         # at the 1/k chance floor
         dict(p_inv=1.1),
-        dict(p_spu=0.4),                         # below 1/num_colors
+        dict(p_spu=0.4),                         # below 1/k
+        dict(num_classes=3, p_spu=0.3),
         dict(p_spu=1.01),
         dict(n_train=0),
         dict(feature_noise=-0.1),
@@ -90,13 +88,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DiscreteConfig(**base)
 
-    # k = c = 2 features take 32 bytes a row
+    # k = 2 classes and 2 colors take 32 bytes a row
     @pytest.mark.parametrize("kwargs,named", [
         (dict(num_classes=MAX_SAMPLES + 1), "num_classes must be <= 9223372036854775807"),
-        (dict(num_colors=10**400), "num_colors must be <= 9223372036854775807"),
         (dict(n_train=MAX_SAMPLES + 1), "n_train must be <= 9223372036854775807"),
         (dict(num_classes=10**18), "training features would take"),
-        (dict(num_colors=10**18), "training features would take"),
         (dict(n_train=MAX_SAMPLES // 32 + 1), "training features would take"),
     ])
     def test_rejects_sizes_numpy_cannot_represent(self, kwargs, named):
@@ -112,8 +108,7 @@ class TestConfig:
         assert cfg.n_train * cfg.feature_dim * 8 <= MAX_SAMPLES
 
     def test_json_round_trip(self):
-        cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.75, n_train=500,
-                             num_colors=4, seed=9)
+        cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.75, n_train=500, seed=9)
         text = json.dumps(_json_data(cfg))
         assert load_config(DiscreteConfig, text) == cfg
 
@@ -137,8 +132,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         *((name, True) for name in ("num_classes", "p_inv", "p_spu", "n_train",
-                                    "num_colors", "feature_noise", "seed")),
-        *((name, 3.0) for name in ("num_classes", "n_train", "num_colors", "seed")),
+                                    "feature_noise", "seed")),
+        *((name, 3.0) for name in ("num_classes", "n_train", "seed")),
     ])
     def test_loader_rejects_mistyped_field(self, field, value):
         obj = {"num_classes": 3, "p_inv": 0.75, "p_spu": 0.9, "n_train": 10,
@@ -156,11 +151,18 @@ class TestConfig:
         with pytest.raises(ParseError, match=rf"unknown config fields: \['{field}'\]"):
             load_config(DiscreteConfig, json.dumps(obj))
 
-    def test_loader_accepts_null_num_colors(self):
+    @pytest.mark.parametrize("value", [None, 3, 5])
+    def test_loader_rejects_removed_num_colors(self, value):
+        # there are as many colors as classes: a config that sets the count is
+        # rejected, even at the old default, null or num_classes
+        obj = {"num_classes": 3, "p_inv": 0.75, "p_spu": 0.9, "n_train": 10,
+               "num_colors": value}
+        with pytest.raises(ParseError, match=r"unknown config fields: \['num_colors'\]"):
+            load_config(DiscreteConfig, json.dumps(obj))
+
+    def test_loader_keeps_integer_for_float_field(self):
         cfg = load_config(DiscreteConfig, json.dumps(
-            {"num_classes": 3, "p_inv": 1, "p_spu": 0.9, "n_train": 10,
-             "num_colors": None}))
-        assert cfg.num_colors == 3
+            {"num_classes": 3, "p_inv": 1, "p_spu": 0.9, "n_train": 10}))
         assert type(cfg.p_inv) is int
 
 
@@ -221,8 +223,7 @@ class TestSampling:
             assert 0.894 <= hits.mean() <= 0.906
 
     def test_train_miss_avoids_biased_color(self):
-        cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.5,
-                             n_train=40_000, num_colors=4)
+        cfg = DiscreteConfig(num_classes=4, p_inv=0.75, p_spu=0.5, n_train=40_000)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=8)
         mask = data.object_labels == 0
         rate = (colors_of(data)[mask] == 0).mean()
@@ -303,22 +304,21 @@ class TestLossAndTraining:
         con = train_contrastive_perfect(data, rng=np.random.default_rng(3))
         assert np.array_equal(con.weights, sup.weights)
 
-    @pytest.mark.parametrize("num_classes, num_colors", [(2, None), (3, 5)])
-    def test_start_is_one_scaled_normal_draw(self, monkeypatch, num_classes, num_colors):
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_start_is_one_scaled_normal_draw(self, monkeypatch, num_classes):
         # both starts are one k × d draw: the object rows of schedule 1's
-        # (k + c) × d start, an object draw stacked on a color draw
-        cfg = DiscreteConfig(num_classes=num_classes, num_colors=num_colors,
-                             p_inv=0.75, p_spu=0.9, n_train=50)
+        # 2k × d start, an object draw stacked on a color draw
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=50)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=1)
         starts = []
         monkeypatch.setattr(discrete, "_descend",
                             lambda loss_grad, w0, epochs, step_size: starts.append(w0) or w0)
         train_supervised(data, rng=np.random.default_rng(5))
         train_contrastive_perfect(data, rng=np.random.default_rng(5))
-        k, c, d = cfg.num_classes, cfg.num_colors, cfg.feature_dim
+        k, d = cfg.num_classes, cfg.feature_dim
         rng = np.random.default_rng(5)
         stacked = np.vstack([0.01 * rng.standard_normal((k, d)),
-                             0.01 * rng.standard_normal((c, d))])
+                             0.01 * rng.standard_normal((k, d))])
         assert np.array_equal(starts[1], stacked[:k])
         assert np.array_equal(starts[0], stacked[:k])
 
@@ -371,12 +371,10 @@ class TestKernelMatchesReference:
                     assert loss == ref_loss
                     assert np.array_equal(grad, ref_grad)
 
-    @pytest.mark.parametrize("num_classes, num_colors",
-                             [(2, None), (5, None), (8, None), (12, None), (5, 9)])
-    def test_trained_weights_bit_equal(self, monkeypatch, num_classes, num_colors):
-        # (8, None) and (12, None) sum with sum(axis=1), the others by column
-        cfg = DiscreteConfig(num_classes=num_classes, num_colors=num_colors,
-                             p_inv=0.75, p_spu=0.9, n_train=600)
+    @pytest.mark.parametrize("num_classes", [2, 5, 8, 12])
+    def test_trained_weights_bit_equal(self, monkeypatch, num_classes):
+        # 8 and 12 classes sum with sum(axis=1), the others by column
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=600)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=3)
         monkeypatch.setattr(discrete, "EPOCHS", 80)
 
@@ -393,10 +391,10 @@ class TestKernelMatchesReference:
 
 def joint_contrastive_reference(data, *, rng):
     """Schedule 1's object head: the object and color heads descended jointly
-    from one (k + c) × d start, so a halving for either head halves both steps."""
+    from one 2k × d start, so a halving for either head halves both steps."""
     features, objects, colors = data.features, data.object_labels, colors_of(data)
-    k, c = data.config.num_classes, data.config.num_colors
-    w0 = 0.01 * rng.standard_normal((k + c, features.shape[1]))
+    k = data.config.num_classes
+    w0 = 0.01 * rng.standard_normal((2 * k, features.shape[1]))
 
     def loss_grad(w):
         lo, go = discrete._ce_loss_grad(w[:k], features, objects)
@@ -476,13 +474,12 @@ class TestContrastiveReduction:
     color cross-entropies of disjoint heads, since log Σ_{j,m} e^{a_j + b_m}
     = lse(a) + lse(b): the reason the object head is descended alone."""
 
-    @pytest.mark.parametrize("num_classes,num_colors", [(5, 5), (2, 3)])
-    def test_naive_loss_is_object_plus_color_cross_entropy(self, num_classes, num_colors):
-        cfg = DiscreteConfig(num_classes=num_classes, num_colors=num_colors, p_inv=0.75,
-                             p_spu=0.9, n_train=500)
+    @pytest.mark.parametrize("num_classes", [5, 2])
+    def test_naive_loss_is_object_plus_color_cross_entropy(self, num_classes):
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=500)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
         x, objects, colors = data.features, data.object_labels, colors_of(data)
-        k, c = num_classes, num_colors
+        k = c = num_classes
         w = np.random.default_rng(1).normal(size=(k + c, cfg.feature_dim))
 
         def naive(weights):
@@ -544,6 +541,13 @@ class TestEvaluation:
         report = evaluate_splits("contrastive", model, *draw_test_splits(cfg, 500, seed=0))
         assert report.acc_rest is not None
         assert report.method == "contrastive"
+
+    def test_rest_is_none_when_the_rand_split_has_no_other_class(self):
+        cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.9, n_train=100)
+        rev = sample_discrete_dataset(cfg, Split.REV, seed=0, size=50)
+        rand = DiscreteDataset(cfg, Split.RAND, rev.features, object_labels=rev.object_labels % 2)
+        model = LinearClassifier(np.zeros((3, cfg.feature_dim)))
+        assert evaluate_splits("supervised", model, rand, rev).acc_rest is None
 
     def test_perfect_oracle_scores_one_everywhere(self):
         cfg = DiscreteConfig(num_classes=3, p_inv=1.0, p_spu=0.9,

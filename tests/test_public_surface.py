@@ -10,7 +10,10 @@ imported names.
 
 The same users must pass each optional parameter of a public module-level
 function, by position or by keyword: a default that only tests override is
-a knob to delete.
+a knob to delete.  The CLI and the configs get the same rule: the benchmark
+or the acceptance gate passes each optional option of each subcommand, and
+sets each config field, in a shipped config, a benchmark override or the
+gate's own configs.
 
 The top level re-exports only what the acceptance gate or the benchmark
 imports from ``spurious_lens``; every other definition is imported from its
@@ -18,8 +21,14 @@ module.  ``__init__.py`` itself defines ``__version__``, which the CLI
 reads, and ``load_schema``, which only the tests and the benchmark read.
 """
 
+import argparse
 import ast
+import dataclasses
+import json
 from pathlib import Path
+
+from spurious_lens import DiscreteConfig, GenerativeConfig
+from spurious_lens.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "spurious_lens").glob("*.py")
@@ -140,3 +149,62 @@ def test_every_dataclass_checks_its_fields():
     assert not unchecked - listed, (
         f"a dataclass without __post_init__ should be a NamedTuple: {sorted(unchecked - listed)}")
     assert not listed - unchecked, f"listed but checked or gone: {sorted(listed - unchecked)}"
+
+
+# Options that name where a run writes, not what it computes.
+OUTPUT_OPTIONS = {"--out", "--svg"}
+
+
+def argv_options(paths) -> set[tuple[str, str]]:
+    """(subcommand, option) for each option in an argv literal: a list or
+    tuple whose first item is a string, the subcommand."""
+    passed = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.List, ast.Tuple)):
+                words = [e.value if isinstance(e, ast.Constant) else None for e in node.elts]
+                if words and isinstance(words[0], str):
+                    passed.update((words[0], word) for word in words[1:]
+                                  if isinstance(word, str) and word.startswith("--"))
+    return passed
+
+
+def test_every_optional_option_has_a_caller():
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert "verify-theorem" in subcommands
+    passed = argv_options([ROOT / "tests" / "test_acceptance.py", ROOT / "benchmarks" / "run.py"])
+    unpassed = sorted(
+        f"{name} {option}" for name, parser in subcommands.items()
+        for action in parser._actions
+        if not action.required and not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--") and option not in OUTPUT_OPTIONS
+        and (name, option) not in passed)
+    assert not unpassed, f"options that neither the gate nor the benchmark passes: {unpassed}"
+
+
+def set_config_fields() -> set[str]:
+    """The keys of the shipped configs, the keyword overrides of the
+    benchmark's derived configs, and the fields the gate sets: a keyword
+    of a config class or ``replace``, or a key of a JSON object literal."""
+    fields = {key for path in (ROOT / "configs").glob("*.json")
+              for key in json.loads(path.read_text(encoding="utf-8"))}
+    gate = ROOT / "tests" / "test_acceptance.py"
+    for path, callees in ((ROOT / "benchmarks" / "gen.py", {"_derived_config"}),
+                          (gate, {"GenerativeConfig", "DiscreteConfig", "replace"})):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in callees:
+                    fields.update(kw.arg for kw in node.keywords if kw.arg)
+            elif isinstance(node, ast.Dict) and path == gate:
+                fields.update(key.value for key in node.keys if isinstance(key, ast.Constant))
+    return fields
+
+
+def test_every_config_field_is_set():
+    set_fields = set_config_fields()
+    unset = sorted(f"{cls.__name__}.{field.name}" for cls in (GenerativeConfig, DiscreteConfig)
+                   for field in dataclasses.fields(cls) if field.name not in set_fields)
+    assert not unset, f"config fields that no shipped, benchmark or gate config sets: {unset}"

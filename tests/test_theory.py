@@ -15,7 +15,7 @@ from spurious_lens.cli import _serialize
 from spurious_lens.errors import ConfigError, DomainError, InsufficientDataError
 from spurious_lens.evaluation import std_normal_inv_cdf
 from spurious_lens.synthetic import dataset_dictionaries
-from spurious_lens.theory import (TheoryParams, format_report_table, params_from_config,
+from spurious_lens.theory import (TOL, TheoryParams, format_report_table, params_from_config,
                                   theorem_bounds)
 
 # Frozen from a 50-digit mpmath evaluation of 0.5*erfc(-x/sqrt(2)).
@@ -263,10 +263,11 @@ class TestVerifyTheorem:
         with pytest.raises(InsufficientDataError):
             verify_theorem(EXACT_CFG, mc_samples=999, seed=0)
 
-    def test_rejects_nonpositive_tol(self):
-        for tol in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ConfigError):
-                verify_theorem(EXACT_CFG, mc_samples=2000, seed=0, tol=tol)
+    def test_judges_with_the_constant_tolerance(self):
+        rep = verify_theorem(EXACT_CFG, mc_samples=2000, seed=0)
+        assert rep.tol == TOL == 0.01
+        with pytest.raises(TypeError):
+            verify_theorem(EXACT_CFG, 2000, 0, 0.5)
 
     def test_reproducible(self):
         a = verify_theorem(EXACT_CFG, mc_samples=5000, seed=42)
@@ -299,7 +300,7 @@ class TestVerifyTheorem:
         ]
         for values in settings_grid:
             cfg = GenerativeConfig(sigma_xi=0.05, mode="TheoremExact", **values)
-            rep = verify_theorem(cfg, mc_samples=20_000, seed=11, tol=0.01)
+            rep = verify_theorem(cfg, mc_samples=20_000, seed=11)
             b = rep.bounds
             slack_err = max(rep.tol, 4 * rep.mc_stderr[0])
             slack_acc = max(rep.tol, 4 * rep.mc_stderr[1])
