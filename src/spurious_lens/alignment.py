@@ -6,9 +6,12 @@ has a closed form.  A plain gradient-descent optimizer is kept alongside as
 an independent route to the same matrix.
 
 Given its label and attribute, a test image's zero-shot score is one
-Gaussian, so each (y, a) cell is predicted right with a probability in
-closed form.  The test pass draws its subgroup counts from that law and
-reports the exact subgroup rates beside them.
+Gaussian, so each (y, a) cell is predicted right with probability Phi(t) for
+a standardized margin t, which :func:`column_margins` takes from u = D_I^T M
+(t+ - t-) and the image-noise scale: of a trained matrix, or in closed form
+of the asymptotic one, whose u is the 2x2 latent target's first column.  The
+test pass draws its subgroup counts from that law and reports the exact
+subgroup rates beside them.
 """
 
 from __future__ import annotations
@@ -147,15 +150,6 @@ def population_alignment_target(config: GenerativeConfig) -> np.ndarray:
                      [coupling, m_spu ** 2 + config.sigma_spu ** 2]])
 
 
-def asymptotic_minimizer(config: GenerativeConfig, dict_image: Dictionary,
-                         dict_text: Dictionary) -> AlignmentMatrix:
-    """Idealized alignment (1/rho) * D_I A D_T^T with A the latent target."""
-    core = latent_alignment_target(config)
-    return AlignmentMatrix(
-        dict_image.entries @ core @ dict_text.entries.T / config.rho
-    )
-
-
 def alignment_gap(M: AlignmentMatrix, config: GenerativeConfig,
                   dict_image: Dictionary, dict_text: Dictionary,
                   target=latent_alignment_target) -> float:
@@ -166,9 +160,14 @@ def alignment_gap(M: AlignmentMatrix, config: GenerativeConfig,
     """
     core = target(config)
     ambient = dict_image.entries @ core @ dict_text.entries.T
-    return float(
-        np.linalg.norm(config.rho * M.entries - ambient) / np.linalg.norm(core)
-    )
+    return _norm(config.rho * M.entries - ambient) / _norm(core)
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), computed on x scaled by the power of two that brings
+    its largest entry into [1/2, 1): the same bits, and no square overflows."""
+    _, exponent = math.frexp(float(np.max(np.abs(x))))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(x, -exponent))), exponent)
 
 
 def gradient_descent_minimizer(train: TrainingMoments, rho: float,
@@ -242,51 +241,60 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _cell_margins(M: AlignmentMatrix, config: GenerativeConfig,
-                  dict_image: Dictionary, dict_text: Dictionary) -> list[float]:
-    """Standardized margin t of each (y, a) cell of the test law, in _CELLS
-    order: a test sample of the cell is predicted right with probability
-    Phi(t) and wrong with probability Phi(-t).
-
-    An image x = D_I z + xi is predicted +1 exactly when x . w >= 0, with
-    w = M (t+ - t-) for the (+1, -1) label prompts.  Given (y, a), its score
-    z . u + xi . w, u = D_I^T w, is Gaussian with mean (m_inv y, m_spu a) . u,
-    (m_inv, m_spu) = ``config.mean_scales``, and variance sigma^2 =
-    (u_0 sigma_inv)^2 + (u_1 sigma_spu)^2 + s^2, s = sigma_xi |w| / sqrt(d_I).
-    So t = y * mean / sigma.  At sigma = 0 every sample of the cell scores the
-    mean, and t is +inf or -inf as "a score >= 0 predicts +1", ties included,
-    gets the cell right or wrong.
-    """
-    _check_dims(M, dict_image, dict_text)
-    w = M.entries @ (prompt_embedding(dict_text, 1).vector
-                     - prompt_embedding(dict_text, -1).vector)
-    u = dict_image.entries.T @ w
-    noise = config.sigma_xi * np.linalg.norm(w) / math.sqrt(dict_image.d)
-    sigma = math.hypot(u[0] * config.sigma_inv, u[1] * config.sigma_spu, noise)
-    means = ((np.array(_CELLS) * config.mean_scales) @ u).tolist()
+def column_margins(u: tuple[float, float], noise: float, sigma_inv: float, sigma_spu: float,
+                   mean_scales: tuple[float, float]) -> list[float]:
+    """Standardized margin t of each (y, a) cell, in _CELLS order, of the
+    score z . u + e of a test latent z and noise e ~ N(0, noise^2): the cell
+    is predicted right with probability Phi(t).  The score has mean
+    (m_inv y, m_spu a) . u, (m_inv, m_spu) = ``mean_scales``, and variance
+    sigma^2 = (u_0 sigma_inv)^2 + (u_1 sigma_spu)^2 + noise^2, so t = y mean /
+    sigma; at sigma = 0, t is +inf or -inf as "a score >= 0 predicts +1" gets
+    the cell right or wrong.  u and noise are first scaled by the power of two
+    that brings the largest into [1/2, 1): t keeps its bits, and no product
+    overflows."""
+    _, exponent = math.frexp(max(abs(u[0]), abs(u[1]), noise))
+    u0, u1, noise = (math.ldexp(value, -exponent) for value in (*u, noise))
+    sigma = math.hypot(u0 * sigma_inv, u1 * sigma_spu, noise)
+    m_inv, m_spu = mean_scales
+    means = [y * m_inv * u0 + a * m_spu * u1 for y, a in _CELLS]
     if sigma == 0:
         return [math.inf if (mean >= 0) == (y == 1) else -math.inf
                 for (y, _), mean in zip(_CELLS, means)]
     return [y * mean / sigma for (y, _), mean in zip(_CELLS, means)]
 
 
-def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
-                      dict_image: Dictionary, dict_text: Dictionary, seed: int,
-                      total: int) -> SubgroupReport:
-    """Zero-shot accuracy against the (+1, -1) label prompts of ``dict_text``,
-    overall and split over the a == y and a != y subgroups, on ``total``
-    samples of the test distribution: ``config`` with p_spu = 1/2.
+def _cell_margins(M: AlignmentMatrix, config: GenerativeConfig,
+                  dict_image: Dictionary, dict_text: Dictionary) -> list[float]:
+    """:func:`column_margins` of M: an image x = D_I z + xi scores x . w,
+    w = M (t+ - t-) for the (+1, -1) label prompts, and that is z . u + xi . w
+    with u = D_I^T w and xi . w of scale sigma_xi |w| / sqrt(d_I)."""
+    _check_dims(M, dict_image, dict_text)
+    w = M.entries @ (prompt_embedding(dict_text, 1).vector
+                     - prompt_embedding(dict_text, -1).vector)
+    noise = config.sigma_xi * _norm(w) / math.sqrt(dict_image.d)
+    return column_margins((dict_image.entries.T @ w).tolist(), noise, config.sigma_inv,
+                          config.sigma_spu, config.mean_scales)
 
-    Stream MC_STREAM draws the counts from their exact joint law on one
-    STREAM_TEST generator: the (y, a) cell sizes from the multinomial, then
-    each cell's correct count from Binomial(size, Phi(t)), t the cell's
-    margin (:func:`_cell_margins`).  That is O(1) work and memory at any
-    ``total``, on no thread.  Each exact rate is the mean of its two cells'
-    rates; the error adds their Phi(-t), so a small one keeps its precision.
-    """
+
+def latent_margins(config: GenerativeConfig) -> list[float]:
+    """:func:`_cell_margins` of (1/rho) D_I A D_T^T, A the latent target, for
+    any orthonormal D_I and D_T: there u = 2 A e_0 / rho and |w| = |u|, and
+    the factor 2 / rho cancels in t, so A e_0 is all the margins need."""
+    u = latent_alignment_target(config)[:, 0].tolist()
+    noise = config.sigma_xi * math.hypot(*u) / math.sqrt(config.d_I)
+    return column_margins(u, noise, config.sigma_inv, config.sigma_spu, config.mean_scales)
+
+
+def margin_counts(t: list[float], seed: int, total: int) -> SubgroupReport:
+    """Zero-shot accuracy on ``total`` samples of the p_spu = 1/2 test law
+    whose (y, a) cells, in _CELLS order, have the margins ``t``.  Stream
+    MC_STREAM draws the counts from their exact joint law on one STREAM_TEST
+    generator: the cell sizes from the multinomial, then each cell's correct
+    count from Binomial(size, Phi(t)), in O(1) work and memory at any
+    ``total``.  Each exact rate is the mean of its two cells' rates; the
+    error adds their Phi(-t), so a small one keeps its precision."""
     if total < 1:
         raise InsufficientDataError(f"the test set needs at least 1 sample, got {total}")
-    t = _cell_margins(M, config, dict_image, dict_text)
     rng = substream(seed, STREAM_TEST)
     sizes = rng.multinomial(total, _cell_probabilities(0.5))
     hits = rng.binomial(sizes, [std_normal_cdf(margin) for margin in t])
@@ -301,3 +309,11 @@ def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
         exact_err_conflicting=(std_normal_cdf(-t[1]) + std_normal_cdf(-t[2])) / 2,
         exact_acc_aligned=(std_normal_cdf(t[0]) + std_normal_cdf(t[3])) / 2,
     )
+
+
+def subgroup_accuracy(M: AlignmentMatrix, config: GenerativeConfig,
+                      dict_image: Dictionary, dict_text: Dictionary, seed: int,
+                      total: int) -> SubgroupReport:
+    """:func:`margin_counts` of M against the (+1, -1) label prompts of
+    ``dict_text``, on the test law of ``config``."""
+    return margin_counts(_cell_margins(M, config, dict_image, dict_text), seed, total)

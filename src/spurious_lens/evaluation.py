@@ -323,7 +323,7 @@ class _SampleIds:
         """Take the next rows' sample ids; the mask of the empty ones."""
         n = len(names)
         self.hashes.frombytes(
-            np.fromiter(map(_id_hash, names), dtype=np.int64, count=n).tobytes())
+            np.fromiter(map(_id_hash, names), dtype=np.int64, count=n).view(np.uint8))
         if "" not in names:
             return np.zeros(n, dtype=bool)
         return np.fromiter(map(operator.not_, names), dtype=bool, count=n)
@@ -464,7 +464,7 @@ def load_predictions(path, *, digest=None) -> PredictionTable:
                                      dtype=np.int64, count=n)
             rank = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK)
             for column, codes in zip(columns, (true, group_code, background, rank)):
-                column.frombytes(codes.tobytes())
+                column.frombytes(codes.view(np.uint8))
     return _encode(labels, backgrounds,
                    *(np.frombuffer(column, dtype=column.typecode) for column in columns))
 
@@ -826,19 +826,28 @@ def transform_coordinates(points, transform: Transform | str):
 
 
 def effective_robustness_fit(points, transform: Transform | str = Transform.LINEAR) -> FitLine:
-    """Least squares of hard on easy, raw or on probit-mapped axes."""
+    """Least squares of hard on easy, raw or on probit-mapped axes, in the
+    centered closed form, each sum by math.fsum.  As in np.linalg.lstsq, the
+    design [x 1] is rank-deficient when its smaller singular value is at most
+    n * eps times its larger; their squares are the eigenvalues of
+    [[sum x^2, sum x], [sum x, n]], of determinant n * Sxx."""
     transform = Transform(transform)
-    if len(points) < 2:
+    n = len(points)
+    if n < 2:
         raise InsufficientDataError("need at least 2 points to fit a line")
     x, y = transform_coordinates(points, transform)
     if np.ptp(x) == 0.0:
         raise DegenerateFitError("all x values identical; line is not determined")
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 2:
+    sum_x, sum_x2 = math.fsum(x.tolist()), math.fsum((x * x).tolist())
+    x_mean, y_mean = sum_x / n, math.fsum(y.tolist()) / n
+    dx = x - x_mean
+    sxx = math.fsum((dx * dx).tolist())
+    larger = (sum_x2 + n + math.hypot(sum_x2 - n, 2.0 * sum_x)) / 2
+    if n * sxx <= (n * np.finfo(float).eps * larger) ** 2:
         raise DegenerateFitError(
             "x values too close to distinguish; line is not determined")
-    slope, intercept = float(coef[0]), float(coef[1])
+    slope = math.fsum((dx * (y - y_mean)).tolist()) / sxx
+    intercept = y_mean - slope * x_mean
     residuals = y - (slope * x + intercept)
     return FitLine(
         slope=slope,

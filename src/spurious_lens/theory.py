@@ -3,8 +3,9 @@
 For the Gaussian pair model the zero-shot margin is itself Gaussian, so the
 conflicting-subgroup error and aligned-subgroup accuracy have closed forms
 through two standardized margins (kappa1, kappa2) and the normal CDF.  The
-verifier re-estimates both rates by simulation and compares, and reports the
-exact rates of the matrix it scored next to them.
+margins, the bounds and the exact rates of both modes all come from one
+helper, ``alignment.column_margins``.  The verifier re-estimates both rates
+by simulation and compares, and reports the exact rates next to them.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .alignment import (
-    alignment_gap,
-    asymptotic_minimizer,
-    empirical_minimizer,
-    std_normal_cdf,
-    subgroup_accuracy,
-)
+from .alignment import (alignment_gap, column_margins, empirical_minimizer,
+                        latent_alignment_target, latent_margins, margin_counts, std_normal_cdf,
+                        subgroup_accuracy)
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .synthetic import MAX_SAMPLES, GenerativeConfig, Mode, dataset_dictionaries, training_moments
+from .synthetic import MAX_SAMPLES, GenerativeConfig, Mode, training_moments
 
 # How far verify_theorem lets each Monte-Carlo rate lie from its bound.
 TOL = 0.01
@@ -54,25 +51,21 @@ def params_from_config(config: GenerativeConfig) -> TheoryParams:
     )
 
 
-def _margin_scale(params: TheoryParams) -> float:
-    s2 = params.sigma_inv ** 2
-    w = 2.0 * params.mu_spu * params.p_spu - 1.0
-    den = math.sqrt((1.0 + s2) ** 2 * s2 + w ** 2 * params.sigma_spu ** 2)
-    if den == 0.0:
-        raise DomainError("singular parameters: margin has zero variance")
-    return den
+def _margins(params: TheoryParams) -> list[float]:
+    """The cell margins of the asymptotic matrix at unit means and no image
+    noise; the latent target reads only the four fields of ``params``."""
+    return column_margins(latent_alignment_target(params)[:, 0].tolist(), 0.0,
+                          params.sigma_inv, params.sigma_spu, (1.0, 1.0))
 
 
 def kappa1(params: TheoryParams) -> float:
     """Standardized margin on the conflicting subgroup (a != y)."""
-    s2 = params.sigma_inv ** 2
-    return (s2 + 2.0 - 2.0 * params.mu_spu * params.p_spu) / _margin_scale(params)
+    return _margins(params)[1]
 
 
 def kappa2(params: TheoryParams) -> float:
     """Negated standardized margin on the aligned subgroup (a == y)."""
-    s2 = params.sigma_inv ** 2
-    return (-2.0 * params.mu_spu * params.p_spu - s2) / _margin_scale(params)
+    return -_margins(params)[0]
 
 
 class TheoryBounds(NamedTuple):
@@ -85,15 +78,17 @@ class TheoryBounds(NamedTuple):
 def theorem_bounds(params: TheoryParams) -> TheoryBounds:
     """Error lower bound on a != y and accuracy lower bound on a == y."""
     try:
-        k1 = kappa1(params)
-        k2 = kappa2(params)
-    except OverflowError:  # a square raises; a product gives inf, and inf / inf is nan
+        t = _margins(params)
+        k1, k2 = t[1], -t[0]
+    except OverflowError:  # sigma_inv ** 2 raises; 2 mu_spu p_spu gives inf, and inf / inf is nan
         k1 = k2 = math.nan
     if not (math.isfinite(k1) and math.isfinite(k2)):
+        # an infinite margin is a score whose variance is 0 as a float
+        what = ("the margins overflow a float" if math.isnan(k1) or math.isnan(k2)
+                else "singular parameters: margin has zero variance")
         raise DomainError(
-            f"the margins overflow a float at sigma_inv={params.sigma_inv:g}, "
-            f"sigma_spu={params.sigma_spu:g}, mu_spu={params.mu_spu:g}, "
-            f"p_spu={params.p_spu:g}")
+            f"{what} at sigma_inv={params.sigma_inv:g}, sigma_spu={params.sigma_spu:g}, "
+            f"mu_spu={params.mu_spu:g}, p_spu={params.p_spu:g}")
     return TheoryBounds(
         kappa1=k1,
         kappa2=k2,
@@ -111,8 +106,9 @@ class VerificationReport(NamedTuple):
     standard errors of (mc_err_conflicting, mc_acc_aligned), and mc_z how
     many of them each estimate lies above its bound (None for a zero stderr).
     exact_err_conflicting and exact_acc_aligned are the two rates the
-    Monte-Carlo estimates, in closed form for the matrix it scored; they
-    equal the bounds only at sigma_xi = 0 and the asymptotic matrix.
+    Monte-Carlo estimates, in closed form: of the trained matrix in Def1, of
+    the asymptotic matrix in TheoremExact, where they equal the bounds only
+    at sigma_xi = 0.
     """
 
     mode: Mode
@@ -132,11 +128,13 @@ class VerificationReport(NamedTuple):
 def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int) -> VerificationReport:
     """Estimate both subgroup rates by simulation and compare to the bounds.
 
-    TheoremExact mode scores with the idealized asymptotic matrix, where the
-    bounds are exact, so the check is two-sided.  Def1 mode first trains the
-    empirical minimizer on ``training_moments(config, seed)``, checks
-    one-sided (estimate >= bound - TOL) and reports the alignment gap; only
-    at mu_inv = mu_spu = 1 does training converge to the bounds' target.
+    TheoremExact mode scores the idealized asymptotic matrix, where the
+    bounds are exact, so the check is two-sided; its margins are closed-form
+    scalars of the config (``latent_margins``), and no dictionary is drawn.
+    Def1 mode first trains the empirical minimizer on
+    ``training_moments(config, seed)``, checks one-sided (estimate >= bound -
+    TOL) and reports the alignment gap; only at mu_inv = mu_spu = 1 does
+    training converge to the bounds' target.
 
     Training and the test pass each draw from one generator, so the result
     is the same on every run.
@@ -154,14 +152,13 @@ def verify_theorem(config: GenerativeConfig, mc_samples: int, seed: int) -> Veri
     bounds = theorem_bounds(params_from_config(config))
     gap = None
     if config.mode is Mode.THEOREM_EXACT:
-        dicts = dataset_dictionaries(config, seed)
-        matrix = asymptotic_minimizer(config, *dicts)
+        report = margin_counts(latent_margins(config), seed, mc_samples)
     else:
         train = training_moments(config, seed)
         dicts = (train.dict_image, train.dict_text)
         matrix = empirical_minimizer(train, config.rho)
         gap = alignment_gap(matrix, config, *dicts)
-    report = subgroup_accuracy(matrix, config, *dicts, seed, mc_samples)
+        report = subgroup_accuracy(matrix, config, *dicts, seed, mc_samples)
     n_aligned, n_conflicting = report.n_aligned, report.n_conflicting
     if n_aligned == 0 or n_conflicting == 0:
         raise InsufficientDataError("a Monte-Carlo subgroup came out empty")

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -27,8 +28,8 @@ from spurious_lens import (
 from spurious_lens.alignment import (
     PromptEmbedding,
     _cell_margins,
-    asymptotic_minimizer,
     latent_alignment_target,
+    latent_margins,
     population_alignment_target,
     subgroup_accuracy,
 )
@@ -45,12 +46,15 @@ from spurious_lens.synthetic import (
     Dictionary,
     Mode,
     TrainingMoments,
+    _orthonormality_error,
     dataset_dictionaries,
     embed,
     sample_batch,
     substream,
     training_moments,
 )
+
+from asymptotic import asymptotic_minimizer
 
 
 CHUNK = 1 << 14  # rows per piece of the chunked reference streams below
@@ -705,6 +709,46 @@ class TestStreamV3Law:
             tail = mpmath.ncdf(-scale)
             assert err == pytest.approx(float(tail), rel=1e-12)
             assert acc == pytest.approx(float(1 - tail), abs=1e-16)
+
+
+class TestLatentMargins:
+    """latent_margins scores the asymptotic matrix (1/rho) D_I A D_T^T from
+    the 2x2 target A alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sigma_inv=st.floats(min_value=0.5, max_value=3.0),
+           sigma_spu=st.floats(min_value=0.0, max_value=3.0),
+           mu_inv=st.floats(min_value=0.5, max_value=2.0),
+           mu_spu=st.floats(min_value=0.5, max_value=3.0),
+           p_spu=st.floats(min_value=0.5, max_value=1.0),
+           sigma_xi=st.floats(min_value=0.01, max_value=5.0),
+           rho=st.floats(min_value=0.1, max_value=4.0),
+           d_I=st.integers(min_value=2, max_value=64),
+           d_T=st.integers(min_value=2, max_value=16),
+           mode=st.sampled_from(["TheoremExact", "Def1"]),
+           seed=st.integers(min_value=0, max_value=2**32))
+    def test_matches_the_matrix_route(self, sigma_inv, sigma_spu, mu_inv, mu_spu, p_spu,
+                                      sigma_xi, rho, d_I, d_T, mode, seed):
+        config = GenerativeConfig(sigma_inv=sigma_inv, sigma_spu=sigma_spu,
+                                  mu_inv=mu_inv if mode == "Def1" else 1.0, mu_spu=mu_spu,
+                                  p_spu=p_spu, sigma_xi=sigma_xi, rho=rho, d_I=d_I, d_T=d_T,
+                                  mode=mode)
+        dict_image, dict_text = dataset_dictionaries(config, seed)
+        reference = _cell_margins(asymptotic_minimizer(config, dict_image, dict_text),
+                                  config, dict_image, dict_text)
+        # the matrix route is exact up to rounding and up to how far its
+        # dictionaries are from orthonormal (a few ulp for most draws, up to
+        # 1e-13 at d = 2): under 12 of these units off in 30000 random configs
+        unit = (sys.float_info.epsilon + _orthonormality_error(dict_image.entries)
+                + _orthonormality_error(dict_text.entries))
+        for closed, matrix in zip(latent_margins(config), reference):
+            assert abs(closed - matrix) <= 32 * unit * max(1.0, abs(matrix))
+
+    def test_scales_the_column_before_its_products(self):
+        # u_0 sigma_inv = (1 + 1e240) 1e120 passes max float; t = u_0 / (u_0 sigma_inv) does not
+        config = GenerativeConfig(sigma_inv=1e120, sigma_spu=0.5, mu_spu=2.0, p_spu=0.95,
+                                  sigma_xi=0.0, mode="TheoremExact")
+        assert latent_margins(config) == pytest.approx([1e-120] * 4, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("call,error,named", [

@@ -36,8 +36,8 @@ GAUSS_DEF1 = {
     "sigma_xi": 0.01, "n": 2000, "d_I": 16, "d_T": 16, "mode": "Def1",
 }
 DISCRETE = {"num_classes": 2, "p_inv": 0.75, "p_spu": 0.9, "n_train": 400}
-# A fuzz-found Def1 config whose alignment gap overflows in np.linalg.norm.
-GAUSS_OVERFLOW = {**GAUSS_DEF1, "mu_spu": 1.157920892373162e+77, "n": 40, "d_I": 4, "d_T": 4}
+# A Def1 config whose training sums overflow.
+GAUSS_OVERFLOW = {**GAUSS_DEF1, "mu_spu": 1e155, "n": 40, "d_I": 4, "d_T": 4}
 # A Def1 config whose means are JSON integers: the latents must still be float.
 GAUSS_INT_MEANS = {"mu_inv": 1, "mu_spu": 1, "n": 100, "d_I": 4, "d_T": 4}
 
@@ -166,11 +166,11 @@ class TestVerifyTheorem:
     @pytest.mark.parametrize("fields,named", [
         # sigma_inv ** 2 overflows
         ({"mode": "Def1", "sigma_inv": 1e200}, "sigma_inv=1e+200,"),
-        # the weight 2 mu_spu p_spu - 1, squared, overflows
-        ({"mode": "TheoremExact", "mu_spu": 1e300}, "mu_spu=1e+300,"),
+        # the first past sqrt(max float)
+        ({"mode": "TheoremExact", "sigma_inv": 1e155}, "sigma_inv=1e+155,"),
         # 2 mu_spu p_spu overflows to inf without raising, so each margin is nan
         ({"mode": "TheoremExact", "mu_spu": 1e308}, "mu_spu=1e+308,"),
-    ], ids=["Def1-sigma_inv", "TheoremExact-mu_spu", "TheoremExact-mu_spu-nan"])
+    ], ids=["Def1-sigma_inv", "TheoremExact-sigma_inv", "TheoremExact-mu_spu-nan"])
     def test_margin_overflow_names_the_parameters(self, tmp_path, capsys, fields, named):
         cfg = write_json(tmp_path / "c.json", fields)
         out = tmp_path / "r.json"
@@ -179,6 +179,25 @@ class TestVerifyTheorem:
         assert err.startswith("error: the margins overflow a float at sigma_inv=")
         assert named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fields,kappas", [
+        # the margins square neither sigma_inv nor 1 + sigma_inv^2 ...
+        ({"mode": "TheoremExact", "sigma_inv": 1e78}, (1e-78, -1e-78)),
+        # ... nor the coupling weight: t tends to -+1 / sigma_spu
+        ({"mode": "TheoremExact", "mu_spu": 1e300}, (-2.0, -2.0)),
+        # and the trained matrix's norms are taken on a copy scaled by a power of two
+        ({"mode": "Def1", "sigma_inv": 1e78}, (1e-78, -1e-78)),
+        # sigma_inv^2 underflows to 0, sigma_inv does not
+        ({**GAUSS_EXACT, "sigma_inv": 1e-170, "sigma_spu": 0}, (-1.8e170, -3.8e170)),
+    ], ids=["TheoremExact-sigma_inv", "TheoremExact-mu_spu", "Def1-sigma_inv",
+            "TheoremExact-sigma_inv-tiny"])
+    def test_finite_margins_past_a_square_pass(self, tmp_path, fields, kappas):
+        cfg = write_json(tmp_path / "c.json", fields)
+        out = tmp_path / "r.json"
+        assert main(["verify-theorem", "--config", cfg, "--mc", "100000",
+                     "--out", str(out)]) == 0
+        bounds = read_json(out)["bounds"]
+        assert (bounds["kappa1"], bounds["kappa2"]) == kappas
 
 
 class TestSimulateGaussian:
@@ -599,7 +618,9 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
      ["fit", "--points", "p.csv", "--out", "r.json"], 3, "x values too close to distinguish"),
     ({"p.csv": "sample_id,true_label,group,background,pred_1\n"},
      ["eval", "--predictions", "p.csv", "--out", "r.json"], 2, "no records to score"),
-    ({"c.json": json.dumps({**GAUSS_EXACT, "sigma_inv": 1e-170, "sigma_spu": 0})},
+    # sigma_inv times the first column's share, about 1e-200, underflows to 0
+    ({"c.json": json.dumps({**GAUSS_EXACT, "sigma_inv": 1e-170, "sigma_spu": 0,
+                            "mu_spu": 1e200})},
      ["verify-theorem", "--config", "c.json", "--out", "r.json"],
      3, "singular parameters: margin has zero variance"),
     # an integer past the largest float: float() of it would overflow
@@ -852,10 +873,9 @@ def test_discrete_and_fit_report_bytes_pinned(tmp_path):
     """simulate-discrete's CSV and summary and fit's SVG, byte for byte: their
     digests were the same under each OpenBLAS kernel tried (OPENBLAS_CORETYPE
     Haswell, SkylakeX, Cooperlake, SandyBridge, Nehalem, Prescott and Zen).
-    fit's JSON comes from a LAPACK least squares whose last bits moved with
-    the kernel, so it is pinned with each float rounded to 12 significant
-    digits.  The summary's digest dates from the removal of num_colors, whose
-    line was all that it lost; its other bytes are those of training schedule 3."""
+    fit's JSON is pinned raw by test_blas_free_reports_keep_their_bytes.  The
+    summary's digest dates from the removal of num_colors, whose line was all
+    that it lost; its other bytes are those of training schedule 3."""
     discrete = str(Path(__file__).resolve().parents[1] / "configs" / "discrete_k2.json")
     points = write(tmp_path / "pts.csv", POINTS)
     pinned = [
@@ -863,34 +883,80 @@ def test_discrete_and_fit_report_bytes_pinned(tmp_path):
             ".csv": "30825f71e33fb34d4ad2c4e7e543849932d45c9e14cd00f6159995f2830761f6",
             ".json": "205b93153969227bafe7178a2c90a8049cb63452d02d22f9877c4659b9a0abfb"}),
         (["fit", "--points", points], {
-            ".json": "3e7f9feccd288555527365214f9c89bcae5df30b3ec0d12a1f26c3e68f1e7aa5",
             ".svg": "1ca651f69722283a6ed1ac0ccfae0485e7e5d19fa19736c6c41bc8e0a4f3f556"}),
         (["fit", "--points", points, "--transform", "probit"], {
-            ".json": "c12b44a396e6e3d0568d4767e19f0e5e266ae2b9907ac41d68acf7fe9054d3b5",
             ".svg": "e9de616e3ba65a0bde3672ea12c79ed7fe4d75e1744ed2949e4755a7d94fb58c"}),
     ]
     for i, (argv, digests) in enumerate(pinned):
-        out = tmp_path / f"{i}{next(iter(digests))}"
+        out = tmp_path / f"{i}{'.csv' if argv[0] == 'simulate-discrete' else '.json'}"
         assert main(argv + ["--out", str(out)]) == 0
         for suffix, digest in digests.items():
             data = out.with_suffix(suffix).read_bytes()
-            if argv[0] == "fit" and suffix == ".json":
-                data = json.dumps(rounded(json.loads(data)), sort_keys=True).encode("utf-8")
             assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
 
 
+# Reports whose path makes no BLAS product, pinned raw: verify-theorem in
+# TheoremExact takes its margins in closed form, and fit solves its least
+# squares by math.fsum.  Each was one digest under OPENBLAS_CORETYPE default,
+# Prescott, Nehalem, Haswell, SkylakeX and Zen.
+BLAS_FREE_PINS = [
+    (["verify-theorem", "--config", "exact.json", "--mc", "20000", "--seed", "3"],
+     "e2b657b3ed86281339d7f184d82de5b9383525eb8bc4b49ed6314f52b8de95c1"),
+    (["fit", "--points", "pts.csv"],
+     "82db422198871504015dd5d8389d9e2407f12cf03a9163d57a9e5e5a923daaab"),
+    (["fit", "--points", "pts.csv", "--transform", "probit"],
+     "e855350ab7aed89426eaa4b4eb587a24303fb260c85e5261536e2768c5c37eab"),
+]
+
+
+def has_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def test_blas_free_reports_keep_their_bytes(tmp_path):
+    """BLAS_FREE_PINS byte for byte, in child processes under the default
+    OpenBLAS kernel and under OPENBLAS_CORETYPE=Prescott, the SSE3 kernel
+    that every x86-64 CPU runs (a kernel the CPU lacks would stop the child
+    on an illegal instruction).  Def1 verify-theorem and simulate-gaussian
+    are not here: training_moments, empirical_minimizer and alignment_gap
+    multiply d x d matrices through BLAS, whose last bits move with the
+    kernel, so test_gaussian_report_bytes_pinned rounds those reports."""
+    write_json(tmp_path / "exact.json", GAUSS_EXACT)
+    write(tmp_path / "pts.csv", POINTS)
+    kernels = {"default": None, "Prescott": "Prescott"}
+    for argv, digest in BLAS_FREE_PINS:
+        for name, kernel in kernels.items():
+            env = {key: value for key, value in os.environ.items()
+                   if key != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+            if kernel:
+                env["OPENBLAS_CORETYPE"] = kernel
+            out = tmp_path / f"{name}.json"
+            proc = subprocess.run([sys.executable, "-m", "spurious_lens.cli", *argv,
+                                   "--out", str(out)], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (argv, name)
+    if not has_openblas():
+        pytest.skip("numpy has no OpenBLAS, so OPENBLAS_CORETYPE selects nothing: "
+                    "the pins were compared under one kernel")
+
+
 def test_gaussian_report_bytes_pinned(tmp_path):
-    """The verify-theorem and simulate-gaussian reports, with each float
-    rounded to 12 significant digits: their raw bytes go through BLAS
-    products and moved in their last bits with the OpenBLAS kernel, while
-    the rounded digests were the same under each kernel tried
-    (OPENBLAS_CORETYPE Prescott, Nehalem, SandyBridge, Haswell, SkylakeX,
-    Cooperlake and Zen)."""
+    """The reports that train a matrix, with each float rounded to 12
+    significant digits: their raw bytes go through the d x d BLAS products of
+    training_moments, empirical_minimizer and alignment_gap and moved in their
+    last bits with the OpenBLAS kernel, while the rounded digests were the
+    same under each kernel tried (OPENBLAS_CORETYPE Prescott, Nehalem,
+    SandyBridge, Haswell, SkylakeX, Cooperlake and Zen)."""
     exact = write_json(tmp_path / "exact.json", GAUSS_EXACT)
     def1 = write_json(tmp_path / "def1.json", GAUSS_DEF1)
     pinned = [
-        (["verify-theorem", "--config", exact, "--mc", "20000", "--seed", "3"],
-         "2016f4304ba8aa999431aaa000c11499509aa134fe99251a2b0ced7dcca861b0"),
         (["simulate-gaussian", "--config", exact, "--seed", "0"],
          "db2b3713b3a18246c8531a9dc765ad4c4369d462951498b42c67e78d8e9dfc98"),
         (["verify-theorem", "--config", def1, "--mc", "20000", "--seed", "3"],

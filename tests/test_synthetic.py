@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from spurious_lens import GenerativeConfig, sample_dataset
 from spurious_lens import discrete, synthetic
-from spurious_lens.alignment import asymptotic_minimizer, subgroup_accuracy
+from spurious_lens.alignment import subgroup_accuracy
 from spurious_lens.cli import _json_data
 from spurious_lens.errors import ConfigError, ParseError
 from spurious_lens.inputs import load_config
@@ -32,6 +32,8 @@ from spurious_lens.synthetic import (
     substream,
     training_moments,
 )
+
+from asymptotic import asymptotic_minimizer
 
 NUMERIC_FIELDS = ("mu_inv", "mu_spu", "sigma_inv", "sigma_spu", "sigma_xi", "p_spu",
                   "n", "d_I", "d_T", "rho")

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spurious_lens import GenerativeConfig, kappa1, kappa2, std_normal_cdf, verify_theorem
-from spurious_lens.alignment import asymptotic_minimizer, subgroup_accuracy
+from spurious_lens import synthetic
+from spurious_lens.alignment import latent_margins, margin_counts, subgroup_accuracy
 from spurious_lens.cli import _serialize
 from spurious_lens.errors import ConfigError, DomainError, InsufficientDataError
 from spurious_lens.evaluation import std_normal_inv_cdf
 from spurious_lens.synthetic import dataset_dictionaries
 from spurious_lens.theory import (TOL, TheoryParams, format_report_table, params_from_config,
                                   theorem_bounds)
+
+from asymptotic import asymptotic_minimizer
 
 # Frozen from a 50-digit mpmath evaluation of 0.5*erfc(-x/sqrt(2)).
 PHI_196 = 0.97500210485177963
@@ -249,13 +253,57 @@ class TestExactRates:
         report = subgroup_accuracy(asymptotic_minimizer(cfg, dict_image, dict_text),
                                    cfg, dict_image, dict_text, 0, 1)
         exact = (report.exact_err_conflicting, report.exact_acc_aligned)
-        assert (rep.exact_err_conflicting, rep.exact_acc_aligned) == exact
+        # the closed form and the matrix route round differently: 1 ulp apart here
+        for closed, matrix in zip((rep.exact_err_conflicting, rep.exact_acc_aligned), exact):
+            assert abs(closed - matrix) <= 4 * math.ulp(matrix)
         # image noise the bounds leave out moves the rates off them, and the
         # Monte-Carlo follows the exact rates
         assert rep.bounds.err_lower_conflicting - exact[0] > 0.01
         for mc, rate, stderr in zip((rep.mc_err_conflicting, rep.mc_acc_aligned), exact,
                                     rep.mc_stderr):
             assert abs(mc - rate) <= 4 * stderr
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(sigma_inv=st.floats(min_value=0.05, max_value=4.0),
+           sigma_spu=st.floats(min_value=0.0, max_value=4.0),
+           mu_spu=st.floats(min_value=-0.9, max_value=5.0),
+           p_spu=st.floats(min_value=0.5, max_value=1.0),
+           d_I=st.integers(min_value=2, max_value=2**20))
+    def test_noiseless_latent_margins_are_the_kappas(self, sigma_inv, sigma_spu, mu_spu,
+                                                     p_spu, d_I):
+        cfg = GenerativeConfig(sigma_inv=sigma_inv, sigma_spu=sigma_spu, mu_spu=mu_spu,
+                               p_spu=p_spu, sigma_xi=0.0, d_I=d_I, d_T=2, mode="TheoremExact")
+        t = latent_margins(cfg)
+        params = params_from_config(cfg)
+        bounds = theorem_bounds(params)
+        assert (t[1], -t[0]) == (kappa1(params), kappa2(params)) == (bounds.kappa1,
+                                                                     bounds.kappa2)
+
+    def test_theorem_exact_draws_no_dictionary(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a dictionary was drawn")
+
+        monkeypatch.setattr(synthetic, "dataset_dictionaries", refuse)
+        monkeypatch.setattr(synthetic, "_dictionary_from_rng", refuse)
+        rep = verify_theorem(EXACT_CFG, mc_samples=2000, seed=0)
+        report = margin_counts(latent_margins(EXACT_CFG), 0, 2000)
+        assert (rep.mc_acc_aligned, rep.exact_acc_aligned) == (report.acc_aligned,
+                                                               report.exact_acc_aligned)
+
+    def test_theorem_exact_peak_memory_does_not_grow_with_d(self):
+        def peak(d):
+            tracemalloc.start()
+            try:
+                verify_theorem(dataclasses.replace(EXACT_CFG, d_I=d, d_T=d),
+                               mc_samples=100_000, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)
+        # about 16 kB either way; one vector of d = 8192 floats would be 64 kB
+        assert peak(8192) <= 1.25 * peak(64)
 
 
 class TestVerifyTheorem:
