@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 LATENT_DIM = 2
 
@@ -106,9 +106,7 @@ class GenerativeConfig:
             raise ConfigError(
                 f"ambient dims must be >= {LATENT_DIM}, got d_I={self.d_I}, d_T={self.d_T}"
             )
-        check_sizes({"d_I": self.d_I, "d_T": self.d_T},
-                    {"a d_I x d_T matrix": self.d_I * self.d_T,
-                     "the d_I x d_I Bartlett factor": self.d_I ** 2})
+        check_sizes({"d_I": self.d_I, "d_T": self.d_T}, {})
         if self.rho <= 0:
             raise ConfigError(f"rho must be > 0, got {self.rho}")
         if self.mode is Mode.THEOREM_EXACT and self.mu_inv != 1.0:
@@ -206,7 +204,13 @@ def embed(z: np.ndarray, dictionary: Dictionary, sigma_xi: float,
 
 
 def dataset_dictionaries(config: GenerativeConfig, seed: int):
-    """The pair of dictionaries a dataset with this (config, seed) uses."""
+    """The pair of dictionaries a dataset with this (config, seed) uses.
+
+    Every path that builds a d-sized array starts here, so here the arrays
+    that numpy cannot represent are refused (TheoremExact verification
+    builds none)."""
+    check_sizes({}, {"a d_I x d_T matrix": config.d_I * config.d_T,
+                     "the d_I x d_I Bartlett factor": config.d_I ** 2})
     rng_i = substream(seed, STREAM_DICT_IMAGE)
     rng_t = substream(seed, STREAM_DICT_TEXT)
     dict_image = _dictionary_from_rng(config.d_I, rng_i)
@@ -292,8 +296,15 @@ def _latent_gram(config: GenerativeConfig, rng: np.random.Generator) -> np.ndarr
         # the cell's rows of C are center + (0, S g_i); spread is their sum
         center = np.array([1.0, *np.multiply(config.mean_scales, signs)])
         spread = np.array([0.0, *(scales * sum_g)])
-        gram += m * np.outer(center, center) + np.outer(center, spread) + np.outer(spread, center)
-        gram[1:, 1:] += scales[:, None] * gram_g * scales
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+            gram += (m * np.outer(center, center) + np.outer(center, spread)
+                     + np.outer(spread, center))
+            gram[1:, 1:] += scales[:, None] * gram_g * scales
+    if not np.all(np.isfinite(gram)):
+        raise DomainError(
+            f"the latent Gram matrix C^T C overflows a float at mu_inv={config.mu_inv:g}, "
+            f"mu_spu={config.mu_spu:g}, sigma_inv={config.sigma_inv:g}, "
+            f"sigma_spu={config.sigma_spu:g}")
     return gram
 
 

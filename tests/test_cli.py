@@ -180,6 +180,27 @@ class TestVerifyTheorem:
         assert named in err
         assert not out.exists()
 
+    def test_theorem_exact_builds_no_d_sized_array(self, tmp_path, capsys):
+        # a d_I x d_T matrix of these dims would take 2**65 bytes: only the
+        # paths that build one refuse it
+        big = {"d_I": 2**31, "d_T": 2**31}
+        exact = write_json(tmp_path / "exact.json", {**GAUSS_EXACT, **big})
+        def1 = write_json(tmp_path / "def1.json", {**GAUSS_DEF1, **big})
+        small = write_json(tmp_path / "small.json", GAUSS_EXACT)
+        for config, out in ((exact, "v.json"), (small, "s.json")):
+            assert main(["verify-theorem", "--config", config, "--mc", "20000",
+                         "--out", str(tmp_path / out)]) == 0
+        # the bounds do not depend on the dims
+        assert read_json(tmp_path / "v.json")["bounds"] == read_json(tmp_path / "s.json")["bounds"]
+        capsys.readouterr()
+        for argv in (["simulate-gaussian", "--config", exact],
+                     ["simulate-gaussian", "--config", def1],
+                     ["verify-theorem", "--config", def1, "--mc", "20000"]):
+            assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+            assert capsys.readouterr().err == (
+                "error: a d_I x d_T matrix would take 36893488147419103232 bytes, "
+                "more than numpy's largest array (9223372036854775807 bytes)\n")
+
     @pytest.mark.parametrize("fields,kappas", [
         # the margins square neither sigma_inv nor 1 + sigma_inv^2 ...
         ({"mode": "TheoremExact", "sigma_inv": 1e78}, (1e-78, -1e-78)),
@@ -224,8 +245,8 @@ class TestSimulateGaussian:
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_failed_run_prints_no_result(self, tmp_path, capsys):
-        # the alignment gap overflows: the run exits 3 before it reports
-        # an accuracy that it would then discard
+        # the latent Gram matrix overflows: the run exits 3 before it
+        # reports an accuracy that it would then discard
         cfg = write_json(tmp_path / "c.json", GAUSS_OVERFLOW)
         out = tmp_path / "sim.json"
         assert main(["simulate-gaussian", "--config", cfg, "--out", str(out)]) == 3
@@ -341,7 +362,7 @@ class TestSimulateDiscrete:
         sidecar = read_json(Path(out).with_suffix(".json"))
         check_schema(sidecar, "discrete_summary")
         assert sidecar["n_seeds"] == 2
-        assert sidecar["train_schedule"] == 3
+        assert sidecar["train_schedule"] == 4
         manifest = manifest_of(out)
         check_schema(manifest, "run_manifest")
         assert set(manifest["outputs"]) == {out, str(Path(out).with_suffix(".json"))}
@@ -572,7 +593,8 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
      2, "Unable to allocate 1.39 EiB"),
     ({"c.json": json.dumps(GAUSS_OVERFLOW)},
      ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
-     3, "error: overflow encountered"),
+     3, "error: the latent Gram matrix C^T C overflows a float at mu_inv=1, "
+        "mu_spu=1e+155, sigma_inv=1, sigma_spu=0.5\n"),
     ({"c.json": json.dumps(GAUSS_OVERFLOW)},
      ["verify-theorem", "--config", "c.json", "--mc", "2000", "--out", "r.json"],
      2, "mu_spu"),
@@ -597,7 +619,7 @@ POINTS_OK = "easy,hard\n0.6,0.4\n0.8,0.6\n"
     ({"c.json": json.dumps({**GAUSS_DEF1, "d_T": 10**20})},
      ["simulate-gaussian", "--config", "c.json", "--out", "r.json"],
      2, "d_T must be <= 9223372036854775807"),
-    ({"c.json": json.dumps({**GAUSS_EXACT, "d_I": 10**18})},
+    ({"c.json": json.dumps({**GAUSS_DEF1, "d_I": 10**18})},
      ["verify-theorem", "--config", "c.json", "--out", "r.json"],
      2, "a d_I x d_T matrix would take"),
     ({"p.csv": PREDICTIONS}, ["eval", "--predictions", "p.csv", "--out", ""], 2, "--out"),
@@ -832,32 +854,6 @@ def test_config_digest_pinned(tmp_path):
         assert manifest_of(out)["config_digest"] == digest, argv[0]
 
 
-def test_csv_report_bytes_pinned(tmp_path):
-    """The reports of the CSV subcommands on this file's inputs.  The
-    one-candidate table's mean is 0.1 summed pairwise, as numpy sums a lone
-    column, and 0.09999999999999999 summed in file order, as a wider table
-    sums each of its columns."""
-    preds = write(tmp_path / "p.csv", PREDICTIONS)
-    disc_preds = write(tmp_path / "d.csv", DISCOVER_PREDICTIONS)
-    sims = write(tmp_path / "s.csv", SIMILARITIES)
-    one = write(tmp_path / "one.csv",
-                "sample_id,cat\n" + "".join(f"s{i},0.1\n" for i in range(8)))
-    pinned = [
-        (["eval", "--predictions", preds],
-         "85106daac55723a2e15c30a6c930bef9f14b7533bce1b565c735293a784aa51c"),
-        (["discover", "--predictions", disc_preds, "--threshold", "5", "--min-count", "20"],
-         "087af60696360bef492d815244bb724f9b849fcf41cb52762088db095b91299b"),
-        (["confuse", "--similarities", sims, "--k", "2"],
-         "eb68c749647d626586a03e01d7395fc2e764ffa7a1191e9e03157d80da28daa7"),
-        (["confuse", "--similarities", one, "--k", "1"],
-         "e7f7d3b4323d27e593a16916e66e90a761be71824fa637e619b708f1548eccbd"),
-    ]
-    for i, (argv, digest) in enumerate(pinned):
-        out = tmp_path / f"{i}.json"
-        assert main(argv + ["--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
-
-
 def rounded(value):
     """JSON data with each float kept to 12 significant digits."""
     if isinstance(value, float):
@@ -869,44 +865,44 @@ def rounded(value):
     return value
 
 
-def test_discrete_and_fit_report_bytes_pinned(tmp_path):
-    """simulate-discrete's CSV and summary and fit's SVG, byte for byte: their
-    digests were the same under each OpenBLAS kernel tried (OPENBLAS_CORETYPE
-    Haswell, SkylakeX, Cooperlake, SandyBridge, Nehalem, Prescott and Zen).
-    fit's JSON is pinned raw by test_blas_free_reports_keep_their_bytes.  The
-    summary's digest dates from the removal of num_colors, whose line was all
-    that it lost; its other bytes are those of training schedule 3."""
-    discrete = str(Path(__file__).resolve().parents[1] / "configs" / "discrete_k2.json")
-    points = write(tmp_path / "pts.csv", POINTS)
-    pinned = [
-        (["simulate-discrete", "--config", discrete, "--seeds", "2"], {
-            ".csv": "30825f71e33fb34d4ad2c4e7e543849932d45c9e14cd00f6159995f2830761f6",
-            ".json": "205b93153969227bafe7178a2c90a8049cb63452d02d22f9877c4659b9a0abfb"}),
-        (["fit", "--points", points], {
-            ".svg": "1ca651f69722283a6ed1ac0ccfae0485e7e5d19fa19736c6c41bc8e0a4f3f556"}),
-        (["fit", "--points", points, "--transform", "probit"], {
-            ".svg": "e9de616e3ba65a0bde3672ea12c79ed7fe4d75e1744ed2949e4755a7d94fb58c"}),
-    ]
-    for i, (argv, digests) in enumerate(pinned):
-        out = tmp_path / f"{i}{'.csv' if argv[0] == 'simulate-discrete' else '.json'}"
-        assert main(argv + ["--out", str(out)]) == 0
-        for suffix, digest in digests.items():
-            data = out.with_suffix(suffix).read_bytes()
-            assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
-
-
-# Reports whose path makes no BLAS product, pinned raw: verify-theorem in
-# TheoremExact takes its margins in closed form, and fit solves its least
-# squares by math.fsum.  Each was one digest under OPENBLAS_CORETYPE default,
-# Prescott, Nehalem, Haswell, SkylakeX and Zen.
-BLAS_FREE_PINS = [
-    (["verify-theorem", "--config", "exact.json", "--mc", "20000", "--seed", "3"],
-     "e2b657b3ed86281339d7f184d82de5b9383525eb8bc4b49ed6314f52b8de95c1"),
-    (["fit", "--points", "pts.csv"],
-     "82db422198871504015dd5d8389d9e2407f12cf03a9163d57a9e5e5a923daaab"),
-    (["fit", "--points", "pts.csv", "--transform", "probit"],
-     "e855350ab7aed89426eaa4b4eb587a24303fb260c85e5261536e2768c5c37eab"),
+# Reports pinned raw, each as (argv, --out file name, {written file: digest}).
+# Each was one digest under OPENBLAS_CORETYPE default, Prescott, Nehalem,
+# Haswell, SkylakeX and Zen.  verify-theorem in TheoremExact takes its margins
+# in closed form, fit solves its least squares by math.fsum, and the CSV
+# subcommands count and sum in file order: none multiplies through BLAS.
+# simulate-discrete does, but it reports only accuracies over 4000-row test
+# splits, which the last bits of the trained weights do not move; its bytes
+# are those of training schedule 4 (the CSV's are schedule 3's too).  The
+# one-candidate confuse table's mean is 0.1 summed pairwise, as numpy sums a
+# lone column, and 0.09999999999999999 summed in file order, as a wider table
+# sums each of its columns.
+RAW_PINS = [
+    (["verify-theorem", "--config", "exact.json", "--mc", "20000", "--seed", "3"], "v.json",
+     {"v.json": "e2b657b3ed86281339d7f184d82de5b9383525eb8bc4b49ed6314f52b8de95c1"}),
+    (["fit", "--points", "pts.csv"], "f.json", {
+        "f.json": "82db422198871504015dd5d8389d9e2407f12cf03a9163d57a9e5e5a923daaab",
+        "f.svg": "1ca651f69722283a6ed1ac0ccfae0485e7e5d19fa19736c6c41bc8e0a4f3f556"}),
+    (["fit", "--points", "pts.csv", "--transform", "probit"], "p.json", {
+        "p.json": "e855350ab7aed89426eaa4b4eb587a24303fb260c85e5261536e2768c5c37eab",
+        "p.svg": "e9de616e3ba65a0bde3672ea12c79ed7fe4d75e1744ed2949e4755a7d94fb58c"}),
+    (["eval", "--predictions", "preds.csv"], "e.json",
+     {"e.json": "85106daac55723a2e15c30a6c930bef9f14b7533bce1b565c735293a784aa51c"}),
+    (["discover", "--predictions", "disc.csv", "--threshold", "5", "--min-count", "20"],
+     "d.json", {"d.json": "087af60696360bef492d815244bb724f9b849fcf41cb52762088db095b91299b"}),
+    (["confuse", "--similarities", "sims.csv", "--k", "2"], "c.json",
+     {"c.json": "eb68c749647d626586a03e01d7395fc2e764ffa7a1191e9e03157d80da28daa7"}),
+    (["confuse", "--similarities", "one.csv", "--k", "1"], "o.json",
+     {"o.json": "e7f7d3b4323d27e593a16916e66e90a761be71824fa637e619b708f1548eccbd"}),
+    (["simulate-discrete", "--config", "k2.json", "--seeds", "2"], "s.csv", {
+        "s.csv": "30825f71e33fb34d4ad2c4e7e543849932d45c9e14cd00f6159995f2830761f6",
+        "s.json": "bee35c36922020809f5f905296bd404af4c1dea11f92e4c02d27bb00e311db3c"}),
 ]
+
+# Runs each argv of a JSON list through main in one interpreter and prints
+# the exit codes.
+RUN_ALL = ("import json, sys\n"
+           "from spurious_lens.cli import main\n"
+           "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
 
 
 def has_openblas() -> bool:
@@ -917,31 +913,38 @@ def has_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-def test_blas_free_reports_keep_their_bytes(tmp_path):
-    """BLAS_FREE_PINS byte for byte, in child processes under the default
-    OpenBLAS kernel and under OPENBLAS_CORETYPE=Prescott, the SSE3 kernel
-    that every x86-64 CPU runs (a kernel the CPU lacks would stop the child
-    on an illegal instruction).  Def1 verify-theorem and simulate-gaussian
-    are not here: training_moments, empirical_minimizer and alignment_gap
-    multiply d x d matrices through BLAS, whose last bits move with the
-    kernel, so test_gaussian_report_bytes_pinned rounds those reports."""
+def test_raw_pinned_reports_keep_their_bytes_under_two_kernels(tmp_path):
+    """RAW_PINS byte for byte, in a child process under the default OpenBLAS
+    kernel and in one under OPENBLAS_CORETYPE=Prescott, the SSE3 kernel that
+    every x86-64 CPU runs (a kernel the CPU lacks would stop the child on an
+    illegal instruction).  Def1 verify-theorem and simulate-gaussian are not
+    here: training_moments, empirical_minimizer and alignment_gap multiply
+    d x d matrices through BLAS, and those reports carry the last bits, so
+    test_gaussian_report_bytes_pinned rounds them."""
     write_json(tmp_path / "exact.json", GAUSS_EXACT)
     write(tmp_path / "pts.csv", POINTS)
-    kernels = {"default": None, "Prescott": "Prescott"}
-    for argv, digest in BLAS_FREE_PINS:
-        for name, kernel in kernels.items():
-            env = {key: value for key, value in os.environ.items()
-                   if key != "OPENBLAS_CORETYPE"}
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
-            if kernel:
-                env["OPENBLAS_CORETYPE"] = kernel
-            out = tmp_path / f"{name}.json"
-            proc = subprocess.run([sys.executable, "-m", "spurious_lens.cli", *argv,
-                                   "--out", str(out)], cwd=tmp_path, env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert proc.returncode == 0, proc.stderr
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (argv, name)
+    write(tmp_path / "preds.csv", PREDICTIONS)
+    write(tmp_path / "disc.csv", DISCOVER_PREDICTIONS)
+    write(tmp_path / "sims.csv", SIMILARITIES)
+    write(tmp_path / "one.csv", "sample_id,cat\n" + "".join(f"s{i},0.1\n" for i in range(8)))
+    write(tmp_path / "k2.json", (Path(__file__).resolve().parents[1] / "configs"
+                                 / "discrete_k2.json").read_text(encoding="utf-8"))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    for kernel in ("default", "Prescott"):
+        (tmp_path / kernel).mkdir()
+        argvs = [argv + ["--out", f"{kernel}/{out}"] for argv, out, _ in RAW_PINS]
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_ALL, json.dumps(argvs)], cwd=tmp_path,
+            env=env if kernel == "default" else {**env, "OPENBLAS_CORETYPE": kernel},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0] * len(RAW_PINS), proc.stderr
+        for argv, _, digests in RAW_PINS:
+            for name, digest in digests.items():
+                data = (tmp_path / kernel / name).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, (argv, name, kernel)
     if not has_openblas():
         pytest.skip("numpy has no OpenBLAS, so OPENBLAS_CORETYPE selects nothing: "
                     "the pins were compared under one kernel")

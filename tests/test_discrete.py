@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -25,7 +26,7 @@ from spurious_lens.discrete import (
 from spurious_lens.errors import (ConfigError, InsufficientDataError, NonconvergenceError,
                                   ParseError)
 from spurious_lens.inputs import load_config, read_text
-from spurious_lens.synthetic import MAX_SAMPLES, substream
+from spurious_lens.synthetic import MAX_SAMPLES
 
 BASE = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -45,12 +46,9 @@ def colors_of(data):
     return data.features[:, data.config.num_classes:].argmax(axis=1)
 
 
-def ce_loss(weights, x, labels):
-    return discrete._ce_loss_grad(weights, x, labels)[0]
-
-
-def reference_ce_loss_grad(weights, x, labels):
-    """The plain row-wise kernel that discrete._ce_loss_grad must match bit for bit."""
+def cross_entropy(weights, x, labels):
+    """Mean cross-entropy of the logits x W^T at labels, with its gradient in
+    W and the softmax probabilities, row by row."""
     n = x.shape[0]
     logits = x @ weights.T
     logits -= logits.max(axis=1, keepdims=True)
@@ -59,8 +57,39 @@ def reference_ce_loss_grad(weights, x, labels):
     idx = np.arange(n)
     loss = float(np.mean(np.log(z[:, 0]) - logits[idx, labels]))
     p = exp / z
-    p[idx, labels] -= 1.0
-    return loss, p.T @ x / n
+    residual = p.copy()
+    residual[idx, labels] -= 1.0
+    return loss, residual.T @ x / n, p
+
+
+def objective(weights, x, labels):
+    """The trainers' objective, cross-entropy plus RIDGE/2 ||W||^2, and its gradient."""
+    loss, grad, _ = cross_entropy(weights, x, labels)
+    return (loss + discrete.RIDGE / 2 * float(np.sum(weights ** 2)),
+            grad + discrete.RIDGE * weights)
+
+
+def dense_newton(x, labels, k):
+    """The objective's minimizer by Newton's method on the full Hessian,
+    solved by np.linalg.solve, with step halving: the reference for
+    discrete._minimize at small k."""
+    n, d = x.shape
+    w = np.zeros((k, d))
+    for _ in range(100):
+        loss, grad = objective(w, x, labels)
+        if np.linalg.norm(grad) <= 1e-13:
+            break
+        p = cross_entropy(w, x, labels)[2]
+        # H[(a, b), (c, e)] = sum_i (p_ia [a = c] - p_ia p_ic) x_ib x_ie / n + RIDGE [a = c, b = e]
+        curvature = np.einsum("ia,ac->iac", p, np.eye(k)) - np.einsum("ia,ic->iac", p, p)
+        hessian = np.einsum("iac,ib,ie->abce", curvature, x, x).reshape(k * d, k * d) / n
+        hessian += discrete.RIDGE * np.eye(k * d)
+        step = np.linalg.solve(hessian, -grad.ravel()).reshape(k, d)
+        t = 1.0
+        while objective(w + t * step, x, labels)[0] > loss and t > 1e-12:
+            t /= 2
+        w = w + t * step
+    return w
 
 
 class TestConfig:
@@ -257,88 +286,44 @@ class TestSampling:
 
 
 class TestLossAndTraining:
-    def test_zero_weights_loss_is_log_k(self):
+    def test_minimizer_beats_zero_weights(self):
+        # the objective at W = 0 is log k
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=128)
-        w = np.zeros((2, BASE.feature_dim))
-        assert ce_loss(w, data.features, data.object_labels) == pytest.approx(
+        x, y = data.features, data.object_labels
+        assert objective(np.zeros((2, BASE.feature_dim)), x, y)[0] == pytest.approx(
             math.log(2), abs=1e-12)
+        trained = train_supervised(data).weights
+        assert objective(trained, x, y)[0] < math.log(2)
 
     def test_gradient_matches_finite_differences(self):
+        # the oracle of the gradient tests below
         rng = np.random.default_rng(0)
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=1, size=20)
         x, y = data.features, data.object_labels
         w = rng.normal(size=(2, BASE.feature_dim))
-        grad = discrete._ce_loss_grad(w, x, y)[1]
+        grad = objective(w, x, y)[1]
         eps = 1e-6
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 bump = np.zeros_like(w)
                 bump[i, j] = eps
-                fd = (ce_loss(w + bump, x, y) - ce_loss(w - bump, x, y)) / (2 * eps)
+                fd = (objective(w + bump, x, y)[0] - objective(w - bump, x, y)[0]) / (2 * eps)
                 assert abs(fd - grad[i, j]) <= 1e-5
-
-    def test_training_reduces_loss(self, monkeypatch):
-        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=2, size=500)
-        monkeypatch.setattr(discrete, "EPOCHS", 50)
-        model = train_supervised(data, rng=np.random.default_rng(0))
-        trained = ce_loss(model.weights, data.features, data.object_labels)
-        start = 0.01 * np.random.default_rng(0).standard_normal(model.weights.shape)
-        at_init = ce_loss(start, data.features, data.object_labels)
-        assert trained <= at_init
 
     def test_separable_problem_fits_to_high_accuracy(self):
         cfg = DiscreteConfig(num_classes=3, p_inv=1.0, p_spu=1 / 3,
                              n_train=600, feature_noise=0.0)
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=4)
-        model = train_supervised(data, rng=np.random.default_rng(0))
+        model = train_supervised(data)
         acc = (model.predict(data.features) == data.object_labels).mean()
         assert acc >= 0.99
 
-    def test_object_head_follows_supervised_trajectory(self, monkeypatch):
-        # disjoint heads with an additive loss: from a common start the
-        # object problem is the supervised one
+    def test_object_head_is_the_supervised_model(self):
+        # disjoint heads with an additive objective: the object head's
+        # minimizer is the supervised one
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=7, size=400)
-        monkeypatch.setattr(discrete, "EPOCHS", 60)
-        monkeypatch.setattr(discrete, "STEP_SIZE", 0.5)
-        sup = train_supervised(data, rng=np.random.default_rng(3))
-        con = train_contrastive_perfect(data, rng=np.random.default_rng(3))
-        assert np.array_equal(con.weights, sup.weights)
-
-    @pytest.mark.parametrize("num_classes", [2, 3])
-    def test_start_is_one_scaled_normal_draw(self, monkeypatch, num_classes):
-        # both starts are one k × d draw: the object rows of schedule 1's
-        # 2k × d start, an object draw stacked on a color draw
-        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=50)
-        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=1)
-        starts = []
-        monkeypatch.setattr(discrete, "_descend",
-                            lambda loss_grad, w0, epochs, step_size: starts.append(w0) or w0)
-        train_supervised(data, rng=np.random.default_rng(5))
-        train_contrastive_perfect(data, rng=np.random.default_rng(5))
-        k, d = cfg.num_classes, cfg.feature_dim
-        rng = np.random.default_rng(5)
-        stacked = np.vstack([0.01 * rng.standard_normal((k, d)),
-                             0.01 * rng.standard_normal((k, d))])
-        assert np.array_equal(starts[1], stacked[:k])
-        assert np.array_equal(starts[0], stacked[:k])
-
-    @pytest.mark.parametrize("call", ["missing", "positional"])
-    @pytest.mark.parametrize("trainer", [train_supervised, train_contrastive_perfect])
-    def test_rng_is_a_required_keyword(self, trainer, call):
-        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=20)
-        args = (data,) + ((np.random.default_rng(0),) if call == "positional" else ())
-        with pytest.raises(TypeError, match="rng|positional"):
-            trainer(*args)
-
-    def test_randomized_inits_differ_but_stay_close(self, monkeypatch):
-        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=7, size=400)
-        monkeypatch.setattr(discrete, "EPOCHS", 100)
-        sup = train_supervised(data, rng=np.random.default_rng(1))
-        con = train_contrastive_perfect(data, rng=np.random.default_rng(2))
-        assert not np.array_equal(con.weights, sup.weights)
-        sup_acc = (sup.predict(data.features) == data.object_labels).mean()
-        con_acc = (con.predict(data.features) == data.object_labels).mean()
-        assert abs(sup_acc - con_acc) <= 0.05
+        assert np.array_equal(train_contrastive_perfect(data).weights,
+                              train_supervised(data).weights)
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_label_out_of_range_rejected(self, bad):
@@ -347,113 +332,74 @@ class TestLossAndTraining:
             with pytest.raises(ConfigError):
                 DiscreteDataset(BASE, Split.TRAIN, x, object_labels=objects)
 
-    def test_huge_step_raises_nonconvergence(self, monkeypatch):
-        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=100)
-        monkeypatch.setattr(discrete, "EPOCHS", 5)
-        monkeypatch.setattr(discrete, "STEP_SIZE", 1e30)
-        with pytest.raises(NonconvergenceError, match=r"\(epoch 1\)$"):
-            train_supervised(data, rng=np.random.default_rng(0))
 
+class TestMinimizer:
+    """The oracle is the objective itself: its gradient vanishes at the
+    returned weights, which a dense Newton solve reproduces."""
 
-class TestKernelMatchesReference:
-    @pytest.mark.parametrize("k", range(2, 13))
-    def test_loss_and_gradient_bit_equal(self, k):
-        rng = np.random.default_rng(100 + k)
-        for n in (2, *rng.integers(3, 4000, size=5)):
-            d = int(rng.integers(1, 40))
-            x = rng.standard_normal((n, d))
-            for scale in (0.01, 1.0, 30.0):
-                w = scale * rng.standard_normal((k, d))
-                for labels in (rng.integers(0, k, size=n),
-                               np.full(n, int(rng.integers(0, k)))):
-                    loss, grad = discrete._ce_loss_grad(w, x, labels)
-                    ref_loss, ref_grad = reference_ce_loss_grad(w, x, labels)
-                    assert loss == ref_loss
-                    assert np.array_equal(grad, ref_grad)
+    @pytest.mark.parametrize("num_classes", [2, 3, 5, 12])
+    def test_gradient_vanishes(self, num_classes):
+        # k = 12 at p_spu 0.9 leaves (class, color) training cells empty, and
+        # p_inv = 1 makes the classes separable: only the ridge bounds W there
+        for p_inv, noise, seed in itertools.product((0.75, 1.0), (0.0, 0.1, 1.0), (0, 1)):
+            cfg = DiscreteConfig(num_classes=num_classes, p_inv=p_inv, p_spu=0.9,
+                                 n_train=3000, feature_noise=noise)
+            data = sample_discrete_dataset(cfg, Split.TRAIN, seed=seed)
+            w = train_supervised(data).weights
+            grad = objective(w, data.features, data.object_labels)[1]
+            assert np.linalg.norm(grad) <= 1e-9, (p_inv, noise, seed)
 
-    @pytest.mark.parametrize("num_classes", [2, 5, 8, 12])
-    def test_trained_weights_bit_equal(self, monkeypatch, num_classes):
-        # 8 and 12 classes sum with sum(axis=1), the others by column
-        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=600)
-        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=3)
-        monkeypatch.setattr(discrete, "EPOCHS", 80)
+    @pytest.mark.parametrize("p_inv,noise", [(0.75, 0.1), (1.0, 0.0), (0.75, 1.0)])
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_matches_dense_newton(self, num_classes, p_inv, noise):
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=p_inv, p_spu=0.9,
+                             n_train=1000, feature_noise=noise)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=2)
+        want = dense_newton(data.features, data.object_labels, num_classes)
+        assert np.abs(train_supervised(data).weights - want).max() <= 1e-8
 
-        def train():
-            sup = train_supervised(data, rng=np.random.default_rng(1))
-            con = train_contrastive_perfect(data, rng=np.random.default_rng(2))
-            return sup.weights, con.weights
+    def test_ends_where_the_gradient_stops_falling(self, monkeypatch):
+        # at ridge 1e-3 on this noiseless separable split the ninth step starts
+        # at a gradient norm of 3.2e-10 and predicts a decrease of 2.1e-17
+        # against an objective of 0.017: a stop at ||g|| <= 1e-10 would leave a
+        # line search to backtrack on rounding noise, and the decrement stop
+        # ends the descent there
+        monkeypatch.setattr(discrete, "RIDGE", 1e-3)
+        cfg = DiscreteConfig(num_classes=2, p_inv=1.0, p_spu=0.9, n_train=3000,
+                             feature_noise=0.0)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
+        w = train_supervised(data).weights
+        assert np.linalg.norm(objective(w, data.features, data.object_labels)[1]) <= 1e-9
 
-        fast = train()
-        monkeypatch.setattr(discrete, "_ce_loss_grad", reference_ce_loss_grad)
-        for got, want in zip(fast, train()):
-            assert np.array_equal(got, want)
-
-
-def joint_contrastive_reference(data, *, rng):
-    """Schedule 1's object head: the object and color heads descended jointly
-    from one 2k × d start, so a halving for either head halves both steps."""
-    features, objects, colors = data.features, data.object_labels, colors_of(data)
-    k = data.config.num_classes
-    w0 = 0.01 * rng.standard_normal((2 * k, features.shape[1]))
-
-    def loss_grad(w):
-        lo, go = discrete._ce_loss_grad(w[:k], features, objects)
-        lc, gc = discrete._ce_loss_grad(w[k:], features, colors)
-        return lo + lc, np.vstack([go, gc])
-
-    weights = discrete._descend(loss_grad, w0, discrete.EPOCHS, discrete.STEP_SIZE)
-    return weights[:k]
+    def test_failed_line_search_names_its_step(self):
+        # a NaN feature makes every trial objective NaN
+        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=50)
+        x = data.features.copy()
+        x[3, 0] = np.nan
+        with pytest.raises(NonconvergenceError, match=r"40 step halvings \(Newton step 1\)$"):
+            discrete._minimize(x, data.object_labels, 2)
 
 
 class TestOneHeadPerRun:
     def test_no_color_head_is_trained(self, monkeypatch):
         cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.9, n_train=200, seed=4)
-        n_seeds, epochs = 2, 5
-        calls, kernel = [], discrete._ce_loss_grad
+        n_seeds = 2
+        calls, minimize = [], discrete._minimize
 
-        def counting_loss_grad(weights, x, labels):
+        def counting_minimize(x, labels, k):
             calls.append(labels)
-            return kernel(weights, x, labels)
+            return minimize(x, labels, k)
 
-        monkeypatch.setattr(discrete, "_ce_loss_grad", counting_loss_grad)
+        monkeypatch.setattr(discrete, "_minimize", counting_minimize)
         monkeypatch.setattr(discrete, "N_TEST", 100)
-        monkeypatch.setattr(discrete, "EPOCHS", epochs)
         run_discrete_experiment(cfg, n_seeds=n_seeds)
         trains = [sample_discrete_dataset(cfg, Split.TRAIN, cfg.seed + i)
                   for i in range(n_seeds)]
         assert all(not np.array_equal(t.object_labels, colors_of(t)) for t in trains)
-        # one descent per seed, scored under both methods, with no halving
-        per_run = epochs + 1
-        assert len(calls) == n_seeds * per_run
-        for index, labels in enumerate(calls):
-            assert np.array_equal(labels, trains[index // per_run].object_labels)
-
-    # stream 21 started schedule 2's contrastive head, whose halving case below
-    # (feature_noise 1.0) these tests keep
-    @pytest.mark.parametrize("num_classes", [2, 5, 12])
-    def test_object_head_bit_equal_to_joint_descent(self, num_classes):
-        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=3000)
-        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
-        con = train_contrastive_perfect(data, rng=substream(0, 21))
-        joint = joint_contrastive_reference(data, rng=substream(0, 21))
-        assert np.array_equal(con.weights, joint)
-
-    def test_declared_difference_where_a_schedule_halves(self, monkeypatch):
-        # at feature_noise 1 the object descent alone halves its step where
-        # the joint one did not, so the weights leave bit-equality
-        cfg = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000,
-                             feature_noise=1.0)
-        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
-        joint = joint_contrastive_reference(data, rng=substream(0, 21))
-        calls, kernel = [], discrete._ce_loss_grad
-        monkeypatch.setattr(discrete, "_ce_loss_grad",
-                            lambda *args: calls.append(1) or kernel(*args))
-        con = train_contrastive_perfect(data, rng=substream(0, 21))
-        assert len(calls) > 401
-        assert 0 < np.abs(con.weights - joint).max() < 1e-6
-        for split in draw_test_splits(cfg, 4000, seed=0):
-            assert np.array_equal(con.predict(split.features),
-                                  LinearClassifier(joint).predict(split.features))
+        # one descent per seed, on the object labels, scored under both methods
+        assert len(calls) == n_seeds
+        for labels, train in zip(calls, trains):
+            assert np.array_equal(labels, train.object_labels)
 
 
 def naive_contrastive_loss(weights, x, objects, colors, k, c):
@@ -472,7 +418,8 @@ def naive_contrastive_loss(weights, x, objects, colors, k, c):
 class TestContrastiveReduction:
     """The contrastive loss over all captions splits into the object and the
     color cross-entropies of disjoint heads, since log Σ_{j,m} e^{a_j + b_m}
-    = lse(a) + lse(b): the reason the object head is descended alone."""
+    = lse(a) + lse(b), and so does the ridge penalty on the stacked weights:
+    the reason the object head is trained alone."""
 
     @pytest.mark.parametrize("num_classes", [5, 2])
     def test_naive_loss_is_object_plus_color_cross_entropy(self, num_classes):
@@ -485,8 +432,8 @@ class TestContrastiveReduction:
         def naive(weights):
             return naive_contrastive_loss(weights, x, objects, colors, k, c)[0]
 
-        lo, go = discrete._ce_loss_grad(w[:k], x, objects)
-        lc, gc = discrete._ce_loss_grad(w[k:], x, colors)
+        lo, go, _ = cross_entropy(w[:k], x, objects)
+        lc, gc, _ = cross_entropy(w[k:], x, colors)
         assert naive(w) == pytest.approx(lo + lc, rel=1e-13)
         eps, fd = 1e-6, np.zeros_like(w)
         for index in np.ndindex(w.shape):
@@ -500,6 +447,30 @@ class TestContrastiveReduction:
                                            colors_of(test), k, c)
         assert np.array_equal(scores.argmax(axis=1) // c,
                               LinearClassifier(w[:k]).predict(test.features))
+
+    @pytest.mark.parametrize("num_classes", [5, 2])
+    def test_heads_minimized_apart_minimize_the_ridge_contrastive_objective(self, num_classes):
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=500)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
+        x, objects, colors = data.features, data.object_labels, colors_of(data)
+        k = c = num_classes
+
+        def naive(weights):
+            return (naive_contrastive_loss(weights, x, objects, colors, k, c)[0]
+                    + discrete.RIDGE / 2 * float(np.sum(weights ** 2)))
+
+        w = np.vstack([train_contrastive_perfect(data).weights,
+                       discrete._minimize(x, colors, c)])
+        assert naive(w) == pytest.approx(objective(w[:k], x, objects)[0]
+                                         + objective(w[k:], x, colors)[0], rel=1e-13)
+        # the naive objective is strictly convex, so a zero gradient there
+        # makes the stacked heads its one minimizer
+        eps, fd = 1e-6, np.zeros_like(w)
+        for index in np.ndindex(w.shape):
+            bump = np.zeros_like(w)
+            bump[index] = eps
+            fd[index] = (naive(w + bump) - naive(w - bump)) / (2 * eps)
+        assert np.abs(fd).max() <= 1e-8
 
 
 class TestEvaluation:
@@ -598,7 +569,8 @@ class TestExperiment:
 
     def test_per_seed_reports_pinned(self):
         # the reports given when each method drew its own test splits; one
-        # shared draw per seed must not move them
+        # shared draw per seed did not move them, nor did schedule 4's
+        # minimizer in place of schedule 3's 400 epochs
         config = load_config(DiscreteConfig, read_text(CONFIGS / "discrete_k2.json"))
         _, per_seed = run_discrete_experiment(config, n_seeds=2)
         assert per_seed == [
@@ -624,7 +596,6 @@ class TestExperiment:
         monkeypatch.setattr(discrete, "evaluate_splits", recording_evaluate)
         cfg = DiscreteConfig(num_classes=3, p_inv=0.8, p_spu=0.9, n_train=200, seed=4)
         monkeypatch.setattr(discrete, "N_TEST", 300)
-        monkeypatch.setattr(discrete, "EPOCHS", 5)
         run_discrete_experiment(cfg, n_seeds=2)
         assert [(seed, d.split, len(d)) for seed, d in draws] == [
             (seed, split, size) for seed in (4, 5)
@@ -639,7 +610,6 @@ class TestExperiment:
     def test_contrastive_reports_are_the_supervised_ones(self, monkeypatch, num_classes):
         # schedule 3: one head per seed, scored under both names
         monkeypatch.setattr(discrete, "N_TEST", 1000)
-        monkeypatch.setattr(discrete, "EPOCHS", 40)
         cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=600,
                              seed=3)
         (sup, con), per_seed = run_discrete_experiment(cfg, n_seeds=3)
@@ -649,25 +619,23 @@ class TestExperiment:
         assert (sup.method, con.method) == ("supervised", "contrastive")
         assert con[1:] == sup[1:]
 
-    def test_supervised_summary_is_schedule_2s(self):
-        # the benchmark's k = 5 config at seed 2001, as schedule 2 reported it
+    def test_supervised_summary_is_schedule_4s(self):
+        # the benchmark's k = 5 config at seed 2001, as schedule 4 reports it
         cfg = DiscreteConfig(num_classes=5, p_inv=0.75, p_spu=0.9, n_train=3000, seed=2001)
         (sup, _), _ = run_discrete_experiment(cfg, n_seeds=5)
         assert sup == discrete.MethodSummary(
-            "supervised", 5, 0.44548229561026503, 0.03272563807191248,
-            0.05950360884614211, 0.012078188533063411,
-            0.7627679885803349, 0.008185252993311597)
+            "supervised", 5, 0.44298294785161596, 0.030248949651160123,
+            0.0598810466525467, 0.01200576311300741,
+            0.7625220056943117, 0.008253947063965782)
 
     def test_deterministic(self, monkeypatch):
         monkeypatch.setattr(discrete, "N_TEST", 1000)
-        monkeypatch.setattr(discrete, "EPOCHS", 60)
         a = run_discrete_experiment(BASE, n_seeds=2)
         b = run_discrete_experiment(BASE, n_seeds=2)
         assert a == b
 
     def test_single_seed_has_zero_std(self, monkeypatch):
         monkeypatch.setattr(discrete, "N_TEST", 1000)
-        monkeypatch.setattr(discrete, "EPOCHS", 60)
         summaries, reports = run_discrete_experiment(BASE, n_seeds=1)
         assert len(reports) == 2
         for summary in summaries:
@@ -682,7 +650,6 @@ class TestExperiment:
 
     def test_summary_json_dict(self, monkeypatch):
         monkeypatch.setattr(discrete, "N_TEST", 500)
-        monkeypatch.setattr(discrete, "EPOCHS", 40)
         summaries, _ = run_discrete_experiment(BASE, n_seeds=1)
         d = _json_data(summaries[0])
         assert d["method"] == "supervised"

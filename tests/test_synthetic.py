@@ -72,13 +72,22 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs,named", [
         (dict(d_I=MAX_SAMPLES + 1), "d_I must be <= 9223372036854775807"),
         (dict(d_T=10**20), "d_T must be <= 9223372036854775807"),
-        (dict(d_I=10**18), "a d_I x d_T matrix would take"),
-        (dict(d_I=2, d_T=MAX_SAMPLES // 16 + 1), "a d_I x d_T matrix would take"),
-        (dict(d_I=2**30, d_T=2), "the d_I x d_I Bartlett factor would take"),
     ])
     def test_rejects_sizes_numpy_cannot_represent(self, kwargs, named):
         with pytest.raises(ConfigError, match=named):
             GenerativeConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,named", [
+        (dict(d_I=10**18), "a d_I x d_T matrix would take"),
+        (dict(d_I=2, d_T=MAX_SAMPLES // 16 + 1), "a d_I x d_T matrix would take"),
+        (dict(d_I=2**30, d_T=2), "the d_I x d_I Bartlett factor would take"),
+    ])
+    def test_dictionaries_refuse_arrays_numpy_cannot_represent(self, kwargs, named):
+        # the config admits them: TheoremExact verification builds no d-sized
+        # array, and every path that does starts with the dictionaries
+        config = GenerativeConfig(**kwargs)
+        with pytest.raises(ConfigError, match=named):
+            synthetic.dataset_dictionaries(config, seed=0)
 
     @pytest.mark.parametrize("d_I,d_T", [(2**30 - 1, 2), (2, MAX_SAMPLES // 16)])
     def test_admits_the_largest_representable_matrices(self, d_I, d_T):
@@ -402,7 +411,7 @@ class TestStreamLayout:
                 if name.startswith("STREAM_")}
         tags.update({f"discrete.{name}": value for name, value in vars(discrete).items()
                      if name.startswith("_TAG_")})
-        assert {"synthetic.STREAM_SAMPLES", "discrete._TAG_INIT"} <= set(tags)
+        assert {"synthetic.STREAM_SAMPLES", "discrete._TAG_TRAIN"} <= set(tags)
         assert len(set(tags.values())) == len(tags), tags
         assert set(discrete._SPLIT_TAGS.values()) <= set(tags.values())
 
