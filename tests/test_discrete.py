@@ -325,6 +325,13 @@ class TestLossAndTraining:
         assert np.array_equal(train_contrastive_perfect(data).weights,
                               train_supervised(data).weights)
 
+    @pytest.mark.parametrize("trainer", [train_supervised, train_contrastive_perfect])
+    def test_trainers_take_no_generator(self, trainer):
+        # a minimizer has no start to draw
+        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0, size=50)
+        with pytest.raises(TypeError):
+            trainer(data, rng=np.random.default_rng(0))
+
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_label_out_of_range_rejected(self, bad):
         x = np.eye(3, BASE.feature_dim)
@@ -370,6 +377,76 @@ class TestMinimizer:
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
         w = train_supervised(data).weights
         assert np.linalg.norm(objective(w, data.features, data.object_labels)[1]) <= 1e-9
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 5, 12])
+    def test_weights_sum_to_zero_over_classes(self, num_classes):
+        # the softmax ignores a shift shared by all rows of W and the ridge
+        # does not, so the minimizer is the representative whose rows sum to 0
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=1000)
+        w = train_supervised(sample_discrete_dataset(cfg, Split.TRAIN, seed=3)).weights
+        assert np.abs(w.sum(axis=0)).max() <= 1e-12
+
+    @pytest.mark.parametrize("num_classes", [2, 5])
+    def test_row_order_does_not_move_the_minimizer(self, num_classes):
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=1000)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=3)
+        order = np.random.default_rng(0).permutation(len(data))
+        shuffled = discrete._minimize(data.features[order], data.object_labels[order],
+                                      num_classes)
+        assert np.abs(shuffled - train_supervised(data).weights).max() <= 1e-12
+
+    @pytest.mark.parametrize("num_classes", [3, 5])
+    def test_relabelled_classes_permute_the_weight_rows(self, num_classes):
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=1000)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=3)
+        relabel = np.random.default_rng(1).permutation(num_classes)
+        w = discrete._minimize(data.features, relabel[data.object_labels], num_classes)
+        assert np.abs(w[relabel] - train_supervised(data).weights).max() <= 1e-12
+
+    def test_duplicated_rows_keep_the_minimizer(self):
+        # the objective takes the mean cross-entropy, so it does not move
+        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=3, size=1000)
+        w = discrete._minimize(np.vstack([data.features] * 2),
+                               np.concatenate([data.object_labels] * 2), 2)
+        assert np.abs(w - train_supervised(data).weights).max() <= 1e-12
+
+    @pytest.mark.parametrize("num_classes", [2, 5])
+    def test_badly_scaled_features_still_converge(self, num_classes):
+        # features 1000 times larger stretch the Hessian's spread of
+        # eigenvalues a million-fold, and the gradient's scale a thousand-fold
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=1000)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=3)
+        x = 1e3 * data.features
+        with np.errstate(all="raise"):
+            w = discrete._minimize(x, data.object_labels, num_classes)
+        assert np.linalg.norm(objective(w, x, data.object_labels)[1]) <= 1e-6
+
+    def test_featureless_rows_give_zero_weights(self):
+        # the gradient at W = 0 is then 0: the first step predicts no decrease
+        labels = np.arange(10) % 3
+        assert np.array_equal(discrete._minimize(np.zeros((10, 6)), labels, 3),
+                              np.zeros((3, 6)))
+
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_one_class_present(self, rows):
+        # the cross-entropy alone has no minimizer when every row has one
+        # label; the ridge gives the objective one, which predicts that label
+        cfg = DiscreteConfig(num_classes=3, p_inv=0.75, p_spu=0.9, n_train=rows)
+        x = sample_discrete_dataset(cfg, Split.TRAIN, seed=3).features
+        labels = np.full(rows, 2)
+        w = discrete._minimize(x, labels, 3)
+        assert np.linalg.norm(objective(w, x, labels)[1]) <= 1e-9
+        assert np.array_equal(LinearClassifier(w).predict(x), labels)
+
+    def test_larger_ridge_shrinks_the_weights(self, monkeypatch):
+        # ||W|| of a ridge minimizer does not grow with the ridge
+        data = sample_discrete_dataset(BASE, Split.TRAIN, seed=3, size=300)
+        norms = []
+        for ridge in (1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
+            monkeypatch.setattr(discrete, "RIDGE", ridge)
+            norms.append(np.linalg.norm(train_supervised(data).weights))
+        assert norms == sorted(norms, reverse=True)
+        assert norms[-1] < norms[0]
 
     def test_failed_line_search_names_its_step(self):
         # a NaN feature makes every trial objective NaN
