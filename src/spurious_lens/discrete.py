@@ -7,13 +7,14 @@ makes the contrastive task an object and a color classification with
 separate linear heads and an additive loss, so the heads share nothing and
 the object head, which zero-shot prediction reads, minimizes the supervised
 objective: each seed trains one head, to the minimizer of the cross-entropy
-plus a small ridge penalty, and scores it under both names.
+plus a small ridge penalty, and scores it under both names.  The minimizer
+is found by truncated Newton, its conjugate gradients preconditioned by
+Böhning's bound on the Hessian.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -38,10 +39,11 @@ _TAG_REV = 12
 # The trainers' objective adds RIDGE/2 times the squared weights to the mean
 # cross-entropy, so it has one minimizer even on separable data.  Newton
 # steps end at a predicted decrease of _DECREMENT; a step halves at most
-# _MAX_HALVINGS times.
+# _MAX_HALVINGS times, and a descent takes at most _MAX_NEWTON_STEPS steps.
 RIDGE = 1e-4
 _DECREMENT = 1e-14
 _MAX_HALVINGS = 40
+_MAX_NEWTON_STEPS = 50
 
 # Rows of each test split.
 N_TEST = 4000
@@ -197,42 +199,54 @@ class LinearClassifier:
 
 def _minimize(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """The k x d weights W that minimize the mean cross-entropy of the logits
-    x W^T plus RIDGE/2 ||W||_F^2: truncated Newton from W = 0 (Lin, Weng and
+    W x^T plus RIDGE/2 ||W||_F^2: truncated Newton from W = 0 (Lin, Weng and
     Keerthi, JMLR 9, 2008).  Conjugate gradients solve H d = -g on
     Hessian-vector products, so H is never formed, and d halves until the
     Armijo test holds.  The first step whose predicted decrease -g.d is at
-    most _DECREMENT is taken whole and ends the descent."""
-    n = x.shape[0]
-    rows, one_hot = np.arange(n), np.eye(k)[labels]
+    most _DECREMENT is taken whole and ends the descent; a descent still
+    going after _MAX_NEWTON_STEPS steps raises.
+
+    Logits, probabilities and S = V x^T are k x n, so each reduction over
+    classes runs along axis 0.  CG is preconditioned by Böhning's bound on H
+    (Ann. Inst. Statist. Math. 44, 1992), B = 1/2 (I - 11^T/k) (x) X^T X/n +
+    RIDGE I.  g and every CG iterate have rows that sum to 0, and there B^-1
+    maps V to V (X^T X/(2n) + RIDGE I)^-1: one d x d inverse per descent."""
+    n, dim = x.shape
+    rows, one_hot = np.arange(n), np.eye(k)[:, labels]
+    precondition = np.linalg.inv(x.T @ x / (2 * n) + RIDGE * np.eye(dim))
 
     def objective(w):  # the objective at w, and the softmax of w's logits
-        logits = x @ w.T
-        logits -= logits.max(axis=1, keepdims=True)
+        logits = w @ x.T
+        logits -= logits.max(axis=0)
         exp = np.exp(logits)
-        z = exp.sum(axis=1)
-        loss = np.mean(np.log(z) - logits[rows, labels]) + RIDGE / 2 * np.sum(w * w)
-        return float(loss), exp / z[:, None]
+        z = exp.sum(axis=0)
+        loss = np.mean(np.log(z) - logits[labels, rows]) + RIDGE / 2 * np.vdot(w, w)
+        return float(loss), exp / z
 
-    w = np.zeros((k, x.shape[1]))
+    w = np.zeros((k, dim))
     loss, p = objective(w)
-    for step in itertools.count(1):
-        grad = (p - one_hot).T @ x / n + RIDGE * w
-        # conjugate gradients from d = 0 to ||r|| <= min(0.5, sqrt ||g||) ||g||
+    for step in range(1, _MAX_NEWTON_STEPS + 1):
+        grad = (p - one_hot) @ x / n + RIDGE * w
+        # preconditioned CG from d = 0 to ||r|| <= min(0.5, sqrt ||g||) ||g||
         d, r = np.zeros_like(w), -grad
-        conj, rr = r.copy(), float(np.sum(r * r))
+        rr = np.vdot(r, r)
         target = min(0.25, rr ** 0.5) * rr
+        conj = r @ precondition
+        rz = np.vdot(r, conj)
         for _ in range(w.size):
             if rr <= target:
                 break
             # the Hessian-vector product H conj
-            s = p * (x @ conj.T)
-            h_conj = (s - p * s.sum(axis=1, keepdims=True)).T @ x / n + RIDGE * conj
-            alpha = rr / float(np.sum(conj * h_conj))
+            s = p * (conj @ x.T)
+            h_conj = (s - p * s.sum(axis=0)) @ x / n + RIDGE * conj
+            alpha = rz / np.vdot(conj, h_conj)
             d += alpha * conj
             r -= alpha * h_conj
-            rr, rr_before = float(np.sum(r * r)), rr
-            conj = r + rr / rr_before * conj
-        decrease = -float(np.sum(grad * d))
+            rr = np.vdot(r, r)
+            z = r @ precondition
+            rz, rz_before = np.vdot(r, z), rz
+            conj = z + rz / rz_before * conj
+        decrease = -float(np.vdot(grad, d))
         if decrease <= _DECREMENT:
             return w + d
         for t in 0.5 ** np.arange(_MAX_HALVINGS + 1):
@@ -244,6 +258,8 @@ def _minimize(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
                 f"the objective would not decrease after {_MAX_HALVINGS} step "
                 f"halvings (Newton step {step})")
         w, loss, p = w + t * d, cand_loss, cand_p
+    raise NonconvergenceError(f"the descent did not end within {_MAX_NEWTON_STEPS} "
+                              f"Newton steps")
 
 
 def train_supervised(data: DiscreteDataset) -> LinearClassifier:

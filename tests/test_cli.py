@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spurious_lens import DiscreteConfig, GenerativeConfig, __version__, load_schema
-from spurious_lens import cli
+from spurious_lens import cli, discrete
 from spurious_lens.cli import main
 from spurious_lens.errors import ParseError
 from spurious_lens.evaluation import (SimilarityTable, fmt_pct, load_points,
@@ -384,6 +384,19 @@ class TestSimulateDiscrete:
         for row, summary in zip(rows, summaries):
             mean, std = summary["rest_mean"], summary["rest_std"]
             assert row.split(",")[7] == f"{fmt_pct(mean)} ± {fmt_pct(std)}"
+
+    def test_unended_descent_exits_three(self, tmp_path, monkeypatch, capsys):
+        # with no decrement stop this separable split steps until the bound
+        monkeypatch.setattr(discrete, "RIDGE", 1e-3)
+        monkeypatch.setattr(discrete, "_DECREMENT", 0.0)
+        cfg = write_json(tmp_path / "c.json", {**DISCRETE, "p_inv": 1.0, "n_train": 3000,
+                                               "feature_noise": 0.0})
+        out = tmp_path / "t.csv"
+        assert main(["simulate-discrete", "--config", cfg, "--seeds", "1",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the descent did not end within 50 Newton steps\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     def test_bad_seed_count_exits_two(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", DISCRETE)

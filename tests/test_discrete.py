@@ -28,6 +28,8 @@ from spurious_lens.errors import (ConfigError, InsufficientDataError, Nonconverg
 from spurious_lens.inputs import load_config, read_text
 from spurious_lens.synthetic import MAX_SAMPLES
 
+from newton_reference import row_major_minimize
+
 BASE = DiscreteConfig(num_classes=2, p_inv=0.75, p_spu=0.9, n_train=3000)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -340,21 +342,41 @@ class TestLossAndTraining:
                 DiscreteDataset(BASE, Split.TRAIN, x, object_labels=objects)
 
 
+def grid_splits(num_classes):
+    """Training splits over p_inv, feature_noise and seed at n_train 3000."""
+    for p_inv, noise, seed in itertools.product((0.75, 1.0), (0.0, 0.1, 1.0), (0, 1)):
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=p_inv, p_spu=0.9,
+                             n_train=3000, feature_noise=noise)
+        yield (p_inv, noise, seed), sample_discrete_dataset(cfg, Split.TRAIN, seed=seed)
+
+
 class TestMinimizer:
     """The oracle is the objective itself: its gradient vanishes at the
-    returned weights, which a dense Newton solve reproduces."""
+    returned weights, which a dense Newton solve and the row-major,
+    unpreconditioned kernel (tests/newton_reference.py) reproduce."""
 
     @pytest.mark.parametrize("num_classes", [2, 3, 5, 12])
     def test_gradient_vanishes(self, num_classes):
         # k = 12 at p_spu 0.9 leaves (class, color) training cells empty, and
         # p_inv = 1 makes the classes separable: only the ridge bounds W there
-        for p_inv, noise, seed in itertools.product((0.75, 1.0), (0.0, 0.1, 1.0), (0, 1)):
-            cfg = DiscreteConfig(num_classes=num_classes, p_inv=p_inv, p_spu=0.9,
-                                 n_train=3000, feature_noise=noise)
-            data = sample_discrete_dataset(cfg, Split.TRAIN, seed=seed)
+        for case, data in grid_splits(num_classes):
             w = train_supervised(data).weights
             grad = objective(w, data.features, data.object_labels)[1]
-            assert np.linalg.norm(grad) <= 1e-9, (p_inv, noise, seed)
+            assert np.linalg.norm(grad) <= 1e-9, case
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 5, 12])
+    def test_matches_the_row_major_kernel(self, num_classes):
+        # the objective is RIDGE-strongly convex, so two points whose
+        # gradients are g and g' lie within (||g|| + ||g'||) / RIDGE of each
+        # other; the largest gap seen is 2.1e-10, at k = 12, p_inv 1,
+        # noise 0, seed 1, where the reference stops at ||g'|| = 6.6e-14
+        for case, data in grid_splits(num_classes):
+            x, labels = data.features, data.object_labels
+            w = discrete._minimize(x, labels, num_classes)
+            want = row_major_minimize(x, labels, num_classes)
+            gaps = [np.linalg.norm(objective(v, x, labels)[1]) for v in (w, want)]
+            assert np.linalg.norm(w - want) <= sum(gaps) / discrete.RIDGE, case
+            assert np.abs(w - want).max() <= 1e-9, case
 
     @pytest.mark.parametrize("p_inv,noise", [(0.75, 0.1), (1.0, 0.0), (0.75, 1.0)])
     @pytest.mark.parametrize("num_classes", [2, 3])
@@ -377,6 +399,32 @@ class TestMinimizer:
         data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
         w = train_supervised(data).weights
         assert np.linalg.norm(objective(w, data.features, data.object_labels)[1]) <= 1e-9
+
+    def test_newton_steps_are_bounded(self, monkeypatch):
+        # with no decrement stop the floor case above keeps taking steps that
+        # leave the objective unchanged: the Armijo test's slack rounds away
+        monkeypatch.setattr(discrete, "RIDGE", 1e-3)
+        monkeypatch.setattr(discrete, "_DECREMENT", 0.0)
+        cfg = DiscreteConfig(num_classes=2, p_inv=1.0, p_spu=0.9, n_train=3000,
+                             feature_noise=0.0)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=0)
+        with pytest.raises(NonconvergenceError,
+                           match=r"^the descent did not end within 50 Newton steps$"):
+            train_supervised(data)
+
+    @pytest.mark.parametrize("num_classes", [2, 5, 12])
+    def test_singular_gram_matrix(self, num_classes):
+        # an all-zero and a duplicated feature column make X^T X singular;
+        # only RIDGE keeps the preconditioner's d x d matrix invertible
+        cfg = DiscreteConfig(num_classes=num_classes, p_inv=0.75, p_spu=0.9, n_train=1000)
+        data = sample_discrete_dataset(cfg, Split.TRAIN, seed=3)
+        x = np.column_stack([data.features, np.zeros(len(data)), data.features[:, 1]])
+        assert np.linalg.matrix_rank(x.T @ x) < x.shape[1]
+        w = discrete._minimize(x, data.object_labels, num_classes)
+        assert np.linalg.norm(objective(w, x, data.object_labels)[1]) <= 1e-9
+        assert np.abs(w.sum(axis=0)).max() <= 1e-12
+        # the ridge alone acts on a weight whose feature is always 0
+        assert not w[:, -2].any()
 
     @pytest.mark.parametrize("num_classes", [2, 3, 5, 12])
     def test_weights_sum_to_zero_over_classes(self, num_classes):
@@ -656,6 +704,18 @@ class TestExperiment:
             SplitReport("contrastive", 0.49375, 0.09775, None),
             SplitReport("contrastive", 0.50225, 0.10025, None),
         ]
+
+    def test_reports_match_the_row_major_kernel(self, monkeypatch):
+        # the per-seed reports of 30 configs, seeds 0-2, do not move when
+        # the reference kernel trains the heads
+        for k, p_inv, noise in itertools.product((2, 3, 5, 8, 12), (0.75, 1.0),
+                                                 (0.0, 0.1, 1.0)):
+            cfg = DiscreteConfig(num_classes=k, p_inv=p_inv, p_spu=0.9, n_train=3000,
+                                 feature_noise=noise)
+            _, per_seed = run_discrete_experiment(cfg, n_seeds=3)
+            with monkeypatch.context() as patch:
+                patch.setattr(discrete, "_minimize", row_major_minimize)
+                assert run_discrete_experiment(cfg, n_seeds=3)[1] == per_seed, (k, p_inv, noise)
 
     def test_draws_each_split_once_per_seed(self, monkeypatch):
         draws, scored = [], []
