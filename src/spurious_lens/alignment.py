@@ -137,6 +137,20 @@ def latent_alignment_target(config: GenerativeConfig) -> np.ndarray:
     ])
 
 
+def latent_target_column(config) -> list[float]:
+    """The first column (1 + sigma_inv^2, w) of :func:`latent_alignment_target`,
+    read from ``config``'s sigma_inv, mu_spu and p_spu, divided by 4^e where
+    sigma_inv = f 2^e, f in [1/2, 1), if e > 0: a power of two, so each entry
+    keeps its bits unless it underflows, and the square of sigma_inv 2^-e < 1
+    cannot overflow.  The square is a product, which rounds correctly and so
+    commutes with the power of two; ``** 2`` calls pow(), which need not.  The
+    margins need the column only up to scale."""
+    e = max(math.frexp(config.sigma_inv)[1], 0)
+    sigma = math.ldexp(config.sigma_inv, -e)
+    w = 2.0 * config.mu_spu * config.p_spu - 1.0
+    return [math.ldexp(1.0, -2 * e) + sigma * sigma, math.ldexp(w, -2 * e)]
+
+
 def population_alignment_target(config: GenerativeConfig) -> np.ndarray:
     """Latent second-moment matrix E[z z^T] in either mode, the latents sitting
     at (m_inv * y, m_spu * a) with (m_inv, m_spu) = ``config.mean_scales``.
@@ -279,8 +293,9 @@ def _cell_margins(M: AlignmentMatrix, config: GenerativeConfig,
 def latent_margins(config: GenerativeConfig) -> list[float]:
     """:func:`_cell_margins` of (1/rho) D_I A D_T^T, A the latent target, for
     any orthonormal D_I and D_T: there u = 2 A e_0 / rho and |w| = |u|, and
-    the factor 2 / rho cancels in t, so A e_0 is all the margins need."""
-    u = latent_alignment_target(config)[:, 0].tolist()
+    the factor 2 / rho cancels in t, so A e_0 up to scale is all the margins
+    need (:func:`latent_target_column`)."""
+    u = latent_target_column(config)
     noise = config.sigma_xi * math.hypot(*u) / math.sqrt(config.d_I)
     return column_margins(u, noise, config.sigma_inv, config.sigma_spu, config.mean_scales)
 

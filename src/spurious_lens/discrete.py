@@ -105,8 +105,10 @@ class DiscreteConfig:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDataset:
-    """Column-batched discrete samples, one row each, with an object label in
-    [0, num_classes) per row; a row's color is its one-hot features[:, num_classes:]."""
+    """Discrete samples, one feature row and one object label in
+    [0, num_classes) each; a row's color is its one-hot features[:, num_classes:].
+    The sampler stores features feature-major (Fortran order), so features.T
+    is a C-contiguous d x n view."""
 
     config: DiscreteConfig
     split: Split
@@ -172,7 +174,7 @@ def sample_discrete_dataset(config: DiscreteConfig, split: Split,
     wrong = rng.integers(0, k - 1, size=n)
     shown = np.where(keep, y, wrong + (wrong >= y))  # wrong skips the true class
     colors = _sample_colors(config, split, y, rng)
-    features = np.zeros((n, config.feature_dim))
+    features = np.zeros((n, config.feature_dim), order="F")  # features.T is C-contiguous
     features[np.arange(n), shown] = 1.0
     if config.feature_noise > 0:
         features[:, :k] += config.feature_noise * rng.standard_normal((n, k))
@@ -206,17 +208,21 @@ def _minimize(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     most _DECREMENT is taken whole and ends the descent; a descent still
     going after _MAX_NEWTON_STEPS steps raises.
 
-    Logits, probabilities and S = V x^T are k x n, so each reduction over
-    classes runs along axis 0.  CG is preconditioned by Böhning's bound on H
-    (Ann. Inst. Statist. Math. 44, 1992), B = 1/2 (I - 11^T/k) (x) X^T X/n +
-    RIDGE I.  g and every CG iterate have rows that sum to 0, and there B^-1
-    maps V to V (X^T X/(2n) + RIDGE I)^-1: one d x d inverse per descent."""
+    x is read feature-major, through xt, a C-contiguous d x n copy of x^T (a
+    view for the sampler's Fortran-ordered features), so every product
+    contracts over n along contiguous rows.  Logits, probabilities and
+    S = V x^T are k x n, so each reduction over classes runs along axis 0.
+    CG is preconditioned by Böhning's bound on H (Ann. Inst. Statist. Math.
+    44, 1992), B = 1/2 (I - 11^T/k) (x) X^T X/n + RIDGE I.  g and every CG
+    iterate have rows that sum to 0, and there B^-1 maps V to
+    V (X^T X/(2n) + RIDGE I)^-1: one d x d inverse per descent."""
     n, dim = x.shape
+    xt = np.ascontiguousarray(x.T)
     rows, one_hot = np.arange(n), np.eye(k)[:, labels]
-    precondition = np.linalg.inv(x.T @ x / (2 * n) + RIDGE * np.eye(dim))
+    precondition = np.linalg.inv(xt @ xt.T / (2 * n) + RIDGE * np.eye(dim))
 
     def objective(w):  # the objective at w, and the softmax of w's logits
-        logits = w @ x.T
+        logits = w @ xt
         logits -= logits.max(axis=0)
         exp = np.exp(logits)
         z = exp.sum(axis=0)
@@ -226,7 +232,7 @@ def _minimize(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     w = np.zeros((k, dim))
     loss, p = objective(w)
     for step in range(1, _MAX_NEWTON_STEPS + 1):
-        grad = (p - one_hot) @ x / n + RIDGE * w
+        grad = (p - one_hot) @ xt.T / n + RIDGE * w
         # preconditioned CG from d = 0 to ||r|| <= min(0.5, sqrt ||g||) ||g||
         d, r = np.zeros_like(w), -grad
         rr = np.vdot(r, r)
@@ -237,8 +243,8 @@ def _minimize(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
             if rr <= target:
                 break
             # the Hessian-vector product H conj
-            s = p * (conj @ x.T)
-            h_conj = (s - p * s.sum(axis=0)) @ x / n + RIDGE * conj
+            s = p * (conj @ xt)
+            h_conj = (s - p * s.sum(axis=0)) @ xt.T / n + RIDGE * conj
             alpha = rz / np.vdot(conj, h_conj)
             d += alpha * conj
             r -= alpha * h_conj

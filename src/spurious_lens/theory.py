@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .alignment import (alignment_gap, column_margins, empirical_minimizer,
-                        latent_alignment_target, latent_margins, margin_counts, std_normal_cdf,
+                        latent_margins, latent_target_column, margin_counts, std_normal_cdf,
                         subgroup_accuracy)
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .synthetic import MAX_SAMPLES, GenerativeConfig, Mode, training_moments
@@ -53,8 +53,8 @@ def params_from_config(config: GenerativeConfig) -> TheoryParams:
 
 def _margins(params: TheoryParams) -> list[float]:
     """The cell margins of the asymptotic matrix at unit means and no image
-    noise; the latent target reads only the four fields of ``params``."""
-    return column_margins(latent_alignment_target(params)[:, 0].tolist(), 0.0,
+    noise; they read only the four fields of ``params``."""
+    return column_margins(latent_target_column(params), 0.0,
                           params.sigma_inv, params.sigma_spu, (1.0, 1.0))
 
 
@@ -77,11 +77,8 @@ class TheoryBounds(NamedTuple):
 
 def theorem_bounds(params: TheoryParams) -> TheoryBounds:
     """Error lower bound on a != y and accuracy lower bound on a == y."""
-    try:
-        t = _margins(params)
-        k1, k2 = t[1], -t[0]
-    except OverflowError:  # sigma_inv ** 2 raises; 2 mu_spu p_spu gives inf, and inf / inf is nan
-        k1 = k2 = math.nan
+    t = _margins(params)
+    k1, k2 = t[1], -t[0]  # 2 mu_spu p_spu may give inf, and inf / inf is nan
     if not (math.isfinite(k1) and math.isfinite(k2)):
         # an infinite margin is a score whose variance is 0 as a float
         what = ("the margins overflow a float" if math.isnan(k1) or math.isnan(k2)

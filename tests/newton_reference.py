@@ -1,9 +1,11 @@
 """The discrete minimizer's row-major, unpreconditioned Newton-CG kernel.
 
-``discrete._minimize`` holds its logits class-major and preconditions
+``discrete._minimize`` holds its logits class-major, reads the features
+feature-major (through a C-contiguous d x n copy of x^T) and preconditions
 conjugate gradients by Böhning's bound; the tests keep this kernel, which
-schedule 4 first shipped, as its reference.  It reads the objective's
-constants from ``discrete``, so a monkeypatched ``RIDGE`` moves both.
+schedule 4 first shipped and which reads x as given, sample-major, as its
+reference.  It reads the objective's constants from ``discrete``, so a
+monkeypatched ``RIDGE`` moves both.
 """
 
 import itertools

@@ -28,6 +28,7 @@ from spurious_lens import (
 from spurious_lens.alignment import (
     PromptEmbedding,
     _cell_margins,
+    column_margins,
     latent_alignment_target,
     latent_margins,
     population_alignment_target,
@@ -743,6 +744,24 @@ class TestLatentMargins:
                 + _orthonormality_error(dict_text.entries))
         for closed, matrix in zip(latent_margins(config), reference):
             assert abs(closed - matrix) <= 32 * unit * max(1.0, abs(matrix))
+
+    @settings(max_examples=80, deadline=None)
+    @given(sigma_inv=st.floats(min_value=1e-3, max_value=1e100),
+           sigma_spu=st.floats(min_value=0.0, max_value=3.0),
+           mu_spu=st.floats(min_value=-0.9, max_value=1e100),
+           p_spu=st.floats(min_value=0.5, max_value=1.0),
+           sigma_xi=st.floats(min_value=0.0, max_value=5.0),
+           d_I=st.integers(min_value=2, max_value=2**20))
+    def test_a_power_of_two_keeps_the_bits_of_the_target_column(self, sigma_inv, sigma_spu,
+                                                                mu_spu, p_spu, sigma_xi, d_I):
+        # column_margins scales its column by a power of two itself, so the
+        # one latent_margins divides by first changes no bit of t
+        config = GenerativeConfig(sigma_inv=sigma_inv, sigma_spu=sigma_spu, mu_spu=mu_spu,
+                                  p_spu=p_spu, sigma_xi=sigma_xi, d_I=d_I, mode="TheoremExact")
+        u = [1.0 + sigma_inv * sigma_inv, latent_alignment_target(config)[0, 1]]
+        noise = sigma_xi * math.hypot(*u) / math.sqrt(d_I)
+        assert latent_margins(config) == column_margins(u, noise, sigma_inv, sigma_spu,
+                                                        (1.0, 1.0))
 
     def test_scales_the_column_before_its_products(self):
         # u_0 sigma_inv = (1 + 1e240) 1e120 passes max float; t = u_0 / (u_0 sigma_inv) does not

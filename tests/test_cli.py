@@ -164,13 +164,9 @@ class TestVerifyTheorem:
         assert rc == 2
 
     @pytest.mark.parametrize("fields,named", [
-        # sigma_inv ** 2 overflows
-        ({"mode": "Def1", "sigma_inv": 1e200}, "sigma_inv=1e+200,"),
-        # the first past sqrt(max float)
-        ({"mode": "TheoremExact", "sigma_inv": 1e155}, "sigma_inv=1e+155,"),
         # 2 mu_spu p_spu overflows to inf without raising, so each margin is nan
         ({"mode": "TheoremExact", "mu_spu": 1e308}, "mu_spu=1e+308,"),
-    ], ids=["Def1-sigma_inv", "TheoremExact-sigma_inv", "TheoremExact-mu_spu-nan"])
+    ], ids=["TheoremExact-mu_spu-nan"])
     def test_margin_overflow_names_the_parameters(self, tmp_path, capsys, fields, named):
         cfg = write_json(tmp_path / "c.json", fields)
         out = tmp_path / "r.json"
@@ -178,6 +174,29 @@ class TestVerifyTheorem:
         err = capsys.readouterr().err
         assert err.startswith("error: the margins overflow a float at sigma_inv=")
         assert named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma_inv", [1e155, 1e300])
+    def test_margins_past_the_square_of_sigma_inv_pass(self, tmp_path, sigma_inv):
+        # sigma_inv^2 overflows, but the margins tend to -+1 / sigma_inv
+        cfg = write_json(tmp_path / "c.json", {"mode": "TheoremExact", "sigma_inv": sigma_inv})
+        out = tmp_path / "r.json"
+        assert main(["verify-theorem", "--config", cfg, "--mc", "100000",
+                     "--out", str(out)]) == 0
+        report = read_json(out)
+        rates = [report["bounds"]["err_lower_conflicting"], report["bounds"]["acc_lower_aligned"],
+                 report["exact_err_conflicting"], report["exact_acc_aligned"]]
+        assert all(abs(rate - 0.5) <= 1e-12 for rate in rates), rates
+
+    def test_def1_sigma_inv_past_the_square_names_the_training_overflow(self, tmp_path,
+                                                                         capsys):
+        # the bounds are finite; the latents' training sums are not
+        cfg = write_json(tmp_path / "c.json", {"mode": "Def1", "sigma_inv": 1e200})
+        out = tmp_path / "r.json"
+        assert main(["verify-theorem", "--config", cfg, "--mc", "1000", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.endswith(
+            "error: the latent Gram matrix C^T C overflows a float at mu_inv=1, mu_spu=1, "
+            "sigma_inv=1e+200, sigma_spu=0.5\n")
         assert not out.exists()
 
     def test_theorem_exact_builds_no_d_sized_array(self, tmp_path, capsys):

@@ -204,6 +204,12 @@ class TestSampling:
         assert data.object_labels.shape == (50,)
         assert len(data) == 50
 
+    @pytest.mark.parametrize("split", list(Split))
+    def test_features_are_stored_feature_major(self, split):
+        # the minimizer reads features.T, which must then be a view, not a copy
+        data = sample_discrete_dataset(BASE, split, seed=0, size=50)
+        assert data.features.T.flags.c_contiguous
+
     def test_size_defaults_to_n_train(self):
         data = sample_discrete_dataset(BASE, Split.TRAIN, seed=0)
         assert len(data) == BASE.n_train
@@ -377,6 +383,15 @@ class TestMinimizer:
             gaps = [np.linalg.norm(objective(v, x, labels)[1]) for v in (w, want)]
             assert np.linalg.norm(w - want) <= sum(gaps) / discrete.RIDGE, case
             assert np.abs(w - want).max() <= 1e-9, case
+
+    @pytest.mark.parametrize("num_classes", [2, 5, 12])
+    def test_row_major_features_give_the_same_bits(self, num_classes):
+        # both layouts give the minimizer the same d x n operand
+        for case, data in grid_splits(num_classes):
+            x, labels = data.features, data.object_labels
+            assert np.array_equal(discrete._minimize(x, labels, num_classes),
+                                  discrete._minimize(np.ascontiguousarray(x), labels,
+                                                     num_classes)), case
 
     @pytest.mark.parametrize("p_inv,noise", [(0.75, 0.1), (1.0, 0.0), (0.75, 1.0)])
     @pytest.mark.parametrize("num_classes", [2, 3])
