@@ -129,11 +129,12 @@ def latent_alignment_target(config: GenerativeConfig) -> np.ndarray:
 
     The diagonal carries the latent second moments at unit means and the
     off-diagonal carries the spurious coupling weight 2*mu_spu*p_spu - 1.
+    Squares are products, as in :func:`latent_target_column`.
     """
     w = 2.0 * config.mu_spu * config.p_spu - 1.0
     return np.array([
-        [1.0 + config.sigma_inv ** 2, w],
-        [w, 1.0 + config.sigma_spu ** 2],
+        [1.0 + config.sigma_inv * config.sigma_inv, w],
+        [w, 1.0 + config.sigma_spu * config.sigma_spu],
     ])
 
 
@@ -157,11 +158,12 @@ def population_alignment_target(config: GenerativeConfig) -> np.ndarray:
 
     Coincides with :func:`latent_alignment_target` when mu_inv = mu_spu = 1;
     both are reported so the gap between the two readings stays visible.
+    Squares are products, as in :func:`latent_target_column`.
     """
     m_inv, m_spu = config.mean_scales
     coupling = m_inv * m_spu * (2.0 * config.p_spu - 1.0)
-    return np.array([[m_inv ** 2 + config.sigma_inv ** 2, coupling],
-                     [coupling, m_spu ** 2 + config.sigma_spu ** 2]])
+    return np.array([[m_inv * m_inv + config.sigma_inv * config.sigma_inv, coupling],
+                     [coupling, m_spu * m_spu + config.sigma_spu * config.sigma_spu]])
 
 
 def alignment_gap(M: AlignmentMatrix, config: GenerativeConfig,

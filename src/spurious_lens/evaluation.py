@@ -88,25 +88,26 @@ class _Codes(dict):
 
     def in_name_order(self, codes) -> tuple[tuple[str, ...], np.ndarray]:
         """The sorted strings whose codes occur in ``codes``, and each code's
-        index among them."""
-        codes = np.asarray(codes, dtype=np.intp)
+        index among them, written over ``codes`` if it is an int32 array."""
+        codes = np.asarray(codes, dtype=np.int32)
         used = np.zeros(len(self), dtype=bool)
         used[codes] = True
         names = sorted(compress(self, used.tolist()))  # a dict iterates in code order
-        index = np.empty(len(self), dtype=np.intp)
+        index = np.empty(len(self), dtype=np.int32)
         index[list(map(self.__getitem__, names))] = np.arange(len(names))
-        return tuple(names), index[codes]
+        np.take(index, codes, out=codes, mode="clip")  # "raise" would buffer ``out``
+        return tuple(names), codes
 
 
 @dataclass(frozen=True, eq=False)
 class PredictionTable:
     """A prediction log as columns, one entry per row.
 
-    ``label`` and ``background`` index the sorted names in ``labels`` and
-    ``backgrounds``; ``group`` indexes ``tuple(Group)``; ``rank`` is the
-    1-based position of the true label in the row's ranked predictions, and
-    larger than any k when the label is absent.  A row is a top-k hit iff
-    ``rank <= k``.
+    ``label`` and ``background`` are int32 indexes of the sorted names in
+    ``labels`` and ``backgrounds``; ``group`` is an int8 index of
+    ``tuple(Group)``; ``rank`` is the int64 1-based position of the true
+    label in the row's ranked predictions, and larger than any k when the
+    label is absent.  A row is a top-k hit iff ``rank <= k``.
     """
 
     labels: tuple[str, ...]
@@ -309,11 +310,13 @@ _id_hash = hash
 
 class _SampleIds:
     """The sample ids of a CSV file's data rows, kept as one 8-byte hash
-    each, in row order, in one flat buffer (``hashes``, one entry a row).
-    ``path``, ``what``, ``width`` and ``pad`` say how to read the file again
-    (see _read_csv and _data_rows): only when two hashes are equal are the
-    ids read as strings.  Around a row loop, it checks the rows up to a
-    ParseError's line before the error, else all."""
+    each in one flat buffer (``hashes``, one entry a row), in row order
+    until :meth:`check` sorts it in place.  ``path``, ``what``, ``width``
+    and ``pad`` say how to read the file again (see _read_csv and
+    _data_rows): only when two hashes are equal are the ids read as strings,
+    and hashed again to find the rows that share a hash.  Around a row
+    loop, it checks the rows up to a ParseError's line before the error,
+    else all."""
 
     def __init__(self, path, what: str, width: int, pad: bool):
         self.source = path, what, width, pad
@@ -339,30 +342,33 @@ class _SampleIds:
 
     def check(self, rows: int) -> None:
         """Raise the error of the first row, of the first ``rows`` (only the
-        last of them may have an empty id), whose sample_id an earlier row has."""
-        hashes = np.frombuffer(self.hashes, dtype=np.int64)[:rows]
-        ranked = np.sort(hashes)
+        last of them may have an empty id), whose sample_id an earlier row
+        has.  Sorts those rows' hashes in place."""
+        ranked = np.frombuffer(self.hashes, dtype=np.int64)[:rows]
+        ranked.sort()
         equal = ranked[1:] == ranked[:-1]
         if not equal.any():
             return
-        suspect = np.isin(hashes, ranked[1:][equal])
+        shared = set(ranked[1:][equal].tolist())
         first: dict[str, int] = {}
-        for row, sample_id in self._ids(suspect):
+        for row, sample_id in self._ids(shared, rows):
             if first.setdefault(sample_id, row) != row:
                 lines = first[sample_id] + 2, row + 2  # data rows are the lines from 2 on
                 raise ParseError(f"duplicate sample_id {sample_id!r} at lines {lines[0]} "
                                  f"and {lines[1]}", lines=lines)
 
-    def _ids(self, wanted: np.ndarray) -> Iterator[tuple[int, str]]:
-        """Each wanted row and its sample id, read from the file again."""
+    def _ids(self, shared: set[int], rows: int) -> Iterator[tuple[int, str]]:
+        """Each of the first ``rows`` rows whose sample id hashes to one of
+        ``shared``, and its id, read from the file again."""
         path, what, width, pad = self.source
         _, blocks = _read_csv(path, what)
-        rows = _data_rows(blocks, width, pad)
+        blocks = _data_rows(blocks, width, pad)
         start = 0
-        while start < len(wanted):  # and no further: a later row may be malformed
-            names = next(rows).cells()[0::width]
-            for i in np.flatnonzero(wanted[start:start + len(names)]).tolist():
-                yield start + i, names[i]
+        while start < rows:  # and no further: a later row may be malformed
+            names = next(blocks).cells()[0:(rows - start) * width:width]
+            for i, sample_id in enumerate(names):
+                if _id_hash(sample_id) in shared:
+                    yield start + i, sample_id
             start += len(names)
 
 
@@ -432,18 +438,17 @@ def load_predictions(path, *, digest=None) -> PredictionTable:
             lines=(1,),
         )
     width = len(header)
-    ids = _SampleIds(path, "prediction", width, pad=True)
     labels, backgrounds = _Codes({"": 0}), _Codes()  # label code 0 is an empty cell
     # the rows' true label, group and background codes and ranks
-    columns = tuple(map(array.array, "qbqq"))
-    with ids:
+    columns = tuple(map(array.array, "ibiq"))
+    with _SampleIds(path, "prediction", width, pad=True) as ids:
         for block in _data_rows(blocks, width, pad=True):
             line, n, cells = block.line, len(block.widths), block.cells()
             group = cells[2::width]
             ranked = [cells[j::width] for j in range(4, width)]
             pred = np.fromiter(map(labels.__getitem__, chain.from_iterable(ranked)),
                                dtype=np.intp, count=n * len(ranked)).reshape(len(ranked), n).T
-            true = np.fromiter(map(labels.__getitem__, cells[1::width]), dtype=np.int64, count=n)
+            true = np.fromiter(map(labels.__getitem__, cells[1::width]), dtype=np.int32, count=n)
             group_code = np.fromiter(map(_GROUP_CODE.get, group, repeat(-1, n)),
                                      dtype=np.int8, count=n)
             filled = pred != 0
@@ -461,10 +466,11 @@ def load_predictions(path, *, digest=None) -> PredictionTable:
             ])
             hit = pred == true[:, None]
             background = np.fromiter(map(backgrounds.__getitem__, cells[3::width]),
-                                     dtype=np.int64, count=n)
+                                     dtype=np.int32, count=n)
             rank = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, _NO_RANK)
             for column, codes in zip(columns, (true, group_code, background, rank)):
                 column.frombytes(codes.view(np.uint8))
+    del ids  # checked, so its hashes need not outlast the remaps in _encode
     return _encode(labels, backgrounds,
                    *(np.frombuffer(column, dtype=column.typecode) for column in columns))
 
@@ -625,12 +631,21 @@ def discover_spurious(predictions, threshold_pp: float, min_count: int = 20) -> 
     table = _as_table(predictions, 1)
     n_bg = len(table.backgrounds)
     # Count only the (class, background) cells that occur: a log with a
-    # background per row would otherwise need rows x rows counters.
-    code = table.label * n_bg + table.background
-    cells, totals = np.unique(code, return_counts=True)
-    hit_cells, hits_per_cell = np.unique(code[_top_k(table, 1)], return_counts=True)
-    hit_counts = np.zeros_like(totals)
-    hit_counts[np.searchsorted(cells, hit_cells)] = hits_per_cell
+    # background per row would otherwise need rows x rows counters.  A row's
+    # key is its cell times 2, plus 1 for a top-1 hit, built in place in
+    # int64: int32 codes would wrap past 2^31, and codes below 2^31 keep it
+    # below 2^63.
+    key = table.label.astype(np.int64)
+    key *= n_bg
+    key += table.background
+    key *= 2
+    key += _top_k(table, 1)
+    key.sort()  # in place, where np.unique would sort a copy
+    runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    keys, counts = key[runs], np.diff(runs, append=len(key))
+    cells, first = np.unique(keys // 2, return_index=True)
+    totals = np.add.reduceat(counts, first)
+    hit_counts = np.add.reduceat(counts * (keys % 2), first)
     qualifying: list[list[tuple[str, int, int]]] = [[] for _ in table.labels]
     for cell, hit, count in zip(cells.tolist(), hit_counts.tolist(), totals.tolist()):
         if count >= min_count:

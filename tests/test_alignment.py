@@ -31,6 +31,7 @@ from spurious_lens.alignment import (
     column_margins,
     latent_alignment_target,
     latent_margins,
+    latent_target_column,
     population_alignment_target,
     subgroup_accuracy,
 )
@@ -242,6 +243,16 @@ class TestTargets:
         assert A[0, 0] == pytest.approx(2.0)
         assert A[1, 1] == pytest.approx(1.25)
         assert A[0, 1] == A[1, 0] == pytest.approx(2 * 2.0 * 0.95 - 1)
+
+    def test_reported_target_is_the_column_the_margins_read(self):
+        # squares by products: ``x ** 2`` calls pow(), which misrounds about
+        # one x in a thousand, so an entry of ``** 2`` moves a last bit
+        rng = np.random.default_rng(39)
+        for sigma_inv in [1.0, 1e150, *(10.0 ** rng.uniform(0.0, 150.0, 20_000)).tolist()]:
+            cfg = GenerativeConfig(sigma_inv=sigma_inv, mode="TheoremExact")
+            e = max(math.frexp(sigma_inv)[1], 0)
+            assert math.ldexp(latent_target_column(cfg)[0], 2 * e) == \
+                latent_alignment_target(cfg)[0, 0] == population_alignment_target(cfg)[0, 0]
 
     def test_population_target_matches_latent_target_at_unit_means(self):
         cfg = GenerativeConfig(mu_inv=1.0, mu_spu=1.0, p_spu=0.8)

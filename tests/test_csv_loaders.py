@@ -471,9 +471,9 @@ def _scores_file(path, rows: int):
 def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
     """A load holds one piece of the text, its result and an 8-byte hash
     per sample id, with a prediction log's labels and backgrounds held as
-    codes and a block's cells only where numbers are not parsed from the
-    records' text: about 0.05x the file for a similarity table, whose
-    result is a row of means, and 1.3x for a prediction log.  Splitting
+    4-byte codes and a block's cells only where numbers are not parsed from
+    the records' text: about 0.05x the file for a similarity table, whose
+    result is a row of means, and 1.0x for a prediction log.  Splitting
     the whole text into cells at once holds a string per cell: 10x and 14x.
     Both files have half the rows of the benchmark's, to halve the time
     tracemalloc adds; the ratios do not depend on the row count."""
@@ -487,6 +487,36 @@ def test_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
                   for i in range(25_000)), encoding="utf-8")
     assert _peak(load_similarities, similarities) <= 0.2 * similarities.stat().st_size
     assert _peak(load_predictions, predictions) <= 2.5 * predictions.stat().st_size
+
+
+def _log_file(path, rows: int):
+    """A prediction log of 200 classes, 2 groups and 4 backgrounds, whose
+    true label ranks first in half the rows and second in the others."""
+    labels = [f"c{c:03d}" for c in range(200)]
+    path.write_text(
+        "sample_id,true_label,group,background,pred_1,pred_2,pred_3,pred_4,pred_5\n"
+        + "".join(f"s{i:06d},{labels[i % 200]},{('easy', 'hard')[i % 2]},bg{i % 4},"
+                  + ",".join(labels[(i + j - i // 7 % 2) % 200] for j in range(5)) + "\n"
+                  for i in range(rows)), encoding="utf-8")
+    return path
+
+
+def test_a_prediction_log_keeps_few_bytes_a_row(tmp_path):
+    """From 25k to 100k rows, the traced peak of a prediction-log load and of
+    the discover subcommand grows by at most 38 bytes a row (26 measured
+    for each).  A load keeps an 8-byte sample-id hash, 4-byte label and
+    background codes, a 1-byte group and an 8-byte rank a row, sorts the
+    hashes in place, drops them before the codes are remapped in place, and
+    discover counts its cells from one 8-byte key a row, sorted in place.
+    A sorted copy of the hashes, a second array per remapped code column,
+    8-byte codes and a key built from temporaries grew 50 bytes a row."""
+    sizes = (25_000, 100_000)
+    paths = [_log_file(tmp_path / f"p{rows}.csv", rows) for rows in sizes]
+    for load in (load_predictions, lambda path: cli.main(
+            ["discover", "--predictions", str(path), "--out", str(path.with_suffix(".json"))])):
+        gc.collect()
+        grown = _peak(load, paths[1]) - _peak(load, paths[0])
+        assert grown <= 38 * (sizes[1] - sizes[0]), grown / (sizes[1] - sizes[0])
 
 
 def test_peak_memory_of_a_similarity_load_is_one_piece(tmp_path):

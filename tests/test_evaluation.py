@@ -80,6 +80,19 @@ class TestLoadPredictions:
         # short rows pad out; trailing blanks shrink the ranking
         assert table.labels[table.label[2]] == "fox" and table.rank[2] == 1
 
+    def test_codes_are_int32_and_ranks_int64(self, tmp_path):
+        loaded = load_predictions(write_csv(tmp_path / "p.csv", VALID_PREDICTIONS))
+        converted = PredictionTable.from_records([
+            PredictionRecord("a1", "bear", "easy", "snow", ("bear", "wolf")),
+            PredictionRecord("a2", "bear", "hard", "grass", ("wolf", "bear")),
+            PredictionRecord("a3", "fox", "easy", "snow", ("fox",)),
+        ])
+        for table in (loaded, converted):
+            assert [getattr(table, column).dtype for column in (
+                "label", "group", "background", "rank")] == [
+                np.int32, np.int8, np.int32, np.int64]
+            assert table.label.tolist() == [0, 0, 1] and table.rank.tolist() == [1, 2, 1]
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError) as err:
             load_predictions(write_csv(tmp_path / "p.csv", ""))
@@ -546,6 +559,38 @@ class TestColumnarMetricsOracle:
             assert canonical(report) == canonical(
                 naive_discover(recs, 50.0, min_count, 1)), min_count
             assert bool(report["flagged"]) == (min_count == 1)
+
+    def test_discover_keys_past_int32(self):
+        # 50 000 labels x 50 000 backgrounds in int32 codes: the last cells'
+        # (class, background) keys pass 2^31, where an int32 key would wrap
+        n, min_count, threshold = 50_000, 5, 10.0
+        labels = tuple(f"c{i:05d}" for i in range(n))
+        backgrounds = tuple(f"b{i:05d}" for i in range(n))
+        # a row of each label on the background of its code, and 20 rows of
+        # each of the last 4 labels on each of the last 5 backgrounds
+        label = np.concatenate([np.arange(n), np.repeat(np.arange(n - 4, n), 100)])
+        background = np.concatenate([np.arange(n), np.tile(np.repeat(np.arange(n - 5, n), 20), 4)])
+        assert int(label.max()) * n + int(background.max()) >= 2 ** 31
+        rng = np.random.default_rng(3)
+        hit = rng.random(len(label)) < 0.1 + 0.4 * ((label + background) % 3)
+        table = PredictionTable(
+            labels=labels, label=label.astype(np.int32), group=np.zeros(len(label), np.int8),
+            backgrounds=backgrounds, background=background.astype(np.int32),
+            rank=np.where(hit, 1, evaluation._NO_RANK))
+        by_label: dict[str, list] = {}
+        for i, (c, b) in enumerate(zip(label.tolist(), background.tolist())):
+            by_label.setdefault(labels[c], []).append(PredictionRecord(
+                f"s{i}", labels[c], "easy", backgrounds[b], (labels[c],) if hit[i] else ("x",)))
+        # a class's outcome depends on its own records only
+        expected = naive_discover([], threshold, min_count, 1)
+        for name in labels:
+            for key, entries in naive_discover(by_label[name], threshold, min_count, 1).items():
+                if isinstance(entries, list):
+                    expected[key] += entries
+        report = _json_data(discover_spurious(table, threshold, min_count))
+        assert len(report["flagged"]) == 4 and len(report["skipped"]) == n - 4
+        same = canonical(report) == canonical(expected)  # no diff of 50 000 notices
+        assert same
 
     def test_random_logs_have_ties_and_one_sided_classes(self):
         recs = random_log(0)
